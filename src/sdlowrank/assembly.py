@@ -295,7 +295,6 @@ class _Workspace:
         rule = triangle_rule_7pt()
         self.mesh = mesh
         self.params = params
-        self.kbar_nodal = kbar_nodal
         self.space_p = _Space(mesh.head_coords, mesh.tri6_p, rule)
         self.space_f = _Space(mesh.vel_coords, mesh.tri6_f, rule)
         self.p1val = rule.points                   # barycentric = P1 basis
@@ -306,19 +305,6 @@ class _Workspace:
         self.o_u1 = mesh.N1
         self.o_u2 = mesh.N1 + mesh.N2
         self.o_p = mesh.N1 + 2 * mesh.N2
-
-
-_WORKSPACES = {}
-
-
-def _workspace(mesh, params, kbar_nodal):
-    key = (id(mesh), params, kbar_nodal.tobytes())
-    ws = _WORKSPACES.get(key)
-    if ws is None or ws.mesh is not mesh:
-        ws = _Workspace(mesh, params, kbar_nodal)
-        _WORKSPACES.clear()          # one coupled problem at a time is typical
-        _WORKSPACES[key] = ws
-    return ws
 
 
 def _k_dependent_triplets(ws, coo, field_nodal):
@@ -454,7 +440,7 @@ def assemble_mean(mesh, params, kl_mean=1.0, *, delta_from=None,
     """
     kbar = _nodal_field(mesh, kl_mean)
     dfield = kbar if delta_from is None else _nodal_field(mesh, delta_from)
-    ws = _workspace(mesh, params, dfield)
+    ws = _Workspace(mesh, params, dfield)
     coo = _Coo((mesh.N, mesh.N))
     _deterministic_triplets(ws, coo)
     _k_dependent_triplets(ws, coo, kbar)
@@ -480,7 +466,7 @@ class PerturbationAssembler:
 
     def __init__(self, mesh, params, kbar=1.0):
         self.mesh = mesh
-        self.ws = _workspace(mesh, params, _nodal_field(mesh, kbar))
+        self.ws = _Workspace(mesh, params, _nodal_field(mesh, kbar))
 
     def assemble(self, k_tilde):
         field_nodal = _nodal_field(self.mesh, k_tilde)

@@ -110,7 +110,6 @@ class RunConfig:
     alpha: float = 1.0
     z: float = 0.0
     ell2: float = 0.2        # squared correlation length of the covariance
-    workers: int = 1
     sample_index: int = 0
 
     def validate(self):
@@ -141,8 +140,6 @@ class RunConfig:
             raise ConfigError("nu, g and alpha must be positive")
         if self.ell2 <= 0:
             raise ConfigError("ell2 must be positive")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
         if self.sample_index < 0:
             raise ConfigError("sample_index must be nonnegative")
         return self
@@ -207,8 +204,6 @@ def _parse_value(key, text):
             raise ConfigError(f"bad m_list entry in {text!r}") from exc
     example = RunConfig.__dataclass_fields__[key].default
     try:
-        if isinstance(example, bool):
-            return text.lower() in ("1", "true", "yes")
         if isinstance(example, int):
             return int(text)
         if isinstance(example, float):
@@ -264,10 +259,6 @@ class _Stages:
 # shared pipeline pieces
 # ---------------------------------------------------------------------------
 
-def _params(cfg):
-    return PhysicalParams(nu=cfg.nu, g=cfg.g, alpha=cfg.alpha, z=cfg.z)
-
-
 def _build_field(cfg, stages):
     mesh = stages.run("mesh", lambda: build_mesh(n=cfg.n))
     kernel = CovarianceKernel(correlation_length_sq=cfg.ell2)
@@ -275,8 +266,11 @@ def _build_field(cfg, stages):
     return mesh, kl
 
 
-def _assemble(cfg, mesh, kl, tildes, stages):
-    params = _params(cfg)
+def _family(cfg, stages, mesh, kl, count, seed):
+    """Draw ``count`` fields; return (constrained system, rejected_fields)."""
+    samples = draw_samples(kl, count, seed)
+    _, tildes = realize_conductivity(kl, samples.coefficients)
+    params = PhysicalParams(nu=cfg.nu, g=cfg.g, alpha=cfg.alpha, z=cfg.z)
 
     def build():
         a_bar, b = assemble_mean(mesh, params, kl.mean_nodal)
@@ -288,12 +282,34 @@ def _assemble(cfg, mesh, kl, tildes, stages):
         )
         return apply_dirichlet(system, dirichlet_constraints(mesh))
 
-    return stages.run("assembly", build)
+    return stages.run("assembly", build), samples.rejected_fields
 
 
-def _perturbation_fields(kl, samples):
-    _, tildes = realize_conductivity(kl, samples.coefficients)
-    return tildes
+def _gram(stages, system):
+    return stages.run(
+        "gram",
+        lambda: build_gram(system.A_tildes,
+                           block_dim=system.N1 + 2 * system.N2),
+    )
+
+
+def _direct(stages, system, indices):
+    return stages.run(
+        "direct_loop",
+        lambda: [solve_sample_direct(system, m) for m in indices],
+    )
+
+
+def _lowrank(stages, gram, system, mean, theta, indices):
+    """Factors at ratio ``theta`` and the Woodbury solves of ``indices``."""
+    factors = stages.run(
+        "factorize", lambda: factorize(gram, system.A_tildes, theta)
+    )
+    sols = stages.run(
+        "smw_loop",
+        lambda: [solve_sample_smw(mean, factors, m) for m in indices],
+    )
+    return factors, sols
 
 
 def _ledger(cfg, command, stages, metrics):
@@ -353,50 +369,32 @@ def cmd_kl_report(cfg):
     return 0
 
 
-def _resolve_thetas(theta_list, gram, energy_target):
-    resolved = []
-    for tok in theta_list:
-        if tok == _SELECT:
-            theta, k = select_theta(gram, energy_target)
-            resolved.append((f"{_SELECT}({theta:.6f})", theta))
-        else:
-            resolved.append((f"{tok}", tok))
-    return resolved
+_SWEEP_COLS = ("theta_requested", "theta_effective", "k", "rmsre_formula",
+               "rmsre_direct", "energy_ratio", "err_total", "err_darcy",
+               "err_stokes", "err_sample_mean", "storage_reduction", "status")
 
 
 def cmd_theta_sweep(cfg):
     """Low-rank accuracy vs. compression against the direct baseline."""
     stages = _Stages()
     mesh, kl = _build_field(cfg, stages)
-    samples = draw_samples(kl, cfg.M, cfg.seed)
-    tildes = _perturbation_fields(kl, samples)
-    system = _assemble(cfg, mesh, kl, tildes, stages)
+    system, rejected = _family(cfg, stages, mesh, kl, cfg.M, cfg.seed)
     weights = build_xnorm_weights(mesh)
 
-    gram = stages.run(
-        "gram",
-        lambda: build_gram(system.A_tildes, block_dim=mesh.N1 + 2 * mesh.N2),
-    )
-    direct = stages.run(
-        "direct_loop",
-        lambda: [solve_sample_direct(system, m) for m in range(cfg.M)],
-    )
+    gram = _gram(stages, system)
+    direct = _direct(stages, system, range(cfg.M))
     ref_moments = estimate_moments(direct, theta=1.0, mesh=mesh)
     mean_factor = stages.run("factor_mean", lambda: factor_mean(system))
 
     rows = []
-    for label, theta in _resolve_thetas(cfg.theta_list, gram, cfg.energy_target):
+    for tok in cfg.theta_list:
+        label, theta = f"{tok}", tok
+        if tok == _SELECT:
+            theta, _ = select_theta(gram, cfg.energy_target)
+            label = f"{_SELECT}({theta:.6f})"
         try:
-            factors = stages.run(
-                "factorize", lambda: factorize(gram, system.A_tildes, theta)
-            )
-            sols = stages.run(
-                "smw_loop",
-                lambda: [
-                    solve_sample_smw(mean_factor, factors, m)
-                    for m in range(cfg.M)
-                ],
-            )
+            factors, sols = _lowrank(stages, gram, system, mean_factor,
+                                     theta, range(cfg.M))
             moments = estimate_moments(sols, theta=factors.theta_effective,
                                        mesh=mesh)
             total, darcy, stokes = xnorm_components(
@@ -420,37 +418,23 @@ def cmd_theta_sweep(cfg):
                 "status": "ok",
             })
         except Exception as exc:  # record the failure, keep sweeping
-            rows.append({
-                "theta_requested": label,
-                "theta_effective": float("nan"),
-                "k": 0,
-                "rmsre_formula": float("nan"),
-                "rmsre_direct": float("nan"),
-                "energy_ratio": float("nan"),
-                "err_total": float("nan"),
-                "err_darcy": float("nan"),
-                "err_stokes": float("nan"),
-                "err_sample_mean": float("nan"),
-                "storage_reduction": float("nan"),
-                "status": f"failed: {exc}",
-            })
+            row = dict.fromkeys(_SWEEP_COLS, float("nan"))
+            row.update(theta_requested=label, k=0, status=f"failed: {exc}")
+            rows.append(row)
 
     path = _out(cfg, "theta_sweep.csv")
-    cols = ["theta_requested", "theta_effective", "k", "rmsre_formula",
-            "rmsre_direct", "energy_ratio", "err_total", "err_darcy",
-            "err_stokes", "err_sample_mean", "storage_reduction", "status"]
     with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(cols) + "\n")
+        f.write(",".join(_SWEEP_COLS) + "\n")
         for row in rows:
-            f.write(",".join(_csv_cell(row[c]) for c in cols) + "\n")
+            f.write(",".join(_csv_cell(row[c]) for c in _SWEEP_COLS) + "\n")
     for row in rows:
         print(f"theta={row['theta_requested']} k={row['k']} "
               f"err_total={_csv_cell(row['err_total'])} status={row['status']}")
     print(f"wrote {path}")
     _ledger(cfg, "theta-sweep", stages, {
-        "rows": [{k: (v if not isinstance(v, float) else float(v))
-                  for k, v in row.items()} for row in rows],
+        "rows": rows,
         "rank": numerical_rank(gram),
+        "rejected_fields": rejected,
     })
     return 0
 
@@ -465,13 +449,8 @@ def cmd_select_theta(cfg):
     """Energy-based compression-ratio choice plus spectrum dump."""
     stages = _Stages()
     mesh, kl = _build_field(cfg, stages)
-    samples = draw_samples(kl, cfg.M, cfg.seed)
-    tildes = _perturbation_fields(kl, samples)
-    system = _assemble(cfg, mesh, kl, tildes, stages)
-    gram = stages.run(
-        "gram",
-        lambda: build_gram(system.A_tildes, block_dim=mesh.N1 + 2 * mesh.N2),
-    )
+    system, rejected = _family(cfg, stages, mesh, kl, cfg.M, cfg.seed)
+    gram = _gram(stages, system)
     theta, k = select_theta(gram, cfg.energy_target)
     factors = stages.run(
         "factorize", lambda: factorize(gram, system.A_tildes, theta)
@@ -500,6 +479,7 @@ def cmd_select_theta(cfg):
         "rmsre_direct": report.rmsre_direct,
         "rmsre_formula": report.rmsre_formula,
         "storage_reduction": report.storage_reduction,
+        "rejected_fields": rejected,
     })
     return 0
 
@@ -518,35 +498,19 @@ def cmd_convergence(cfg):
     weights = build_xnorm_weights(mesh)
 
     # reference: independent sample stream through the direct path
-    ref_seed = cfg.seed + 1_000_003
-    samples_ref = draw_samples(kl, cfg.M_ref, ref_seed)
-    tildes_ref = _perturbation_fields(kl, samples_ref)
-    system_ref = _assemble(cfg, mesh, kl, tildes_ref, stages)
-    direct = stages.run(
-        "direct_loop",
-        lambda: [solve_sample_direct(system_ref, m) for m in range(cfg.M_ref)],
-    )
+    system_ref, rejected_ref = _family(cfg, stages, mesh, kl, cfg.M_ref,
+                                       cfg.seed + 1_000_003)
+    direct = _direct(stages, system_ref, range(cfg.M_ref))
     ref = estimate_moments(direct, theta=1.0, mesh=mesh)
 
     # estimates: nested subsets of one master draw, low-rank path
-    samples_est = draw_samples(kl, m_max, cfg.seed)
-    tildes_est = _perturbation_fields(kl, samples_est)
-    system_est = _assemble(cfg, mesh, kl, tildes_est, stages)
-    gram = stages.run(
-        "gram",
-        lambda: build_gram(system_est.A_tildes,
-                           block_dim=mesh.N1 + 2 * mesh.N2),
-    )
+    system_est, rejected_est = _family(cfg, stages, mesh, kl, m_max,
+                                       cfg.seed)
+    gram = _gram(stages, system_est)
     theta, k = select_theta(gram, cfg.energy_target)
-    factors = stages.run(
-        "factorize", lambda: factorize(gram, system_est.A_tildes, theta)
-    )
     mean_factor = stages.run("factor_mean", lambda: factor_mean(system_est))
-    sols = stages.run(
-        "smw_loop",
-        lambda: [solve_sample_smw(mean_factor, factors, m)
-                 for m in range(m_max)],
-    )
+    _, sols = _lowrank(stages, gram, system_est, mean_factor, theta,
+                       range(m_max))
 
     rows = []
     for m in m_list:
@@ -573,6 +537,7 @@ def cmd_convergence(cfg):
         "slope": slope,
         "errors": [{"M": m, "err_mean": em, "err_variance": ev}
                    for m, em, ev in rows],
+        "rejected_fields": rejected_ref + rejected_est,
     })
     return 0
 
@@ -582,26 +547,16 @@ def cmd_solve_once(cfg):
     stages = _Stages()
     mesh, kl = _build_field(cfg, stages)
     m = cfg.sample_index
-    samples = draw_samples(kl, max(m + 1, 1), cfg.seed)
-    tildes = _perturbation_fields(kl, samples)
-    system = _assemble(cfg, mesh, kl, tildes, stages)
+    system, rejected = _family(cfg, stages, mesh, kl, m + 1, cfg.seed)
     weights = build_xnorm_weights(mesh)
 
     if cfg.solver == "direct":
-        sol = stages.run("direct_loop", lambda: solve_sample_direct(system, m))
+        (sol,) = _direct(stages, system, [m])
     else:
-        gram = stages.run(
-            "gram",
-            lambda: build_gram(system.A_tildes,
-                               block_dim=mesh.N1 + 2 * mesh.N2),
-        )
+        gram = _gram(stages, system)
         theta, _ = select_theta(gram, cfg.energy_target)
-        factors = stages.run(
-            "factorize", lambda: factorize(gram, system.A_tildes, theta)
-        )
         mean_factor = stages.run("factor_mean", lambda: factor_mean(system))
-        sol = stages.run("smw_loop",
-                         lambda: solve_sample_smw(mean_factor, factors, m))
+        _, (sol,) = _lowrank(stages, gram, system, mean_factor, theta, [m])
 
     path = _out(cfg, "solution.csv")
     save_solutions(path, [sol])
@@ -617,6 +572,7 @@ def cmd_solve_once(cfg):
         "solver": cfg.solver,
         "xnorm": total,
         "residual": resid,
+        "rejected_fields": rejected,
     })
     return 0
 
@@ -664,7 +620,6 @@ def _build_parser():
                        help="comma-separated ratios; 'select' picks by energy")
         p.add_argument("--energy-target", type=float, default=None)
         p.add_argument("--solver", choices=("lowrank", "direct"), default=None)
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--sample-index", type=int, default=None)
     return parser
 
@@ -684,7 +639,6 @@ def main(argv=None):
             "seed": args.seed,
             "energy_target": args.energy_target,
             "solver": args.solver,
-            "workers": args.workers,
             "sample_index": args.sample_index,
         }
         if args.theta_list is not None:

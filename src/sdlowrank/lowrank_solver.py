@@ -58,8 +58,9 @@ class SampleSolution:
 class MeanFactorization:
     """Sparse LU of the mean matrix with cached derived data.
 
-    Holds the deterministic solution x_bar = Abar^{-1} b and, per factor
-    family, the block Z = Abar^{-1} U reused by every sample solve.
+    Holds the deterministic solution x_bar = Abar^{-1} b and, for the
+    factor family asked for last, the block Z = Abar^{-1} U reused by
+    every sample solve of that family.
     """
 
     def __init__(self, lu, A_bar, b, x_bar):
@@ -67,7 +68,8 @@ class MeanFactorization:
         self.A_bar = A_bar
         self.b = b
         self.x_bar = x_bar
-        self._z_cache = {}
+        self._factors = None
+        self._z = None
 
     @property
     def N(self):
@@ -77,10 +79,8 @@ class MeanFactorization:
         return self._lu.solve(rhs)
 
     def z_for(self, factors):
-        """Abar^{-1} U for one factor family, computed once and cached."""
-        key = id(factors)
-        z = self._z_cache.get(key)
-        if z is None:
+        """Abar^{-1} U for ``factors``, recomputed when the family changes."""
+        if factors is not self._factors:
             u = factors.U
             z = self._lu.solve(u)
             resid = np.linalg.norm(self.A_bar @ z - u, axis=0)
@@ -92,9 +92,8 @@ class MeanFactorization:
                     f"inaccurate solve for column {j} of the shared "
                     f"factor: residual {resid[j]:.3e}"
                 )
-            self._z_cache.clear()   # one factor family per compression ratio
-            self._z_cache[key] = z
-        return z
+            self._factors, self._z = factors, z
+        return self._z
 
 
 def _diagnose_singularity(a):

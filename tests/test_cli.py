@@ -22,7 +22,7 @@ from sdlowrank.cli import (
     main,
     parse_theta_list,
 )
-from sdlowrank.lowrank_solver import load_solutions
+from sdlowrank.lowrank_solver import IllConditionedUpdateError, load_solutions
 
 
 def _read_csv(path):
@@ -67,7 +67,6 @@ def test_config_round_trips_through_file(tmp_path):
         alpha=0.25,
         z=1.0,
         ell2=0.3,
-        workers=2,
         sample_index=3,
     )
     path = tmp_path / "run.cfg"
@@ -111,7 +110,6 @@ def test_config_validation_rejects_bad_values():
         ({"nu": 0.0}, "positive"),
         ({"alpha": -1.0}, "positive"),
         ({"ell2": 0.0}, "ell2"),
-        ({"workers": 0}, "workers"),
         ({"sample_index": -1}, "sample_index"),
     ]
     for kwargs, match in cases:
@@ -225,6 +223,8 @@ def test_kl_report_outputs(tmp_path, capsys):
     assert len(rec["config_hash"]) == 16
     assert rec["rho_T"] == pytest.approx(0.9924, abs=5e-3)
     assert {"mesh", "kl"} <= set(rec["stage_seconds"])
+    assert isinstance(rec["rejected_fields"], int)
+    assert rec["rejected_fields"] >= 0
 
 
 def test_kl_report_files_are_deterministic(tmp_path):
@@ -282,9 +282,35 @@ def test_theta_sweep_small_run(tmp_path, capsys):
     assert rec["command"] == "theta-sweep"
     assert len(rec["rows"]) == 3
     assert rec["rank"] >= k_sel
+    assert isinstance(rec["rejected_fields"], int)
+    assert rec["rejected_fields"] >= 0
     out = capsys.readouterr().out
     assert "theta=1.0" in out
     assert "theta_sweep.csv" in out
+
+
+def test_theta_sweep_records_a_failed_ratio_and_keeps_sweeping(
+        tmp_path, monkeypatch):
+    real_smw = cli.solve_sample_smw
+
+    def smw(mean, factors, m):
+        if factors.theta == 0.1:
+            raise IllConditionedUpdateError(f"sample {m}: forced")
+        return real_smw(mean, factors, m)
+
+    monkeypatch.setattr(cli, "solve_sample_smw", smw)
+    rc = main(["theta-sweep", "--output-dir", str(tmp_path), "--n", "4",
+               "--samples", "6", "--theta-list", "1.0,0.1"])
+    assert rc == 0
+    header, (full, tenth) = _read_csv(tmp_path / "theta_sweep.csv")
+    assert full["status"] == "ok"
+    assert tenth["theta_requested"] == "0.1"
+    assert tenth["status"].startswith("failed:")
+    assert tenth["k"] == "0"
+    floats = [c for c in header
+              if c not in ("theta_requested", "k", "status")]
+    assert len(floats) == 9
+    assert all(tenth[c] == "nan" for c in floats)
 
 
 def test_select_theta_outputs(tmp_path, capsys):
@@ -310,6 +336,8 @@ def test_select_theta_outputs(tmp_path, capsys):
     assert rec["command"] == "select-theta"
     assert 1 <= rec["selected_k"] <= rec["rank"]
     assert rec["rmsre_direct"] >= 0.0
+    assert isinstance(rec["rejected_fields"], int)
+    assert rec["rejected_fields"] >= 0
 
 
 def test_convergence_small_run(tmp_path, capsys):
@@ -336,6 +364,8 @@ def test_convergence_small_run(tmp_path, capsys):
     (rec,) = _ledger_records(tmp_path)
     assert rec["command"] == "convergence"
     assert len(rec["errors"]) == 2
+    assert isinstance(rec["rejected_fields"], int)
+    assert rec["rejected_fields"] >= 0
 
 
 def test_convergence_requires_larger_reference(tmp_path, capsys):
@@ -369,6 +399,13 @@ def test_solve_once_paths_agree(tmp_path, capsys):
                  if tok.startswith("residual=")]
     assert len(residuals) == 2
     assert max(residuals) <= 1e-9
+
+    for outdir, solver in ((low, "lowrank"), (direct, "direct")):
+        (rec,) = _ledger_records(outdir)
+        assert rec["command"] == "solve-once"
+        assert rec["solver"] == solver
+        assert isinstance(rec["rejected_fields"], int)
+        assert rec["rejected_fields"] >= 0
 
 
 def test_solve_once_files_are_deterministic(tmp_path):

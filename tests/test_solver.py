@@ -74,6 +74,15 @@ def test_shared_solve_cached_per_family():
     # identity mean matrix: Z must reproduce U itself
     assert np.allclose(z1, factors.U, atol=1e-14)
 
+    # switching to another family yields that family's own Z, and
+    # switching back recomputes Abar^{-1} U_1
+    other = _toy_factors(np.array([[0.0], [0.6], [0.8]]),
+                         [np.zeros((3, 1)), np.zeros((3, 1))])
+    z_other = mean.z_for(other)
+    assert np.allclose(z_other, other.U, atol=1e-14)
+    assert not np.allclose(z_other, z1)
+    assert np.allclose(mean.z_for(factors), factors.U, atol=1e-14)
+
 
 def test_matches_dense_woodbury_on_random_system():
     rng = np.random.default_rng(8)
