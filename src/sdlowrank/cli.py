@@ -22,6 +22,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 """
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -417,16 +418,17 @@ def cmd_theta_sweep(cfg):
                 "storage_reduction": factors.storage_reduction,
                 "status": "ok",
             })
-        except Exception as exc:  # record the failure, keep sweeping
+        except np.linalg.LinAlgError as exc:  # record it, keep sweeping
             row = dict.fromkeys(_SWEEP_COLS, float("nan"))
             row.update(theta_requested=label, k=0, status=f"failed: {exc}")
             rows.append(row)
 
     path = _out(cfg, "theta_sweep.csv")
     with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(_SWEEP_COLS) + "\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(_SWEEP_COLS)
         for row in rows:
-            f.write(",".join(_csv_cell(row[c]) for c in _SWEEP_COLS) + "\n")
+            writer.writerow(_csv_cell(row[c]) for c in _SWEEP_COLS)
     for row in rows:
         print(f"theta={row['theta_requested']} k={row['k']} "
               f"err_total={_csv_cell(row['err_total'])} status={row['status']}")
@@ -457,25 +459,22 @@ def cmd_select_theta(cfg):
     )
     report = build_report(gram, system.A_tildes, factors)
     txt = _out(cfg, "glram_report.txt")
-    csv = _out(cfg, "gram_spectrum.csv")
-    write_report(report, txt, csv)
+    spectrum = _out(cfg, "gram_spectrum.csv")
+    write_report(report, txt, spectrum)
 
     w = np.clip(gram.eigenvalues, 0.0, None)
+    rank = numerical_rank(gram)
     cliff = ""
-    if w[0] > 0.0:
-        below = np.flatnonzero(w <= 1e-10 * w[0])
-        if below.size:
-            cliff = (f"; spectral cliff at index {below[0]} "
-                     f"(lambda_{below[0] + 1}/lambda_1 = "
-                     f"{w[below[0]] / w[0]:.3e})")
-    print(f"selected theta={theta:.6f} k={k} "
-          f"rank={numerical_rank(gram)}{cliff}")
+    if 0 < rank < w.size:  # descending: w[rank] is the first under the cutoff
+        cliff = (f"; spectral cliff at index {rank} "
+                 f"(lambda_{rank + 1}/lambda_1 = {w[rank] / w[0]:.3e})")
+    print(f"selected theta={theta:.6f} k={k} rank={rank}{cliff}")
     print(f"wrote {txt}")
-    print(f"wrote {csv}")
+    print(f"wrote {spectrum}")
     _ledger(cfg, "select-theta", stages, {
         "selected_theta": theta,
         "selected_k": k,
-        "rank": numerical_rank(gram),
+        "rank": rank,
         "rmsre_direct": report.rmsre_direct,
         "rmsre_formula": report.rmsre_formula,
         "storage_reduction": report.storage_reduction,

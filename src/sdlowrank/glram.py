@@ -160,8 +160,9 @@ def _row_col_support(a):
 
 
 def build_gram(A_tildes, block_dim=None):
-    """Accumulate G = sum_m A_m A_m^T on its nonzero principal block.
+    """Form G = sum_m A_m A_m^T on its nonzero principal block.
 
+    G = H H^T is one sparse product of the stacked H = [A_1 ... A_M].
     All matrices must share the same dimension.  ``block_dim`` bounds the
     nonzero rows; when omitted it is detected from the sparsity patterns.
     The block is explicitly symmetrized to remove accumulation roundoff.
@@ -184,11 +185,10 @@ def build_gram(A_tildes, block_dim=None):
             f"nonzero row {max_row - 1} outside declared block of "
             f"dimension {block_dim}"
         )
-    ncol = max(max_col, 1)
-    gram = np.zeros((block_dim, block_dim))
-    for a in A_tildes:
-        b = np.asarray(sp.csr_matrix(a)[:block_dim, :ncol].todense())
-        gram += b @ b.T
+    elif block_dim > n:
+        raise ValueError(f"declared block {block_dim} exceeds dimension {n}")
+    h = sp.hstack(A_tildes, format="csr")[:block_dim]
+    gram = (h @ h.T).toarray()
     gram = 0.5 * (gram + gram.T)
     return GramMatrix(block=gram, n_full=n, block_dim=block_dim,
                       M=len(A_tildes))
@@ -315,7 +315,7 @@ def build_report(gram, A_tildes, factors, theta_grid=None):
     curve = [(t, energy_ratio(gram, t)) for t in theta_grid]
     return GlramReport(
         rmsre_direct=rmsre(factors, A_tildes),
-        rmsre_formula=rmsre_closed_form(gram, factors.k),
+        rmsre_formula=factors.rmsre,
         energy_curve=curve,
         storage_reduction=factors.storage_reduction,
         selected_theta=factors.theta_effective,

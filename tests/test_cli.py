@@ -1,5 +1,6 @@
 """Config handling, subcommand pipelines, and exit codes of the CLI."""
 
+import csv
 import json
 import shutil
 import subprocess
@@ -26,11 +27,14 @@ from sdlowrank.lowrank_solver import IllConditionedUpdateError, load_solutions
 
 
 def _read_csv(path):
-    """Parse a simple comma-separated file into (header, list-of-dict rows)."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:] if ln]
-    return header, rows
+    """Parse a CSV file into (header, list-of-dict rows).
+
+    Every row must have exactly as many cells as the header.
+    """
+    with open(path, encoding="utf-8", newline="") as f:
+        header, *cells = [r for r in csv.reader(f) if r]
+    assert all(len(r) == len(header) for r in cells)
+    return header, [dict(zip(header, r)) for r in cells]
 
 
 def _ledger_records(outdir):
@@ -295,22 +299,35 @@ def test_theta_sweep_records_a_failed_ratio_and_keeps_sweeping(
 
     def smw(mean, factors, m):
         if factors.theta == 0.1:
-            raise IllConditionedUpdateError(f"sample {m}: forced")
+            raise IllConditionedUpdateError(f"sample {m}: forced, a comma")
         return real_smw(mean, factors, m)
 
     monkeypatch.setattr(cli, "solve_sample_smw", smw)
     rc = main(["theta-sweep", "--output-dir", str(tmp_path), "--n", "4",
                "--samples", "6", "--theta-list", "1.0,0.1"])
     assert rc == 0
+    # _read_csv checks that the comma in the message did not add a cell
     header, (full, tenth) = _read_csv(tmp_path / "theta_sweep.csv")
+    assert len(header) == 12
     assert full["status"] == "ok"
     assert tenth["theta_requested"] == "0.1"
-    assert tenth["status"].startswith("failed:")
+    assert tenth["status"] == "failed: sample 0: forced, a comma"
     assert tenth["k"] == "0"
     floats = [c for c in header
               if c not in ("theta_requested", "k", "status")]
     assert len(floats) == 9
     assert all(tenth[c] == "nan" for c in floats)
+
+
+def test_theta_sweep_lets_a_programming_error_propagate(tmp_path, monkeypatch):
+    def smw(mean, factors, m):
+        raise TypeError("bad arg, a programming error")
+
+    monkeypatch.setattr(cli, "solve_sample_smw", smw)
+    with pytest.raises(TypeError, match="programming error"):
+        main(["theta-sweep", "--output-dir", str(tmp_path), "--n", "4",
+              "--samples", "6", "--theta-list", "1.0"])
+    assert not (tmp_path / "theta_sweep.csv").exists()
 
 
 def test_select_theta_outputs(tmp_path, capsys):
