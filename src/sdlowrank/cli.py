@@ -373,6 +373,9 @@ def cmd_kl_report(cfg):
 _SWEEP_COLS = ("theta_requested", "theta_effective", "k", "rmsre_formula",
                "rmsre_direct", "energy_ratio", "err_total", "err_darcy",
                "err_stokes", "err_sample_mean", "storage_reduction", "status")
+# ledger-only columns of each sweep row; the CSV keeps _SWEEP_COLS
+_SWEEP_LEDGER_COLS = ("col_dim", "capacitance_cond_min",
+                      "capacitance_cond_median", "capacitance_cond_max")
 
 
 def cmd_theta_sweep(cfg):
@@ -404,6 +407,7 @@ def cmd_theta_sweep(cfg):
             per_sample = float(np.mean([
                 xnorm(s.x - d.x, weights) for s, d in zip(sols, direct)
             ]))
+            conds = [s.capacitance_cond for s in sols]
             rows.append({
                 "theta_requested": label,
                 "theta_effective": factors.theta_effective,
@@ -417,10 +421,16 @@ def cmd_theta_sweep(cfg):
                 "err_sample_mean": per_sample,
                 "storage_reduction": factors.storage_reduction,
                 "status": "ok",
+                "col_dim": factors.col_dim,
+                "capacitance_cond_min": min(conds),
+                "capacitance_cond_median": float(np.median(conds)),
+                "capacitance_cond_max": max(conds),
             })
         except np.linalg.LinAlgError as exc:  # record it, keep sweeping
-            row = dict.fromkeys(_SWEEP_COLS, float("nan"))
-            row.update(theta_requested=label, k=0, status=f"failed: {exc}")
+            row = dict.fromkeys(_SWEEP_COLS + _SWEEP_LEDGER_COLS,
+                                float("nan"))
+            row.update(theta_requested=label, k=0, col_dim=0,
+                       status=f"failed: {exc}")
             rows.append(row)
 
     path = _out(cfg, "theta_sweep.csv")

@@ -120,6 +120,9 @@ class GlramFactors:
     energy_ratio: float      # e(theta) of the retained spectrum
     block_dim: int
     n_full: int
+    # rows 0..col_dim-1 of every V_m may be nonzero, the rest are exactly
+    # zero; None means all n_full rows
+    col_dim: int = None
 
     @property
     def M(self):
@@ -151,12 +154,17 @@ class GlramReport:
     n_full: int
 
 
-def _row_col_support(a):
-    coo = sp.coo_matrix(a)
-    mask = coo.data != 0.0
-    if not np.any(mask):
+def _row_col_support(a, width):
+    """Last nonzero row + 1 and last nonzero column (mod width) + 1.
+
+    ``a`` is CSR; explicitly stored zeros are not support.
+    """
+    nz = np.flatnonzero(a.data)
+    if nz.size == 0:
         return 0, 0
-    return int(coo.row[mask].max()) + 1, int(coo.col[mask].max()) + 1
+    # rows are stored in order, so the last nonzero entry is in the last row
+    nrow = int(np.searchsorted(a.indptr, nz[-1], side="right"))
+    return nrow, int(np.max(a.indices[nz] % width)) + 1
 
 
 def build_gram(A_tildes, block_dim=None):
@@ -164,7 +172,8 @@ def build_gram(A_tildes, block_dim=None):
 
     G = H H^T is one sparse product of the stacked H = [A_1 ... A_M].
     All matrices must share the same dimension.  ``block_dim`` bounds the
-    nonzero rows; when omitted it is detected from the sparsity patterns.
+    nonzero rows; when omitted it is detected from the nonzeros of H,
+    read in one pass.
     The block is explicitly symmetrized to remove accumulation roundoff.
     """
     if len(A_tildes) < 1:
@@ -175,9 +184,8 @@ def build_gram(A_tildes, block_dim=None):
             raise ValueError(
                 f"matrix {m} has shape {a.shape}, expected ({n}, {n})"
             )
-    supports = [_row_col_support(a) for a in A_tildes]
-    max_row = max(s[0] for s in supports)
-    max_col = max(s[1] for s in supports)
+    h = sp.hstack(A_tildes, format="csr")
+    max_row, max_col = _row_col_support(h, n)
     if block_dim is None:
         block_dim = max(max_row, max_col, 1)
     elif max_row > block_dim:
@@ -187,7 +195,7 @@ def build_gram(A_tildes, block_dim=None):
         )
     elif block_dim > n:
         raise ValueError(f"declared block {block_dim} exceeds dimension {n}")
-    h = sp.hstack(A_tildes, format="csr")[:block_dim]
+    h = h[:block_dim]
     gram = (h @ h.T).toarray()
     gram = 0.5 * (gram + gram.T)
     return GramMatrix(block=gram, n_full=n, block_dim=block_dim,
@@ -213,7 +221,9 @@ def factorize(gram, A_tildes, theta):
 
     k = ceil(theta*N) capped at the Gram block dimension; U holds the
     top-k eigenvectors embedded into full dimension with zero rows
-    outside the block; V_m = A_m^T U exactly.
+    outside the block; V_m = A_m^T U exactly.  ``col_dim`` is one more
+    than the largest stored column index of the family, so the rows of
+    every V_m from ``col_dim`` on are exactly zero.
     """
     if len(A_tildes) != gram.M:
         raise ValueError(
@@ -224,7 +234,9 @@ def factorize(gram, A_tildes, theta):
     w, v = gram.eigenpairs()
     u_full = np.zeros((gram.n_full, k))
     u_full[: gram.block_dim] = v[:, :k]
-    v_list = [np.asarray((sp.csr_matrix(a).T @ u_full)) for a in A_tildes]
+    csrs = [sp.csr_matrix(a) for a in A_tildes]
+    v_list = [np.asarray(a.T @ u_full) for a in csrs]
+    col_dim = max((int(a.indices.max()) + 1 for a in csrs if a.nnz), default=0)
     retained = w[:k].copy()
     return GlramFactors(
         U=u_full,
@@ -236,6 +248,7 @@ def factorize(gram, A_tildes, theta):
         energy_ratio=energy_ratio(gram, theta),
         block_dim=gram.block_dim,
         n_full=gram.n_full,
+        col_dim=col_dim,
     )
 
 
@@ -251,7 +264,7 @@ def rmsre(factors, A_tildes):
     total = 0.0
     for a, v in zip(A_tildes, factors.V):
         a = sp.csr_matrix(a)
-        nrow, ncol = _row_col_support(a)
+        nrow, ncol = _row_col_support(a, a.shape[1])
         nrow = max(nrow, factors.block_dim)
         ncol = max(ncol, 1)
         diff = np.asarray(a[:nrow, :ncol].todense())

@@ -4,12 +4,14 @@ The mean matrix is factorized once.  Each sample's matrix differs from it
 by a low-rank perturbation U V_m^T, so the sample solution follows from
 the Woodbury identity
 
-    x_m = x_bar - Z (I_k + V_m^T Z)^{-1} (V_m^T x_bar),   Z = Abar^{-1} U,
+    x_m = x_bar - Z (I_k + V_m^T Z)^{-1} (V_m^T x_bar),   Z = Abar^{-1} U.
 
-costing O(N k + k^3) per sample instead of a fresh N-dimensional sparse
-solve.  Z and x_bar are computed once and shared across samples.  A
-direct sparse solve of (Abar + A_m) x = b is kept as the reference
-baseline.
+Z and x_bar are computed once and shared across samples.  Rows of V_m at
+and beyond the family's column support c (``GlramFactors.col_dim``) are
+exactly zero, so V_m^T Z and V_m^T x_bar only read the first c rows, and
+a sample costs O(c k^2 + k^3 + N k) instead of a fresh N-dimensional
+sparse solve.  A direct sparse solve of (Abar + A_m) x = b is kept as the
+reference baseline.
 """
 
 import math
@@ -163,20 +165,29 @@ def solve_sample_smw(mean, factors, m):
 
     Forms the k x k capacitance matrix C = I_k + V_m^T Z, factorizes it,
     estimates its condition number, and applies
-    x = x_bar - Z C^{-1} (V_m^T x_bar).  No N x N inverse is ever formed.
+    x = x_bar - Z C^{-1} (V_m^T x_bar).  Both products with V_m run over
+    its first ``factors.col_dim`` rows only, the rest being zero.  No
+    N x N inverse is ever formed.  A non-finite C or x raises
+    SingularSystemError naming the sample.
     """
     if not 0 <= m < len(factors.V):
         raise IndexError(f"sample index {m} outside 0..{len(factors.V) - 1}")
-    v = factors.V[m]
+    rows = slice(factors.col_dim)
+    v = factors.V[m][rows]
     z = mean.z_for(factors)
-    w = v.T @ mean.x_bar
-    c = v.T @ z
+    w = v.T @ mean.x_bar[rows]
+    c = v.T @ z[rows]
     c[np.diag_indices_from(c)] += 1.0
+    if not np.all(np.isfinite(c)):
+        raise SingularSystemError(
+            f"sample {m}: non-finite capacitance matrix entries"
+        )
     anorm = np.linalg.norm(c, 1)
     with warnings.catch_warnings():
         # an exactly singular factor is caught by the condition estimate
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(c)
+        lu, piv = scipy.linalg.lu_factor(c, overwrite_a=True,
+                                         check_finite=False)
     gecon = get_lapack_funcs(("gecon",), (lu,))[0]
     rcond, info = gecon(lu, anorm, norm="1")
     if info != 0 or rcond == 0.0 or not np.isfinite(rcond):
@@ -190,8 +201,11 @@ def solve_sample_smw(mean, factors, m):
             f"low-rank perturbation drives the sample matrix toward "
             f"singularity"
         )
-    y = scipy.linalg.lu_solve((lu, piv), w)
+    # a non-finite w (from x_bar) reaches x, which is checked below
+    y = scipy.linalg.lu_solve((lu, piv), w, check_finite=False)
     x = mean.x_bar - z @ y
+    if not np.all(np.isfinite(x)):
+        raise SingularSystemError(f"sample {m}: non-finite solution entries")
     return SampleSolution(x=x, sample_index=m, capacitance_cond=cond)
 
 

@@ -286,6 +286,17 @@ def test_theta_sweep_small_run(tmp_path, capsys):
     assert rec["command"] == "theta-sweep"
     assert len(rec["rows"]) == 3
     assert rec["rank"] >= k_sel
+    # every ledger row carries the CSV cells plus the column support of
+    # the factors and the spread of the capacitance condition estimates
+    for row, rec_row in zip(rows, rec["rows"]):
+        assert rec_row["theta_requested"] == row["theta_requested"]
+        assert rec_row["k"] == int(row["k"])
+        # the perturbations live on the head columns, so c <= N1 = 153
+        assert 1 <= rec_row["col_dim"] <= 153
+        lo, mid, hi = (rec_row[f"capacitance_cond_{s}"]
+                       for s in ("min", "median", "max"))
+        assert 1.0 <= lo <= mid <= hi < 1e12
+    assert rec["rows"][0]["col_dim"] < int(full["k"])
     assert isinstance(rec["rejected_fields"], int)
     assert rec["rejected_fields"] >= 0
     out = capsys.readouterr().out
@@ -317,6 +328,28 @@ def test_theta_sweep_records_a_failed_ratio_and_keeps_sweeping(
               if c not in ("theta_requested", "k", "status")]
     assert len(floats) == 9
     assert all(tenth[c] == "nan" for c in floats)
+
+
+def test_theta_sweep_records_a_non_finite_factor_as_a_failed_ratio(
+        tmp_path, monkeypatch):
+    real_factorize = cli.factorize
+
+    def factorize(gram, tildes, theta):
+        factors = real_factorize(gram, tildes, theta)
+        if theta == 0.1:
+            factors.V[0][0, 0] = np.nan
+        return factors
+
+    monkeypatch.setattr(cli, "factorize", factorize)
+    rc = main(["theta-sweep", "--output-dir", str(tmp_path), "--n", "4",
+               "--samples", "6", "--theta-list", "1.0,0.1"])
+    assert rc == 0
+    _, (full, tenth) = _read_csv(tmp_path / "theta_sweep.csv")
+    assert full["status"] == "ok"
+    assert tenth["status"].startswith("failed: sample 0: non-finite")
+    (rec,) = _ledger_records(tmp_path)
+    assert rec["rows"][1]["col_dim"] == 0
+    assert np.isnan(rec["rows"][1]["capacitance_cond_max"])
 
 
 def test_theta_sweep_lets_a_programming_error_propagate(tmp_path, monkeypatch):

@@ -244,6 +244,24 @@ def test_error_formula_matches_direct_evaluation(problem20, gram20):
         assert abs(direct - formula) <= 1e-8 * max(direct, formula) + floor
 
 
+def test_factorize_col_dim_is_the_stored_column_support(problem20, gram20):
+    tildes = problem20["system"].A_tildes
+    support = max(int(a.tocsr().indices.max()) + 1 for a in tildes if a.nnz)
+    # the perturbations only couple head columns, a fraction of N
+    assert support <= problem20["mesh"].N1 < gram20.n_full
+    for theta in (0.1, 1.0):
+        factors = factorize(gram20, tildes, theta)
+        assert factors.col_dim == support
+        for v in factors.V:
+            assert v.shape == (gram20.n_full, factors.k)
+            assert not np.any(v[support:])
+    # a stored zero widens the support, and an empty family has none
+    a = sp.csr_matrix(([1.0, 0.0], ([0, 1], [0, 3])), shape=(5, 5))
+    empty = sp.csr_matrix((5, 5))
+    assert factorize(build_gram([a, empty]), [a, empty], 1.0).col_dim == 4
+    assert factorize(build_gram([empty]), [empty], 1.0).col_dim == 0
+
+
 def test_factorize_validation(gram20, problem20):
     tildes = problem20["system"].A_tildes
     with pytest.raises(ValueError, match="matrices"):

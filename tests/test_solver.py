@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import get_lapack_funcs
 
 from sdlowrank import (
     GlramFactors,
@@ -25,14 +29,30 @@ def _toy_system(a, b, n1=1, n2=1, n3=0, tildes=()):
                        A_tildes=list(tildes), N1=n1, N2=n2, N3=n3)
 
 
-def _toy_factors(u, v_list):
+def _toy_factors(u, v_list, col_dim=None):
     u = np.atleast_2d(np.asarray(u, dtype=float))
     k = u.shape[1]
     return GlramFactors(
         U=u, V=[np.asarray(v, dtype=float) for v in v_list], k=k,
         theta=k / u.shape[0], eigenvalues=np.ones(k), rmsre=0.0,
         energy_ratio=1.0, block_dim=u.shape[0], n_full=u.shape[0],
+        col_dim=col_dim,
     )
+
+
+def _full_row_smw(mean, factors, m):
+    """Oracle: the Woodbury solve over all N rows of V_m.
+
+    Returns (x, capacitance condition estimate).
+    """
+    v = factors.V[m]
+    z = mean.z_for(factors)
+    c = np.eye(factors.k) + v.T @ z
+    lu, piv = scipy.linalg.lu_factor(c)
+    gecon = get_lapack_funcs(("gecon",), (lu,))[0]
+    rcond, _ = gecon(lu, np.linalg.norm(c, 1), norm="1")
+    y = scipy.linalg.lu_solve((lu, piv), v.T @ mean.x_bar)
+    return mean.x_bar - z @ y, 1.0 / rcond
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +122,48 @@ def test_matches_dense_woodbury_on_random_system():
         assert np.isfinite(sol.capacitance_cond)
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 10), st.data())
+def test_smw_matches_dense_solve_on_random_column_support(n, data):
+    # V_m vanishes below a random col_dim < N; the solve over the first
+    # col_dim rows and the one over all rows (col_dim=None) must both
+    # reproduce the dense solve of (Abar + U V_m^T) x = b
+    k = data.draw(st.integers(1, n), label="k")
+    col_dim = data.draw(st.integers(0, n - 1), label="col_dim")
+    M = data.draw(st.integers(1, 3), label="M")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(n, n)) + n * np.eye(n)
+    b = rng.normal(size=n)
+    u, _ = np.linalg.qr(rng.normal(size=(n, k)))
+    v_list = [0.3 * rng.normal(size=(n, k)) for _ in range(M)]
+    for v in v_list:
+        v[col_dim:] = 0.0
+    mean = factor_mean(_toy_system(a, b, n1=n, n2=0))
+    for rows in (col_dim, None):
+        factors = _toy_factors(u, v_list, col_dim=rows)
+        for m, v in enumerate(v_list):
+            expect = np.linalg.solve(a + u @ v.T, b)
+            x = solve_sample_smw(mean, factors, m).x
+            err = np.linalg.norm(x - expect) / np.linalg.norm(expect)
+            assert err <= 1e-10, f"col_dim={rows}, sample {m}: {err:.3e}"
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0])
+def test_column_support_solve_matches_full_row_formula(problem20, gram20,
+                                                       theta):
+    # k = 152 and 459 both exceed the column support c = 135
+    system = problem20["system"]
+    factors = factorize(gram20, system.A_tildes, theta)
+    assert factors.col_dim < factors.k
+    mean = factor_mean(system)
+    for m in range(factors.M):
+        sol = solve_sample_smw(mean, factors, m)
+        x, cond = _full_row_smw(mean, factors, m)
+        err = np.linalg.norm(sol.x - x) / np.linalg.norm(x)
+        assert err <= 1e-12, f"sample {m}: {err:.3e}"
+        assert sol.capacitance_cond == pytest.approx(cond, rel=1e-12)
+
+
 def test_full_rank_update_matches_direct_on_coupled_problem(problem20,
                                                             gram20):
     system = problem20["system"]
@@ -136,6 +198,26 @@ def test_singular_capacitance_rejected():
     factors = _toy_factors(np.array([[1.0], [0.0], [0.0]]),
                            [np.array([[-1.0], [0.0], [0.0]])])
     with pytest.raises(IllConditionedUpdateError, match="sample 0"):
+        solve_sample_smw(mean, factors, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_right_factor_is_a_singular_system(bad):
+    system = _toy_system(np.eye(3), np.ones(3))
+    mean = factor_mean(system)
+    factors = _toy_factors(np.array([[1.0], [0.0], [0.0]]),
+                           [np.array([[bad], [0.0], [0.0]])])
+    with pytest.raises(SingularSystemError, match="sample 0: non-finite"):
+        solve_sample_smw(mean, factors, 0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_mean_solution_is_a_singular_system():
+    mean = factor_mean(_toy_system(np.eye(3), np.ones(3)))
+    mean.x_bar = np.array([np.inf, 1.0, 1.0])
+    factors = _toy_factors(np.array([[1.0], [0.0], [0.0]]),
+                           [np.array([[2.0], [0.0], [0.0]])])
+    with pytest.raises(SingularSystemError, match="sample 0: non-finite"):
         solve_sample_smw(mean, factors, 0)
 
 
