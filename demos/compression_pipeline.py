@@ -15,34 +15,17 @@ import numpy as np
 
 from sdlowrank import (
     CovarianceKernel,
-    PerturbationAssembler,
     PhysicalParams,
-    SplitSystem,
-    apply_dirichlet,
-    assemble_mean,
+    assemble_family,
     build_gram,
     build_kl,
     build_mesh,
-    dirichlet_constraints,
     draw_samples,
     factorize,
     numerical_rank,
-    realize_conductivity,
     rmsre,
     select_theta,
 )
-
-
-def build_split_system(mesh, params, kl, coefficients):
-    """Mean system plus one perturbation matrix per sample."""
-    _, tildes = realize_conductivity(kl, coefficients)
-    a_bar, b = assemble_mean(mesh, params, kl.mean_nodal)
-    asm = PerturbationAssembler(mesh, params, kbar=kl.mean_nodal)
-    system = SplitSystem(
-        A_bar=a_bar, b=b, A_tildes=[asm.assemble(t) for t in tildes],
-        N1=mesh.N1, N2=mesh.N2, N3=mesh.N3,
-    )
-    return apply_dirichlet(system, dirichlet_constraints(mesh))
 
 
 def main():
@@ -51,15 +34,14 @@ def main():
     kl = build_kl(CovarianceKernel(correlation_length_sq=0.2), mesh,
                   epsilon=0.01)
     samples = draw_samples(kl, 50, seed=7)
-    system = build_split_system(mesh, params, kl, samples.coefficients)
+    system = assemble_family(mesh, params, kl, samples.coefficients)
 
-    block_dim = mesh.N1 + 2 * mesh.N2
-    gram = build_gram(system.A_tildes, block_dim=block_dim)
+    gram = build_gram(system.A_tildes, block_dim=system.n_flow)
     rank = numerical_rank(gram)
     w = np.clip(gram.eigenvalues, 0.0, None)
     print(f"family size          : M = {len(system.A_tildes)}")
     print(f"matrix dimension     : {gram.n_full}")
-    print(f"active block         : {block_dim}")
+    print(f"active block         : {system.n_flow}")
     print(f"numerical rank of G  : {rank}")
     print(f"spectral cliff       : lambda_{rank + 1}/lambda_1 = "
           f"{w[rank] / w[0]:.2e}")

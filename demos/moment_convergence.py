@@ -11,39 +11,23 @@ Run with:  python3 demos/moment_convergence.py
 
 from sdlowrank import (
     CovarianceKernel,
-    PerturbationAssembler,
     PhysicalParams,
-    SplitSystem,
-    apply_dirichlet,
-    assemble_mean,
+    assemble_family,
     build_gram,
     build_kl,
     build_mesh,
     build_xnorm_weights,
-    dirichlet_constraints,
     draw_samples,
     estimate_moments,
     factor_mean,
     factorize,
     loglog_slope,
-    realize_conductivity,
     select_theta,
     solve_sample_direct,
     solve_sample_smw,
     xnorm,
     xnorm_components,
 )
-
-
-def build_split_system(mesh, params, kl, coefficients):
-    _, tildes = realize_conductivity(kl, coefficients)
-    a_bar, b = assemble_mean(mesh, params, kl.mean_nodal)
-    asm = PerturbationAssembler(mesh, params, kbar=kl.mean_nodal)
-    system = SplitSystem(
-        A_bar=a_bar, b=b, A_tildes=[asm.assemble(t) for t in tildes],
-        N1=mesh.N1, N2=mesh.N2, N3=mesh.N3,
-    )
-    return apply_dirichlet(system, dirichlet_constraints(mesh))
 
 
 def main():
@@ -57,7 +41,7 @@ def main():
     # reference: an independent stream of 400 samples, each solved with
     # its own direct factorization
     m_ref = 400
-    ref_system = build_split_system(
+    ref_system = assemble_family(
         mesh, params, kl, draw_samples(kl, m_ref, seed + 1_000_003).coefficients
     )
     reference = estimate_moments(
@@ -72,8 +56,8 @@ def main():
     # compressed update path at the energy-selected ratio
     m_list = (10, 20, 40, 80)
     master = draw_samples(kl, max(m_list), seed)
-    system = build_split_system(mesh, params, kl, master.coefficients)
-    gram = build_gram(system.A_tildes, block_dim=mesh.N1 + 2 * mesh.N2)
+    system = assemble_family(mesh, params, kl, master.coefficients)
+    gram = build_gram(system.A_tildes, block_dim=system.n_flow)
     theta, k = select_theta(gram)
     factors = factorize(gram, system.A_tildes, theta)
     mean_factor = factor_mean(system)

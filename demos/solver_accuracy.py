@@ -17,21 +17,16 @@ import numpy as np
 
 from sdlowrank import (
     CovarianceKernel,
-    PerturbationAssembler,
     PhysicalParams,
-    SplitSystem,
-    apply_dirichlet,
-    assemble_mean,
+    assemble_family,
     build_gram,
     build_kl,
     build_mesh,
     build_xnorm_weights,
-    dirichlet_constraints,
     draw_samples,
     factor_mean,
     factorize,
     numerical_rank,
-    realize_conductivity,
     solve_sample_direct,
     solve_sample_smw,
     xnorm,
@@ -45,15 +40,7 @@ def main():
                   epsilon=0.01)
     M = 40
     samples = draw_samples(kl, M, seed=11)
-    _, tildes = realize_conductivity(kl, samples.coefficients)
-    a_bar, b = assemble_mean(mesh, params, kl.mean_nodal)
-    asm = PerturbationAssembler(mesh, params, kbar=kl.mean_nodal)
-    system = apply_dirichlet(
-        SplitSystem(A_bar=a_bar, b=b,
-                    A_tildes=[asm.assemble(t) for t in tildes],
-                    N1=mesh.N1, N2=mesh.N2, N3=mesh.N3),
-        dirichlet_constraints(mesh),
-    )
+    system = assemble_family(mesh, params, kl, samples.coefficients)
     weights = build_xnorm_weights(mesh)
 
     t0 = time.perf_counter()
@@ -62,7 +49,7 @@ def main():
     print(f"direct path: {M} sparse factorizations in {t_direct:.2f}s")
     print()
 
-    gram = build_gram(system.A_tildes, block_dim=mesh.N1 + 2 * mesh.N2)
+    gram = build_gram(system.A_tildes, block_dim=system.n_flow)
     rank = numerical_rank(gram)
     mean_factor = factor_mean(system)  # factorized once, reused below
 

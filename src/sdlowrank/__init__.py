@@ -37,7 +37,7 @@ from .assembly import (
     PerturbationAssembler,
     bj_delta,
     assemble_mean,
-    assemble_perturbation,
+    assemble_family,
     dirichlet_constraints,
     apply_dirichlet,
     write_coo,
@@ -99,7 +99,7 @@ __all__ = [
     "nystrom_eigenpairs", "build_kl",
     "draw_samples", "realize_conductivity", "save_samples", "load_samples",
     "PhysicalParams", "SplitSystem", "PerturbationAssembler", "bj_delta",
-    "assemble_mean", "assemble_perturbation", "dirichlet_constraints",
+    "assemble_mean", "assemble_family", "dirichlet_constraints",
     "apply_dirichlet", "write_coo", "p2_stiffness", "p2_mass",
     "p1_pressure_mass",
     "GramMatrix", "GlramFactors", "GlramReport", "EigensolverError",

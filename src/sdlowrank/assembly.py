@@ -35,14 +35,15 @@ import scipy.sparse as sp
 from .mesh import TAG_GAMMA_F_BOTTOM, TAG_GAMMA_F_WALL, TAG_GAMMA_P
 from .mesh import interface_frame
 from .quadrature import edge_rule_3pt, triangle_rule_7pt
+from .randfield import realize_conductivity
 
 __all__ = [
     "PhysicalParams",
     "SplitSystem",
     "bj_delta",
     "assemble_mean",
-    "assemble_perturbation",
     "PerturbationAssembler",
+    "assemble_family",
     "dirichlet_constraints",
     "apply_dirichlet",
     "write_coo",
@@ -60,7 +61,6 @@ class PhysicalParams:
     g: float = 1.0       # gravitational acceleration
     alpha: float = 1.0   # slip (Beavers-Joseph) coefficient
     z: float = 0.0       # elevation head
-    d: int = 2           # spatial dimension
 
     def __post_init__(self):
         if not (self.nu > 0.0 and self.g > 0.0 and self.alpha > 0.0):
@@ -88,18 +88,28 @@ class SplitSystem:
     def N(self):
         return self.N1 + 2 * self.N2 + self.N3
 
+    @property
+    def n_flow(self):
+        """Head and velocity DOFs: the rows a perturbation may occupy, and
+        the index of the first pressure DOF."""
+        return self.N1 + 2 * self.N2
+
+
+_DIM = 2   # spatial dimension of the model
+
 
 def bj_delta(params, kbar_values):
-    """Slip coefficient delta = alpha*nu*sqrt(d)/sqrt(tr(Pi)).
+    """Slip coefficient delta = alpha*nu*sqrt(d)/sqrt(tr(Pi)), d = 2.
 
-    ``Pi = K*nu/g * Identity(d)`` is the intrinsic permeability evaluated
-    at the mean conductivity, so ``tr(Pi) = d*K*nu/g``.
+    ``Pi = (K*nu/g) * I`` is the intrinsic permeability evaluated at the
+    mean conductivity, so ``tr(Pi) = d*K*nu/g`` and d cancels:
+    ``delta = alpha*sqrt(nu*g/K)``.
     """
     kbar_values = np.asarray(kbar_values, dtype=float)
     if np.any(kbar_values <= 0.0):
         raise ValueError("mean conductivity must be positive on the interface")
-    tr_pi = params.d * kbar_values * params.nu / params.g
-    return params.alpha * params.nu * np.sqrt(params.d) / np.sqrt(tr_pi)
+    tr_pi = _DIM * kbar_values * params.nu / params.g
+    return params.alpha * params.nu * np.sqrt(_DIM) / np.sqrt(tr_pi)
 
 
 # ---------------------------------------------------------------------------
@@ -448,21 +458,16 @@ def assemble_mean(mesh, params, kl_mean=1.0, *, delta_from=None,
     return coo.tocsr(), b
 
 
-def assemble_perturbation(mesh, params, k_tilde, kbar=1.0):
-    """Assemble one sample's perturbation matrix.
+class PerturbationAssembler:
+    """Reusable per-sample assembler (geometry tables built once).
 
     Only the conductivity-weighted blocks are populated (head stiffness
-    and the conductivity-carrying interface rows), so the result is
-    nonzero only in the first N1 columns of the first N1+2*N2 rows.  The
-    slip coefficient inside the interface blocks is evaluated at the mean
-    field ``kbar``, never at the sampled field, keeping the mean +
+    and the conductivity-carrying interface rows), so each perturbation
+    is nonzero only in the first N1 columns of the first N1+2*N2 rows.
+    The slip coefficient inside the interface blocks is evaluated at the
+    mean field ``kbar``, never at the sampled field, keeping the mean +
     perturbation split exactly additive.
     """
-    return PerturbationAssembler(mesh, params, kbar).assemble(k_tilde)
-
-
-class PerturbationAssembler:
-    """Reusable per-sample assembler (geometry tables built once)."""
 
     def __init__(self, mesh, params, kbar=1.0):
         self.mesh = mesh
@@ -473,6 +478,24 @@ class PerturbationAssembler:
         coo = _Coo((self.mesh.N, self.mesh.N))
         _k_dependent_triplets(self.ws, coo, field_nodal)
         return coo.tocsr()
+
+
+def assemble_family(mesh, params, kl, coefficients):
+    """Constrained mean system plus one perturbation per coefficient row.
+
+    The mean matrix and every perturbation are assembled with the KL mean
+    field ``kl.mean_nodal``, so ``A_bar + A_tildes[m]`` is exactly sample
+    m's matrix; the constraints are :func:`dirichlet_constraints` of
+    ``mesh``.
+    """
+    _, tildes = realize_conductivity(kl, coefficients)
+    a_bar, b = assemble_mean(mesh, params, kl.mean_nodal)
+    asm = PerturbationAssembler(mesh, params, kbar=kl.mean_nodal)
+    system = SplitSystem(
+        A_bar=a_bar, b=b, A_tildes=[asm.assemble(t) for t in tildes],
+        N1=mesh.N1, N2=mesh.N2, N3=mesh.N3,
+    )
+    return apply_dirichlet(system, dirichlet_constraints(mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +538,11 @@ def apply_dirichlet(system, constraints):
     required to be homogeneous.
     """
     n = system.N
-    n_flow = system.N1 + 2 * system.N2
     dofs = np.array([c[0] for c in constraints], dtype=np.int64)
     vals = np.array([c[1] for c in constraints], dtype=float)
     if dofs.size != np.unique(dofs).size:
         raise ValueError("duplicate constraint DOFs")
-    if np.any(dofs >= n_flow):
+    if np.any(dofs >= system.n_flow):
         raise ValueError("constraints on pressure DOFs are not allowed")
     head_cons = dofs < system.N1
     if np.any(vals[head_cons] != 0.0):
@@ -593,17 +615,13 @@ def p2_mass(mesh, domain):
 
 
 def p1_pressure_mass(mesh):
-    """L2 mass matrix of the linear pressure space."""
-    rule = triangle_rule_7pt()
-    verts = mesh.pres_coords[mesh.tri3_pres[:, :3]]
-    jac = np.stack(
-        [verts[:, 1, :] - verts[:, 0, :], verts[:, 2, :] - verts[:, 0, :]],
-        axis=-1,
-    )
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    area = 0.5 * np.abs(det)
-    scale = area[:, None] * rule.weights[None, :]
-    p1v = rule.points
+    """L2 mass matrix of the linear pressure space.
+
+    The pressure triangles are the velocity triangles (same order, same
+    vertices), so the velocity space supplies the quadrature scale.
+    """
+    p1v = triangle_rule_7pt().points
+    scale = _space_for(mesh, "velocity").scale
     ent = np.einsum("tq,qi,qj->tij", scale, p1v, p1v)
     coo = _Coo((mesh.N3, mesh.N3))
     coo.add_block(mesh.tri3_pres, mesh.tri3_pres, ent)

@@ -33,14 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (
-    PerturbationAssembler,
-    PhysicalParams,
-    SplitSystem,
-    apply_dirichlet,
-    assemble_mean,
-    dirichlet_constraints,
-)
+from .assembly import PhysicalParams, assemble_family
 from .glram import (
     build_gram,
     build_report,
@@ -270,27 +263,17 @@ def _build_field(cfg, stages):
 def _family(cfg, stages, mesh, kl, count, seed):
     """Draw ``count`` fields; return (constrained system, rejected_fields)."""
     samples = draw_samples(kl, count, seed)
-    _, tildes = realize_conductivity(kl, samples.coefficients)
     params = PhysicalParams(nu=cfg.nu, g=cfg.g, alpha=cfg.alpha, z=cfg.z)
-
-    def build():
-        a_bar, b = assemble_mean(mesh, params, kl.mean_nodal)
-        asm = PerturbationAssembler(mesh, params, kbar=kl.mean_nodal)
-        a_tildes = [asm.assemble(t) for t in tildes]
-        system = SplitSystem(
-            A_bar=a_bar, b=b, A_tildes=a_tildes,
-            N1=mesh.N1, N2=mesh.N2, N3=mesh.N3,
-        )
-        return apply_dirichlet(system, dirichlet_constraints(mesh))
-
-    return stages.run("assembly", build), samples.rejected_fields
+    system = stages.run(
+        "assembly",
+        lambda: assemble_family(mesh, params, kl, samples.coefficients),
+    )
+    return system, samples.rejected_fields
 
 
 def _gram(stages, system):
     return stages.run(
-        "gram",
-        lambda: build_gram(system.A_tildes,
-                           block_dim=system.N1 + 2 * system.N2),
+        "gram", lambda: build_gram(system.A_tildes, block_dim=system.n_flow)
     )
 
 
@@ -656,9 +639,7 @@ def main(argv=None):
             overrides["m_list"] = _parse_value("m_list", args.m_list)
         cfg = cfg.with_overrides(**overrides)
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
+    # ahead of ValueError: np.linalg.LinAlgError is a ValueError subclass
     except (np.linalg.LinAlgError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

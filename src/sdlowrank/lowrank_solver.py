@@ -148,7 +148,7 @@ def pin_pressure_dof(system):
     from dataclasses import replace
 
     n = system.N
-    dof = system.N1 + 2 * system.N2
+    dof = system.n_flow
     free = np.ones(n)
     free[dof] = 0.0
     d_free = sp.diags(free)

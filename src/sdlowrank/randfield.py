@@ -119,14 +119,13 @@ def nystrom_eigenpairs(cov, weights):
 def _lumped_weights(mesh):
     """Lumped linear-element mass weights at the porous-side vertices."""
     verts = mesh.darcy_vertices
+    p = verts[mesh.tri3_darcy]                   # (nt, 3, 2)
+    area = 0.5 * np.abs(
+        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
+    )
     w = np.zeros(verts.shape[0])
-    for tri in mesh.tri3_darcy:
-        p = verts[tri]
-        area = 0.5 * abs(
-            (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
-            - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1])
-        )
-        w[tri] += area / 3.0
+    np.add.at(w, mesh.tri3_darcy, (area / 3.0)[:, None])
     return w
 
 

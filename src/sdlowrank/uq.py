@@ -173,13 +173,12 @@ def build_xnorm_weights(mesh):
 def xnorm_components(delta, weights):
     """(total, porous, free-flow) norms of one coefficient vector."""
     delta = np.asarray(delta, dtype=float)
-    n = weights.N1 + 2 * weights.N2 + weights.N3
-    if delta.shape != (n,):
-        raise ValueError(f"vector has shape {delta.shape}, expected ({n},)")
-    phi = delta[: weights.N1]
-    u1 = delta[weights.N1: weights.N1 + weights.N2]
-    u2 = delta[weights.N1 + weights.N2: weights.N1 + 2 * weights.N2]
-    p = delta[weights.N1 + 2 * weights.N2:]
+    sizes = (weights.N1, weights.N2, weights.N2, weights.N3)
+    if delta.shape != (sum(sizes),):
+        raise ValueError(
+            f"vector has shape {delta.shape}, expected ({sum(sizes)},)"
+        )
+    phi, u1, u2, p = np.split(delta, np.cumsum(sizes[:3]))
     sq_head = float(phi @ (weights.h1_head @ phi))
     sq_flow = float(u1 @ (weights.h1_vel @ u1)) \
         + float(u2 @ (weights.h1_vel @ u2)) \

@@ -77,9 +77,8 @@ def problem20(mesh8, params, kl8):
 
 @pytest.fixture(scope="session")
 def gram20(problem20):
-    mesh = problem20["mesh"]
-    return build_gram(problem20["system"].A_tildes,
-                      block_dim=mesh.N1 + 2 * mesh.N2)
+    system = problem20["system"]
+    return build_gram(system.A_tildes, block_dim=system.n_flow)
 
 
 @pytest.fixture(scope="session")

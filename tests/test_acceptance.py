@@ -17,15 +17,12 @@ from _oracles import exact_segment_integral, exact_triangle_integral, random_tri
 
 from sdlowrank import (
     CovarianceKernel,
-    PerturbationAssembler,
-    SplitSystem,
-    apply_dirichlet,
+    assemble_family,
     assemble_mean,
     build_gram,
     build_kl,
     build_mesh,
     build_xnorm_weights,
-    dirichlet_constraints,
     draw_samples,
     edge_rule_3pt,
     estimate_moments,
@@ -56,15 +53,8 @@ def _report(num, name, ok, detail):
 def plateau(mesh8, params, kl8):
     """One M=200 run on the h=1/8 grid, swept over compression ratios."""
     samples = draw_samples(kl8, 200, 1234)
-    _, tildes = realize_conductivity(kl8, samples.coefficients)
-    a_bar, b = assemble_mean(mesh8, params, kl8.mean_nodal)
-    asm = PerturbationAssembler(mesh8, params, kbar=kl8.mean_nodal)
-    raw = SplitSystem(
-        A_bar=a_bar, b=b, A_tildes=[asm.assemble(t) for t in tildes],
-        N1=mesh8.N1, N2=mesh8.N2, N3=mesh8.N3,
-    )
-    system = apply_dirichlet(raw, dirichlet_constraints(mesh8))
-    gram = build_gram(system.A_tildes, block_dim=mesh8.N1 + 2 * mesh8.N2)
+    system = assemble_family(mesh8, params, kl8, samples.coefficients)
+    gram = build_gram(system.A_tildes, block_dim=system.n_flow)
     weights = build_xnorm_weights(mesh8)
     direct = [solve_sample_direct(system, m) for m in range(200)]
     ref = estimate_moments(direct, theta=1.0, mesh=mesh8)

@@ -10,10 +10,9 @@ import scipy.sparse.linalg as spla
 from sdlowrank import (
     PerturbationAssembler,
     PhysicalParams,
-    SplitSystem,
     apply_dirichlet,
+    assemble_family,
     assemble_mean,
-    assemble_perturbation,
     bj_delta,
     p1_pressure_mass,
     p2_mass,
@@ -45,7 +44,7 @@ def test_params_validation():
 
 
 def test_bj_delta_hand_values():
-    p = PhysicalParams()  # nu = g = alpha = 1, d = 2
+    p = PhysicalParams()  # nu = g = alpha = 1
     # delta = alpha*nu*sqrt(d)/sqrt(d*K*nu/g) = alpha*sqrt(nu*g/K)
     assert bj_delta(p, 1.0) == pytest.approx(1.0, rel=1e-15)
     assert bj_delta(p, np.array([1.0, 4.0])) == pytest.approx([1.0, 0.5],
@@ -229,13 +228,34 @@ def test_split_matches_from_scratch_assembly(problem20):
         assert err <= 1e-12 * scale, f"sample {m}: {err:.3e}"
 
 
+def test_assemble_family_matches_the_piecewise_build(mesh8, params, kl8,
+                                                     problem20):
+    # problem20 builds the same family piece by piece
+    ref = problem20["system"]
+    system = assemble_family(mesh8, params, kl8,
+                             problem20["samples"].coefficients)
+
+    def same(a, b):
+        return (np.array_equal(a.indptr, b.indptr)
+                and np.array_equal(a.indices, b.indices)
+                and np.array_equal(a.data, b.data))
+
+    assert same(system.A_bar, ref.A_bar)
+    assert np.array_equal(system.b, ref.b)
+    assert len(system.A_tildes) == len(ref.A_tildes) == 20
+    assert all(same(t, r) for t, r in zip(system.A_tildes, ref.A_tildes))
+    assert system.constraints == ref.constraints
+    assert (system.N1, system.N2, system.N3) == (ref.N1, ref.N2, ref.N3)
+    assert system.n_flow == ref.n_flow == mesh8.sl_pres.start
+
+
 def test_perturbation_support(problem20):
-    mesh = problem20["mesh"]
-    for t in problem20["raw"].A_tildes[:5]:
+    raw = problem20["raw"]
+    for t in raw.A_tildes[:5]:
         coo = t.tocoo()
         live = coo.data != 0.0
-        assert np.all(coo.col[live] < mesh.N1)
-        assert np.all(coo.row[live] < mesh.N1 + 2 * mesh.N2)
+        assert np.all(coo.col[live] < raw.N1)
+        assert np.all(coo.row[live] < raw.n_flow)
 
 
 def test_perturbation_linearity(mesh8, params, kl8):
@@ -250,17 +270,17 @@ def test_perturbation_linearity(mesh8, params, kl8):
 
 
 def test_perturbation_zero_field(mesh8, params):
-    t = assemble_perturbation(
-        mesh8, params, np.zeros(mesh8.darcy_vertices.shape[0])
-    )
+    asm = PerturbationAssembler(mesh8, params)
+    t = asm.assemble(np.zeros(mesh8.darcy_vertices.shape[0]))
     assert np.abs(t.toarray()).max() == 0.0
     with pytest.raises(ValueError):
-        assemble_perturbation(mesh8, params, np.zeros(7))
+        asm.assemble(np.zeros(7))
 
 
 def test_perturbation_scalar_and_callable_fields_agree(mesh8, params):
-    t_scalar = assemble_perturbation(mesh8, params, 0.5)
-    t_callable = assemble_perturbation(mesh8, params, lambda x, y: 0.5)
+    asm = PerturbationAssembler(mesh8, params)
+    t_scalar = asm.assemble(0.5)
+    t_callable = asm.assemble(lambda x, y: 0.5)
     assert np.abs((t_scalar - t_callable).toarray()).max() == 0.0
     assert np.abs(t_scalar.toarray()).max() > 0.0
 
@@ -306,7 +326,7 @@ def test_apply_dirichlet_validation(problem20):
     with pytest.raises(ValueError, match="duplicate"):
         apply_dirichlet(raw, [(3, 0.0), (3, 0.0)])
     with pytest.raises(ValueError, match="pressure"):
-        apply_dirichlet(raw, [(raw.N1 + 2 * raw.N2, 0.0)])
+        apply_dirichlet(raw, [(raw.n_flow, 0.0)])
     with pytest.raises(ValueError, match="homogeneous"):
         apply_dirichlet(raw, [(0, 1.0)])
 

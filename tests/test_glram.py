@@ -76,10 +76,10 @@ def test_build_gram_matches_naive_sum():
 
 
 def test_build_gram_declared_block(problem20):
-    mesh = problem20["mesh"]
-    tildes = problem20["system"].A_tildes
+    system = problem20["system"]
+    tildes = system.A_tildes
     auto = build_gram(tildes)
-    declared = build_gram(tildes, block_dim=mesh.N1 + 2 * mesh.N2)
+    declared = build_gram(tildes, block_dim=system.n_flow)
     # constrained interface rows may end before the declared bound, but
     # the declared block must contain the detected one
     assert auto.block_dim <= declared.block_dim

@@ -285,7 +285,7 @@ def test_pin_pressure_recovers_floating_pressure_level():
 def test_pin_pressure_dof_mechanics(problem20):
     system = problem20["system"]
     pinned = pin_pressure_dof(system)
-    dof = system.N1 + 2 * system.N2
+    dof = system.n_flow
     row = pinned.A_bar[dof].toarray().ravel()
     expect = np.zeros(system.N)
     expect[dof] = 1.0
