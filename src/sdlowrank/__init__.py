@@ -10,7 +10,6 @@ from .mesh import (
     InterfaceFrame,
     build_mesh,
     interface_frame,
-    write_mesh,
     TAG_INTERIOR_P,
     TAG_GAMMA_P,
     TAG_GAMMA_I,
@@ -48,7 +47,6 @@ from .assembly import (
 from .glram import (
     GramMatrix,
     GlramFactors,
-    GlramReport,
     EigensolverError,
     build_gram,
     factorize,
@@ -57,7 +55,6 @@ from .glram import (
     energy_ratio,
     select_theta,
     numerical_rank,
-    build_report,
     write_report,
 )
 from .lowrank_solver import (
@@ -91,7 +88,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Geometry", "CoupledMesh", "InterfaceFrame", "build_mesh",
-    "interface_frame", "write_mesh",
+    "interface_frame",
     "TAG_INTERIOR_P", "TAG_GAMMA_P", "TAG_GAMMA_I", "TAG_INTERIOR_F",
     "TAG_GAMMA_F_WALL", "TAG_GAMMA_F_BOTTOM",
     "QuadRule", "triangle_rule_7pt", "edge_rule_3pt",
@@ -102,9 +99,9 @@ __all__ = [
     "assemble_mean", "assemble_family", "dirichlet_constraints",
     "apply_dirichlet", "write_coo", "p2_stiffness", "p2_mass",
     "p1_pressure_mass",
-    "GramMatrix", "GlramFactors", "GlramReport", "EigensolverError",
+    "GramMatrix", "GlramFactors", "EigensolverError",
     "build_gram", "factorize", "rmsre", "rmsre_closed_form", "energy_ratio",
-    "select_theta", "numerical_rank", "build_report", "write_report",
+    "select_theta", "numerical_rank", "write_report",
     "MeanFactorization", "SampleSolution", "SingularSystemError",
     "IllConditionedUpdateError", "factor_mean", "pin_pressure_dof",
     "solve_sample_smw", "solve_sample_direct", "save_solutions",

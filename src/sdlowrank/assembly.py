@@ -263,9 +263,9 @@ class _EdgeTables:
     def __init__(self, mesh, space_p, space_f):
         rule = edge_rule_3pt()
         self.s = rule.points[:, 0]                # (nq,)
-        pair = mesh.iface_vertex_pairs
-        va = mesh.vertices[pair[:, 0]]
-        vb = mesh.vertices[pair[:, 1]]
+        self.vpair = mesh.iface_darcy_vpair
+        va = mesh.darcy_vertices[self.vpair[:, 0]]
+        vb = mesh.darcy_vertices[self.vpair[:, 1]]
         lengths = np.hypot(*(vb - va).T)
         self.wl = lengths[:, None] * rule.weights[None, :]   # (ne, nq)
         pts = va[:, None, :] * (1.0 - self.s)[None, :, None] + \
@@ -288,7 +288,6 @@ class _EdgeTables:
         self.n2 = frame.normals[:, 1]
         self.t1 = frame.tangents[:, 0]
         self.t2 = frame.tangents[:, 1]
-        self.vpair = mesh.iface_darcy_vpair
 
     def edge_field(self, nodal):
         """Linear interpolation of a porous nodal field along the edges."""
@@ -542,6 +541,8 @@ def apply_dirichlet(system, constraints):
     vals = np.array([c[1] for c in constraints], dtype=float)
     if dofs.size != np.unique(dofs).size:
         raise ValueError("duplicate constraint DOFs")
+    if np.any(dofs < 0):
+        raise ValueError(f"negative constraint DOF {int(dofs.min())}")
     if np.any(dofs >= system.n_flow):
         raise ValueError("constraints on pressure DOFs are not allowed")
     head_cons = dofs < system.N1

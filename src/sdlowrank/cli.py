@@ -36,7 +36,6 @@ import numpy as np
 from .assembly import PhysicalParams, assemble_family
 from .glram import (
     build_gram,
-    build_report,
     factorize,
     numerical_rank,
     rmsre,
@@ -450,10 +449,10 @@ def cmd_select_theta(cfg):
     factors = stages.run(
         "factorize", lambda: factorize(gram, system.A_tildes, theta)
     )
-    report = build_report(gram, system.A_tildes, factors)
+    rmsre_direct = rmsre(factors, system.A_tildes)
     txt = _out(cfg, "glram_report.txt")
     spectrum = _out(cfg, "gram_spectrum.csv")
-    write_report(report, txt, spectrum)
+    write_report(gram, factors, rmsre_direct, txt, spectrum)
 
     w = np.clip(gram.eigenvalues, 0.0, None)
     rank = numerical_rank(gram)
@@ -468,9 +467,9 @@ def cmd_select_theta(cfg):
         "selected_theta": theta,
         "selected_k": k,
         "rank": rank,
-        "rmsre_direct": report.rmsre_direct,
-        "rmsre_formula": report.rmsre_formula,
-        "storage_reduction": report.storage_reduction,
+        "rmsre_direct": rmsre_direct,
+        "rmsre_formula": factors.rmsre,
+        "storage_reduction": factors.storage_reduction,
         "rejected_fields": rejected,
     })
     return 0
@@ -642,6 +641,9 @@ def main(argv=None):
     # ahead of ValueError: np.linalg.LinAlgError is a ValueError subclass
     except (np.linalg.LinAlgError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -14,12 +14,14 @@ admits a closed form: the squared root-mean-square reconstruction error
 equals (trace(G) - sum of the retained eigenvalues)/M, which doubles as a
 cheap cross-check of the direct evaluation.
 
-The retained dimension is k = ceil(theta * N) for a compression ratio
-theta in (0, 1], capped at the Gram block dimension.  Because the
-perturbations vanish outside their leading block, the eigenproblem is
-solved on that dense block only and U is embedded back with zero rows.
+The retained dimension is the smallest k with k/N >= theta for a
+compression ratio theta in (0, 1], capped at the Gram block dimension.
+Because the perturbations vanish outside their leading block, the
+eigenproblem is solved on that dense block only and U is embedded back
+with zero rows.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +32,6 @@ import scipy.sparse as sp
 __all__ = [
     "GramMatrix",
     "GlramFactors",
-    "GlramReport",
     "EigensolverError",
     "build_gram",
     "factorize",
@@ -39,7 +40,6 @@ __all__ = [
     "energy_ratio",
     "select_theta",
     "numerical_rank",
-    "build_report",
     "write_report",
 ]
 
@@ -139,21 +139,6 @@ class GlramFactors:
         return self.theta_effective * (1.0 + 1.0 / self.M)
 
 
-@dataclass
-class GlramReport:
-    """Diagnostics bundle for one factorization."""
-
-    rmsre_direct: float
-    rmsre_formula: float
-    energy_curve: list       # (theta, e(theta)) pairs
-    storage_reduction: float
-    selected_theta: float
-    selected_k: int
-    eigenvalues: np.ndarray  # full spectrum of the Gram block
-    M: int
-    n_full: int
-
-
 def _row_col_support(a, width):
     """Last nonzero row + 1 and last nonzero column (mod width) + 1.
 
@@ -203,9 +188,14 @@ def build_gram(A_tildes, block_dim=None):
 
 
 def _k_from_theta(theta, gram):
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    return min(math.ceil(theta * gram.n_full), gram.block_dim)
+    """Smallest k with k/N >= theta, capped at the Gram block dimension.
+
+    Unlike ceil(theta*N), whose product can round across an integer, this
+    reads theta = k/N (as select_theta returns it) back as k.
+    """
+    n = gram.n_full
+    k = bisect.bisect_left(range(n + 1), theta, key=lambda j: j / n)
+    return min(k, gram.block_dim)
 
 
 def numerical_rank(gram, rtol=RANK_RTOL):
@@ -219,17 +209,20 @@ def numerical_rank(gram, rtol=RANK_RTOL):
 def factorize(gram, A_tildes, theta):
     """Compute shared factors at compression ratio theta.
 
-    k = ceil(theta*N) capped at the Gram block dimension; U holds the
-    top-k eigenvectors embedded into full dimension with zero rows
-    outside the block; V_m = A_m^T U exactly.  ``col_dim`` is one more
-    than the largest stored column index of the family, so the rows of
-    every V_m from ``col_dim`` on are exactly zero.
+    k is the smallest integer with k/N >= theta, capped at the Gram block
+    dimension; U holds the top-k eigenvectors embedded into full
+    dimension with zero rows outside the block; V_m = A_m^T U exactly.
+    ``col_dim`` is one more than the largest stored column index of the
+    family, so the rows of every V_m from ``col_dim`` on are exactly
+    zero.
     """
     if len(A_tildes) != gram.M:
         raise ValueError(
             f"factorize got {len(A_tildes)} matrices, Gram was built "
             f"from {gram.M}"
         )
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta must lie in (0, 1], got {theta}")
     k = _k_from_theta(theta, gram)
     w, v = gram.eigenpairs()
     u_full = np.zeros((gram.n_full, k))
@@ -291,7 +284,7 @@ def energy_ratio(gram, theta):
     """Fraction e(theta) of eigenvalue mass retained by the top k."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    k = min(math.ceil(theta * gram.n_full), gram.block_dim)
+    k = _k_from_theta(theta, gram)
     if k == 0:
         return 0.0
     w = np.clip(gram.eigenvalues, 0.0, None)
@@ -321,40 +314,26 @@ def select_theta(gram, energy_target=1.0 - 1e-9):
     return k / gram.n_full, k
 
 
-def build_report(gram, A_tildes, factors, theta_grid=None):
-    """Assemble the diagnostics bundle around one factorization."""
-    if theta_grid is None:
-        theta_grid = [i / 20.0 for i in range(21)]
-    curve = [(t, energy_ratio(gram, t)) for t in theta_grid]
-    return GlramReport(
-        rmsre_direct=rmsre(factors, A_tildes),
-        rmsre_formula=factors.rmsre,
-        energy_curve=curve,
-        storage_reduction=factors.storage_reduction,
-        selected_theta=factors.theta_effective,
-        selected_k=factors.k,
-        eigenvalues=gram.eigenvalues.copy(),
-        M=gram.M,
-        n_full=gram.n_full,
-    )
+def write_report(gram, factors, rmsre_direct, txt_path, csv_path):
+    """Serialize one factorization as key-value text plus an eigenvalue CSV.
 
-
-def write_report(report, txt_path, csv_path):
-    """Serialize a report as key-value text plus an eigenvalue CSV."""
+    ``rmsre_direct`` is ``rmsre(factors, A_tildes)``; the text also holds
+    e(theta) on the grid theta = 0, 0.05, ..., 1.
+    """
     with open(txt_path, "w", encoding="utf-8") as f:
-        f.write(f"rmsre_direct = {report.rmsre_direct:.12e}\n")
-        f.write(f"rmsre_formula = {report.rmsre_formula:.12e}\n")
-        f.write(f"storage_reduction = {report.storage_reduction:.12e}\n")
-        f.write(f"selected_theta = {report.selected_theta:.12e}\n")
-        f.write(f"selected_k = {report.selected_k}\n")
-        f.write(f"samples = {report.M}\n")
-        f.write(f"dimension = {report.n_full}\n")
-        for t, e in report.energy_curve:
-            f.write(f"energy[{t:.6f}] = {e:.12e}\n")
-    w = np.clip(report.eigenvalues, 0.0, None)
+        f.write(f"rmsre_direct = {rmsre_direct:.12e}\n")
+        f.write(f"rmsre_formula = {factors.rmsre:.12e}\n")
+        f.write(f"storage_reduction = {factors.storage_reduction:.12e}\n")
+        f.write(f"selected_theta = {factors.theta_effective:.12e}\n")
+        f.write(f"selected_k = {factors.k}\n")
+        f.write(f"samples = {gram.M}\n")
+        f.write(f"dimension = {gram.n_full}\n")
+        for t in (i / 20.0 for i in range(21)):
+            f.write(f"energy[{t:.6f}] = {energy_ratio(gram, t):.12e}\n")
+    w = np.clip(gram.eigenvalues, 0.0, None)
     total = float(np.sum(w))
     cum = np.cumsum(w) / total if total > 0.0 else np.zeros_like(w)
     with open(csv_path, "w", encoding="utf-8") as f:
         f.write("index,eigenvalue,cumulative_energy\n")
-        for i, (lam, c) in enumerate(zip(report.eigenvalues, cum), start=1):
+        for i, (lam, c) in enumerate(zip(gram.eigenvalues, cum), start=1):
             f.write(f"{i},{lam:.12e},{c:.12e}\n")

@@ -19,7 +19,7 @@ Discrete spaces and degree-of-freedom layout:
 The total system dimension is N = N1 + 2*N2 + N3.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "InterfaceFrame",
     "build_mesh",
     "interface_frame",
-    "write_mesh",
     "TAG_INTERIOR_P",
     "TAG_GAMMA_P",
     "TAG_GAMMA_I",
@@ -45,15 +44,6 @@ TAG_GAMMA_I = 2
 TAG_INTERIOR_F = 3
 TAG_GAMMA_F_WALL = 4
 TAG_GAMMA_F_BOTTOM = 5
-
-TAG_NAMES = {
-    TAG_INTERIOR_P: "interior_p",
-    TAG_GAMMA_P: "gamma_p",
-    TAG_GAMMA_I: "gamma_i",
-    TAG_INTERIOR_F: "interior_f",
-    TAG_GAMMA_F_WALL: "gamma_f_wall",
-    TAG_GAMMA_F_BOTTOM: "gamma_f_bottom",
-}
 
 
 @dataclass(frozen=True)
@@ -111,26 +101,22 @@ class CoupledMesh:
     nx: int
     ny_p: int
     ny_f: int
-    # shared vertex lattice of the union domain
-    vertices: np.ndarray          # (nv, 2)
-    vertex_tags: np.ndarray       # (nv,)
-    triangles_p: np.ndarray       # (nt_p, 3) union-vertex triples
-    triangles_f: np.ndarray       # (nt_f, 3)
-    # quadratic node coordinates and connectivity per subdomain
-    head_coords: np.ndarray       # (N1, 2)
-    vel_coords: np.ndarray        # (N2, 2)
-    pres_coords: np.ndarray       # (N3, 2)
+    # one node lattice per discrete space, numbered from its rectangle's
+    # lower-left corner, x fastest; tri3 rows follow the tri6 rows of the
+    # same rectangle
+    head_coords: np.ndarray       # (N1, 2) quadratic head nodes
+    vel_coords: np.ndarray        # (N2, 2) quadratic velocity nodes
+    pres_coords: np.ndarray       # (N3, 2) free-flow vertices
     tri6_p: np.ndarray            # (nt_p, 6) head-node indices
     tri6_f: np.ndarray            # (nt_f, 6) velocity-node indices
     tri3_pres: np.ndarray         # (nt_f, 3) pressure-node indices
-    # porous-side vertex field support (hydraulic conductivity lives here)
-    darcy_vertices: np.ndarray    # (n_dv, 2) coordinates, interface row included
+    # conductivity space: porous vertices, interface row included
+    darcy_vertices: np.ndarray    # (n_dv, 2)
     tri3_darcy: np.ndarray        # (nt_p, 3) indices into darcy_vertices
     # interface edges ordered by x
-    iface_vertex_pairs: np.ndarray  # (ne, 2) union-vertex ids
-    iface_darcy_tri: np.ndarray     # (ne,) triangle index into triangles_p
-    iface_stokes_tri: np.ndarray    # (ne,) triangle index into triangles_f
-    iface_darcy_vpair: np.ndarray   # (ne, 2) indices into darcy_vertices
+    iface_darcy_tri: np.ndarray     # (ne,) row of tri6_p / tri3_darcy
+    iface_stokes_tri: np.ndarray    # (ne,) row of tri6_f / tri3_pres
+    iface_darcy_vpair: np.ndarray   # (ne, 2) endpoints, into darcy_vertices
     # node classification
     head_tags: np.ndarray         # (N1,)
     vel_tags: np.ndarray          # (N2,)
@@ -169,14 +155,10 @@ class CoupledMesh:
         return slice(self.N1 + 2 * self.N2, self.N)
 
 
-def _p2_lattice(nx, ny, x0, y0, half):
-    """Coordinates of the quadratic node lattice (2nx+1) x (2ny+1)."""
-    a = np.arange(2 * nx + 1)
-    c = np.arange(2 * ny + 1)
-    A, C = np.meshgrid(a, c, indexing="xy")
-    xs = x0 + A.ravel() * half
-    ys = y0 + C.ravel() * half
-    return np.column_stack([xs, ys])
+def _lattice(nx, ny, x0, y0, step):
+    """Coordinates of the (nx+1) x (ny+1) point lattice, x fastest."""
+    A, C = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy")
+    return np.column_stack([x0 + A.ravel() * step, y0 + C.ravel() * step])
 
 
 def _tri6_rows(nx, ny):
@@ -285,59 +267,22 @@ def build_mesh(geometry=None, n=8):
         darcy_y0 = y_if - ny_p * h
         stokes_y0 = y_if
 
-    # union vertex lattice: rows from the bottom rectangle's floor upward
-    ny_total = ny_p + ny_f
-    bottom_y0 = stokes_y0 if darcy_above else darcy_y0
-    i_idx = np.arange(nx + 1)
-    j_idx = np.arange(ny_total + 1)
-    I, J = np.meshgrid(i_idx, j_idx, indexing="xy")
-    vertices = np.column_stack(
-        [dx0 + I.ravel() * h, bottom_y0 + J.ravel() * h]
-    )
-    j_iface = ny_f if darcy_above else ny_p  # lattice row of the interface
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    # triangles in union-vertex numbering; subdomain-local row offsets
-    tri3_local_p = _tri3_rows(nx, ny_p)
-    tri3_local_f = _tri3_rows(nx, ny_f)
-    if darcy_above:
-        off_p, off_f = ny_f, 0
-    else:
-        off_p, off_f = 0, ny_p
-    triangles_p = tri3_local_p + off_p * (nx + 1)
-    triangles_f = tri3_local_f + off_f * (nx + 1)
-
     # quadratic lattices (local per subdomain)
-    head_coords = _p2_lattice(nx, ny_p, dx0, darcy_y0, half)
-    vel_coords = _p2_lattice(nx, ny_f, dx0, stokes_y0, half)
+    head_coords = _lattice(2 * nx, 2 * ny_p, dx0, darcy_y0, half)
+    vel_coords = _lattice(2 * nx, 2 * ny_f, dx0, stokes_y0, half)
     tri6_p = _tri6_rows(nx, ny_p)
     tri6_f = _tri6_rows(nx, ny_f)
 
     # pressure nodes = Stokes vertices, local numbering
-    ip = np.arange(nx + 1)
-    jp = np.arange(ny_f + 1)
-    IP, JP = np.meshgrid(ip, jp, indexing="xy")
-    pres_coords = np.column_stack(
-        [dx0 + IP.ravel() * h, stokes_y0 + JP.ravel() * h]
-    )
-    tri3_pres = tri3_local_f
+    pres_coords = _lattice(nx, ny_f, dx0, stokes_y0, h)
+    tri3_pres = _tri3_rows(nx, ny_f)
 
     # conductivity field support: porous vertices including the interface row
-    idv = np.arange(nx + 1)
-    jdv = np.arange(ny_p + 1)
-    IDV, JDV = np.meshgrid(idv, jdv, indexing="xy")
-    darcy_vertices = np.column_stack(
-        [dx0 + IDV.ravel() * h, darcy_y0 + JDV.ravel() * h]
-    )
-    tri3_darcy = tri3_local_p
+    darcy_vertices = _lattice(nx, ny_p, dx0, darcy_y0, h)
+    tri3_darcy = _tri3_rows(nx, ny_p)
 
     # interface edges ordered by x
     ne = nx
-    iface_vertex_pairs = np.column_stack(
-        [vid(np.arange(ne), j_iface), vid(np.arange(ne) + 1, j_iface)]
-    )
     if darcy_above:
         # Darcy cell row 0 touches the interface from above (lower half),
         # Stokes cell row ny_f-1 from below (upper half).
@@ -378,27 +323,6 @@ def build_mesh(geometry=None, n=8):
     vel_tags[CF == c_bottom_f] = TAG_GAMMA_F_BOTTOM
     vel_tags[(AF == 0) | (AF == 2 * nx)] = TAG_GAMMA_F_WALL
 
-    # vertex tags for the dump: classify through the subdomain tags
-    vertex_tags = np.full(vertices.shape[0], TAG_INTERIOR_F, dtype=np.int8)
-    iv = I.ravel()
-    jv = J.ravel()
-    if darcy_above:
-        in_f = jv < j_iface
-        in_p = jv > j_iface
-        f_floor = jv == 0
-        p_lid = jv == ny_total
-    else:
-        in_f = jv > j_iface
-        in_p = jv < j_iface
-        f_floor = jv == ny_total
-        p_lid = jv == 0
-    side = (iv == 0) | (iv == nx)
-    vertex_tags[in_p] = TAG_INTERIOR_P
-    vertex_tags[jv == j_iface] = TAG_GAMMA_I
-    vertex_tags[in_p & (side | p_lid)] = TAG_GAMMA_P
-    vertex_tags[in_f & f_floor] = TAG_GAMMA_F_BOTTOM
-    vertex_tags[(in_f | (jv == j_iface)) & side] = TAG_GAMMA_F_WALL
-
     return CoupledMesh(
         geometry=geometry,
         n=n,
@@ -407,10 +331,6 @@ def build_mesh(geometry=None, n=8):
         nx=nx,
         ny_p=ny_p,
         ny_f=ny_f,
-        vertices=vertices,
-        vertex_tags=vertex_tags,
-        triangles_p=triangles_p,
-        triangles_f=triangles_f,
         head_coords=head_coords,
         vel_coords=vel_coords,
         pres_coords=pres_coords,
@@ -419,7 +339,6 @@ def build_mesh(geometry=None, n=8):
         tri3_pres=tri3_pres,
         darcy_vertices=darcy_vertices,
         tri3_darcy=tri3_darcy,
-        iface_vertex_pairs=iface_vertex_pairs,
         iface_darcy_tri=iface_darcy_tri,
         iface_stokes_tri=iface_stokes_tri,
         iface_darcy_vpair=iface_darcy_vpair,
@@ -435,23 +354,9 @@ def interface_frame(mesh):
     free-flow rectangle sits below the porous one, (0, -1) otherwise; the
     tangent is always (1, 0).
     """
-    ne = mesh.iface_vertex_pairs.shape[0]
+    ne = mesh.iface_darcy_vpair.shape[0]
     sign = 1.0 if mesh.darcy_above else -1.0
     normals = np.tile([0.0, sign], (ne, 1))
     tangents = np.tile([1.0, 0.0], (ne, 1))
     return InterfaceFrame(normals=normals, tangents=tangents)
 
-
-def write_mesh(mesh, path):
-    """Dump the mesh as plain text: vertices then triangles.
-
-    One line per vertex (``v index x y tag``) followed by one line per
-    triangle (``t subdomain v0 v1 v2``) with subdomain ``p`` or ``f``.
-    """
-    with open(path, "w", encoding="utf-8") as f:
-        for i, (x, y) in enumerate(mesh.vertices):
-            f.write(f"v {i} {x:.17g} {y:.17g} {TAG_NAMES[mesh.vertex_tags[i]]}\n")
-        for tri in mesh.triangles_p:
-            f.write(f"t p {tri[0]} {tri[1]} {tri[2]}\n")
-        for tri in mesh.triangles_f:
-            f.write(f"t f {tri[0]} {tri[1]} {tri[2]}\n")

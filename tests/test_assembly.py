@@ -331,6 +331,16 @@ def test_apply_dirichlet_validation(problem20):
         apply_dirichlet(raw, [(0, 1.0)])
 
 
+def test_apply_dirichlet_rejects_negative_dofs(problem20):
+    # numpy would wrap -1 to the last pressure DOF, which is itself not
+    # a valid constraint
+    raw = problem20["raw"]
+    with pytest.raises(ValueError, match="pressure"):
+        apply_dirichlet(raw, [(raw.N - 1, 0.0)])
+    with pytest.raises(ValueError, match="negative constraint DOF -1"):
+        apply_dirichlet(raw, [(3, 0.0), (-1, 0.0)])
+
+
 def test_apply_dirichlet_rows_and_columns(problem20):
     system = problem20["system"]
     dofs = np.array([c[0] for c in system.constraints])

@@ -478,6 +478,51 @@ def test_cli_overrides_beat_config_file(tmp_path):
     assert not (tmp_path / "orig").exists()
 
 
+_RECORD_KEYS = {"command", "config_hash", "seed", "stage_seconds",
+                "timestamp", "rejected_fields"}
+_LOWRANK_STAGES = {"mesh", "kl", "assembly", "gram", "factor_mean",
+                   "factorize", "smw_loop"}
+# the theta_sweep.csv columns plus the ledger-only ones
+_SWEEP_ROW_KEYS = {
+    "theta_requested", "theta_effective", "k", "rmsre_formula",
+    "rmsre_direct", "energy_ratio", "err_total", "err_darcy", "err_stokes",
+    "err_sample_mean", "storage_reduction", "status", "col_dim",
+    "capacitance_cond_min", "capacitance_cond_median",
+    "capacitance_cond_max",
+}
+
+
+@pytest.mark.parametrize("args, keys, stages", [
+    (["kl-report"], {"T", "rho_T"}, {"mesh", "kl"}),
+    (["theta-sweep", "--samples", "6", "--theta-list", "1.0,select"],
+     {"rows", "rank"}, _LOWRANK_STAGES | {"direct_loop"}),
+    (["select-theta", "--samples", "6"],
+     {"selected_theta", "selected_k", "rank", "rmsre_direct",
+      "rmsre_formula", "storage_reduction"},
+     {"mesh", "kl", "assembly", "gram", "factorize"}),
+    (["convergence", "--ref-samples", "8", "--m-list", "3,6"],
+     {"selected_theta", "selected_k", "slope", "errors"},
+     _LOWRANK_STAGES | {"direct_loop"}),
+    (["solve-once", "--solver", "lowrank"],
+     {"sample_index", "solver", "xnorm", "residual"}, _LOWRANK_STAGES),
+    (["solve-once", "--solver", "direct"],
+     {"sample_index", "solver", "xnorm", "residual"},
+     {"mesh", "kl", "assembly", "direct_loop"}),
+], ids=["kl-report", "theta-sweep", "select-theta", "convergence",
+        "solve-once-lowrank", "solve-once-direct"])
+def test_ledger_record_schema(tmp_path, args, keys, stages):
+    assert main(args + ["--n", "4", "--output-dir", str(tmp_path)]) == 0
+    (rec,) = _ledger_records(tmp_path)
+    assert rec["command"] == args[0]
+    assert set(rec) == _RECORD_KEYS | keys
+    assert set(rec["stage_seconds"]) == stages
+    if "rows" in rec:
+        assert all(set(row) == _SWEEP_ROW_KEYS for row in rec["rows"])
+    if "errors" in rec:
+        assert all(set(e) == {"M", "err_mean", "err_variance"}
+                   for e in rec["errors"])
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -508,6 +553,18 @@ def test_exit_code_2_for_numerical_failures(monkeypatch, capsys):
     assert main(["kl-report"]) == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err
+
+
+def test_exit_code_2_for_running_out_of_memory(tmp_path, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("cannot allocate the right factors")
+
+    monkeypatch.setattr(cli, "factorize", no_memory)
+    rc = main(["select-theta", "--n", "4", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ("numerical failure: out of memory: "
+            "cannot allocate the right factors") in err
 
 
 def test_exit_code_3_for_io_failures(tmp_path, capsys):

@@ -13,7 +13,6 @@ from sdlowrank import (
     EigensolverError,
     GramMatrix,
     build_gram,
-    build_report,
     energy_ratio,
     factorize,
     numerical_rank,
@@ -313,6 +312,29 @@ def test_select_theta_minimality(gram20):
     assert energy_ratio(gram20, (k - 1) / n) < target
 
 
+@pytest.mark.parametrize("n", [84, 150, 504, 1836, 6996])
+def test_theta_of_k_reads_back_as_k(n):
+    # select_theta reports theta = k/N; energy_ratio must read it back as
+    # the same k, also where theta*N rounds up past the integer k, and
+    # one ulp above k/N as k+1, also where theta*N rounds down to k
+    dim = min(n, 600)
+    gram = GramMatrix(block=np.eye(dim), n_full=n, block_dim=dim, M=1)
+    for k in range(dim + 1):
+        assert energy_ratio(gram, k / n) == k / dim, f"k={k}"
+        above = min(float(np.nextafter(k / n, 2.0)), 1.0)
+        assert energy_ratio(gram, above) == min(k + 1, dim) / dim, f"k={k}"
+
+
+def test_factorize_keeps_k_of_theta_k_over_n():
+    # 23/84 * 84 rounds to 23.000000000000004
+    a = sp.diags(np.arange(84.0, 0.0, -1.0), format="csr")
+    gram = build_gram([a])
+    factors = factorize(gram, [a], 23 / 84)
+    assert factors.k == 23
+    w = gram.eigenvalues
+    assert factors.energy_ratio == float(np.sum(w[:23])) / float(np.sum(w))
+
+
 def test_select_theta_validation(gram20):
     with pytest.raises(ValueError):
         select_theta(gram20, energy_target=0.0)
@@ -359,19 +381,27 @@ def test_storage_reduction_identity(problem20, gram20):
 def test_report_round_trip(tmp_path, problem20, gram20):
     tildes = problem20["system"].A_tildes
     factors = factorize(gram20, tildes, theta=0.3)
-    report = build_report(gram20, tildes, factors)
-    assert report.M == 20
-    assert report.selected_k == factors.k
+    direct = rmsre(factors, tildes)
+    txt = tmp_path / "report.txt"
+    csv = tmp_path / "spectrum.csv"
+    write_report(gram20, factors, direct, txt, csv)
+    values = dict(ln.split(" = ") for ln in txt.read_text().splitlines())
     # at theta=0.3 k exceeds the rank, so the two errors differ only by
     # roundoff, which test_error_formula_matches_direct_evaluation bounds;
     # here the report must carry each evaluation unchanged
-    assert report.rmsre_direct == rmsre(factors, tildes)
-    assert report.rmsre_formula == rmsre_closed_form(gram20, factors.k)
-    txt = tmp_path / "report.txt"
-    csv = tmp_path / "spectrum.csv"
-    write_report(report, txt, csv)
-    body = txt.read_text()
-    assert "rmsre_direct" in body and "storage_reduction" in body
+    assert values["rmsre_direct"] == f"{direct:.12e}"
+    assert values["rmsre_formula"] == \
+        f"{rmsre_closed_form(gram20, factors.k):.12e}"
+    assert values["storage_reduction"] == \
+        f"{factors.storage_reduction:.12e}"
+    assert values["selected_theta"] == f"{factors.theta_effective:.12e}"
+    assert int(values["selected_k"]) == factors.k
+    assert int(values["samples"]) == 20
+    assert int(values["dimension"]) == gram20.n_full
+    curve = {key: val for key, val in values.items()
+             if key.startswith("energy[")}
+    assert len(curve) == 21
+    assert curve["energy[0.300000]"] == f"{energy_ratio(gram20, 0.3):.12e}"
     lines = csv.read_text().splitlines()
     assert lines[0] == "index,eigenvalue,cumulative_energy"
     assert len(lines) == 1 + gram20.eigenvalues.size

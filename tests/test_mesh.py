@@ -8,10 +8,14 @@ from sdlowrank import (
     TAG_GAMMA_F_WALL,
     TAG_GAMMA_I,
     TAG_GAMMA_P,
+    Geometry,
     build_mesh,
     interface_frame,
-    write_mesh,
 )
+
+# the porous rectangle below the free flow instead of on top of it
+POROUS_BELOW = Geometry(darcy_rect=(0.0, 1.0, -0.5, 0.0),
+                        stokes_rect=(0.0, 1.0, 0.0, 0.5))
 
 
 def test_dof_counts_n8(mesh8):
@@ -65,7 +69,10 @@ def test_domain_extents(mesh8):
     assert mesh8.head_coords[:, 1].max() == 0.5
     assert mesh8.vel_coords[:, 1].min() == -0.5
     assert mesh8.vel_coords[:, 1].max() == 0.0
-    assert np.array_equal(mesh8.pres_coords, mesh8.vertices[: mesh8.N3])
+    # the pressure nodes are the vertices of the velocity triangles
+    assert np.array_equal(mesh8.pres_coords[mesh8.tri3_pres],
+                          mesh8.vel_coords[mesh8.tri6_f[:, :3]])
+    assert np.unique(mesh8.tri3_pres).size == mesh8.N3
 
 
 def test_head_tags(mesh8):
@@ -90,30 +97,63 @@ def test_velocity_tags_and_corner_priority(mesh8):
 
 def test_interface_frame_is_flat(mesh8):
     frame = interface_frame(mesh8)
-    ne = mesh8.iface_vertex_pairs.shape[0]
+    ne = mesh8.iface_darcy_vpair.shape[0]
     assert frame.normals.shape == frame.tangents.shape == (ne, 2)
     assert np.all(frame.normals == [0.0, 1.0])
     assert np.all(frame.tangents == [1.0, 0.0])
 
 
 def test_interface_edges_lie_on_interface(mesh8):
-    assert mesh8.iface_vertex_pairs.shape == (8, 2)
-    pts = mesh8.vertices[mesh8.iface_vertex_pairs]
+    assert mesh8.iface_darcy_vpair.shape == (8, 2)
+    pts = mesh8.darcy_vertices[mesh8.iface_darcy_vpair]
     assert np.all(pts[:, :, 1] == 0.0)
     # ordered left to right, consecutive, spanning [0, 1]
     assert np.all(pts[:, 1, 0] - pts[:, 0, 0] == mesh8.h)
     assert pts[0, 0, 0] == 0.0 and pts[-1, 1, 0] == 1.0
-    # the conductivity-space vertex pairs trace the same points
-    dpts = mesh8.darcy_vertices[mesh8.iface_darcy_vpair]
-    assert np.array_equal(dpts, pts)
+
+
+def _assert_interface_triangles_touch_the_interface(mesh):
+    # each interface triangle has two vertices on the interface: the
+    # endpoints of its edge
+    ends = mesh.darcy_vertices[mesh.iface_darcy_vpair]
+    for tris, tri6, coords in (
+            (mesh.iface_darcy_tri, mesh.tri6_p, mesh.head_coords),
+            (mesh.iface_stokes_tri, mesh.tri6_f, mesh.vel_coords)):
+        for e, t in enumerate(tris):
+            verts = coords[tri6[t, :3]]
+            on = verts[np.isclose(verts[:, 1], 0.0)]
+            assert on.shape == (2, 2), f"edge {e}"
+            assert np.array_equal(on[np.argsort(on[:, 0])], ends[e])
 
 
 def test_interface_triangles_touch_the_interface(mesh8):
-    for tris, conn in ((mesh8.iface_darcy_tri, mesh8.triangles_p),
-                       (mesh8.iface_stokes_tri, mesh8.triangles_f)):
-        for e, t in enumerate(tris):
-            ys = mesh8.vertices[conn[t], 1]
-            assert np.sum(np.isclose(ys, 0.0)) == 2, f"edge {e}"
+    _assert_interface_triangles_touch_the_interface(mesh8)
+
+
+def test_porous_below_frame_and_tags():
+    mesh = build_mesh(POROUS_BELOW, n=8)
+    assert not mesh.darcy_above
+    assert (mesh.N1, mesh.N2, mesh.N3) == (153, 153, 45)
+    frame = interface_frame(mesh)
+    # the free-flow rectangle's outward normal points down into the pores
+    assert np.all(frame.normals == [0.0, -1.0])
+    assert np.all(frame.tangents == [1.0, 0.0])
+
+    x, y = mesh.head_coords[:, 0], mesh.head_coords[:, 1]
+    outer = np.isclose(x, 0) | np.isclose(x, 1) | np.isclose(y, -0.5)
+    assert np.array_equal(mesh.head_tags == TAG_GAMMA_P, outer)
+    assert np.array_equal(mesh.head_tags == TAG_GAMMA_I,
+                          np.isclose(y, 0) & ~outer)
+
+    x, y = mesh.vel_coords[:, 0], mesh.vel_coords[:, 1]
+    walls = np.isclose(x, 0) | np.isclose(x, 1)
+    assert np.array_equal(mesh.vel_tags == TAG_GAMMA_F_WALL, walls)
+    # the outer horizontal edge of the free flow is now its lid at y=0.5
+    assert np.array_equal(mesh.vel_tags == TAG_GAMMA_F_BOTTOM,
+                          np.isclose(y, 0.5) & ~walls)
+    assert np.array_equal(mesh.vel_tags == TAG_GAMMA_I,
+                          np.isclose(y, 0) & ~walls)
+    _assert_interface_triangles_touch_the_interface(mesh)
 
 
 def test_triangle_areas_tile_each_domain(mesh8):
@@ -135,13 +175,3 @@ def test_quadratic_midpoints_sit_between_vertices(mesh8):
         assert np.allclose(m1, 0.5 * (v2 + v0))
         assert np.allclose(m2, 0.5 * (v0 + v1))
 
-
-def test_write_mesh(tmp_path, mesh8):
-    path = tmp_path / "mesh.txt"
-    write_mesh(mesh8, path)
-    lines = path.read_text().splitlines()
-    nv = mesh8.vertices.shape[0]
-    nt = mesh8.triangles_p.shape[0] + mesh8.triangles_f.shape[0]
-    assert len(lines) == nv + nt
-    assert lines[0].startswith("v 0 ")
-    assert lines[nv].startswith("t p ") or lines[nv].startswith("t f ")

@@ -9,13 +9,22 @@ from hypothesis import strategies as st
 from scipy.linalg import get_lapack_funcs
 
 from sdlowrank import (
+    CovarianceKernel,
+    Geometry,
     GlramFactors,
     IllConditionedUpdateError,
+    PhysicalParams,
     SampleSolution,
     SingularSystemError,
     SplitSystem,
+    assemble_family,
+    build_gram,
+    build_kl,
+    build_mesh,
+    draw_samples,
     factor_mean,
     factorize,
+    numerical_rank,
     load_solutions,
     pin_pressure_dof,
     save_solutions,
@@ -175,6 +184,34 @@ def test_full_rank_update_matches_direct_on_coupled_problem(problem20,
         err = (np.linalg.norm(smw.x - direct.x)
                / np.linalg.norm(direct.x))
         assert err <= 1e-8, f"sample {m}: {err:.3e}"
+
+
+def test_porous_below_rank_update_matches_direct(problem20, gram20):
+    # the porous rectangle below the free flow: the head numbering runs
+    # upward, so the constrained outer lid now comes first and the free
+    # interface row last, and the column support c nearly fills the head
+    # block (152 of N1 = 153) instead of 135 with the porous rectangle
+    # on top
+    mesh = build_mesh(Geometry(darcy_rect=(0.0, 1.0, -0.5, 0.0),
+                               stokes_rect=(0.0, 1.0, 0.0, 0.5)), n=8)
+    kl = build_kl(CovarianceKernel(correlation_length_sq=0.2), mesh,
+                  epsilon=0.01)
+    samples = draw_samples(kl, M=20, seed=1234)
+    system = assemble_family(mesh, PhysicalParams(), kl,
+                             samples.coefficients)
+    gram = build_gram(system.A_tildes, block_dim=system.n_flow)
+    rank = numerical_rank(gram)
+    factors = factorize(gram, system.A_tildes, rank / gram.n_full)
+    assert factors.k == rank
+    assert (factors.col_dim, mesh.N1) == (152, 153)
+    on_top = factorize(gram20, problem20["system"].A_tildes, 1.0)
+    assert on_top.col_dim == 135
+    mean = factor_mean(system)
+    for m in range(factors.M):
+        x = solve_sample_smw(mean, factors, m).x
+        direct = solve_sample_direct(system, m).x
+        err = np.linalg.norm(x - direct) / np.linalg.norm(direct)
+        assert err <= 1e-10, f"sample {m}: {err:.3e}"
 
 
 def test_smw_deterministic(problem20, gram20):
