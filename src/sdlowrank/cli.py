@@ -27,11 +27,13 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from .assembly import PhysicalParams, assemble_family
 from .glram import (
@@ -302,6 +304,15 @@ def _ledger(cfg, command, stages, metrics):
         "seed": cfg.seed,
         "stage_seconds": {k: round(v, 6) for k, v in stages.times.items()},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "environment": {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        },
+        # ru_maxrss of this process, in KiB on Linux
+        "peak_rss_mb": resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     record.update(metrics)
     RunLedger(os.path.join(cfg.output_dir, "ledger.jsonl")).append(record)
@@ -428,6 +439,7 @@ def cmd_theta_sweep(cfg):
     _ledger(cfg, "theta-sweep", stages, {
         "rows": rows,
         "rank": numerical_rank(gram),
+        "gram_support": int(gram.support.size),
         "rejected_fields": rejected,
     })
     return 0
@@ -467,6 +479,7 @@ def cmd_select_theta(cfg):
         "selected_theta": theta,
         "selected_k": k,
         "rank": rank,
+        "gram_support": int(gram.support.size),
         "rmsre_direct": rmsre_direct,
         "rmsre_formula": factors.rmsre,
         "storage_reduction": factors.storage_reduction,

@@ -16,9 +16,11 @@ cheap cross-check of the direct evaluation.
 
 The retained dimension is the smallest k with k/N >= theta for a
 compression ratio theta in (0, 1], capped at the Gram block dimension.
-Because the perturbations vanish outside their leading block, the
-eigenproblem is solved on that dense block only and U is embedded back
-with zero rows.
+Because the perturbations vanish outside their leading block, G is
+formed on that dense block only.  Inside it, a row of G is zero exactly
+when every A_m has a zero row there, and each such row i carries the
+exact eigenpair (0, e_i); the eigensolver therefore only sees G[S, S] on
+the support S of nonzero rows, and U is embedded back with zero rows.
 """
 
 import bisect
@@ -59,46 +61,69 @@ class GramMatrix:
     n_full: int              # dimension of the original matrices
     block_dim: int           # rows 0..block_dim-1 carry all nonzeros
     M: int                   # number of matrices accumulated
+    _support: np.ndarray = field(default=None, repr=False)
     _evals: np.ndarray = field(default=None, repr=False)
     _evecs: np.ndarray = field(default=None, repr=False)
+    # _order[j] = i names the eigenpair behind _evals[j]: column i of
+    # _evecs for i < |S|, else e_r for the (i - |S|)-th zero row r
+    _order: np.ndarray = field(default=None, repr=False)
 
     @property
     def trace(self):
         """trace(G) = sum_m ||A_m||_F^2."""
         return float(np.trace(self.block))
 
-    def eigenpairs(self):
-        """All eigenpairs of the block, sorted by descending eigenvalue.
+    @property
+    def support(self):
+        """Ascending indices S of the block rows holding a nonzero entry."""
+        if self._support is None:
+            nonzero = self.block != 0.0
+            self._support = np.flatnonzero(nonzero.any(axis=0)
+                                           | nonzero.any(axis=1))
+        return self._support
 
-        Results are cached.  Raises EigensolverError if the solver fails,
-        if residuals ||G v - lambda v|| exceed 1e-8 * lambda_max, or if
-        the matrix is indefinite beyond roundoff.
+    def eigenpairs(self):
+        """Eigenvalues of the block and eigenvectors of its support block.
+
+        Only G[S, S] on the support S goes through the eigensolver; each
+        zero row i adds the exact eigenpair (0, e_i).  Returns (w, v): w
+        holds all block_dim eigenvalues in descending order, v the
+        |S| x |S| eigenvectors of G[S, S] in the solver's order.  No
+        block_dim x block_dim eigenvector matrix is formed; ``factorize``
+        embeds the leading ones.  Results are cached.  Raises
+        EigensolverError if the solver fails, if residuals
+        ||G_SS v - lambda v|| exceed 1e-8 * lambda_max, or if G_SS is
+        indefinite beyond roundoff.
         """
         if self._evals is None:
+            s = self.support
+            g = self.block[np.ix_(s, s)]
             try:
-                w, v = scipy.linalg.eigh(self.block)
+                # an all-zero block has no support to solve on
+                w, v = scipy.linalg.eigh(g) if s.size else (np.zeros(0), g)
             except np.linalg.LinAlgError as exc:
                 raise EigensolverError(
-                    f"symmetric eigensolver failed on "
-                    f"{self.block_dim}x{self.block_dim} Gram block: {exc}"
+                    f"symmetric eigensolver failed on the {s.size}x{s.size} "
+                    f"support of the {self.block_dim}x{self.block_dim} "
+                    f"Gram block: {exc}"
                 ) from exc
-            order = np.argsort(w)[::-1]
-            w = w[order]
-            v = v[:, order]
-            lam_max = max(float(w[0]), 0.0)
-            resid = np.linalg.norm(self.block @ v - v * w[None, :], axis=0)
+            lam_max = float(w.max(initial=0.0))
+            resid = np.linalg.norm(g @ v - v * w[None, :], axis=0)
             tol = 1e-8 * max(lam_max, 1.0)
             if np.any(resid > tol):
                 worst = float(resid.max())
                 raise EigensolverError(
                     f"eigenpair residual {worst:.3e} exceeds {tol:.3e}"
                 )
-            if w[-1] < -PSD_RTOL * max(lam_max, 1.0):
+            lam_min = float(w.min(initial=0.0))
+            if lam_min < -PSD_RTOL * max(lam_max, 1.0):
                 raise EigensolverError(
-                    f"Gram matrix indefinite: lambda_min = {w[-1]:.3e} "
+                    f"Gram matrix indefinite: lambda_min = {lam_min:.3e} "
                     f"with lambda_max = {lam_max:.3e}"
                 )
-            self._evals = w
+            w = np.concatenate([w, np.zeros(self.block_dim - s.size)])
+            self._order = np.argsort(w, kind="stable")[::-1]
+            self._evals = w[self._order]
             self._evecs = v
         return self._evals, self._evecs
 
@@ -211,7 +236,10 @@ def factorize(gram, A_tildes, theta):
 
     k is the smallest integer with k/N >= theta, capped at the Gram block
     dimension; U holds the top-k eigenvectors embedded into full
-    dimension with zero rows outside the block; V_m = A_m^T U exactly.
+    dimension: eigenvectors of the support block G[S, S] fill the rows S,
+    and a column whose eigenvalue comes from a zero row i of G (taken
+    only when k exceeds the positive spectrum) is the unit vector e_i,
+    whose V_m column is exactly zero.  V_m = A_m^T U exactly.
     ``col_dim`` is one more than the largest stored column index of the
     family, so the rows of every V_m from ``col_dim`` on are exactly
     zero.
@@ -225,8 +253,13 @@ def factorize(gram, A_tildes, theta):
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     k = _k_from_theta(theta, gram)
     w, v = gram.eigenpairs()
+    s = gram.support
+    zero_rows = np.setdiff1d(np.arange(gram.block_dim), s, assume_unique=True)
+    picked = gram._order[:k]
+    on_s = picked < s.size
     u_full = np.zeros((gram.n_full, k))
-    u_full[: gram.block_dim] = v[:, :k]
+    u_full[np.ix_(s, on_s.nonzero()[0])] = v[:, picked[on_s]]
+    u_full[zero_rows[picked[~on_s] - s.size], (~on_s).nonzero()[0]] = 1.0
     csrs = [sp.csr_matrix(a) for a in A_tildes]
     v_list = [np.asarray(a.T @ u_full) for a in csrs]
     col_dim = max((int(a.indices.max()) + 1 for a in csrs if a.nnz), default=0)

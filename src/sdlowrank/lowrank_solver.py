@@ -8,10 +8,15 @@ the Woodbury identity
 
 Z and x_bar are computed once and shared across samples.  Rows of V_m at
 and beyond the family's column support c (``GlramFactors.col_dim``) are
-exactly zero, so V_m^T Z and V_m^T x_bar only read the first c rows, and
-a sample costs O(c k^2 + k^3 + N k) instead of a fresh N-dimensional
-sparse solve.  A direct sparse solve of (Abar + A_m) x = b is kept as the
-reference baseline.
+exactly zero, so the update U V_m^T = (U V_m[:c]^T) E_c^T has rank at
+most c, with E_c the first c columns of the identity.  When k > c the
+same solution therefore follows from the c x c capacitance matrix,
+
+    x_m = x_bar - Z V_m[:c]^T (I_c + Z[:c] V_m[:c]^T)^{-1} x_bar[:c],
+
+and a sample costs O(c k min(k, c) + min(k, c)^3 + N k) instead of a
+fresh N-dimensional sparse solve.  A direct sparse solve of
+(Abar + A_m) x = b is kept as the reference baseline.
 """
 
 import math
@@ -45,7 +50,7 @@ class SingularSystemError(np.linalg.LinAlgError):
 
 
 class IllConditionedUpdateError(np.linalg.LinAlgError):
-    """The k x k capacitance matrix of one sample is near-singular."""
+    """The capacitance matrix of one sample is near-singular."""
 
 
 @dataclass
@@ -163,46 +168,65 @@ def pin_pressure_dof(system):
 def solve_sample_smw(mean, factors, m):
     """Sample solution through the rank-k update of the mean solve.
 
-    Forms the k x k capacitance matrix C = I_k + V_m^T Z, factorizes it,
-    estimates its condition number, and applies
-    x = x_bar - Z C^{-1} (V_m^T x_bar).  Both products with V_m run over
-    its first ``factors.col_dim`` rows only, the rest being zero.  No
-    N x N inverse is ever formed.  A non-finite C or x raises
-    SingularSystemError naming the sample.
+    With c = ``factors.col_dim`` rows of V_m in use (the rest are zero),
+    forms the capacitance matrix of the smaller side, factorizes it,
+    estimates its condition number, and applies the Woodbury identity:
+
+    - k <= c: C = I_k + V_m^T Z and x = x_bar - Z C^{-1} (V_m^T x_bar);
+    - k > c: C = I_c + Z[:c] V_m[:c]^T and
+      x = x_bar - Z (V_m[:c]^T (C^{-1} x_bar[:c])).
+
+    Both give the same x, and det C is the same, so near-singularity
+    means the same thing; ``capacitance_cond`` estimates the condition of
+    the matrix actually factorized.  The cost is
+    O(c k min(k, c) + min(k, c)^3 + N k).  When c = 0 the update
+    vanishes and x = x_bar with condition 1.  No N x N inverse is ever
+    formed.  A non-finite C or x raises SingularSystemError naming the
+    sample.
     """
     if not 0 <= m < len(factors.V):
         raise IndexError(f"sample index {m} outside 0..{len(factors.V) - 1}")
     rows = slice(factors.col_dim)
     v = factors.V[m][rows]
     z = mean.z_for(factors)
-    w = v.T @ mean.x_bar[rows]
-    c = v.T @ z[rows]
+    thin = v.shape[1] > v.shape[0]   # k > c: factor the c x c side
+    if thin:
+        c = z[rows] @ v.T
+        w = mean.x_bar[rows]
+    else:
+        c = v.T @ z[rows]
+        w = v.T @ mean.x_bar[rows]
     c[np.diag_indices_from(c)] += 1.0
     if not np.all(np.isfinite(c)):
         raise SingularSystemError(
             f"sample {m}: non-finite capacitance matrix entries"
         )
-    anorm = np.linalg.norm(c, 1)
-    with warnings.catch_warnings():
-        # an exactly singular factor is caught by the condition estimate
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(c, overwrite_a=True,
-                                         check_finite=False)
-    gecon = get_lapack_funcs(("gecon",), (lu,))[0]
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0 or rcond == 0.0 or not np.isfinite(rcond):
-        cond = math.inf
-    else:
-        cond = 1.0 / rcond
-    if cond > CAPACITANCE_COND_LIMIT:
-        raise IllConditionedUpdateError(
-            f"sample {m}: capacitance matrix condition estimate "
-            f"{cond:.3e} exceeds {CAPACITANCE_COND_LIMIT:.1e}; the "
-            f"low-rank perturbation drives the sample matrix toward "
-            f"singularity"
-        )
-    # a non-finite w (from x_bar) reaches x, which is checked below
-    y = scipy.linalg.lu_solve((lu, piv), w, check_finite=False)
+    if c.size:
+        anorm = np.linalg.norm(c, 1)
+        with warnings.catch_warnings():
+            # an exactly singular factor is caught by the condition estimate
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(c, overwrite_a=True,
+                                             check_finite=False)
+        gecon = get_lapack_funcs(("gecon",), (lu,))[0]
+        rcond, info = gecon(lu, anorm, norm="1")
+        if info != 0 or rcond == 0.0 or not np.isfinite(rcond):
+            cond = math.inf
+        else:
+            cond = 1.0 / rcond
+        if cond > CAPACITANCE_COND_LIMIT:
+            raise IllConditionedUpdateError(
+                f"sample {m}: capacitance matrix condition estimate "
+                f"{cond:.3e} exceeds {CAPACITANCE_COND_LIMIT:.1e}; the "
+                f"low-rank perturbation drives the sample matrix toward "
+                f"singularity"
+            )
+        # a non-finite w (from x_bar) reaches x, which is checked below
+        y = scipy.linalg.lu_solve((lu, piv), w, check_finite=False)
+    else:  # c = 0: no update, and LAPACK rejects an empty matrix
+        cond, y = 1.0, w
+    if thin:
+        y = v.T @ y
     x = mean.x_bar - z @ y
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"sample {m}: non-finite solution entries")

@@ -14,6 +14,7 @@ except ModuleNotFoundError:  # Python 3.10: tomli is the same parser
 
 import numpy as np
 import pytest
+import scipy
 
 from sdlowrank import cli
 from sdlowrank.cli import (
@@ -479,7 +480,9 @@ def test_cli_overrides_beat_config_file(tmp_path):
 
 
 _RECORD_KEYS = {"command", "config_hash", "seed", "stage_seconds",
-                "timestamp", "rejected_fields"}
+                "timestamp", "rejected_fields", "environment", "peak_rss_mb"}
+_ENVIRONMENT_KEYS = {"numpy", "scipy", "OPENBLAS_NUM_THREADS",
+                     "OMP_NUM_THREADS"}
 _LOWRANK_STAGES = {"mesh", "kl", "assembly", "gram", "factor_mean",
                    "factorize", "smw_loop"}
 # the theta_sweep.csv columns plus the ledger-only ones
@@ -495,10 +498,10 @@ _SWEEP_ROW_KEYS = {
 @pytest.mark.parametrize("args, keys, stages", [
     (["kl-report"], {"T", "rho_T"}, {"mesh", "kl"}),
     (["theta-sweep", "--samples", "6", "--theta-list", "1.0,select"],
-     {"rows", "rank"}, _LOWRANK_STAGES | {"direct_loop"}),
+     {"rows", "rank", "gram_support"}, _LOWRANK_STAGES | {"direct_loop"}),
     (["select-theta", "--samples", "6"],
-     {"selected_theta", "selected_k", "rank", "rmsre_direct",
-      "rmsre_formula", "storage_reduction"},
+     {"selected_theta", "selected_k", "rank", "gram_support",
+      "rmsre_direct", "rmsre_formula", "storage_reduction"},
      {"mesh", "kl", "assembly", "gram", "factorize"}),
     (["convergence", "--ref-samples", "8", "--m-list", "3,6"],
      {"selected_theta", "selected_k", "slope", "errors"},
@@ -516,6 +519,12 @@ def test_ledger_record_schema(tmp_path, args, keys, stages):
     assert rec["command"] == args[0]
     assert set(rec) == _RECORD_KEYS | keys
     assert set(rec["stage_seconds"]) == stages
+    assert set(rec["environment"]) == _ENVIRONMENT_KEYS
+    assert rec["environment"]["numpy"] == np.__version__
+    assert rec["environment"]["scipy"] == scipy.__version__
+    assert rec["peak_rss_mb"] > 0.0
+    if "gram_support" in rec:  # the rank of G never exceeds its support
+        assert 1 <= rec["rank"] <= rec["gram_support"]
     if "rows" in rec:
         assert all(set(row) == _SWEEP_ROW_KEYS for row in rec["rows"])
     if "errors" in rec:

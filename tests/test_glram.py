@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from sdlowrank import (
     select_theta,
     write_report,
 )
+from sdlowrank.glram import RANK_RTOL
 
 
 def _random_family(rng, n, block_rows, block_cols, M, rank=None):
@@ -154,6 +156,98 @@ def test_indefinite_gram_rejected():
     gram = GramMatrix(block=np.diag([1.0, -1.0]), n_full=2, block_dim=2, M=1)
     with pytest.raises(EigensolverError, match="indefinite"):
         gram.eigenpairs()
+
+
+@pytest.mark.parametrize("block", [
+    np.diag([1.0, 0.0, -1.0, 0.0]),
+    # a zero diagonal does not make a zero row
+    np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+], ids=["diagonal", "off-diagonal"])
+def test_indefinite_gram_with_zero_rows_rejected(block):
+    dim = block.shape[0]
+    gram = GramMatrix(block=block, n_full=dim, block_dim=dim, M=1)
+    assert gram.support.size == 2
+    with pytest.raises(EigensolverError, match="indefinite"):
+        gram.eigenpairs()
+
+
+def test_all_zero_gram_block():
+    # no support: the spectrum is all zeros and U is unit vectors, in the
+    # order the full-block eigensolve used to give
+    zero = sp.csr_matrix((5, 5))
+    gram = GramMatrix(block=np.zeros((3, 3)), n_full=5, block_dim=3, M=1)
+    assert gram.support.size == 0
+    assert numerical_rank(gram) == 0
+    assert select_theta(gram) == (0.2, 1)
+    factors = factorize(gram, [zero], 1.0)
+    assert factors.k == 3
+    assert np.array_equal(factors.eigenvalues, np.zeros(3))
+    assert np.array_equal(factors.U, np.eye(5)[:, [2, 1, 0]])
+    assert not factors.V[0].any()
+    assert (factors.rmsre, factors.energy_ratio, factors.col_dim) == \
+        (0.0, 1.0, 0)
+
+
+@st.composite
+def _psd_blocks_with_zero_rows(draw):
+    """(gram, family, zero rows, rank): one matrix whose rows vanish at random.
+
+    The nonzero rows hold Q diag(s) with orthonormal Q and s^2 in
+    [1e-6, 1], so the Gram block Q diag(s^2) Q^T has a known rank, clear
+    of the cutoff, and zero rows and columns scattered through it.
+    """
+    dim = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.integers(0, dim - 1), unique=True, max_size=dim))
+    rank = draw(st.integers(0, len(rows)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(len(rows), rank)))
+    n = dim + draw(st.integers(0, 3))
+    a = np.zeros((n, n))
+    a[np.ix_(sorted(rows), range(rank))] = q * 10.0 ** rng.uniform(-3, 0, rank)
+    zero_rows = np.flatnonzero(~a[:dim].any(axis=1))
+    family = [sp.csr_matrix(a)]
+    return build_gram(family, block_dim=dim), family, zero_rows, rank
+
+
+def _select_k(w, target):
+    """select_theta's k computed from a given spectrum."""
+    w = np.clip(w, 0.0, None)
+    if w.sum() == 0.0:
+        return 1
+    return int(np.searchsorted(np.cumsum(w) / w.sum(), target)) + 1
+
+
+@settings(deadline=None, max_examples=100)
+@given(_psd_blocks_with_zero_rows())
+def test_support_eigensolve_matches_the_dense_block(case):
+    gram, family, zero_rows, rank = case
+    dense = scipy.linalg.eigh(gram.block, eigvals_only=True)[::-1]
+    assert np.array_equal(np.setdiff1d(np.arange(gram.block_dim),
+                                       gram.support), zero_rows)
+    w = gram.eigenvalues
+    assert np.all(np.diff(w) <= 0)
+    assert np.abs(w - dense).max() <= 1e-12 * max(dense[0], 0.0)
+
+    dense_rank = (int(np.count_nonzero(dense > RANK_RTOL * dense[0]))
+                  if dense[0] > 0.0 else 0)
+    assert numerical_rank(gram) == dense_rank == rank
+    for target in (1.0 - 1e-9, 0.9):
+        assert select_theta(gram, target)[1] == \
+            min(_select_k(dense, target), gram.block_dim)
+
+    factors = factorize(gram, family, 1.0)
+    u, v = factors.U, factors.V[0]
+    assert factors.k == gram.block_dim
+    assert np.abs(u.T @ u - np.eye(factors.k)).max() <= 1e-12
+    assert not u[zero_rows, :rank].any()
+    assert not u[gram.block_dim:].any()
+    # columns on the zero rows are unit vectors with exactly zero V_m
+    on_zero = ~u[gram.support].any(axis=0)
+    units = u[:, on_zero]
+    assert np.array_equal(np.sort(units.nonzero()[0]), zero_rows)
+    assert np.all(units.sum(axis=0) == 1.0)
+    assert not v[:, on_zero].any()
+    assert rmsre(factors, family) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -50,18 +50,20 @@ def _toy_factors(u, v_list, col_dim=None):
 
 
 def _full_row_smw(mean, factors, m):
-    """Oracle: the Woodbury solve over all N rows of V_m.
-
-    Returns (x, capacitance condition estimate).
-    """
+    """Oracle: the k x k Woodbury solve over all N rows of V_m."""
     v = factors.V[m]
     z = mean.z_for(factors)
     c = np.eye(factors.k) + v.T @ z
-    lu, piv = scipy.linalg.lu_factor(c)
+    y = scipy.linalg.solve(c, v.T @ mean.x_bar)
+    return mean.x_bar - z @ y
+
+
+def _cond_estimate(c):
+    """Oracle: LAPACK's 1-norm condition estimate of a square matrix."""
+    lu, _ = scipy.linalg.lu_factor(c)
     gecon = get_lapack_funcs(("gecon",), (lu,))[0]
     rcond, _ = gecon(lu, np.linalg.norm(c, 1), norm="1")
-    y = scipy.linalg.lu_solve((lu, piv), v.T @ mean.x_bar)
-    return mean.x_bar - z @ y, 1.0 / rcond
+    return 1.0 / rcond
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +92,18 @@ def test_zero_right_factor_returns_mean_solution():
                            [np.zeros((3, 1))])
     sol = solve_sample_smw(mean, factors, 0)
     assert np.array_equal(sol.x, mean.x_bar)
+
+
+def test_empty_column_support_returns_mean_solution():
+    # c = 0 < k: the update vanishes, and the 0 x 0 capacitance matrix
+    # is the identity, with condition 1
+    system = _toy_system(np.diag([2.0, 4.0, 5.0]), np.array([1.0, 2.0, 3.0]))
+    mean = factor_mean(system)
+    u = np.eye(3)[:, :2]
+    factors = _toy_factors(u, [np.zeros((3, 2))], col_dim=0)
+    sol = solve_sample_smw(mean, factors, 0)
+    assert np.array_equal(sol.x, mean.x_bar)
+    assert sol.capacitance_cond == 1.0
 
 
 def test_shared_solve_cached_per_family():
@@ -160,16 +174,21 @@ def test_smw_matches_dense_solve_on_random_column_support(n, data):
 @pytest.mark.parametrize("theta", [0.3, 1.0])
 def test_column_support_solve_matches_full_row_formula(problem20, gram20,
                                                        theta):
-    # k = 152 and 459 both exceed the column support c = 135
+    # k = 152 and 459 both exceed the column support c = 135, so the
+    # solve factors the c x c capacitance I_c + Z[:c] V_m[:c]^T, whose
+    # condition it reports
     system = problem20["system"]
     factors = factorize(gram20, system.A_tildes, theta)
-    assert factors.col_dim < factors.k
+    c = factors.col_dim
+    assert c < factors.k
     mean = factor_mean(system)
+    z = mean.z_for(factors)
     for m in range(factors.M):
         sol = solve_sample_smw(mean, factors, m)
-        x, cond = _full_row_smw(mean, factors, m)
+        x = _full_row_smw(mean, factors, m)
         err = np.linalg.norm(sol.x - x) / np.linalg.norm(x)
         assert err <= 1e-12, f"sample {m}: {err:.3e}"
+        cond = _cond_estimate(np.eye(c) + z[:c] @ factors.V[m][:c].T)
         assert sol.capacitance_cond == pytest.approx(cond, rel=1e-12)
 
 
@@ -234,6 +253,18 @@ def test_singular_capacitance_rejected():
     mean = factor_mean(system)
     factors = _toy_factors(np.array([[1.0], [0.0], [0.0]]),
                            [np.array([[-1.0], [0.0], [0.0]])])
+    with pytest.raises(IllConditionedUpdateError, match="sample 0"):
+        solve_sample_smw(mean, factors, 0)
+
+
+def test_singular_column_support_capacitance_rejected():
+    # the same singular update at k = 2 > c = 1: the 1 x 1 capacitance
+    # matrix has the determinant of the 2 x 2 one, zero
+    system = _toy_system(np.eye(3), np.ones(3))
+    mean = factor_mean(system)
+    v = np.zeros((3, 2))
+    v[0, 0] = -1.0
+    factors = _toy_factors(np.eye(3)[:, :2], [v], col_dim=1)
     with pytest.raises(IllConditionedUpdateError, match="sample 0"):
         solve_sample_smw(mean, factors, 0)
 
