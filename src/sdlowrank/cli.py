@@ -367,8 +367,9 @@ _SWEEP_COLS = ("theta_requested", "theta_effective", "k", "rmsre_formula",
                "rmsre_direct", "energy_ratio", "err_total", "err_darcy",
                "err_stokes", "err_sample_mean", "storage_reduction", "status")
 # ledger-only columns of each sweep row; the CSV keeps _SWEEP_COLS
-_SWEEP_LEDGER_COLS = ("col_dim", "capacitance_cond_min",
-                      "capacitance_cond_median", "capacitance_cond_max")
+_SWEEP_LEDGER_COLS = ("col_dim", "span_dim", "factor_bytes",
+                      "capacitance_cond_min", "capacitance_cond_median",
+                      "capacitance_cond_max")
 
 
 def cmd_theta_sweep(cfg):
@@ -415,6 +416,9 @@ def cmd_theta_sweep(cfg):
                 "storage_reduction": factors.storage_reduction,
                 "status": "ok",
                 "col_dim": factors.col_dim,
+                "span_dim": factors.span_dim,
+                # U, W and Y plus the solver's cached Z and blocks
+                "factor_bytes": factors.nbytes + mean_factor.nbytes,
                 "capacitance_cond_min": min(conds),
                 "capacitance_cond_median": float(np.median(conds)),
                 "capacitance_cond_max": max(conds),
@@ -422,7 +426,7 @@ def cmd_theta_sweep(cfg):
         except np.linalg.LinAlgError as exc:  # record it, keep sweeping
             row = dict.fromkeys(_SWEEP_COLS + _SWEEP_LEDGER_COLS,
                                 float("nan"))
-            row.update(theta_requested=label, k=0, col_dim=0,
+            row.update(theta_requested=label, k=0, col_dim=0, span_dim=0,
                        status=f"failed: {exc}")
             rows.append(row)
 
@@ -440,9 +444,16 @@ def cmd_theta_sweep(cfg):
         "rows": rows,
         "rank": numerical_rank(gram),
         "gram_support": int(gram.support.size),
+        "perturbation_bytes": _perturbation_bytes(system),
         "rejected_fields": rejected,
     })
     return 0
+
+
+def _perturbation_bytes(system):
+    """Bytes of the sparse A_tilde_m: data, indices and indptr."""
+    return sum(a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+               for a in system.A_tildes)
 
 
 def _csv_cell(value):
@@ -480,6 +491,9 @@ def cmd_select_theta(cfg):
         "selected_k": k,
         "rank": rank,
         "gram_support": int(gram.support.size),
+        "span_dim": factors.span_dim,
+        "factor_bytes": factors.nbytes,
+        "perturbation_bytes": _perturbation_bytes(system),
         "rmsre_direct": rmsre_direct,
         "rmsre_formula": factors.rmsre,
         "storage_reduction": factors.storage_reduction,

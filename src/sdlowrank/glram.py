@@ -21,10 +21,20 @@ formed on that dense block only.  Inside it, a row of G is zero exactly
 when every A_m has a zero row there, and each such row i carries the
 exact eigenpair (0, e_i); the eigensolver therefore only sees G[S, S] on
 the support S of nonzero rows, and U is embedded back with zero rows.
+
+The right factors are not stored one per sample.  ``factorize`` finds an
+orthonormal basis B_1..B_r of the family's span (r = T, the number of KL
+modes, for the Monte Carlo family), in O(M r p) for p entries in the
+union sparsity pattern, and stores W_j = B_j^T U and the coefficients Y
+with A_m = sum_j Y[m, j] B_j, so V_m = sum_j Y[m, j] W_j is built only
+when asked for.  The Woodbury solver sums r blocks formed from W once
+per family instead of multiplying by each V_m.
 """
 
 import bisect
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +57,9 @@ __all__ = [
 
 RANK_RTOL = 1e-10          # eigenvalue cutoff, relative to the largest
 PSD_RTOL = 1e-10           # tolerated negative-eigenvalue magnitude
+# span cutoff per dimension: a residual at most max(M, p) * SPAN_EPS times
+# the largest sample's norm is roundoff (numpy's matrix_rank default)
+SPAN_EPS = np.finfo(float).eps
 
 
 class EigensolverError(np.linalg.LinAlgError):
@@ -134,10 +147,18 @@ class GramMatrix:
 
 @dataclass
 class GlramFactors:
-    """Shared left factor and per-sample right factors."""
+    """Shared left factor and the right factors in the family's span.
+
+    The family spans r matrices B_1..B_r, orthonormal in the Frobenius
+    inner product, with A_m = sum_j Y[m, j] B_j.  So the right factors are
+    V_m = A_m^T U = sum_j Y[m, j] W_j with W_j = B_j^T U, and only the r
+    blocks W_j and the M x r coefficients Y are stored.  Rows of every
+    W_j (and V_m) from ``col_dim`` on are exactly zero and are not held.
+    """
 
     U: np.ndarray            # (N, k), orthonormal columns
-    V: list                  # M arrays of shape (N, k), V_m = A_m^T U
+    W: np.ndarray            # (r, col_dim, k), the leading rows of B_j^T U
+    Y: np.ndarray            # (M, r), A_m = sum_j Y[m, j] B_j
     k: int
     theta: float             # requested compression ratio
     eigenvalues: np.ndarray  # retained top-k spectrum of the Gram matrix
@@ -145,13 +166,30 @@ class GlramFactors:
     energy_ratio: float      # e(theta) of the retained spectrum
     block_dim: int
     n_full: int
-    # rows 0..col_dim-1 of every V_m may be nonzero, the rest are exactly
-    # zero; None means all n_full rows
-    col_dim: int = None
 
     @property
     def M(self):
-        return len(self.V)
+        return self.Y.shape[0]
+
+    @property
+    def span_dim(self):
+        """r, the dimension of the family's span."""
+        return self.W.shape[0]
+
+    @property
+    def col_dim(self):
+        """Rows 0..col_dim-1 of every V_m may be nonzero."""
+        return self.W.shape[1]
+
+    @property
+    def V(self):
+        """The M right factors V_m = A_m^T U (N x k), built when indexed."""
+        return _RightFactors(self)
+
+    @property
+    def nbytes(self):
+        """Bytes of the stored U, W and Y."""
+        return self.U.nbytes + self.W.nbytes + self.Y.nbytes
 
     @property
     def theta_effective(self):
@@ -162,6 +200,23 @@ class GlramFactors:
     def storage_reduction(self):
         """Storage of (U, V_1..V_M) relative to the M full matrices."""
         return self.theta_effective * (1.0 + 1.0 / self.M)
+
+
+class _RightFactors(Sequence):
+    """Read-only sequence of V_m = sum_j Y[m, j] W_j; nothing is cached."""
+
+    def __init__(self, factors):
+        self._factors = factors
+
+    def __len__(self):
+        return self._factors.M
+
+    def __getitem__(self, m):
+        f = self._factors
+        y = f.Y[operator.index(m)]
+        v = np.zeros((f.n_full, f.k))
+        v[:f.col_dim] = np.tensordot(y, f.W, axes=1)
+        return v
 
 
 def _row_col_support(a, width):
@@ -231,6 +286,66 @@ def numerical_rank(gram, rtol=RANK_RTOL):
     return int(np.count_nonzero(w > rtol * w[0]))
 
 
+def _pattern_rows(A_tildes, n):
+    """The n x n family as an M x p matrix on its union sparsity pattern.
+
+    Returns (h, rows, cols, col_dim): h[m, e] is entry (rows[e], cols[e])
+    of A_m (duplicates summed), and col_dim is one more than the largest
+    stored column index.  Costs O(nnz + n col_dim).
+    """
+    csrs = [a.tocsr() for a in A_tildes]
+    col_dim = max((int(a.indices.max()) + 1 for a in csrs if a.nnz), default=0)
+    # entry (i, j) of a matrix has the flat index i * col_dim + j
+    flat = (np.repeat(np.tile(np.arange(n) * col_dim, len(csrs)),
+                      np.concatenate([np.diff(a.indptr) for a in csrs]))
+            + np.concatenate([a.indices for a in csrs]))
+    used = np.zeros(n * col_dim, dtype=bool)
+    used[flat] = True
+    pattern = np.flatnonzero(used)
+    position = np.cumsum(used) - 1
+    offset = np.repeat(np.arange(len(csrs)) * pattern.size,
+                       [a.indptr[-1] for a in csrs])
+    h = np.bincount(position[flat] + offset,
+                    weights=np.concatenate([a.data for a in csrs]),
+                    minlength=len(csrs) * pattern.size)
+    rows, cols = np.divmod(pattern, max(col_dim, 1))
+    return h.reshape(len(csrs), pattern.size), rows, cols, col_dim
+
+
+def _span_basis(d):
+    """Orthonormal rows spanning the rows of d (M x p), up to roundoff.
+
+    Gram-Schmidt with pivoting on the largest residual row, as in
+    column-pivoted QR, stopped once every residual is at most
+    max(M, p) * SPAN_EPS times the largest row norm.  The residual norms
+    are downdated by one product d @ b per basis row b, and recomputed
+    from d once the downdate has lost its accuracy, so the cost is
+    O(M r p) for r basis rows.  Each pivot row is projected off the basis
+    twice, so the rows stay orthonormal when a residual is small.
+    Returns the r x p basis.
+    """
+    norms2 = np.einsum("ij,ij->i", d, d)
+    tol = max(d.shape) * SPAN_EPS * math.sqrt(norms2.max(initial=0.0))
+    basis = np.zeros((min(d.shape), d.shape[1]))
+    r, exact = 0, True
+    while r < basis.shape[0]:
+        i = int(np.argmax(norms2))
+        b = d[i]
+        for _ in range(2):
+            b = b - basis[:r].T @ (basis[:r] @ b)
+        norm = np.linalg.norm(b)
+        if not exact and (norm <= tol or norm * norm < 0.5 * norms2[i]):
+            resid = d - (d @ basis[:r].T) @ basis[:r]
+            norms2, exact = np.einsum("ij,ij->i", resid, resid), True
+            continue
+        if not norm > tol:
+            break
+        basis[r] = b / norm
+        norms2 -= np.square(d @ basis[r])
+        r, exact = r + 1, False
+    return basis[:r]
+
+
 def factorize(gram, A_tildes, theta):
     """Compute shared factors at compression ratio theta.
 
@@ -239,10 +354,16 @@ def factorize(gram, A_tildes, theta):
     dimension: eigenvectors of the support block G[S, S] fill the rows S,
     and a column whose eigenvalue comes from a zero row i of G (taken
     only when k exceeds the positive spectrum) is the unit vector e_i,
-    whose V_m column is exactly zero.  V_m = A_m^T U exactly.
-    ``col_dim`` is one more than the largest stored column index of the
-    family, so the rows of every V_m from ``col_dim`` on are exactly
-    zero.
+    whose V_m column is exactly zero.
+
+    The M perturbations are read as the rows of an M x p matrix on their
+    union sparsity pattern, whose orthonormal row basis B_1..B_r and
+    coefficients Y give A_m = sum_j Y[m, j] B_j to roundoff (r = T, the
+    number of KL modes, for the Monte Carlo family).  That costs
+    O(M r p); then W_j = B_j^T U is one sparse product for all j,
+    O(r p k), in place of M products A_m^T U.  ``col_dim`` is one more
+    than the largest stored column index of the family, so the rows of
+    every W_j and V_m from ``col_dim`` on are exactly zero.
     """
     if len(A_tildes) != gram.M:
         raise ValueError(
@@ -257,24 +378,31 @@ def factorize(gram, A_tildes, theta):
     zero_rows = np.setdiff1d(np.arange(gram.block_dim), s, assume_unique=True)
     picked = gram._order[:k]
     on_s = picked < s.size
-    u_full = np.zeros((gram.n_full, k))
+    n = gram.n_full
+    u_full = np.zeros((n, k))
     u_full[np.ix_(s, on_s.nonzero()[0])] = v[:, picked[on_s]]
     u_full[zero_rows[picked[~on_s] - s.size], (~on_s).nonzero()[0]] = 1.0
-    csrs = [sp.csr_matrix(a) for a in A_tildes]
-    v_list = [np.asarray(a.T @ u_full) for a in csrs]
-    col_dim = max((int(a.indices.max()) + 1 for a in csrs if a.nnz), default=0)
-    retained = w[:k].copy()
+
+    h, rows, cols, col_dim = _pattern_rows(A_tildes, n)
+    basis = _span_basis(h)
+    r = basis.shape[0]
+    # row j * col_dim + c of B^T holds column c of B_j
+    b_t = sp.csr_matrix(
+        (basis.ravel(), ((np.arange(r)[:, None] * col_dim + cols).ravel(),
+                         np.tile(rows, r))),
+        shape=(r * col_dim, n))
+    w_blocks = np.asarray(b_t @ u_full).reshape(r, col_dim, k)
     return GlramFactors(
         U=u_full,
-        V=v_list,
+        W=w_blocks,
+        Y=h @ basis.T,
         k=k,
         theta=theta,
-        eigenvalues=retained,
+        eigenvalues=w[:k].copy(),
         rmsre=rmsre_closed_form(gram, k),
         energy_ratio=energy_ratio(gram, theta),
         block_dim=gram.block_dim,
-        n_full=gram.n_full,
-        col_dim=col_dim,
+        n_full=n,
     )
 
 
@@ -284,7 +412,7 @@ def rmsre(factors, A_tildes):
     sqrt( (1/M) * sum_m ||A_m - U V_m^T||_F^2 ), evaluated on the dense
     nonzero block of each matrix.
     """
-    if len(A_tildes) != len(factors.V):
+    if len(A_tildes) != factors.M:
         raise ValueError("factors do not cover the given matrix family")
     u = factors.U
     total = 0.0

@@ -12,10 +12,14 @@ exactly zero, so the update U V_m^T = (U V_m[:c]^T) E_c^T has rank at
 most c, with E_c the first c columns of the identity.  When k > c the
 same solution therefore follows from the c x c capacitance matrix,
 
-    x_m = x_bar - Z V_m[:c]^T (I_c + Z[:c] V_m[:c]^T)^{-1} x_bar[:c],
+    x_m = x_bar - Z V_m[:c]^T (I_c + Z[:c] V_m[:c]^T)^{-1} x_bar[:c].
 
-and a sample costs O(c k min(k, c) + min(k, c)^3 + N k) instead of a
-fresh N-dimensional sparse solve.  A direct sparse solve of
+The family spans r matrices, so V_m = sum_j Y[m, j] W_j (see
+``GlramFactors``) and each capacitance matrix is an r-term sum of blocks
+built once per family in O(r c k min(k, c)): P_j = W_j^T Z[:c] and
+W_j^T x_bar[:c] for k <= c, Z[:c] W_j^T for k > c.  A sample then costs
+O(r min(k, c)^2 + min(k, c)^3 + N k) instead of a fresh N-dimensional
+sparse solve, and never forms V_m.  A direct sparse solve of
 (Abar + A_m) x = b is kept as the reference baseline.
 """
 
@@ -66,8 +70,8 @@ class MeanFactorization:
     """Sparse LU of the mean matrix with cached derived data.
 
     Holds the deterministic solution x_bar = Abar^{-1} b and, for the
-    factor family asked for last, the block Z = Abar^{-1} U reused by
-    every sample solve of that family.
+    factor family asked for last, the block Z = Abar^{-1} U and the
+    capacitance blocks reused by every sample solve of that family.
     """
 
     def __init__(self, lu, A_bar, b, x_bar):
@@ -77,10 +81,17 @@ class MeanFactorization:
         self.x_bar = x_bar
         self._factors = None
         self._z = None
+        self._blocks = None
 
     @property
     def N(self):
         return self.b.shape[0]
+
+    @property
+    def nbytes(self):
+        """Bytes of the cached Z and capacitance blocks (0 before a solve)."""
+        arrays = (self._z,) + (self._blocks or ())
+        return sum(a.nbytes for a in arrays if a is not None)
 
     def solve(self, rhs):
         return self._lu.solve(rhs)
@@ -99,8 +110,31 @@ class MeanFactorization:
                     f"inaccurate solve for column {j} of the shared "
                     f"factor: residual {resid[j]:.3e}"
                 )
-            self._factors, self._z = factors, z
+            self._factors, self._z, self._blocks = factors, z, None
         return self._z
+
+    def blocks_for(self, factors):
+        """The r capacitance blocks of ``factors``, transposed, and their
+        right sides.
+
+        With c = ``factors.col_dim`` and W_j from ``factors.W``, returns
+        (P, w) with P[j] the transpose of the block: for k <= c,
+        P[j] = (W_j^T Z[:c])^T (k x k) and w[j] = W_j^T x_bar[:c]; for
+        k > c, P[j] = (Z[:c] W_j^T)^T (c x c) and w is None.  Summing the
+        transposes gives each capacitance matrix in Fortran order, which
+        LAPACK factors in place.  Built with BLAS once per family, in
+        O(r c k min(k, c)).
+        """
+        z = self.z_for(factors)
+        if self._blocks is None:
+            c = factors.col_dim
+            w = factors.W
+            if factors.k > c:
+                self._blocks = (w @ z[:c].T, None)
+            else:
+                self._blocks = (z[:c].T @ w,
+                                w.transpose(0, 2, 1) @ self.x_bar[:c])
+        return self._blocks
 
 
 def _diagnose_singularity(a):
@@ -169,33 +203,33 @@ def solve_sample_smw(mean, factors, m):
     """Sample solution through the rank-k update of the mean solve.
 
     With c = ``factors.col_dim`` rows of V_m in use (the rest are zero),
-    forms the capacitance matrix of the smaller side, factorizes it,
-    estimates its condition number, and applies the Woodbury identity:
+    forms the capacitance matrix of the smaller side from the family's
+    cached blocks (``MeanFactorization.blocks_for``) and the sample's
+    span coefficients y = Y[m], factorizes it, estimates its condition
+    number, and applies the Woodbury identity:
 
-    - k <= c: C = I_k + V_m^T Z and x = x_bar - Z C^{-1} (V_m^T x_bar);
-    - k > c: C = I_c + Z[:c] V_m[:c]^T and
-      x = x_bar - Z (V_m[:c]^T (C^{-1} x_bar[:c])).
+    - k <= c: C = I_k + sum_j y_j P_j (= I_k + V_m^T Z) and
+      x = x_bar - Z C^{-1} (sum_j y_j W_j^T x_bar[:c]);
+    - k > c: C = I_c + sum_j y_j P_j (= I_c + Z[:c] V_m[:c]^T) and
+      x = x_bar - Z (V_m[:c]^T (C^{-1} x_bar[:c])),
+      with V_m[:c] = sum_j y_j W_j.
 
     Both give the same x, and det C is the same, so near-singularity
     means the same thing; ``capacitance_cond`` estimates the condition of
-    the matrix actually factorized.  The cost is
-    O(c k min(k, c) + min(k, c)^3 + N k).  When c = 0 the update
-    vanishes and x = x_bar with condition 1.  No N x N inverse is ever
-    formed.  A non-finite C or x raises SingularSystemError naming the
-    sample.
+    the matrix actually factorized.  A sample costs
+    O(r min(k, c)^2 + min(k, c)^3 + N k) after the one-time block build.
+    When c = 0 the update vanishes and x = x_bar with condition 1.  No
+    N x N inverse and no V_m is ever formed.  A non-finite C or x raises
+    SingularSystemError naming the sample.
     """
-    if not 0 <= m < len(factors.V):
-        raise IndexError(f"sample index {m} outside 0..{len(factors.V) - 1}")
-    rows = slice(factors.col_dim)
-    v = factors.V[m][rows]
-    z = mean.z_for(factors)
-    thin = v.shape[1] > v.shape[0]   # k > c: factor the c x c side
-    if thin:
-        c = z[rows] @ v.T
-        w = mean.x_bar[rows]
-    else:
-        c = v.T @ z[rows]
-        w = v.T @ mean.x_bar[rows]
+    if not 0 <= m < factors.M:
+        raise IndexError(f"sample index {m} outside 0..{factors.M - 1}")
+    y_m = factors.Y[m]
+    blocks, rhs = mean.blocks_for(factors)
+    thin = rhs is None   # k > c: factor the c x c side
+    # the sum of the transposed blocks is C^T, so c is C in Fortran order
+    c = np.tensordot(y_m, blocks, axes=1).T
+    w = mean.x_bar[:factors.col_dim] if thin else y_m @ rhs
     c[np.diag_indices_from(c)] += 1.0
     if not np.all(np.isfinite(c)):
         raise SingularSystemError(
@@ -226,8 +260,8 @@ def solve_sample_smw(mean, factors, m):
     else:  # c = 0: no update, and LAPACK rejects an empty matrix
         cond, y = 1.0, w
     if thin:
-        y = v.T @ y
-    x = mean.x_bar - z @ y
+        y = np.tensordot(y_m, factors.W, axes=1).T @ y
+    x = mean.x_bar - mean.z_for(factors) @ y
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"sample {m}: non-finite solution entries")
     return SampleSolution(x=x, sample_index=m, capacitance_cond=cond)

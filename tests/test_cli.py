@@ -338,7 +338,7 @@ def test_theta_sweep_records_a_non_finite_factor_as_a_failed_ratio(
     def factorize(gram, tildes, theta):
         factors = real_factorize(gram, tildes, theta)
         if theta == 0.1:
-            factors.V[0][0, 0] = np.nan
+            factors.W[0][0, 0] = np.nan
         return factors
 
     monkeypatch.setattr(cli, "factorize", factorize)
@@ -490,7 +490,7 @@ _SWEEP_ROW_KEYS = {
     "theta_requested", "theta_effective", "k", "rmsre_formula",
     "rmsre_direct", "energy_ratio", "err_total", "err_darcy", "err_stokes",
     "err_sample_mean", "storage_reduction", "status", "col_dim",
-    "capacitance_cond_min", "capacitance_cond_median",
+    "span_dim", "factor_bytes", "capacitance_cond_min", "capacitance_cond_median",
     "capacitance_cond_max",
 }
 
@@ -498,10 +498,12 @@ _SWEEP_ROW_KEYS = {
 @pytest.mark.parametrize("args, keys, stages", [
     (["kl-report"], {"T", "rho_T"}, {"mesh", "kl"}),
     (["theta-sweep", "--samples", "6", "--theta-list", "1.0,select"],
-     {"rows", "rank", "gram_support"}, _LOWRANK_STAGES | {"direct_loop"}),
+     {"rows", "rank", "gram_support", "perturbation_bytes"},
+     _LOWRANK_STAGES | {"direct_loop"}),
     (["select-theta", "--samples", "6"],
-     {"selected_theta", "selected_k", "rank", "gram_support",
-      "rmsre_direct", "rmsre_formula", "storage_reduction"},
+     {"selected_theta", "selected_k", "rank", "gram_support", "span_dim",
+      "factor_bytes", "perturbation_bytes", "rmsre_direct",
+      "rmsre_formula", "storage_reduction"},
      {"mesh", "kl", "assembly", "gram", "factorize"}),
     (["convergence", "--ref-samples", "8", "--m-list", "3,6"],
      {"selected_theta", "selected_k", "slope", "errors"},
@@ -525,6 +527,12 @@ def test_ledger_record_schema(tmp_path, args, keys, stages):
     assert rec["peak_rss_mb"] > 0.0
     if "gram_support" in rec:  # the rank of G never exceeds its support
         assert 1 <= rec["rank"] <= rec["gram_support"]
+        assert rec["perturbation_bytes"] > 0
+        # the span of the 6 perturbations and the bytes of their factors,
+        # per sweep row or for the one select-theta factorization
+        for r in rec.get("rows", [rec]):
+            assert 1 <= r["span_dim"] <= 6
+            assert r["factor_bytes"] > 0
     if "rows" in rec:
         assert all(set(row) == _SWEEP_ROW_KEYS for row in rec["rows"])
     if "errors" in rec:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import norm as spla_norm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import get_lapack_funcs
@@ -39,13 +40,16 @@ def _toy_system(a, b, n1=1, n2=1, n3=0, tildes=()):
 
 
 def _toy_factors(u, v_list, col_dim=None):
+    """Hand-built factors: sample m is basis element m (Y = I_M), so
+    W_m is the leading col_dim rows of V_m (all rows when None)."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    k = u.shape[1]
+    n, k = u.shape
+    rows = slice(n if col_dim is None else col_dim)
+    w = np.array([np.asarray(v, dtype=float)[rows] for v in v_list])
     return GlramFactors(
-        U=u, V=[np.asarray(v, dtype=float) for v in v_list], k=k,
-        theta=k / u.shape[0], eigenvalues=np.ones(k), rmsre=0.0,
-        energy_ratio=1.0, block_dim=u.shape[0], n_full=u.shape[0],
-        col_dim=col_dim,
+        U=u, W=w, Y=np.eye(len(v_list)), k=k, theta=k / n,
+        eigenvalues=np.ones(k), rmsre=0.0, energy_ratio=1.0, block_dim=n,
+        n_full=n,
     )
 
 
@@ -169,6 +173,50 @@ def test_smw_matches_dense_solve_on_random_column_support(n, data):
             x = solve_sample_smw(mean, factors, m).x
             err = np.linalg.norm(x - expect) / np.linalg.norm(expect)
             assert err <= 1e-10, f"col_dim={rows}, sample {m}: {err:.3e}"
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(3, 10), st.data())
+def test_span_solve_matches_dense_solve_on_random_families(n, data):
+    # A_m = sum_t Y[m, t] B_t over r <= 4 random sparse B_t, with zeros in
+    # Y so the samples' sparsity patterns differ; r = 0 is the all-zero
+    # family, r = M a family of independent samples, and one sample may
+    # sit off the span by 1e-8 relative
+    M = data.draw(st.integers(1, 8), label="M")
+    r = data.draw(st.integers(0, min(4, M)), label="r")
+    off_span = data.draw(st.booleans(), label="off_span")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    basis = [sp.random(n, n, density=rng.uniform(0.1, 0.6),
+                       random_state=rng, data_rvs=rng.standard_normal)
+             for _ in range(r)]
+    y = rng.normal(size=(M, r)) * (rng.random((M, r)) < 0.7)
+    tildes = [sum((y[m, t] * basis[t] for t in range(r) if y[m, t]),
+                  sp.csr_matrix((n, n))).tocsr() for m in range(M)]
+    if off_span:
+        j = int(rng.integers(M))
+        e = sp.random(n, n, density=0.3, random_state=rng,
+                      data_rvs=rng.standard_normal)
+        scale = 1e-8 * spla_norm(tildes[j]) / spla_norm(e)
+        tildes[j] = (tildes[j] + scale * e).tocsr()
+    a = rng.normal(size=(n, n)) + 2 * n * np.eye(n)
+    b = rng.normal(size=n)
+    gram = build_gram(tildes)
+    # the off-span direction's eigenvalue, 1e-16 of the largest, is under
+    # the rank cutoff, so that family keeps every direction of the block
+    k = gram.block_dim if off_span else max(numerical_rank(gram), 1)
+    factors = factorize(gram, tildes, k / n)
+    assert factors.k == k
+    flat = np.array([t.toarray().ravel() for t in tildes])
+    assert factors.span_dim == np.linalg.matrix_rank(flat)
+    mean = factor_mean(_toy_system(a, b, n1=n, n2=0))
+    for m, t in enumerate(tildes):
+        expect_v = t.toarray().T @ factors.U
+        assert (np.linalg.norm(factors.V[m] - expect_v)
+                <= 1e-13 * spla_norm(t)), f"V_{m}"
+        expect = np.linalg.solve(a + t.toarray(), b)
+        x = solve_sample_smw(mean, factors, m).x
+        err = np.linalg.norm(x - expect) / np.linalg.norm(expect)
+        assert err <= 1e-10, f"sample {m}: {err:.3e}"
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.0])
