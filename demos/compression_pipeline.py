@@ -38,7 +38,7 @@ def main():
 
     gram = build_gram(system.A_tildes, block_dim=system.n_flow)
     rank = numerical_rank(gram)
-    w = np.clip(gram.eigenvalues, 0.0, None)
+    w = gram.eigenvalues
     print(f"family size          : M = {len(system.A_tildes)}")
     print(f"matrix dimension     : {gram.n_full}")
     print(f"active block         : {system.n_flow}")

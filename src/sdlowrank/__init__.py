@@ -48,6 +48,7 @@ from .glram import (
     GramMatrix,
     GlramFactors,
     EigensolverError,
+    NonFiniteFamilyError,
     build_gram,
     factorize,
     rmsre,
@@ -99,7 +100,7 @@ __all__ = [
     "assemble_mean", "assemble_family", "dirichlet_constraints",
     "apply_dirichlet", "write_coo", "p2_stiffness", "p2_mass",
     "p1_pressure_mass",
-    "GramMatrix", "GlramFactors", "EigensolverError",
+    "GramMatrix", "GlramFactors", "EigensolverError", "NonFiniteFamilyError",
     "build_gram", "factorize", "rmsre", "rmsre_closed_form", "energy_ratio",
     "select_theta", "numerical_rank", "write_report",
     "MeanFactorization", "SampleSolution", "SingularSystemError",

@@ -477,7 +477,7 @@ def cmd_select_theta(cfg):
     spectrum = _out(cfg, "gram_spectrum.csv")
     write_report(gram, factors, rmsre_direct, txt, spectrum)
 
-    w = np.clip(gram.eigenvalues, 0.0, None)
+    w = gram.eigenvalues
     rank = numerical_rank(gram)
     cliff = ""
     if 0 < rank < w.size:  # descending: w[rank] is the first under the cutoff

@@ -21,14 +21,17 @@ formed on that dense block only.  Inside it, a row of G is zero exactly
 when every A_m has a zero row there, and each such row i carries the
 exact eigenpair (0, e_i); the eigensolver therefore only sees G[S, S] on
 the support S of nonzero rows, and U is embedded back with zero rows.
+Past |S| the columns of U are unit vectors on zero rows, whose right
+factors vanish, so the stored factors and the solver stop at
+k_s = min(k, |S|) columns.
 
 The right factors are not stored one per sample.  ``factorize`` finds an
 orthonormal basis B_1..B_r of the family's span (r = T, the number of KL
 modes, for the Monte Carlo family), in O(M r p) for p entries in the
 union sparsity pattern, and stores W_j = B_j^T U and the coefficients Y
 with A_m = sum_j Y[m, j] B_j, so V_m = sum_j Y[m, j] W_j is built only
-when asked for.  The Woodbury solver sums r blocks formed from W once
-per family instead of multiplying by each V_m.
+when asked for.  The Woodbury solver sums r k_s x k_s blocks formed from
+W once per family instead of multiplying by each V_m.
 """
 
 import bisect
@@ -45,6 +48,7 @@ __all__ = [
     "GramMatrix",
     "GlramFactors",
     "EigensolverError",
+    "NonFiniteFamilyError",
     "build_gram",
     "factorize",
     "rmsre",
@@ -66,6 +70,10 @@ class EigensolverError(np.linalg.LinAlgError):
     """Symmetric eigensolve failed or produced inconsistent pairs."""
 
 
+class NonFiniteFamilyError(np.linalg.LinAlgError):
+    """A perturbation matrix holds a NaN or an infinity."""
+
+
 @dataclass
 class GramMatrix:
     """Dense symmetric PSD block of sum_m A_m A_m^T plus embedding data."""
@@ -77,9 +85,6 @@ class GramMatrix:
     _support: np.ndarray = field(default=None, repr=False)
     _evals: np.ndarray = field(default=None, repr=False)
     _evecs: np.ndarray = field(default=None, repr=False)
-    # _order[j] = i names the eigenpair behind _evals[j]: column i of
-    # _evecs for i < |S|, else e_r for the (i - |S|)-th zero row r
-    _order: np.ndarray = field(default=None, repr=False)
 
     @property
     def trace(self):
@@ -96,29 +101,32 @@ class GramMatrix:
         return self._support
 
     def eigenpairs(self):
-        """Eigenvalues of the block and eigenvectors of its support block.
+        """Spectrum of the block and eigenvectors of its support block.
 
         Only G[S, S] on the support S goes through the eigensolver; each
         zero row i adds the exact eigenpair (0, e_i).  Returns (w, v): w
-        holds all block_dim eigenvalues in descending order, v the
-        |S| x |S| eigenvectors of G[S, S] in the solver's order.  No
+        holds all block_dim eigenvalues in descending order, clipped at
+        zero, the |S| of G[S, S] first; v holds the |S| x |S|
+        eigenvectors of G[S, S] in the order of w[:|S|].  No
         block_dim x block_dim eigenvector matrix is formed; ``factorize``
         embeds the leading ones.  Results are cached.  Raises
-        EigensolverError if the solver fails, if residuals
-        ||G_SS v - lambda v|| exceed 1e-8 * lambda_max, or if G_SS is
-        indefinite beyond roundoff.
+        EigensolverError if G[S, S] holds a NaN or an infinity, if the
+        solver fails, if residuals ||G_SS v - lambda v|| exceed
+        1e-8 * lambda_max, or if G_SS is indefinite beyond roundoff.
         """
         if self._evals is None:
             s = self.support
             g = self.block[np.ix_(s, s)]
+            where = (f"the {s.size}x{s.size} support of the "
+                     f"{self.block_dim}x{self.block_dim} Gram block")
+            if not np.all(np.isfinite(g)):
+                raise EigensolverError(f"non-finite entries in {where}")
             try:
                 # an all-zero block has no support to solve on
                 w, v = scipy.linalg.eigh(g) if s.size else (np.zeros(0), g)
             except np.linalg.LinAlgError as exc:
                 raise EigensolverError(
-                    f"symmetric eigensolver failed on the {s.size}x{s.size} "
-                    f"support of the {self.block_dim}x{self.block_dim} "
-                    f"Gram block: {exc}"
+                    f"symmetric eigensolver failed on {where}: {exc}"
                 ) from exc
             lam_max = float(w.max(initial=0.0))
             resid = np.linalg.norm(g @ v - v * w[None, :], axis=0)
@@ -134,10 +142,10 @@ class GramMatrix:
                     f"Gram matrix indefinite: lambda_min = {lam_min:.3e} "
                     f"with lambda_max = {lam_max:.3e}"
                 )
-            w = np.concatenate([w, np.zeros(self.block_dim - s.size)])
-            self._order = np.argsort(w, kind="stable")[::-1]
-            self._evals = w[self._order]
-            self._evecs = v
+            # eigh returns ascending pairs; the zero rows add zeros last
+            self._evals = np.concatenate([np.clip(w[::-1], 0.0, None),
+                                          np.zeros(self.block_dim - s.size)])
+            self._evecs = v[:, ::-1]
         return self._evals, self._evecs
 
     @property
@@ -153,11 +161,13 @@ class GlramFactors:
     inner product, with A_m = sum_j Y[m, j] B_j.  So the right factors are
     V_m = A_m^T U = sum_j Y[m, j] W_j with W_j = B_j^T U, and only the r
     blocks W_j and the M x r coefficients Y are stored.  Rows of every
-    W_j (and V_m) from ``col_dim`` on are exactly zero and are not held.
+    W_j (and V_m) from ``col_dim`` on are exactly zero and are not held,
+    and so are the columns from k_s = min(k, |S|) on: those columns of U
+    are unit vectors on zero rows of the Gram matrix.
     """
 
     U: np.ndarray            # (N, k), orthonormal columns
-    W: np.ndarray            # (r, col_dim, k), the leading rows of B_j^T U
+    W: np.ndarray            # (r, col_dim, k_s), the leading block of B_j^T U
     Y: np.ndarray            # (M, r), A_m = sum_j Y[m, j] B_j
     k: int
     theta: float             # requested compression ratio
@@ -215,7 +225,7 @@ class _RightFactors(Sequence):
         f = self._factors
         y = f.Y[operator.index(m)]
         v = np.zeros((f.n_full, f.k))
-        v[:f.col_dim] = np.tensordot(y, f.W, axes=1)
+        v[:f.col_dim, :f.W.shape[2]] = np.tensordot(y, f.W, axes=1)
         return v
 
 
@@ -351,19 +361,21 @@ def factorize(gram, A_tildes, theta):
 
     k is the smallest integer with k/N >= theta, capped at the Gram block
     dimension; U holds the top-k eigenvectors embedded into full
-    dimension: eigenvectors of the support block G[S, S] fill the rows S,
-    and a column whose eigenvalue comes from a zero row i of G (taken
-    only when k exceeds the positive spectrum) is the unit vector e_i,
-    whose V_m column is exactly zero.
+    dimension: the first k_s = min(k, |S|) columns are eigenvectors of
+    the support block G[S, S] on the rows S, and the k - k_s others are
+    unit vectors on the zero rows of G, last row first.  Their V_m
+    columns are exactly zero, so W holds the first k_s columns only.
 
     The M perturbations are read as the rows of an M x p matrix on their
     union sparsity pattern, whose orthonormal row basis B_1..B_r and
     coefficients Y give A_m = sum_j Y[m, j] B_j to roundoff (r = T, the
     number of KL modes, for the Monte Carlo family).  That costs
     O(M r p); then W_j = B_j^T U is one sparse product for all j,
-    O(r p k), in place of M products A_m^T U.  ``col_dim`` is one more
+    O(r p k_s), in place of M products A_m^T U.  ``col_dim`` is one more
     than the largest stored column index of the family, so the rows of
-    every W_j and V_m from ``col_dim`` on are exactly zero.
+    every W_j and V_m from ``col_dim`` on are exactly zero.  Raises
+    NonFiniteFamilyError naming the first perturbation that holds a NaN
+    or an infinity.
     """
     if len(A_tildes) != gram.M:
         raise ValueError(
@@ -375,15 +387,18 @@ def factorize(gram, A_tildes, theta):
     k = _k_from_theta(theta, gram)
     w, v = gram.eigenpairs()
     s = gram.support
+    k_s = min(k, s.size)
     zero_rows = np.setdiff1d(np.arange(gram.block_dim), s, assume_unique=True)
-    picked = gram._order[:k]
-    on_s = picked < s.size
     n = gram.n_full
     u_full = np.zeros((n, k))
-    u_full[np.ix_(s, on_s.nonzero()[0])] = v[:, picked[on_s]]
-    u_full[zero_rows[picked[~on_s] - s.size], (~on_s).nonzero()[0]] = 1.0
+    u_full[s, :k_s] = v[:, :k_s]
+    u_full[zero_rows[::-1][:k - k_s], np.arange(k_s, k)] = 1.0
 
     h, rows, cols, col_dim = _pattern_rows(A_tildes, n)
+    bad = np.flatnonzero(~np.isfinite(h).all(axis=1))
+    if bad.size:
+        raise NonFiniteFamilyError(
+            f"perturbation {bad[0]} has non-finite entries")
     basis = _span_basis(h)
     r = basis.shape[0]
     # row j * col_dim + c of B^T holds column c of B_j
@@ -391,7 +406,7 @@ def factorize(gram, A_tildes, theta):
         (basis.ravel(), ((np.arange(r)[:, None] * col_dim + cols).ravel(),
                          np.tile(rows, r))),
         shape=(r * col_dim, n))
-    w_blocks = np.asarray(b_t @ u_full).reshape(r, col_dim, k)
+    w_blocks = np.asarray(b_t @ u_full[:, :k_s]).reshape(r, col_dim, k_s)
     return GlramFactors(
         U=u_full,
         W=w_blocks,
@@ -435,9 +450,8 @@ def rmsre_closed_form(gram, k):
     l = min(k, numerical rank); the trace of the Gram matrix supplies
     sum_m ||A_m||_F^2.
     """
-    w = np.clip(gram.eigenvalues, 0.0, None)
     l = min(k, numerical_rank(gram))
-    residual = gram.trace - float(np.sum(w[:l]))
+    residual = gram.trace - float(np.sum(gram.eigenvalues[:l]))
     return math.sqrt(max(residual, 0.0) / gram.M)
 
 
@@ -448,7 +462,7 @@ def energy_ratio(gram, theta):
     k = _k_from_theta(theta, gram)
     if k == 0:
         return 0.0
-    w = np.clip(gram.eigenvalues, 0.0, None)
+    w = gram.eigenvalues
     total = float(np.sum(w))
     if total == 0.0:
         return 1.0
@@ -465,7 +479,7 @@ def select_theta(gram, energy_target=1.0 - 1e-9):
         raise ValueError(
             f"energy target must lie in (0, 1], got {energy_target}"
         )
-    w = np.clip(gram.eigenvalues, 0.0, None)
+    w = gram.eigenvalues
     total = float(np.sum(w))
     if total == 0.0:
         return 1.0 / gram.n_full, 1
@@ -491,10 +505,10 @@ def write_report(gram, factors, rmsre_direct, txt_path, csv_path):
         f.write(f"dimension = {gram.n_full}\n")
         for t in (i / 20.0 for i in range(21)):
             f.write(f"energy[{t:.6f}] = {energy_ratio(gram, t):.12e}\n")
-    w = np.clip(gram.eigenvalues, 0.0, None)
+    w = gram.eigenvalues
     total = float(np.sum(w))
     cum = np.cumsum(w) / total if total > 0.0 else np.zeros_like(w)
     with open(csv_path, "w", encoding="utf-8") as f:
         f.write("index,eigenvalue,cumulative_energy\n")
-        for i, (lam, c) in enumerate(zip(gram.eigenvalues, cum), start=1):
+        for i, (lam, c) in enumerate(zip(w, cum), start=1):
             f.write(f"{i},{lam:.12e},{c:.12e}\n")

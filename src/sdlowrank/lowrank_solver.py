@@ -4,23 +4,19 @@ The mean matrix is factorized once.  Each sample's matrix differs from it
 by a low-rank perturbation U V_m^T, so the sample solution follows from
 the Woodbury identity
 
-    x_m = x_bar - Z (I_k + V_m^T Z)^{-1} (V_m^T x_bar),   Z = Abar^{-1} U.
+    x_m = x_bar - Z (I + V_m^T Z)^{-1} (V_m^T x_bar),   Z = Abar^{-1} U.
 
-Z and x_bar are computed once and shared across samples.  Rows of V_m at
-and beyond the family's column support c (``GlramFactors.col_dim``) are
-exactly zero, so the update U V_m^T = (U V_m[:c]^T) E_c^T has rank at
-most c, with E_c the first c columns of the identity.  When k > c the
-same solution therefore follows from the c x c capacitance matrix,
-
-    x_m = x_bar - Z V_m[:c]^T (I_c + Z[:c] V_m[:c]^T)^{-1} x_bar[:c].
-
-The family spans r matrices, so V_m = sum_j Y[m, j] W_j (see
-``GlramFactors``) and each capacitance matrix is an r-term sum of blocks
-built once per family in O(r c k min(k, c)): P_j = W_j^T Z[:c] and
-W_j^T x_bar[:c] for k <= c, Z[:c] W_j^T for k > c.  A sample then costs
-O(r min(k, c)^2 + min(k, c)^3 + N k) instead of a fresh N-dimensional
-sparse solve, and never forms V_m.  A direct sparse solve of
-(Abar + A_m) x = b is kept as the reference baseline.
+Z and x_bar are computed once and shared across samples.  Only the
+leading c = ``GlramFactors.col_dim`` rows and k_s = W.shape[2] columns
+of V_m can be nonzero, so U and V_m are cut to their first k_s columns
+and the row products run over c rows; the capacitance matrix is
+k_s x k_s.  The family spans r matrices, so V_m = sum_j Y[m, j] W_j
+(see ``GlramFactors``) and each capacitance matrix is an r-term sum of
+blocks P_j = W_j^T Z[:c] built once per family in O(r c k_s^2), next to
+the right sides W_j^T x_bar[:c].  A sample then costs
+O(r k_s^2 + k_s^3 + N k_s) instead of a fresh N-dimensional sparse
+solve, and never forms V_m.  A direct sparse solve of (Abar + A_m) x = b
+is kept as the reference baseline.
 """
 
 import math
@@ -70,8 +66,8 @@ class MeanFactorization:
     """Sparse LU of the mean matrix with cached derived data.
 
     Holds the deterministic solution x_bar = Abar^{-1} b and, for the
-    factor family asked for last, the block Z = Abar^{-1} U and the
-    capacitance blocks reused by every sample solve of that family.
+    factor family asked for last, the block Z = Abar^{-1} U[:, :k_s] and
+    the capacitance blocks reused by every sample solve of that family.
     """
 
     def __init__(self, lu, A_bar, b, x_bar):
@@ -97,9 +93,10 @@ class MeanFactorization:
         return self._lu.solve(rhs)
 
     def z_for(self, factors):
-        """Abar^{-1} U for ``factors``, recomputed when the family changes."""
+        """Abar^{-1} U[:, :k_s] for ``factors``, with k_s = W.shape[2],
+        recomputed when the family changes."""
         if factors is not self._factors:
-            u = factors.U
+            u = factors.U[:, :factors.W.shape[2]]
             z = self._lu.solve(u)
             resid = np.linalg.norm(self.A_bar @ z - u, axis=0)
             scale = np.linalg.norm(u, axis=0)
@@ -118,22 +115,17 @@ class MeanFactorization:
         right sides.
 
         With c = ``factors.col_dim`` and W_j from ``factors.W``, returns
-        (P, w) with P[j] the transpose of the block: for k <= c,
-        P[j] = (W_j^T Z[:c])^T (k x k) and w[j] = W_j^T x_bar[:c]; for
-        k > c, P[j] = (Z[:c] W_j^T)^T (c x c) and w is None.  Summing the
-        transposes gives each capacitance matrix in Fortran order, which
-        LAPACK factors in place.  Built with BLAS once per family, in
-        O(r c k min(k, c)).
+        (P, w) with P[j] = (W_j^T Z[:c])^T (k_s x k_s) and
+        w[j] = W_j^T x_bar[:c].  Summing the transposes gives each
+        capacitance matrix in Fortran order, which LAPACK factors in
+        place.  Built with BLAS once per family, in O(r c k_s^2).
         """
         z = self.z_for(factors)
         if self._blocks is None:
             c = factors.col_dim
             w = factors.W
-            if factors.k > c:
-                self._blocks = (w @ z[:c].T, None)
-            else:
-                self._blocks = (z[:c].T @ w,
-                                w.transpose(0, 2, 1) @ self.x_bar[:c])
+            self._blocks = (z[:c].T @ w,
+                            w.transpose(0, 2, 1) @ self.x_bar[:c])
         return self._blocks
 
 
@@ -200,25 +192,16 @@ def pin_pressure_dof(system):
 
 
 def solve_sample_smw(mean, factors, m):
-    """Sample solution through the rank-k update of the mean solve.
+    """Sample solution through the low-rank update of the mean solve.
 
-    With c = ``factors.col_dim`` rows of V_m in use (the rest are zero),
-    forms the capacitance matrix of the smaller side from the family's
-    cached blocks (``MeanFactorization.blocks_for``) and the sample's
-    span coefficients y = Y[m], factorizes it, estimates its condition
-    number, and applies the Woodbury identity:
-
-    - k <= c: C = I_k + sum_j y_j P_j (= I_k + V_m^T Z) and
-      x = x_bar - Z C^{-1} (sum_j y_j W_j^T x_bar[:c]);
-    - k > c: C = I_c + sum_j y_j P_j (= I_c + Z[:c] V_m[:c]^T) and
-      x = x_bar - Z (V_m[:c]^T (C^{-1} x_bar[:c])),
-      with V_m[:c] = sum_j y_j W_j.
-
-    Both give the same x, and det C is the same, so near-singularity
-    means the same thing; ``capacitance_cond`` estimates the condition of
-    the matrix actually factorized.  A sample costs
-    O(r min(k, c)^2 + min(k, c)^3 + N k) after the one-time block build.
-    When c = 0 the update vanishes and x = x_bar with condition 1.  No
+    Forms the k_s x k_s capacitance matrix C = I + sum_j y_j P_j
+    (= I + V_m[:c, :k_s]^T Z[:c]) from the family's cached blocks
+    (``MeanFactorization.blocks_for``) and the sample's span
+    coefficients y = Y[m], factorizes it, estimates its condition
+    number (``capacitance_cond``), and applies the Woodbury identity
+    x = x_bar - Z C^{-1} (sum_j y_j W_j^T x_bar[:c]).  A sample costs
+    O(r k_s^2 + k_s^3 + N k_s) after the one-time block build.  When
+    k_s = 0 the update vanishes and x = x_bar with condition 1.  No
     N x N inverse and no V_m is ever formed.  A non-finite C or x raises
     SingularSystemError naming the sample.
     """
@@ -226,10 +209,9 @@ def solve_sample_smw(mean, factors, m):
         raise IndexError(f"sample index {m} outside 0..{factors.M - 1}")
     y_m = factors.Y[m]
     blocks, rhs = mean.blocks_for(factors)
-    thin = rhs is None   # k > c: factor the c x c side
     # the sum of the transposed blocks is C^T, so c is C in Fortran order
     c = np.tensordot(y_m, blocks, axes=1).T
-    w = mean.x_bar[:factors.col_dim] if thin else y_m @ rhs
+    w = y_m @ rhs
     c[np.diag_indices_from(c)] += 1.0
     if not np.all(np.isfinite(c)):
         raise SingularSystemError(
@@ -257,10 +239,8 @@ def solve_sample_smw(mean, factors, m):
             )
         # a non-finite w (from x_bar) reaches x, which is checked below
         y = scipy.linalg.lu_solve((lu, piv), w, check_finite=False)
-    else:  # c = 0: no update, and LAPACK rejects an empty matrix
+    else:  # k_s = 0: no update, and LAPACK rejects an empty matrix
         cond, y = 1.0, w
-    if thin:
-        y = np.tensordot(y_m, factors.W, axes=1).T @ y
     x = mean.x_bar - mean.z_for(factors) @ y
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"sample {m}: non-finite solution entries")

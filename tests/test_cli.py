@@ -584,6 +584,24 @@ def test_exit_code_2_for_running_out_of_memory(tmp_path, monkeypatch, capsys):
             "cannot allocate the right factors") in err
 
 
+def test_exit_code_2_for_a_non_finite_perturbation(tmp_path, monkeypatch,
+                                                   capsys):
+    real_assemble = cli.assemble_family
+
+    def assemble_family(*args):
+        system = real_assemble(*args)
+        system.A_tildes[1].data[0] = np.nan
+        return system
+
+    monkeypatch.setattr(cli, "assemble_family", assemble_family)
+    rc = main(["select-theta", "--n", "4", "--samples", "6",
+               "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: non-finite entries in the" in err
+    assert "Gram block" in err
+
+
 def test_exit_code_3_for_io_failures(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory\n", encoding="utf-8")

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from sdlowrank import (
     EigensolverError,
     GramMatrix,
+    NonFiniteFamilyError,
     build_gram,
     energy_ratio,
     factorize,
@@ -188,6 +189,27 @@ def test_all_zero_gram_block():
         (0.0, 1.0, 0)
 
 
+def test_non_finite_gram_block_is_an_eigensolver_failure():
+    a = np.zeros((4, 4))
+    a[0, 0], a[2, 1] = 1.0, np.nan
+    gram = build_gram([sp.csr_matrix(a)])
+    with pytest.raises(EigensolverError,
+                       match="non-finite entries in the 2x2 support of "
+                             "the 3x3 Gram block"):
+        gram.eigenpairs()
+
+
+def test_non_finite_perturbation_is_named_by_factorize():
+    # the Gram matrix of a finite family, handed a family with a NaN:
+    # the span must not stop at r = 0 and solve every sample as x_bar
+    a = sp.csr_matrix(np.diag([1.0, 2.0, 0.0]))
+    b = a.copy()
+    b.data[1] = np.nan
+    with pytest.raises(NonFiniteFamilyError,
+                       match="perturbation 1 has non-finite entries"):
+        factorize(build_gram([a, a]), [a, b], 1.0)
+
+
 @st.composite
 def _psd_blocks_with_zero_rows(draw):
     """(gram, family, zero rows, rank): one matrix whose rows vanish at random.
@@ -248,6 +270,32 @@ def test_support_eigensolve_matches_the_dense_block(case):
     assert np.all(units.sum(axis=0) == 1.0)
     assert not v[:, on_zero].any()
     assert rmsre(factors, family) <= 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(_psd_blocks_with_zero_rows(), st.integers(0, 2**32 - 1))
+def test_shared_factor_captures_the_top_gram_energy(case, seed):
+    # for every k, U^T H with H = [A_1 ... A_M] captures the top-k Gram
+    # spectrum, no orthonormal N x k factor captures more, and W stops at
+    # the k_s = min(k, |S|) columns of U that are not unit vectors on
+    # zero rows
+    gram, family, _, _ = case
+    rng = np.random.default_rng(seed)
+    h = sp.hstack(family, format="csr")
+    n, w = gram.n_full, gram.eigenvalues
+    for k in range(1, gram.block_dim + 1):
+        factors = factorize(gram, family, k / n)
+        assert factors.k == k
+        captured = float(np.sum(np.square(h.T @ factors.U)))
+        assert captured == pytest.approx(float(np.sum(w[:k])), rel=1e-10)
+        for _ in range(5):
+            q, _ = np.linalg.qr(rng.normal(size=(n, k)))
+            other = float(np.sum(np.square(h.T @ q)))
+            assert other <= captured * (1.0 + 1e-10)
+        k_s = factors.W.shape[2]
+        assert k_s == min(k, gram.support.size)
+        for v in factors.V:
+            assert not v[:, k_s:].any()
 
 
 # ---------------------------------------------------------------------------

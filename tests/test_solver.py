@@ -29,6 +29,7 @@ from sdlowrank import (
     load_solutions,
     pin_pressure_dof,
     save_solutions,
+    select_theta,
     solve_sample_direct,
     solve_sample_smw,
 )
@@ -54,9 +55,10 @@ def _toy_factors(u, v_list, col_dim=None):
 
 
 def _full_row_smw(mean, factors, m):
-    """Oracle: the k x k Woodbury solve over all N rows of V_m."""
+    """Oracle: the k x k Woodbury solve over all N rows and k columns
+    of V_m, with its own Z = Abar^{-1} U."""
     v = factors.V[m]
-    z = mean.z_for(factors)
+    z = mean.solve(factors.U)
     c = np.eye(factors.k) + v.T @ z
     y = scipy.linalg.solve(c, v.T @ mean.x_bar)
     return mean.x_bar - z @ y
@@ -222,22 +224,69 @@ def test_span_solve_matches_dense_solve_on_random_families(n, data):
 @pytest.mark.parametrize("theta", [0.3, 1.0])
 def test_column_support_solve_matches_full_row_formula(problem20, gram20,
                                                        theta):
-    # k = 152 and 459 both exceed the column support c = 135, so the
-    # solve factors the c x c capacitance I_c + Z[:c] V_m[:c]^T, whose
-    # condition it reports
+    # k = 152 and 459 both exceed the Gram support |S| = c = 135, so the
+    # last k - 135 columns of U are unit vectors with zero V_m columns,
+    # and the solve factors the k_s x k_s capacitance
+    # I + V_m[:c, :k_s]^T Z[:c] with k_s = 135, whose condition it reports
     system = problem20["system"]
     factors = factorize(gram20, system.A_tildes, theta)
-    c = factors.col_dim
-    assert c < factors.k
+    c, k_s = factors.col_dim, factors.W.shape[2]
+    assert k_s == c < factors.k
     mean = factor_mean(system)
-    z = mean.z_for(factors)
+    z = mean.solve(factors.U)
     for m in range(factors.M):
         sol = solve_sample_smw(mean, factors, m)
         x = _full_row_smw(mean, factors, m)
         err = np.linalg.norm(sol.x - x) / np.linalg.norm(x)
         assert err <= 1e-12, f"sample {m}: {err:.3e}"
-        cond = _cond_estimate(np.eye(c) + z[:c] @ factors.V[m][:c].T)
+        v = factors.V[m]
+        cond = _cond_estimate(np.eye(k_s) + v[:c, :k_s].T @ z[:c, :k_s])
         assert sol.capacitance_cond == pytest.approx(cond, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0])
+def test_columns_past_the_gram_support_leave_the_solve_unchanged(
+        problem20, gram20, theta):
+    # U stays N x k, but W, Z and the capacitance matrix stop at the
+    # k_s = |S| columns that are not unit vectors on zero Gram rows, so
+    # the solutions are those of the factorization at k = |S|
+    system = problem20["system"]
+    s = gram20.support.size
+    factors = factorize(gram20, system.A_tildes, theta)
+    at_s = factorize(gram20, system.A_tildes, s / gram20.n_full)
+    assert factors.U.shape == (gram20.n_full, factors.k)
+    assert at_s.k == s < factors.k
+    assert factors.W.shape[2] == s <= factors.col_dim
+    mean = factor_mean(system)
+    xs = [solve_sample_smw(mean, factors, m).x for m in range(factors.M)]
+    for m, x in enumerate(xs):
+        ref = solve_sample_smw(mean, at_s, m).x
+        err = np.linalg.norm(x - ref) / np.linalg.norm(ref)
+        assert err <= 1e-13, f"sample {m}: {err:.3e}"
+
+
+def test_shallow_porous_layer_gram_support_exceeds_column_support():
+    # a porous layer shallower than half its width: the Gram support
+    # |S| = 75 exceeds the column support c = 67, so the capacitance
+    # matrix (k_s = 75) is larger than the rank bound c of the update
+    mesh = build_mesh(Geometry(darcy_rect=(0.0, 1.0, 0.0, 0.25),
+                               stokes_rect=(0.0, 1.0, -0.5, 0.0)), n=8)
+    kl = build_kl(CovarianceKernel(correlation_length_sq=0.2), mesh,
+                  epsilon=0.01)
+    samples = draw_samples(kl, M=20, seed=1234)
+    system = assemble_family(mesh, PhysicalParams(), kl,
+                             samples.coefficients)
+    gram = build_gram(system.A_tildes, block_dim=system.n_flow)
+    assert gram.support.size == 75
+    mean = factor_mean(system)
+    direct = [solve_sample_direct(system, m).x for m in range(20)]
+    for theta in (select_theta(gram)[0], 1.0):
+        factors = factorize(gram, system.A_tildes, theta)
+        assert (factors.W.shape[2], factors.col_dim) == (75, 67)
+        for m, d in enumerate(direct):
+            x = solve_sample_smw(mean, factors, m).x
+            err = np.linalg.norm(x - d) / np.linalg.norm(d)
+            assert err <= 1e-10, f"theta={theta}, sample {m}: {err:.3e}"
 
 
 def test_full_rank_update_matches_direct_on_coupled_problem(problem20,
