@@ -27,8 +27,6 @@ from .randfield import (
     build_kl,
     draw_samples,
     realize_conductivity,
-    save_samples,
-    load_samples,
 )
 from .assembly import (
     PhysicalParams,
@@ -39,7 +37,6 @@ from .assembly import (
     assemble_family,
     dirichlet_constraints,
     apply_dirichlet,
-    write_coo,
     p2_stiffness,
     p2_mass,
     p1_pressure_mass,
@@ -64,7 +61,6 @@ from .lowrank_solver import (
     SingularSystemError,
     IllConditionedUpdateError,
     factor_mean,
-    pin_pressure_dof,
     solve_sample_smw,
     solve_sample_direct,
     save_solutions,
@@ -78,8 +74,6 @@ from .uq import (
     estimate_moments,
     xnorm,
     xnorm_components,
-    prolong,
-    cross_mesh_error,
     loglog_slope,
     write_moments,
 )
@@ -95,21 +89,20 @@ __all__ = [
     "QuadRule", "triangle_rule_7pt", "edge_rule_3pt",
     "CovarianceKernel", "KlExpansion", "SampleSet", "TRUNCATION_BOUND",
     "nystrom_eigenpairs", "build_kl",
-    "draw_samples", "realize_conductivity", "save_samples", "load_samples",
+    "draw_samples", "realize_conductivity",
     "PhysicalParams", "SplitSystem", "PerturbationAssembler", "bj_delta",
     "assemble_mean", "assemble_family", "dirichlet_constraints",
-    "apply_dirichlet", "write_coo", "p2_stiffness", "p2_mass",
-    "p1_pressure_mass",
+    "apply_dirichlet", "p2_stiffness", "p2_mass", "p1_pressure_mass",
     "GramMatrix", "GlramFactors", "EigensolverError", "NonFiniteFamilyError",
     "build_gram", "factorize", "rmsre", "rmsre_closed_form", "energy_ratio",
     "select_theta", "numerical_rank", "write_report",
     "MeanFactorization", "SampleSolution", "SingularSystemError",
-    "IllConditionedUpdateError", "factor_mean", "pin_pressure_dof",
+    "IllConditionedUpdateError", "factor_mean",
     "solve_sample_smw", "solve_sample_direct", "save_solutions",
     "load_solutions",
     "MomentEstimate", "MomentAccumulator", "XNormWeights",
     "build_xnorm_weights", "estimate_moments", "xnorm", "xnorm_components",
-    "prolong", "cross_mesh_error", "loglog_slope", "write_moments",
+    "loglog_slope", "write_moments",
     "RunConfig", "RunLedger", "ConfigError", "main",
     "__version__",
 ]

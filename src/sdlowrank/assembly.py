@@ -46,7 +46,6 @@ __all__ = [
     "assemble_family",
     "dirichlet_constraints",
     "apply_dirichlet",
-    "write_coo",
     "p2_stiffness",
     "p2_mass",
     "p1_pressure_mass",
@@ -571,15 +570,6 @@ def apply_dirichlet(system, constraints):
         A_tildes=a_tildes,
         constraints=list(constraints),
     )
-
-
-def write_coo(matrix, path):
-    """Dump a sparse matrix as plain-text coordinate triplets."""
-    coo = sp.coo_matrix(matrix)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# shape {coo.shape[0]} {coo.shape[1]} nnz {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            f.write(f"{r} {c} {v:.17e}\n")
 
 
 # ---------------------------------------------------------------------------

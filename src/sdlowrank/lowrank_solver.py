@@ -35,7 +35,6 @@ __all__ = [
     "SingularSystemError",
     "IllConditionedUpdateError",
     "factor_mean",
-    "pin_pressure_dof",
     "solve_sample_smw",
     "solve_sample_direct",
     "save_solutions",
@@ -140,16 +139,12 @@ def _diagnose_singularity(a):
     return int(np.argmin(diag)), f"smallest |diagonal| = {diag.min():.3e}"
 
 
-def factor_mean(system, pin_pressure=False):
+def factor_mean(system):
     """Factorize the constrained mean matrix and solve for x_bar.
 
     Raises SingularSystemError naming the suspect DOF if the
-    factorization fails; the error suggests retrying with
-    ``pin_pressure=True``, which grounds the first pressure DOF (useful
-    when boundary conditions leave the pressure level free).
+    factorization fails.
     """
-    if pin_pressure:
-        system = pin_pressure_dof(system)
     a_csc = sp.csc_matrix(system.A_bar)
     try:
         lu = spla.splu(a_csc)
@@ -157,8 +152,7 @@ def factor_mean(system, pin_pressure=False):
         dof, why = _diagnose_singularity(system.A_bar)
         raise SingularSystemError(
             f"mean matrix factorization failed ({exc}); suspect DOF {dof} "
-            f"({why}); if the pressure level is unconstrained, retry with "
-            f"pin_pressure=True"
+            f"({why})"
         ) from exc
     x_bar = lu.solve(system.b)
     a_norm = spla.norm(system.A_bar)
@@ -168,27 +162,9 @@ def factor_mean(system, pin_pressure=False):
     if not np.isfinite(resid) or resid > bound:
         raise SingularSystemError(
             f"mean solve residual {resid:.3e} exceeds {bound:.3e}; "
-            f"the constrained mean matrix is numerically singular "
-            f"(consider pin_pressure=True)"
+            f"the constrained mean matrix is numerically singular"
         )
     return MeanFactorization(lu, system.A_bar, system.b.copy(), x_bar)
-
-
-def pin_pressure_dof(system):
-    """Ground pressure DOF 0: identity row/column, zero right-hand side."""
-    from dataclasses import replace
-
-    n = system.N
-    dof = system.n_flow
-    free = np.ones(n)
-    free[dof] = 0.0
-    d_free = sp.diags(free)
-    pinned = sp.coo_matrix(([1.0], ([dof], [dof])), shape=(n, n))
-    a_bar = sp.csr_matrix(d_free @ system.A_bar @ d_free + pinned)
-    b = system.b.copy()
-    b[dof] = 0.0
-    constraints = list(system.constraints) + [(dof, 0.0)]
-    return replace(system, A_bar=a_bar, b=b, constraints=constraints)
 
 
 def solve_sample_smw(mean, factors, m):

@@ -93,14 +93,8 @@ class InterfaceFrame:
 class CoupledMesh:
     """Structured conforming mesh of the coupled two-rectangle domain."""
 
-    geometry: Geometry
-    n: int
     h: float
     darcy_above: bool
-    # cell counts per direction
-    nx: int
-    ny_p: int
-    ny_f: int
     # one node lattice per discrete space, numbered from its rectangle's
     # lower-left corner, x fastest; tri3 rows follow the tri6 rows of the
     # same rectangle
@@ -324,13 +318,8 @@ def build_mesh(geometry=None, n=8):
     vel_tags[(AF == 0) | (AF == 2 * nx)] = TAG_GAMMA_F_WALL
 
     return CoupledMesh(
-        geometry=geometry,
-        n=n,
         h=h,
         darcy_above=darcy_above,
-        nx=nx,
-        ny_p=ny_p,
-        ny_f=ny_f,
         head_coords=head_coords,
         vel_coords=vel_coords,
         pres_coords=pres_coords,

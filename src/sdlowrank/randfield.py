@@ -21,7 +21,7 @@ assembly (vertex values interpolated to quadrature points).
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -35,8 +35,6 @@ __all__ = [
     "build_kl",
     "draw_samples",
     "realize_conductivity",
-    "save_samples",
-    "load_samples",
 ]
 
 TRUNCATION_BOUND = 3.0
@@ -78,9 +76,7 @@ class SampleSet:
     """Monte Carlo coefficient draws Y_t^m for the KL expansion."""
 
     coefficients: np.ndarray    # (M, T)
-    seed: int
     rejected_fields: int = 0    # draws discarded by the positivity guard
-    distribution: str = "normal(0,1) truncated to [-3,3]"
 
     @property
     def M(self):
@@ -228,7 +224,7 @@ def draw_samples(kl, M, seed, ensure_positive=True, max_retries=1000):
                 f"positivity resampling did not settle after {max_retries} "
                 "rounds; the mean field is likely too close to zero"
             )
-    return SampleSet(coefficients=coeffs, seed=seed, rejected_fields=rejected)
+    return SampleSet(coefficients=coeffs, rejected_fields=rejected)
 
 
 def realize_conductivity(kl, coeffs):
@@ -253,30 +249,3 @@ def realize_conductivity(kl, coeffs):
             stacklevel=2,
         )
     return total, tilde
-
-
-def save_samples(samples, path):
-    """Write a SampleSet as a plain-text matrix, one sample per row."""
-    header = (
-        f"seed={samples.seed} rejected_fields={samples.rejected_fields} "
-        f"distribution={samples.distribution}"
-    )
-    np.savetxt(path, samples.coefficients, fmt="%.17e", header=header)
-
-
-def load_samples(path):
-    """Read a SampleSet written by :func:`save_samples`."""
-    with open(path, "r", encoding="utf-8") as f:
-        first = f.readline()
-    meta = {}
-    if first.startswith("#"):
-        for token in first[1:].split():
-            if "=" in token:
-                key, val = token.split("=", 1)
-                meta[key] = val
-    coeffs = np.loadtxt(path, ndmin=2)
-    return SampleSet(
-        coefficients=coeffs,
-        seed=int(meta.get("seed", -1)),
-        rejected_fields=int(meta.get("rejected_fields", 0)),
-    )

@@ -12,9 +12,6 @@ Errors are measured in the combined X-norm
                 + |pressure|_{L2(free)}^2 )^{1/2},
 
 assembled from the stiffness and mass matrices of the three blocks.
-Solutions on a mesh of size h can be compared with solutions on h/2 by
-prolonging the coarse finite-element function onto the fine degrees of
-freedom (exact for nested lattices) and taking the fine-mesh X-norm.
 """
 
 import math
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import p1_pressure_mass, p2_mass, p2_stiffness, p2_values
+from .assembly import p1_pressure_mass, p2_mass, p2_stiffness
 
 __all__ = [
     "MomentEstimate",
@@ -32,8 +29,6 @@ __all__ = [
     "estimate_moments",
     "xnorm",
     "xnorm_components",
-    "prolong",
-    "cross_mesh_error",
     "loglog_slope",
     "write_moments",
 ]
@@ -52,7 +47,7 @@ class MomentEstimate:
 
 
 class MomentAccumulator:
-    """Streaming accumulator; partial accumulators merge associatively."""
+    """Streaming accumulator of the sample mean and variance."""
 
     def __init__(self, reference_mean=None):
         self.count = 0
@@ -89,24 +84,6 @@ class MomentAccumulator:
         if self._ref is not None:
             d = x - self._ref
             self._ref_sq += d * d
-
-    def merge(self, other):
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            for name in ("count", "_sum", "_mean", "_m2", "_ref", "_ref_sq"):
-                setattr(self, name, getattr(other, name))
-            return self
-        n1, n2 = self.count, other.count
-        delta = other._mean - self._mean
-        total = n1 + n2
-        self._sum += other._sum
-        self._mean += delta * (n2 / total)
-        self._m2 += other._m2 + delta * delta * (n1 * n2 / total)
-        if self._ref is not None:
-            self._ref_sq += other._ref_sq
-        self.count = total
-        return self
 
     def finalize(self, theta=1.0, mesh=None):
         if self.count == 0:
@@ -195,108 +172,6 @@ def xnorm_components(delta, weights):
 def xnorm(delta, weights):
     """Combined norm of a full coefficient vector."""
     return xnorm_components(delta, weights)[0]
-
-
-# ---------------------------------------------------------------------------
-# nested-mesh prolongation
-# ---------------------------------------------------------------------------
-
-def _locate(points, rect, nx, ny):
-    """Cell indices and the containing triangle for points in a rectangle."""
-    x0, x1, y0, y1 = rect
-    hx = (x1 - x0) / nx
-    hy = (y1 - y0) / ny
-    fx = (points[:, 0] - x0) / hx
-    fy = (points[:, 1] - y0) / hy
-    i = np.clip(np.floor(fx).astype(np.int64), 0, nx - 1)
-    j = np.clip(np.floor(fy).astype(np.int64), 0, ny - 1)
-    lx = fx - i
-    ly = fy - j
-    lower = lx >= ly                      # lower triangle spans lx >= ly
-    return 2 * (j * nx + i) + np.where(lower, 0, 1)
-
-
-def _barycentric(coords, tri_vertices, tri_ids, points):
-    verts = coords[tri_vertices[tri_ids]]          # (np, 3, 2)
-    v0 = verts[:, 0, :]
-    e1 = verts[:, 1, :] - v0
-    e2 = verts[:, 2, :] - v0
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    rel = points - v0
-    xi = (rel[:, 0] * e2[:, 1] - rel[:, 1] * e2[:, 0]) / det
-    eta = (e1[:, 0] * rel[:, 1] - e1[:, 1] * rel[:, 0]) / det
-    return xi, eta
-
-
-def eval_p2(coords, tri6, rect, nx, ny, nodal, points):
-    """Evaluate a quadratic FE function at arbitrary points of its domain."""
-    points = np.asarray(points, dtype=float)
-    t = _locate(points, rect, nx, ny)
-    xi, eta = _barycentric(coords, tri6[:, :3], t, points)
-    vals = p2_values(xi, eta)                      # (np, 6)
-    return np.einsum("pi,pi->p", vals, nodal[tri6[t]])
-
-
-def eval_p1(coords, tri3, rect, nx, ny, nodal, points):
-    """Evaluate a linear FE function at arbitrary points of its domain."""
-    points = np.asarray(points, dtype=float)
-    t = _locate(points, rect, nx, ny)
-    xi, eta = _barycentric(coords, tri3, t, points)
-    vals = np.stack([1.0 - xi - eta, xi, eta], axis=-1)
-    return np.einsum("pi,pi->p", vals, nodal[tri3[t]])
-
-
-def prolong(coarse_mesh, fine_mesh, vec):
-    """Interpolate a coarse coefficient vector onto the fine DOF lattice."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (coarse_mesh.N,):
-        raise ValueError(
-            f"vector has shape {vec.shape}, expected ({coarse_mesh.N},)"
-        )
-    g = coarse_mesh.geometry
-    out = np.empty(fine_mesh.N)
-    sl_c = coarse_mesh
-    out[fine_mesh.sl_head] = eval_p2(
-        coarse_mesh.head_coords, coarse_mesh.tri6_p, g.darcy_rect,
-        coarse_mesh.nx, coarse_mesh.ny_p, vec[sl_c.sl_head],
-        fine_mesh.head_coords,
-    )
-    for sl_from, sl_to in ((sl_c.sl_u1, fine_mesh.sl_u1),
-                           (sl_c.sl_u2, fine_mesh.sl_u2)):
-        out[sl_to] = eval_p2(
-            coarse_mesh.vel_coords, coarse_mesh.tri6_f, g.stokes_rect,
-            coarse_mesh.nx, coarse_mesh.ny_f, vec[sl_from],
-            fine_mesh.vel_coords,
-        )
-    out[fine_mesh.sl_pres] = eval_p1(
-        coarse_mesh.pres_coords, coarse_mesh.tri3_pres, g.stokes_rect,
-        coarse_mesh.nx, coarse_mesh.ny_f, vec[sl_c.sl_pres],
-        fine_mesh.pres_coords,
-    )
-    return out
-
-
-def cross_mesh_error(coarse, fine, field="mean", weights=None):
-    """X-norm distance between moment vectors on nested meshes.
-
-    The coarse-mesh vector is prolonged onto the fine mesh and the
-    difference is measured in the fine mesh's X-norm.  Requires the same
-    geometry and fine subdivisions exactly twice the coarse ones.
-    """
-    if coarse.mesh is None or fine.mesh is None:
-        raise ValueError("moment estimates must carry their meshes")
-    if coarse.mesh.geometry != fine.mesh.geometry:
-        raise ValueError("meshes do not share a geometry")
-    if fine.mesh.n != 2 * coarse.mesh.n:
-        raise ValueError(
-            f"meshes are not nested: fine n={fine.mesh.n} is not twice "
-            f"coarse n={coarse.mesh.n}"
-        )
-    vec_c = getattr(coarse, field)
-    vec_f = getattr(fine, field)
-    if weights is None:
-        weights = build_xnorm_weights(fine.mesh)
-    return xnorm(prolong(coarse.mesh, fine.mesh, vec_c) - vec_f, weights)
 
 
 def loglog_slope(ms, errors):

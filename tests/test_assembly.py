@@ -17,7 +17,6 @@ from sdlowrank import (
     p1_pressure_mass,
     p2_mass,
     p2_stiffness,
-    write_coo,
 )
 
 
@@ -373,16 +372,3 @@ def test_constrained_solution_satisfies_free_equations(problem20):
         resid = (a_r @ x - raw.b)[free]
         scale = np.abs(a_r.data).max() * np.abs(x).max()
         assert np.abs(resid).max() <= 1e-11 * scale
-
-
-def test_write_coo_round_trip(tmp_path, problem20):
-    a = problem20["system"].A_tildes[0]
-    path = tmp_path / "matrix.txt"
-    write_coo(a, path)
-    lines = path.read_text().splitlines()
-    head = lines[0].split()  # "# shape <rows> <cols> nnz <count>"
-    assert head[2:4] == [str(a.shape[0]), str(a.shape[1])]
-    coo = a.tocoo()
-    assert len(lines) == 1 + coo.nnz
-    r, c, v = lines[1].split()
-    assert a[int(r), int(c)] == float(v)

@@ -6,15 +6,12 @@ from scipy import stats
 
 from sdlowrank import (
     CovarianceKernel,
-    SampleSet,
     TRUNCATION_BOUND,
     build_kl,
     build_mesh,
     draw_samples,
-    load_samples,
     nystrom_eigenpairs,
     realize_conductivity,
-    save_samples,
 )
 
 
@@ -177,14 +174,3 @@ def test_realize_warns_on_nonpositive_field(kl8):
     with pytest.warns(RuntimeWarning, match="non-positive"):
         total, _ = realize_conductivity(kl8, coeffs)
     assert total[0] == pytest.approx(-kl8.mean_nodal[0], rel=1e-10)
-
-
-def test_save_load_round_trip(tmp_path, kl8):
-    s = draw_samples(kl8, M=7, seed=99)
-    path = tmp_path / "samples.txt"
-    save_samples(s, path)
-    loaded = load_samples(path)
-    assert isinstance(loaded, SampleSet)
-    assert np.array_equal(loaded.coefficients, s.coefficients)
-    assert loaded.seed == s.seed
-    assert loaded.rejected_fields == s.rejected_fields

@@ -27,7 +27,6 @@ from sdlowrank import (
     factorize,
     numerical_rank,
     load_solutions,
-    pin_pressure_dof,
     save_solutions,
     select_theta,
     solve_sample_direct,
@@ -101,8 +100,8 @@ def test_zero_right_factor_returns_mean_solution():
 
 
 def test_empty_column_support_returns_mean_solution():
-    # c = 0 < k: the update vanishes, and the 0 x 0 capacitance matrix
-    # is the identity, with condition 1
+    # c = 0 < k = 2: W_0 has no rows, so the 2 x 2 capacitance matrix
+    # is the identity, with condition 1, and the update vanishes
     system = _toy_system(np.diag([2.0, 4.0, 5.0]), np.array([1.0, 2.0, 3.0]))
     mean = factor_mean(system)
     u = np.eye(3)[:, :2]
@@ -355,8 +354,9 @@ def test_singular_capacitance_rejected():
 
 
 def test_singular_column_support_capacitance_rejected():
-    # the same singular update at k = 2 > c = 1: the 1 x 1 capacitance
-    # matrix has the determinant of the 2 x 2 one, zero
+    # the same singular update at k = 2 > c = 1: W_0 keeps V_0's one
+    # leading row, and the 2 x 2 capacitance matrix I + W_0^T Z[:1] is
+    # diag(0, 1), singular
     system = _toy_system(np.eye(3), np.ones(3))
     mean = factor_mean(system)
     v = np.zeros((3, 2))
@@ -433,34 +433,6 @@ def test_structurally_singular_mean_is_diagnosed():
     system = _toy_system(a, np.ones(3))
     with pytest.raises(SingularSystemError, match="DOF 1"):
         factor_mean(system)
-
-
-def test_pin_pressure_recovers_floating_pressure_level():
-    # head and velocity blocks regular, pressure row/column empty: the
-    # factorization must fail with a hint, and pinning must fix it
-    a = sp.diags([1.0, 1.0, 1.0, 0.0]).tocsr()
-    system = _toy_system(a, np.array([1.0, 2.0, 3.0, 0.0]),
-                         n1=1, n2=1, n3=1)
-    with pytest.raises(SingularSystemError, match="pin_pressure"):
-        factor_mean(system)
-    mean = factor_mean(system, pin_pressure=True)
-    assert mean.x_bar == pytest.approx([1.0, 2.0, 3.0, 0.0])
-
-
-def test_pin_pressure_dof_mechanics(problem20):
-    system = problem20["system"]
-    pinned = pin_pressure_dof(system)
-    dof = system.n_flow
-    row = pinned.A_bar[dof].toarray().ravel()
-    expect = np.zeros(system.N)
-    expect[dof] = 1.0
-    assert np.array_equal(row, expect)
-    assert np.array_equal(pinned.A_bar[:, dof].toarray().ravel(), expect)
-    assert pinned.b[dof] == 0.0
-    assert (dof, 0.0) in pinned.constraints
-    # the original system is untouched
-    assert (dof, 0.0) not in system.constraints
-    assert len(pinned.constraints) == len(system.constraints) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,13 @@
-"""Moment estimation, combined norms, nested-mesh comparison."""
+"""Moment estimation and combined norms."""
 
 import numpy as np
 import pytest
 
 from sdlowrank import (
-    Geometry,
     MomentAccumulator,
     SampleSolution,
-    build_mesh,
-    cross_mesh_error,
     estimate_moments,
     loglog_slope,
-    prolong,
     write_moments,
     xnorm,
     xnorm_components,
@@ -73,44 +69,6 @@ def test_accepts_solution_objects():
     assert np.array_equal(plain.variance, wrapped.variance)
 
 
-def test_merge_is_associative():
-    rng = np.random.default_rng(29)
-    xs = rng.normal(size=(60, 7))
-    ref = rng.normal(size=7)
-
-    whole = MomentAccumulator(reference_mean=ref)
-    for x in xs:
-        whole.add(x)
-
-    left = MomentAccumulator(reference_mean=ref)
-    right = MomentAccumulator(reference_mean=ref)
-    for x in xs[:23]:
-        left.add(x)
-    for x in xs[23:]:
-        right.add(x)
-    left.merge(right)
-
-    a, b = whole.finalize(), left.finalize()
-    assert a.M == b.M == 60
-    assert np.allclose(a.mean, b.mean, rtol=1e-13, atol=1e-14)
-    assert np.allclose(a.variance, b.variance, rtol=1e-12, atol=1e-14)
-    assert np.allclose(a.variance_self, b.variance_self,
-                       rtol=1e-12, atol=1e-14)
-
-
-def test_merge_with_empty_accumulator():
-    xs = np.arange(12.0).reshape(3, 4)
-    acc = MomentAccumulator()
-    for x in xs:
-        acc.add(x)
-    empty = MomentAccumulator()
-    empty.merge(acc)
-    est = empty.finalize()
-    assert np.allclose(est.mean, xs.mean(axis=0))
-    acc.merge(MomentAccumulator())
-    assert acc.count == 3
-
-
 def test_moment_validation():
     with pytest.raises(ValueError, match="no samples"):
         MomentAccumulator().finalize()
@@ -167,147 +125,6 @@ def test_xnorm_homogeneity_and_pythagoras(mesh8, weights8):
     assert xnorm(-2.5 * v, weights8) == pytest.approx(2.5 * total, rel=1e-13)
     with pytest.raises(ValueError):
         xnorm(np.zeros(mesh8.N + 1), weights8)
-
-
-# ---------------------------------------------------------------------------
-# nested-mesh prolongation
-# ---------------------------------------------------------------------------
-
-def _nodal_from(mesh, f_scalar, f_pres):
-    v = np.empty(mesh.N)
-    v[mesh.sl_head] = f_scalar(mesh.head_coords[:, 0],
-                               mesh.head_coords[:, 1])
-    v[mesh.sl_u1] = f_scalar(mesh.vel_coords[:, 0], mesh.vel_coords[:, 1])
-    v[mesh.sl_u2] = 2.0 * f_scalar(mesh.vel_coords[:, 0],
-                                   mesh.vel_coords[:, 1])
-    v[mesh.sl_pres] = f_pres(mesh.pres_coords[:, 0], mesh.pres_coords[:, 1])
-    return v
-
-
-def test_prolong_exact_for_space_polynomials(mesh8):
-    # quadratics live exactly in the quadratic spaces and linears in the
-    # pressure space, so prolongation must reproduce fine nodal values
-    fine = build_mesh(n=16)
-    quad = lambda x, y: x * x + 2.0 * x * y - y + 1.0
-    lin = lambda x, y: 2.0 * x - 3.0 * y + 0.5
-    coarse_vec = _nodal_from(mesh8, quad, lin)
-    fine_vec = _nodal_from(fine, quad, lin)
-    out = prolong(mesh8, fine, coarse_vec)
-    assert np.allclose(out, fine_vec, rtol=1e-12, atol=1e-12)
-
-
-def test_prolong_restriction_identity(mesh8):
-    # fine lattice contains the coarse one: prolonged values at original
-    # node positions equal the original coefficients
-    fine = build_mesh(n=16)
-    rng = np.random.default_rng(37)
-    vec = rng.normal(size=mesh8.N)
-    out = prolong(mesh8, fine, vec)
-
-    def positions(coords):
-        return {(round(x, 12), round(y, 12)): i
-                for i, (x, y) in enumerate(coords)}
-
-    fmap = positions(fine.head_coords)
-    for i, (x, y) in enumerate(mesh8.head_coords):
-        j = fmap[(round(x, 12), round(y, 12))]
-        assert out[j] == pytest.approx(vec[i], rel=1e-11, abs=1e-12)
-    fmap = positions(fine.pres_coords)
-    off_c = mesh8.sl_pres.start
-    off_f = fine.sl_pres.start
-    for i, (x, y) in enumerate(mesh8.pres_coords):
-        j = fmap[(round(x, 12), round(y, 12))]
-        assert out[off_f + j] == pytest.approx(vec[off_c + i],
-                                               rel=1e-11, abs=1e-12)
-
-
-def test_prolong_against_brute_force_head_values(mesh8):
-    # evaluate the coarse quadratic function at random fine head nodes by
-    # scanning all triangles and applying the barycentric shape formulas
-    fine = build_mesh(n=16)
-    rng = np.random.default_rng(41)
-    vec = rng.normal(size=mesh8.N)
-    out = prolong(mesh8, fine, vec)
-    head = vec[mesh8.sl_head]
-
-    pick = rng.choice(fine.N1, size=50, replace=False)
-    for j in pick:
-        px, py = fine.head_coords[j]
-        value = None
-        for tri in mesh8.tri6_p:
-            v0, v1, v2 = mesh8.head_coords[tri[:3]]
-            det = (v1[0] - v0[0]) * (v2[1] - v0[1]) \
-                - (v1[1] - v0[1]) * (v2[0] - v0[0])
-            xi = ((px - v0[0]) * (v2[1] - v0[1])
-                  - (py - v0[1]) * (v2[0] - v0[0])) / det
-            eta = ((v1[0] - v0[0]) * (py - v0[1])
-                   - (v1[1] - v0[1]) * (px - v0[0])) / det
-            lam = (1.0 - xi - eta, xi, eta)
-            if min(lam) < -1e-12:
-                continue
-            l0, l1, l2 = lam
-            shape = [l0 * (2 * l0 - 1), l1 * (2 * l1 - 1),
-                     l2 * (2 * l2 - 1), 4 * l1 * l2, 4 * l2 * l0,
-                     4 * l0 * l1]
-            value = sum(s * head[d] for s, d in zip(shape, tri))
-            break
-        assert value is not None
-        assert out[j] == pytest.approx(value, rel=1e-11, abs=1e-12)
-
-
-def test_prolong_validation(mesh8):
-    fine = build_mesh(n=16)
-    with pytest.raises(ValueError):
-        prolong(mesh8, fine, np.zeros(mesh8.N - 1))
-
-
-# ---------------------------------------------------------------------------
-# cross-mesh comparison
-# ---------------------------------------------------------------------------
-
-def test_cross_mesh_error_zero_for_shared_field(mesh8):
-    fine = build_mesh(n=16)
-    quad = lambda x, y: x * x - y * y + x
-    lin = lambda x, y: x + y
-    est_c = estimate_moments([_nodal_from(mesh8, quad, lin)], mesh=mesh8)
-    est_f = estimate_moments([_nodal_from(fine, quad, lin)], mesh=fine)
-    err = cross_mesh_error(est_c, est_f)
-    assert err <= 1e-10
-    # a genuinely different field registers
-    est_f2 = estimate_moments(
-        [_nodal_from(fine, lambda x, y: quad(x, y) + 0.1, lin)], mesh=fine
-    )
-    assert cross_mesh_error(est_c, est_f2) > 1e-3
-
-
-def test_cross_mesh_error_variance_field(mesh8):
-    fine = build_mesh(n=16)
-    rng = np.random.default_rng(43)
-    est_c = estimate_moments(list(rng.normal(size=(4, mesh8.N))), mesh=mesh8)
-    est_f = estimate_moments(list(rng.normal(size=(4, fine.N))), mesh=fine)
-    err = cross_mesh_error(est_c, est_f, field="variance")
-    assert err > 0.0
-
-
-def test_cross_mesh_error_validation(mesh8):
-    fine = build_mesh(n=16)
-    est_c = estimate_moments([np.zeros(mesh8.N)], mesh=mesh8)
-    est_f = estimate_moments([np.zeros(fine.N)], mesh=fine)
-    bare = estimate_moments([np.zeros(mesh8.N)])
-    with pytest.raises(ValueError, match="mesh"):
-        cross_mesh_error(bare, est_f)
-    not_double = build_mesh(n=24)
-    est_nd = estimate_moments([np.zeros(not_double.N)], mesh=not_double)
-    with pytest.raises(ValueError, match="nested"):
-        cross_mesh_error(est_c, est_nd)
-    other_geo = build_mesh(
-        geometry=Geometry(darcy_rect=(0.0, 1.0, 0.0, 1.0),
-                          stokes_rect=(0.0, 1.0, -1.0, 0.0)),
-        n=16,
-    )
-    est_g = estimate_moments([np.zeros(other_geo.N)], mesh=other_geo)
-    with pytest.raises(ValueError, match="geometry"):
-        cross_mesh_error(est_c, est_g)
 
 
 # ---------------------------------------------------------------------------
