@@ -25,13 +25,14 @@ Past |S| the columns of U are unit vectors on zero rows, whose right
 factors vanish, so the stored factors and the solver stop at
 k_s = min(k, |S|) columns.
 
-The right factors are not stored one per sample.  ``factorize`` finds an
-orthonormal basis B_1..B_r of the family's span (r = T, the number of KL
-modes, for the Monte Carlo family), in O(M r p) for p entries in the
-union sparsity pattern, and stores W_j = B_j^T U and the coefficients Y
-with A_m = sum_j Y[m, j] B_j, so V_m = sum_j Y[m, j] W_j is built only
-when asked for.  The Woodbury solver sums r k_s x k_s blocks formed from
-W once per family instead of multiplying by each V_m.
+The family is read once, by ``build_gram``: an orthonormal basis
+B_1..B_r of its span (r = T, the number of KL modes, for the Monte Carlo
+family) and coefficients Y with A_m = sum_j Y[m, j] B_j are found in
+O(M r p) for p entries in the union sparsity pattern, and G is an r-term
+sum whatever M.  ``factorize`` stores W_j = B_j^T U and Y, so
+V_m = sum_j Y[m, j] W_j is built only when asked for.  The Woodbury
+solver sums r k_s x k_s blocks formed from W once per family instead of
+multiplying by each V_m.
 """
 
 import bisect
@@ -85,6 +86,8 @@ class GramMatrix:
     _support: np.ndarray = field(default=None, repr=False)
     _evals: np.ndarray = field(default=None, repr=False)
     _evecs: np.ndarray = field(default=None, repr=False)
+    # the family's span (B on the pattern, rows, cols, col_dim, Y)
+    _span: tuple = field(default=None, repr=False)
 
     @property
     def trace(self):
@@ -170,7 +173,6 @@ class GlramFactors:
     W: np.ndarray            # (r, col_dim, k_s), the leading block of B_j^T U
     Y: np.ndarray            # (M, r), A_m = sum_j Y[m, j] B_j
     k: int
-    theta: float             # requested compression ratio
     eigenvalues: np.ndarray  # retained top-k spectrum of the Gram matrix
     rmsre: float             # closed-form reconstruction error
     energy_ratio: float      # e(theta) of the retained spectrum
@@ -245,11 +247,16 @@ def _row_col_support(a, width):
 def build_gram(A_tildes, block_dim=None):
     """Form G = sum_m A_m A_m^T on its nonzero principal block.
 
-    G = H H^T is one sparse product of the stacked H = [A_1 ... A_M].
+    The family is read once, as the rows of an M x p matrix on its union
+    sparsity pattern, whose orthonormal row basis B_1..B_r and
+    coefficients Y give A_m = sum_j Y[m, j] B_j to roundoff, in O(M r p);
+    they are kept for ``factorize``.  With the thin QR Y = Q R,
+    G = sum_j C_j C_j^T for C = R B: one sparse product of r matrices.
     All matrices must share the same dimension.  ``block_dim`` bounds the
-    nonzero rows; when omitted it is detected from the nonzeros of H,
-    read in one pass.
+    nonzero rows; when omitted it is detected from the nonzeros of C.
     The block is explicitly symmetrized to remove accumulation roundoff.
+    Raises NonFiniteFamilyError naming the first perturbation that holds
+    a NaN or an infinity.
     """
     if len(A_tildes) < 1:
         raise ValueError("need at least one perturbation matrix")
@@ -259,8 +266,15 @@ def build_gram(A_tildes, block_dim=None):
             raise ValueError(
                 f"matrix {m} has shape {a.shape}, expected ({n}, {n})"
             )
-    h = sp.hstack(A_tildes, format="csr")
-    max_row, max_col = _row_col_support(h, n)
+    h, rows, cols, col_dim = _pattern_rows(A_tildes, n)
+    bad = np.flatnonzero(~np.isfinite(h).all(axis=1))
+    if bad.size:
+        raise NonFiniteFamilyError(
+            f"perturbation {bad[0]} has non-finite entries")
+    basis = _span_basis(h)
+    y = h @ basis.T
+    c = _stacked(np.linalg.qr(y, mode="r") @ basis, rows, cols, col_dim, n)
+    max_row, max_col = _row_col_support(c, col_dim)
     if block_dim is None:
         block_dim = max(max_row, max_col, 1)
     elif max_row > block_dim:
@@ -270,11 +284,11 @@ def build_gram(A_tildes, block_dim=None):
         )
     elif block_dim > n:
         raise ValueError(f"declared block {block_dim} exceeds dimension {n}")
-    h = h[:block_dim]
-    gram = (h @ h.T).toarray()
+    c = c[:block_dim]
+    gram = (c @ c.T).toarray()
     gram = 0.5 * (gram + gram.T)
     return GramMatrix(block=gram, n_full=n, block_dim=block_dim,
-                      M=len(A_tildes))
+                      M=len(A_tildes), _span=(basis, rows, cols, col_dim, y))
 
 
 def _k_from_theta(theta, gram):
@@ -288,12 +302,12 @@ def _k_from_theta(theta, gram):
     return min(k, gram.block_dim)
 
 
-def numerical_rank(gram, rtol=RANK_RTOL):
-    """Number of eigenvalues above rtol times the largest."""
+def numerical_rank(gram):
+    """Number of eigenvalues above RANK_RTOL times the largest."""
     w = gram.eigenvalues
     if w.size == 0 or w[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(w > rtol * w[0]))
+    return int(np.count_nonzero(w > RANK_RTOL * w[0]))
 
 
 def _pattern_rows(A_tildes, n):
@@ -356,6 +370,15 @@ def _span_basis(d):
     return basis[:r]
 
 
+def _stacked(x, rows, cols, col_dim, n):
+    """[X_1 ... X_r], n x (r col_dim) CSR, from X_j on the pattern in x[j]."""
+    r = x.shape[0]
+    return sp.csr_matrix(
+        (x.ravel(), (np.tile(rows, r),
+                     (np.arange(r)[:, None] * col_dim + cols).ravel())),
+        shape=(n, r * col_dim))
+
+
 def factorize(gram, A_tildes, theta):
     """Compute shared factors at compression ratio theta.
 
@@ -366,17 +389,16 @@ def factorize(gram, A_tildes, theta):
     unit vectors on the zero rows of G, last row first.  Their V_m
     columns are exactly zero, so W holds the first k_s columns only.
 
-    The M perturbations are read as the rows of an M x p matrix on their
-    union sparsity pattern, whose orthonormal row basis B_1..B_r and
-    coefficients Y give A_m = sum_j Y[m, j] B_j to roundoff (r = T, the
-    number of KL modes, for the Monte Carlo family).  That costs
-    O(M r p); then W_j = B_j^T U is one sparse product for all j,
-    O(r p k_s), in place of M products A_m^T U.  ``col_dim`` is one more
-    than the largest stored column index of the family, so the rows of
-    every W_j and V_m from ``col_dim`` on are exactly zero.  Raises
-    NonFiniteFamilyError naming the first perturbation that holds a NaN
-    or an infinity.
+    The family is not read: B_1..B_r and Y come from the span that
+    ``build_gram`` kept, and W_j = B_j^T U is one sparse product for all
+    j, O(r p k_s), in place of M products A_m^T U.  ``A_tildes`` is only
+    checked to hold gram.M matrices.  ``col_dim`` is one more than the
+    largest stored column index of the family, so the rows of every W_j
+    and V_m from ``col_dim`` on are exactly zero.  Raises ValueError for
+    a GramMatrix that ``build_gram`` did not make: it has no span.
     """
+    if gram._span is None:
+        raise ValueError("factorize needs the span kept by build_gram")
     if len(A_tildes) != gram.M:
         raise ValueError(
             f"factorize got {len(A_tildes)} matrices, Gram was built "
@@ -394,25 +416,13 @@ def factorize(gram, A_tildes, theta):
     u_full[s, :k_s] = v[:, :k_s]
     u_full[zero_rows[::-1][:k - k_s], np.arange(k_s, k)] = 1.0
 
-    h, rows, cols, col_dim = _pattern_rows(A_tildes, n)
-    bad = np.flatnonzero(~np.isfinite(h).all(axis=1))
-    if bad.size:
-        raise NonFiniteFamilyError(
-            f"perturbation {bad[0]} has non-finite entries")
-    basis = _span_basis(h)
-    r = basis.shape[0]
-    # row j * col_dim + c of B^T holds column c of B_j
-    b_t = sp.csr_matrix(
-        (basis.ravel(), ((np.arange(r)[:, None] * col_dim + cols).ravel(),
-                         np.tile(rows, r))),
-        shape=(r * col_dim, n))
-    w_blocks = np.asarray(b_t @ u_full[:, :k_s]).reshape(r, col_dim, k_s)
+    basis, rows, cols, col_dim, y = gram._span
+    b = _stacked(basis, rows, cols, col_dim, n)
     return GlramFactors(
         U=u_full,
-        W=w_blocks,
-        Y=h @ basis.T,
+        W=(b.T @ u_full[:, :k_s]).reshape(basis.shape[0], col_dim, k_s),
+        Y=y,
         k=k,
-        theta=theta,
         eigenvalues=w[:k].copy(),
         rmsre=rmsre_closed_form(gram, k),
         energy_ratio=energy_ratio(gram, theta),

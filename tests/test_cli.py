@@ -310,7 +310,8 @@ def test_theta_sweep_records_a_failed_ratio_and_keeps_sweeping(
     real_smw = cli.solve_sample_smw
 
     def smw(mean, factors, m):
-        if factors.theta == 0.1:
+        # theta = 1.0 keeps the whole Gram block; theta = 0.1 keeps fewer
+        if factors.k < factors.block_dim:
             raise IllConditionedUpdateError(f"sample {m}: forced, a comma")
         return real_smw(mean, factors, m)
 
@@ -598,8 +599,7 @@ def test_exit_code_2_for_a_non_finite_perturbation(tmp_path, monkeypatch,
                "--output-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "numerical failure: non-finite entries in the" in err
-    assert "Gram block" in err
+    assert "numerical failure: perturbation 1 has non-finite entries" in err
 
 
 def test_exit_code_3_for_io_failures(tmp_path, capsys):

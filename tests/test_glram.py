@@ -123,13 +123,34 @@ def _sparse_families(draw):
         a = sp.coo_matrix((d[rows, cols], (rows, cols)), shape=(n, n))
         dense.append(d)
         family.append(a.asformat(draw(st.sampled_from(["csr", "csc", "coo"]))))
-    return n, dense, family
+    return n, dense, family, None
+
+
+@st.composite
+def _span_families(draw):
+    """(n, dense arrays, sparse family, r) with A_m = sum_j Y[m, j] B_j.
+
+    The r < M random B_j share one pattern, stored in every member also
+    where the sum vanishes, so the family spans exactly r matrices.
+    """
+    n = draw(st.integers(1, 8))
+    stored = draw(hnp.arrays(np.bool_, (n, n)))
+    r = draw(st.integers(0, min(3, int(stored.sum()))))
+    M = draw(st.integers(r + 1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = np.zeros((r, n, n))
+    basis[:, stored] = rng.normal(size=(r, int(stored.sum())))
+    dense = list(np.tensordot(rng.normal(size=(M, r)), basis, axes=1))
+    rows, cols = np.nonzero(stored)
+    family = [sp.csr_matrix((d[rows, cols], (rows, cols)), shape=(n, n))
+              for d in dense]
+    return n, dense, family, r
 
 
 @settings(deadline=None, max_examples=100)
-@given(_sparse_families())
+@given(_sparse_families() | _span_families())
 def test_build_gram_matches_dense_sum_on_random_families(case):
-    n, dense, family = case
+    n, dense, family, r = case
     full = sum(d @ d.T for d in dense)
     scale = np.linalg.norm(full)
     support = np.any(np.stack(dense) != 0.0, axis=0)
@@ -143,6 +164,8 @@ def test_build_gram_matches_dense_sum_on_random_families(case):
     declared = build_gram(family, block_dim=n)
     assert declared.block.shape == (n, n)
     assert np.linalg.norm(declared.block - full) <= 1e-12 * scale
+    if r is not None:
+        assert factorize(auto, family, 1.0).span_dim == r
 
 
 def test_eigenpairs_cached_and_descending(gram20):
@@ -176,7 +199,8 @@ def test_all_zero_gram_block():
     # no support: the spectrum is all zeros and U is unit vectors, in the
     # order the full-block eigensolve used to give
     zero = sp.csr_matrix((5, 5))
-    gram = GramMatrix(block=np.zeros((3, 3)), n_full=5, block_dim=3, M=1)
+    gram = build_gram([zero], block_dim=3)
+    assert np.array_equal(gram.block, np.zeros((3, 3)))
     assert gram.support.size == 0
     assert numerical_rank(gram) == 0
     assert select_theta(gram) == (0.2, 1)
@@ -187,27 +211,35 @@ def test_all_zero_gram_block():
     assert not factors.V[0].any()
     assert (factors.rmsre, factors.energy_ratio, factors.col_dim) == \
         (0.0, 1.0, 0)
+    assert factors.span_dim == 0
 
 
 def test_non_finite_gram_block_is_an_eigensolver_failure():
-    a = np.zeros((4, 4))
-    a[0, 0], a[2, 1] = 1.0, np.nan
-    gram = build_gram([sp.csr_matrix(a)])
+    # build_gram rejects a non-finite family, so the NaN is put in the
+    # block by hand; the zero row 1 stays out of the support
+    gram = GramMatrix(block=np.diag([1.0, 0.0, np.nan]), n_full=4,
+                      block_dim=3, M=1)
     with pytest.raises(EigensolverError,
                        match="non-finite entries in the 2x2 support of "
                              "the 3x3 Gram block"):
         gram.eigenpairs()
 
 
-def test_non_finite_perturbation_is_named_by_factorize():
-    # the Gram matrix of a finite family, handed a family with a NaN:
+def test_non_finite_perturbation_is_named_by_build_gram():
     # the span must not stop at r = 0 and solve every sample as x_bar
     a = sp.csr_matrix(np.diag([1.0, 2.0, 0.0]))
     b = a.copy()
     b.data[1] = np.nan
     with pytest.raises(NonFiniteFamilyError,
                        match="perturbation 1 has non-finite entries"):
-        factorize(build_gram([a, a]), [a, b], 1.0)
+        build_gram([a, b])
+
+
+def test_factorize_rejects_a_gram_matrix_build_gram_did_not_make():
+    # a hand-built Gram matrix carries no span to take W and Y from
+    gram = GramMatrix(block=np.eye(2), n_full=2, block_dim=2, M=1)
+    with pytest.raises(ValueError, match="build_gram"):
+        factorize(gram, [sp.eye(2, format="csr")], 1.0)
 
 
 @st.composite
