@@ -68,7 +68,6 @@ from .lowrank_solver import (
 )
 from .uq import (
     MomentEstimate,
-    MomentAccumulator,
     XNormWeights,
     build_xnorm_weights,
     estimate_moments,
@@ -100,9 +99,9 @@ __all__ = [
     "IllConditionedUpdateError", "factor_mean",
     "solve_sample_smw", "solve_sample_direct", "save_solutions",
     "load_solutions",
-    "MomentEstimate", "MomentAccumulator", "XNormWeights",
-    "build_xnorm_weights", "estimate_moments", "xnorm", "xnorm_components",
-    "loglog_slope", "write_moments",
+    "MomentEstimate", "XNormWeights", "build_xnorm_weights",
+    "estimate_moments", "xnorm", "xnorm_components", "loglog_slope",
+    "write_moments",
     "RunConfig", "RunLedger", "ConfigError", "main",
     "__version__",
 ]

@@ -199,9 +199,6 @@ class _Space:
         gref = p2_grads(xi, eta)                  # (nq, 6, 2)
         self.grad = np.einsum("qid,tdc->tqic", gref, inv)
         self.scale = self.area[:, None] * rule.weights[None, :]   # (nt, nq)
-        self.qpts = self.v0[:, None, :] + np.einsum(
-            "tcd,qd->tqc", jac, bary[:, 1:]
-        )
         used = np.bincount(tri6.ravel(), minlength=coords.shape[0])
         if np.any(used == 0):
             raise RuntimeError("unassembled DOF: node never referenced")
@@ -242,10 +239,8 @@ class _Coo:
 
 
 def _nodal_field(mesh, value):
-    """Normalise a scalar / callable / array into porous-vertex nodal values."""
+    """Porous-vertex nodal values from an array of them or one scalar."""
     nodes = mesh.darcy_vertices
-    if callable(value):
-        return np.asarray([value(x, y) for x, y in nodes], dtype=float)
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         return np.full(nodes.shape[0], float(arr))
@@ -395,18 +390,9 @@ def _deterministic_triplets(ws, coo):
                   (ed.t1 * ed.t2)[:, None, None] * mass_bb)
 
 
-def _load_vector(ws, f_p=None, f_f1=None, f_f2=None):
-    mesh = ws.mesh
-    b = np.zeros(mesh.N)
-    if f_p is not None:
-        vals = _eval_callable(f_p, ws.space_p.qpts)
-        ent = np.einsum("tq,qi->ti", ws.space_p.scale * vals, ws.space_p.val)
-        np.add.at(b, ws.space_p.tri6 + ws.o_head, ent)
-    for fun, off in ((f_f1, ws.o_u1), (f_f2, ws.o_u2)):
-        if fun is not None:
-            vals = _eval_callable(fun, ws.space_f.qpts)
-            ent = np.einsum("tq,qi->ti", ws.space_f.scale * vals, ws.space_f.val)
-            np.add.at(b, ws.space_f.tri6 + off, ent)
+def _load_vector(ws):
+    """The elevation-head term g*z on the interface; no volume sources."""
+    b = np.zeros(ws.mesh.N)
     gz = ws.params.g * ws.params.z
     if gz != 0.0:
         ed = ws.edges
@@ -416,35 +402,28 @@ def _load_vector(ws, f_p=None, f_f1=None, f_f2=None):
     return b
 
 
-def _eval_callable(fun, qpts):
-    flat = qpts.reshape(-1, 2)
-    vals = np.asarray([fun(x, y) for x, y in flat], dtype=float)
-    return vals.reshape(qpts.shape[:2])
-
-
-def assemble_mean(mesh, params, kl_mean=1.0, *, delta_from=None,
-                  f_p=None, f_f1=None, f_f2=None):
+def assemble_mean(mesh, params, kl_mean=1.0, *, delta_from=None):
     """Assemble the deterministic matrix and load vector.
 
     Parameters
     ----------
     mesh : CoupledMesh
     params : PhysicalParams
-    kl_mean : scalar, array or callable
+    kl_mean : array of porous-vertex values, or one scalar for all
         Conductivity field entering the head stiffness and the
         conductivity-carrying interface blocks.
-    delta_from : scalar, array or callable, optional
+    delta_from : array or scalar, optional
         Field the slip coefficient is evaluated at; defaults to
         ``kl_mean``.  Passing the mean field here while giving a full
         realization as ``kl_mean`` reproduces a complete per-sample matrix
         in one shot (the from-scratch route used to validate the
         mean/perturbation splitting).
-    f_p, f_f1, f_f2 : callables, optional
-        Volume sources; default zero.
 
     Returns
     -------
-    (A_bar, b) : csr matrix of dimension N and load vector.
+    (A_bar, b) : csr matrix of dimension N and load vector.  The flow has
+    no volume sources: b holds only the elevation-head term g*z on the
+    interface, zero for the default z = 0.
     """
     kbar = _nodal_field(mesh, kl_mean)
     dfield = kbar if delta_from is None else _nodal_field(mesh, delta_from)
@@ -452,8 +431,7 @@ def assemble_mean(mesh, params, kl_mean=1.0, *, delta_from=None,
     coo = _Coo((mesh.N, mesh.N))
     _deterministic_triplets(ws, coo)
     _k_dependent_triplets(ws, coo, kbar)
-    b = _load_vector(ws, f_p=f_p, f_f1=f_f1, f_f2=f_f2)
-    return coo.tocsr(), b
+    return coo.tocsr(), _load_vector(ws)
 
 
 class PerturbationAssembler:
@@ -500,26 +478,20 @@ def assemble_family(mesh, params, kl, coefficients):
 # Dirichlet treatment
 # ---------------------------------------------------------------------------
 
-def dirichlet_constraints(mesh, wall_velocity=(1.0, 0.0),
-                          bottom_velocity=(0.0, 0.0), head_value=0.0):
-    """Constraint list (dof, value) for the standard boundary conditions.
+def dirichlet_constraints(mesh):
+    """Constraint list (dof, value) of the model's boundary conditions.
 
-    Head is prescribed on the outer porous boundary, velocity on the side
-    walls and the floor of the free-flow rectangle.  Interface nodes stay
-    free; at corners the Dirichlet tag wins (wall value at the two
-    interface corners).
+    Head is 0 on the outer porous boundary; velocity is (1, 0) on the
+    side walls and (0, 0) on the floor of the free-flow rectangle.
+    Interface nodes stay free; at corners the Dirichlet tag wins (wall
+    value at the two interface corners).  The list is sorted by DOF.
     """
-    cons = []
-    head_idx = np.flatnonzero(mesh.head_tags == TAG_GAMMA_P)
-    cons.extend((int(i), float(head_value)) for i in head_idx)
-    wall_idx = np.flatnonzero(mesh.vel_tags == TAG_GAMMA_F_WALL)
-    bottom_idx = np.flatnonzero(mesh.vel_tags == TAG_GAMMA_F_BOTTOM)
-    for comp, off in ((0, mesh.N1), (1, mesh.N1 + mesh.N2)):
-        cons.extend((int(off + i), float(wall_velocity[comp])) for i in wall_idx)
-        cons.extend(
-            (int(off + i), float(bottom_velocity[comp])) for i in bottom_idx
-        )
-    cons.sort()
+    cons = [(int(i), 0.0)
+            for i in np.flatnonzero(mesh.head_tags == TAG_GAMMA_P)]
+    wall = mesh.vel_tags == TAG_GAMMA_F_WALL
+    fixed = np.flatnonzero(wall | (mesh.vel_tags == TAG_GAMMA_F_BOTTOM))
+    cons += [(int(mesh.N1 + i), float(wall[i])) for i in fixed]
+    cons += [(int(mesh.N1 + mesh.N2 + i), 0.0) for i in fixed]
     return cons
 
 

@@ -297,6 +297,17 @@ def _lowrank(stages, gram, system, mean, theta, indices):
     return factors, sols
 
 
+def _blas():
+    """Name and version of the BLAS numpy was built with; None on
+    numpy < 1.25, whose show_config has no ``mode``."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        return None
+    blas = config["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
 def _ledger(cfg, command, stages, metrics):
     record = {
         "command": command,
@@ -307,6 +318,7 @@ def _ledger(cfg, command, stages, metrics):
         "environment": {
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": _blas(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         },
@@ -407,7 +419,8 @@ def cmd_theta_sweep(cfg):
                 "theta_effective": factors.theta_effective,
                 "k": factors.k,
                 "rmsre_formula": factors.rmsre,
-                "rmsre_direct": rmsre(factors, system.A_tildes),
+                "rmsre_direct": stages.run(
+                    "rmsre", lambda: rmsre(factors, system.A_tildes)),
                 "energy_ratio": factors.energy_ratio,
                 "err_total": total,
                 "err_darcy": darcy,
@@ -472,7 +485,8 @@ def cmd_select_theta(cfg):
     factors = stages.run(
         "factorize", lambda: factorize(gram, system.A_tildes, theta)
     )
-    rmsre_direct = rmsre(factors, system.A_tildes)
+    rmsre_direct = stages.run(
+        "rmsre", lambda: rmsre(factors, system.A_tildes))
     txt = _out(cfg, "glram_report.txt")
     spectrum = _out(cfg, "gram_spectrum.csv")
     write_report(gram, factors, rmsre_direct, txt, spectrum)

@@ -173,7 +173,6 @@ class GlramFactors:
     W: np.ndarray            # (r, col_dim, k_s), the leading block of B_j^T U
     Y: np.ndarray            # (M, r), A_m = sum_j Y[m, j] B_j
     k: int
-    eigenvalues: np.ndarray  # retained top-k spectrum of the Gram matrix
     rmsre: float             # closed-form reconstruction error
     energy_ratio: float      # e(theta) of the retained spectrum
     block_dim: int
@@ -407,7 +406,7 @@ def factorize(gram, A_tildes, theta):
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     k = _k_from_theta(theta, gram)
-    w, v = gram.eigenpairs()
+    _, v = gram.eigenpairs()
     s = gram.support
     k_s = min(k, s.size)
     zero_rows = np.setdiff1d(np.arange(gram.block_dim), s, assume_unique=True)
@@ -423,7 +422,6 @@ def factorize(gram, A_tildes, theta):
         W=(b.T @ u_full[:, :k_s]).reshape(basis.shape[0], col_dim, k_s),
         Y=y,
         k=k,
-        eigenvalues=w[:k].copy(),
         rmsre=rmsre_closed_form(gram, k),
         energy_ratio=energy_ratio(gram, theta),
         block_dim=gram.block_dim,

@@ -4,9 +4,9 @@ The hydraulic conductivity on the porous rectangle is modelled as
 
     K(x, omega) = Kbar(x) + sum_t sqrt(lambda_t) * r_t(x) * Y_t(omega)
 
-with (lambda_t, r_t) the leading eigenpairs of the covariance operator
-for a squared-exponential kernel, and Y_t i.i.d. standard normal random
-variables truncated to [-3, 3].
+with the mean Kbar = 1, (lambda_t, r_t) the leading eigenpairs of the
+covariance operator for a squared-exponential kernel, and Y_t i.i.d.
+standard normal random variables truncated to [-3, 3].
 
 The Fredholm eigenproblem is discretised by the Nystrom method at the
 porous-side mesh vertices with lumped-mass quadrature weights.  Writing
@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 TRUNCATION_BOUND = 3.0
+# rounds of redrawing non-positive fields before draw_samples gives up
+_POSITIVITY_ROUNDS = 1000
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,10 @@ def _lumped_weights(mesh):
     return w
 
 
-def build_kl(kernel, mesh, epsilon, mean_field=1.0):
+def build_kl(kernel, mesh, epsilon):
     """Build the truncated KL expansion on the porous side of ``mesh``.
+
+    The mean conductivity is 1 at every node.
 
     Parameters
     ----------
@@ -135,9 +139,6 @@ def build_kl(kernel, mesh, epsilon, mean_field=1.0):
     epsilon : float
         Truncation tolerance in (0, 1); the expansion keeps the smallest
         T with cumulative energy ratio rho_T >= 1 - epsilon.
-    mean_field : float or callable
-        Mean conductivity, constant or a function of (x, y) evaluated at
-        the nodes.
 
     Raises
     ------
@@ -165,15 +166,8 @@ def build_kl(kernel, mesh, epsilon, mean_field=1.0):
         )
     T = int(np.searchsorted(cum, 1.0 - epsilon) + 1)
 
-    if callable(mean_field):
-        mean_nodal = np.asarray(
-            [mean_field(x, y) for x, y in nodes], dtype=float
-        )
-    else:
-        mean_nodal = np.full(nodes.shape[0], float(mean_field))
-
     return KlExpansion(
-        mean_nodal=mean_nodal,
+        mean_nodal=np.ones(nodes.shape[0]),
         eigenvalues=lam[:T].copy(),
         modes=funcs[:, :T].copy(),
         T=T,
@@ -194,36 +188,37 @@ def _truncated_normal(rng, size):
     return out
 
 
-def draw_samples(kl, M, seed, ensure_positive=True, max_retries=1000):
+def draw_samples(kl, M, seed):
     """Draw M coefficient vectors for the KL expansion.
 
     Coefficients are i.i.d. standard normal conditioned on [-3, 3] (plain
-    rejection, no variance renormalisation).  With ``ensure_positive``
-    (the default) any draw whose conductivity realization is non-positive
-    somewhere on the porous rectangle is discarded and redrawn, keeping
-    the strong ellipticity assumption intact; the number of discarded
-    fields is recorded on the returned SampleSet.
+    rejection, no variance renormalisation).  Any draw whose conductivity
+    realization is non-positive somewhere on the porous rectangle is
+    discarded and redrawn, keeping the strong ellipticity assumption
+    intact; the number of discarded fields is recorded on the returned
+    SampleSet.  Raises RuntimeError if non-positive fields remain after
+    1000 rounds of redrawing.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
     rng = np.random.default_rng(seed)
     coeffs = _truncated_normal(rng, (M, kl.T))
     rejected = 0
-    if ensure_positive:
-        scaled = kl.scaled_modes
-        for _ in range(max_retries):
-            fields = kl.mean_nodal[:, None] + scaled @ coeffs.T
-            bad = fields.min(axis=0) <= 0.0
-            n_bad = int(bad.sum())
-            if n_bad == 0:
-                break
-            rejected += n_bad
-            coeffs[bad] = _truncated_normal(rng, (n_bad, kl.T))
-        else:
-            raise RuntimeError(
-                f"positivity resampling did not settle after {max_retries} "
-                "rounds; the mean field is likely too close to zero"
-            )
+    scaled = kl.scaled_modes
+    for _ in range(_POSITIVITY_ROUNDS):
+        fields = kl.mean_nodal[:, None] + scaled @ coeffs.T
+        bad = fields.min(axis=0) <= 0.0
+        n_bad = int(bad.sum())
+        if n_bad == 0:
+            break
+        rejected += n_bad
+        coeffs[bad] = _truncated_normal(rng, (n_bad, kl.T))
+    else:
+        raise RuntimeError(
+            f"positivity resampling did not settle after "
+            f"{_POSITIVITY_ROUNDS} rounds; the mean field is likely too "
+            "close to zero"
+        )
     return SampleSet(coefficients=coeffs, rejected_fields=rejected)
 
 

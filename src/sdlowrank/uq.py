@@ -5,6 +5,8 @@ per-sample coefficient vectors.  The sample variance follows the
 convention of comparing against a reference mean when one is supplied
 (denominator M, deviations about the reference estimator); the
 self-centered variance is always carried along as a diagnostic.
+``estimate_moments`` forms all three in one pass over the solutions of
+one run; no partial estimate is kept or merged between calls.
 
 Errors are measured in the combined X-norm
 
@@ -23,7 +25,6 @@ from .assembly import p1_pressure_mass, p2_mass, p2_stiffness
 
 __all__ = [
     "MomentEstimate",
-    "MomentAccumulator",
     "XNormWeights",
     "build_xnorm_weights",
     "estimate_moments",
@@ -46,76 +47,47 @@ class MomentEstimate:
     mesh: object = None
 
 
-class MomentAccumulator:
-    """Streaming accumulator of the sample mean and variance."""
-
-    def __init__(self, reference_mean=None):
-        self.count = 0
-        self._sum = None
-        self._mean = None
-        self._m2 = None
-        self._ref = None if reference_mean is None else np.asarray(
-            reference_mean, dtype=float
-        )
-        self._ref_sq = None
-
-    def add(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.count == 0:
-            self._sum = np.zeros_like(x)
-            self._mean = np.zeros_like(x)
-            self._m2 = np.zeros_like(x)
-            if self._ref is not None:
-                if self._ref.shape != x.shape:
-                    raise ValueError(
-                        f"reference mean has shape {self._ref.shape}, "
-                        f"samples have {x.shape}"
-                    )
-                self._ref_sq = np.zeros_like(x)
-        elif x.shape != self._sum.shape:
-            raise ValueError(
-                f"sample shape {x.shape} does not match {self._sum.shape}"
-            )
-        self.count += 1
-        self._sum += x
-        delta = x - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (x - self._mean)
-        if self._ref is not None:
-            d = x - self._ref
-            self._ref_sq += d * d
-
-    def finalize(self, theta=1.0, mesh=None):
-        if self.count == 0:
-            raise ValueError("no samples accumulated")
-        mean = self._sum / self.count
-        var_self = np.maximum(self._m2 / self.count, 0.0)
-        if self._ref is not None:
-            variance = self._ref_sq / self.count
-        else:
-            variance = var_self
-        return MomentEstimate(
-            mean=mean,
-            variance=variance,
-            variance_self=var_self,
-            M=self.count,
-            theta=theta,
-            mesh=mesh,
-        )
-
-
 def estimate_moments(solutions, theta=1.0, mesh=None, reference_mean=None):
-    """One-pass mean/variance over a stream of sample solutions.
+    """Mean and variances of sample solutions, in one pass over them.
 
-    ``solutions`` yields either SampleSolution objects or raw vectors.
-    With ``reference_mean`` given, the variance is the mean squared
-    deviation about that reference (denominator M); otherwise it is
-    centered on the sample mean itself.
+    ``solutions`` holds SampleSolution objects or raw vectors.  The mean
+    is the running sum over M; the self-centered variance is Welford's
+    update.  With ``reference_mean`` given, the variance is the mean
+    squared deviation about that reference (denominator M); otherwise it
+    is the self-centered one.  Raises ValueError for no samples, for a
+    sample whose shape differs from the first, and for a reference whose
+    shape differs from the samples'.
     """
-    acc = MomentAccumulator(reference_mean=reference_mean)
-    for sol in solutions:
-        acc.add(getattr(sol, "x", sol))
-    return acc.finalize(theta=theta, mesh=mesh)
+    xs = [np.asarray(getattr(s, "x", s), dtype=float) for s in solutions]
+    if not xs:
+        raise ValueError("no samples to estimate moments from")
+    shape = xs[0].shape
+    ref = reference_mean
+    if ref is not None:
+        ref = np.asarray(ref, dtype=float)
+        if ref.shape != shape:
+            raise ValueError(
+                f"reference mean has shape {ref.shape}, samples have {shape}")
+    total, mean, m2, ref_sq = (np.zeros(shape) for _ in range(4))
+    for count, x in enumerate(xs, start=1):
+        if x.shape != shape:
+            raise ValueError(f"sample shape {x.shape} does not match {shape}")
+        total += x
+        delta = x - mean
+        mean += delta / count
+        m2 += delta * (x - mean)
+        if ref is not None:
+            d = x - ref
+            ref_sq += d * d
+    var_self = np.maximum(m2 / len(xs), 0.0)
+    return MomentEstimate(
+        mean=total / len(xs),
+        variance=var_self if ref is None else ref_sq / len(xs),
+        variance_self=var_self,
+        M=len(xs),
+        theta=theta,
+        mesh=mesh,
+    )
 
 
 # ---------------------------------------------------------------------------

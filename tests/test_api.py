@@ -1,13 +1,24 @@
 """The package's public surface: what it exports and what it no longer has."""
 
+import dataclasses
 import importlib
+import inspect
 
 import sdlowrank
 
 SUBMODULES = ("mesh", "quadrature", "randfield", "assembly", "glram",
               "lowrank_solver", "uq", "cli")
 REMOVED = ("prolong", "cross_mesh_error", "write_coo", "save_samples",
-           "load_samples", "pin_pressure_dof")
+           "load_samples", "pin_pressure_dof", "MomentAccumulator")
+# the whole parameter list of each function whose unset inputs were cut
+# (volume sources, boundary data, the KL mean, the positivity switches)
+PARAMETERS = {
+    "assemble_mean": ("mesh", "params", "kl_mean", "delta_from"),
+    "dirichlet_constraints": ("mesh",),
+    "build_kl": ("kernel", "mesh", "epsilon"),
+    "draw_samples": ("kl", "M", "seed"),
+    "estimate_moments": ("solutions", "theta", "mesh", "reference_mean"),
+}
 
 
 def test_public_surface():
@@ -24,4 +35,12 @@ def test_public_surface():
             assert getattr(sdlowrank, name) is getattr(module, name)
     for name in REMOVED:
         assert not hasattr(sdlowrank, name), name
-    assert not hasattr(sdlowrank.MomentAccumulator, "merge")
+
+
+def test_cut_inputs_stay_cut():
+    for name, expected in PARAMETERS.items():
+        params = tuple(inspect.signature(getattr(sdlowrank, name)).parameters)
+        assert params == expected, name
+    # the retained spectrum is gram.eigenvalues[:k]
+    fields = {f.name for f in dataclasses.fields(sdlowrank.GlramFactors)}
+    assert "eigenvalues" not in fields

@@ -199,15 +199,6 @@ def test_load_vector_elevation_head(mesh8):
     assert np.abs(b[mesh8.sl_u2][~onif]).max() == 0.0
 
 
-def test_load_vector_volume_sources(mesh8, params):
-    _, b = assemble_mean(mesh8, params, f_p=lambda x, y: 1.0,
-                         f_f1=lambda x, y: x)
-    # sources integrate against a partition of unity: total = integral f
-    assert b[mesh8.sl_head].sum() == pytest.approx(0.5, rel=1e-12)
-    assert b[mesh8.sl_u1].sum() == pytest.approx(0.25, rel=1e-12)
-    assert np.abs(b[mesh8.sl_u2]).max() == 0.0
-
-
 # ---------------------------------------------------------------------------
 # mean / perturbation splitting
 # ---------------------------------------------------------------------------
@@ -276,11 +267,11 @@ def test_perturbation_zero_field(mesh8, params):
         asm.assemble(np.zeros(7))
 
 
-def test_perturbation_scalar_and_callable_fields_agree(mesh8, params):
+def test_perturbation_scalar_and_array_fields_agree(mesh8, params):
     asm = PerturbationAssembler(mesh8, params)
     t_scalar = asm.assemble(0.5)
-    t_callable = asm.assemble(lambda x, y: 0.5)
-    assert np.abs((t_scalar - t_callable).toarray()).max() == 0.0
+    t_array = asm.assemble(np.full(mesh8.darcy_vertices.shape[0], 0.5))
+    assert np.abs((t_scalar - t_array).toarray()).max() == 0.0
     assert np.abs(t_scalar.toarray()).max() > 0.0
 
 

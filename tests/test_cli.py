@@ -482,7 +482,7 @@ def test_cli_overrides_beat_config_file(tmp_path):
 
 _RECORD_KEYS = {"command", "config_hash", "seed", "stage_seconds",
                 "timestamp", "rejected_fields", "environment", "peak_rss_mb"}
-_ENVIRONMENT_KEYS = {"numpy", "scipy", "OPENBLAS_NUM_THREADS",
+_ENVIRONMENT_KEYS = {"numpy", "scipy", "blas", "OPENBLAS_NUM_THREADS",
                      "OMP_NUM_THREADS"}
 _LOWRANK_STAGES = {"mesh", "kl", "assembly", "gram", "factor_mean",
                    "factorize", "smw_loop"}
@@ -500,12 +500,12 @@ _SWEEP_ROW_KEYS = {
     (["kl-report"], {"T", "rho_T"}, {"mesh", "kl"}),
     (["theta-sweep", "--samples", "6", "--theta-list", "1.0,select"],
      {"rows", "rank", "gram_support", "perturbation_bytes"},
-     _LOWRANK_STAGES | {"direct_loop"}),
+     _LOWRANK_STAGES | {"direct_loop", "rmsre"}),
     (["select-theta", "--samples", "6"],
      {"selected_theta", "selected_k", "rank", "gram_support", "span_dim",
       "factor_bytes", "perturbation_bytes", "rmsre_direct",
       "rmsre_formula", "storage_reduction"},
-     {"mesh", "kl", "assembly", "gram", "factorize"}),
+     {"mesh", "kl", "assembly", "gram", "factorize", "rmsre"}),
     (["convergence", "--ref-samples", "8", "--m-list", "3,6"],
      {"selected_theta", "selected_k", "slope", "errors"},
      _LOWRANK_STAGES | {"direct_loop"}),
@@ -525,6 +525,8 @@ def test_ledger_record_schema(tmp_path, args, keys, stages):
     assert set(rec["environment"]) == _ENVIRONMENT_KEYS
     assert rec["environment"]["numpy"] == np.__version__
     assert rec["environment"]["scipy"] == scipy.__version__
+    # None where numpy < 1.25 cannot name its BLAS
+    assert isinstance(rec["environment"]["blas"], (str, type(None)))
     assert rec["peak_rss_mb"] > 0.0
     if "gram_support" in rec:  # the rank of G never exceeds its support
         assert 1 <= rec["rank"] <= rec["gram_support"]
@@ -539,6 +541,12 @@ def test_ledger_record_schema(tmp_path, args, keys, stages):
     if "errors" in rec:
         assert all(set(e) == {"M", "err_mean", "err_variance"}
                    for e in rec["errors"])
+
+
+def test_ledger_blas_is_none_where_numpy_cannot_name_it(monkeypatch):
+    # numpy < 1.25: show_config prints and takes no mode argument
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    assert cli._blas() is None
 
 
 # ---------------------------------------------------------------------------

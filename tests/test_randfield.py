@@ -1,5 +1,7 @@
 """Truncated KL expansion: Nystrom discretization, truncation, sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,6 +15,7 @@ from sdlowrank import (
     nystrom_eigenpairs,
     realize_conductivity,
 )
+from sdlowrank import randfield
 
 
 def test_kernel_values():
@@ -90,13 +93,6 @@ def test_build_kl_epsilon_validation(mesh8):
         build_kl(flat, mesh8, epsilon=1e-15)
 
 
-def test_build_kl_callable_mean(mesh8):
-    kl = build_kl(CovarianceKernel(), mesh8, epsilon=0.01,
-                  mean_field=lambda x, y: 2.0 + x + y)
-    expected = 2.0 + kl.nodes[:, 0] + kl.nodes[:, 1]
-    assert np.allclose(kl.mean_nodal, expected)
-
-
 def test_draw_samples_deterministic(kl8):
     a = draw_samples(kl8, M=6, seed=77)
     b = draw_samples(kl8, M=6, seed=77)
@@ -118,10 +114,11 @@ def test_coefficients_respect_truncation_bound(kl8):
 
 
 def test_unconstrained_moments_match_truncated_normal(kl8):
-    # without the positivity guard the coefficients are i.i.d. standard
+    # before the positivity guard the coefficients are i.i.d. standard
     # normal conditioned on [-3, 3] with no renormalisation
-    s = draw_samples(kl8, M=4000, seed=11, ensure_positive=False)
-    pool = s.coefficients.ravel()
+    coeffs = randfield._truncated_normal(np.random.default_rng(11),
+                                         (4000, kl8.T))
+    pool = coeffs.ravel()
     dist = stats.truncnorm(-TRUNCATION_BOUND, TRUNCATION_BOUND)
     n = pool.size
     assert pool.mean() == pytest.approx(0.0, abs=4 * dist.std() / np.sqrt(n))
@@ -138,12 +135,18 @@ def test_positivity_guard(kl8):
     assert s.rejected_fields >= 0
 
 
-def test_positivity_retry_exhaustion(mesh8):
-    # a mean this close to zero cannot produce an everywhere-positive
-    # field; the guard must give up after max_retries rounds
-    kl = build_kl(CovarianceKernel(), mesh8, epsilon=0.01, mean_field=1e-9)
+def test_positivity_retry_exhaustion(kl8, monkeypatch):
+    # every perturbation is below 3 * sum_t sqrt(lambda_t) |r_t| < 10 in
+    # magnitude, so no field of mean -10 is positive: all rounds run out
+    negative = replace(kl8, mean_nodal=-10.0 * kl8.mean_nodal)
+    with pytest.raises(RuntimeError, match="after 1000 rounds"):
+        draw_samples(negative, M=50, seed=5)
+    # with a mean this close to zero most fields are non-positive
+    # somewhere; held to one round, the guard must give up
+    kl = replace(kl8, mean_nodal=np.full_like(kl8.mean_nodal, 1e-9))
+    monkeypatch.setattr(randfield, "_POSITIVITY_ROUNDS", 1)
     with pytest.raises(RuntimeError, match="positivity"):
-        draw_samples(kl, M=50, seed=5, max_retries=1)
+        draw_samples(kl, M=50, seed=5)
 
 
 def test_realize_batch_matches_single(kl8):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sdlowrank import (
-    MomentAccumulator,
     SampleSolution,
     estimate_moments,
     loglog_slope,
@@ -71,14 +70,11 @@ def test_accepts_solution_objects():
 
 def test_moment_validation():
     with pytest.raises(ValueError, match="no samples"):
-        MomentAccumulator().finalize()
-    acc = MomentAccumulator()
-    acc.add(np.ones(3))
+        estimate_moments([])
     with pytest.raises(ValueError, match="shape"):
-        acc.add(np.ones(4))
-    bad = MomentAccumulator(reference_mean=np.ones(2))
+        estimate_moments([np.ones(3), np.ones(4)])
     with pytest.raises(ValueError, match="reference"):
-        bad.add(np.ones(3))
+        estimate_moments([np.ones(3)], reference_mean=np.ones(2))
 
 
 # ---------------------------------------------------------------------------
