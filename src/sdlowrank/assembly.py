@@ -22,6 +22,12 @@ the matrix splits additively into a deterministic part (assembled once
 from the mean field) and a per-sample perturbation supported on the first
 N1 columns of the first N1+2*N2 rows.  The slip coefficient delta is
 evaluated at the mean field everywhere, which keeps that splitting exact.
+Those conductivity blocks are a fixed linear map of the porous-vertex
+field, so :class:`PerturbationAssembler` builds their CSR pattern and a
+sparse map L from vertex values to stored entries once; a sample then
+costs one sparse mat-vec, and :func:`assemble_mean` takes the mean's
+conductivity blocks from the same map.  :func:`apply_dirichlet` zeroes
+the stored entries of constrained rows and columns and drops them.
 
 All volume integrals use the seven-point degree-5 triangle rule and all
 interface integrals the three-point Gauss rule.
@@ -310,32 +316,6 @@ class _Workspace:
         self.o_p = mesh.N1 + 2 * mesh.N2
 
 
-def _k_dependent_triplets(ws, coo, field_nodal):
-    """Blocks linear in the conductivity field: P and I9..I12."""
-    mesh = ws.mesh
-    sp_p = ws.space_p
-    # volume head stiffness weighted by the interpolated field
-    kq = np.einsum("qc,tc->tq", ws.p1val, field_nodal[mesh.tri3_darcy])
-    w = ws.space_p.scale * kq
-    ent = np.einsum("tq,tqic,tqjc->tij", w, sp_p.grad, sp_p.grad)
-    coo.add_block(sp_p.tri6 + ws.o_head, sp_p.tri6 + ws.o_head, ent)
-
-    # interface slip blocks carrying the conductivity
-    ed = ws.edges
-    kq_e = ed.edge_field(field_nodal)
-    base = ed.wl * ws.delta * kq_e                       # (ne, nq)
-    for coeff, row_off in (
-        (ed.t1 * ed.t1, ws.o_u1),   # tangential-squared, u1 rows
-        (ed.t1 * ed.t2, ws.o_u1),   # mixed tangent, u1 rows
-        (ed.t2 * ed.t2, ws.o_u2),   # tangential-squared, u2 rows
-        (ed.t1 * ed.t2, ws.o_u2),   # mixed tangent, u2 rows
-    ):
-        ent = np.einsum(
-            "eq,eqi,eqj->eij", base * coeff[:, None], ed.bval, ed.dax
-        )
-        coo.add_block(ed.vel_dofs + row_off, ed.head_dofs + ws.o_head, ent)
-
-
 def _deterministic_triplets(ws, coo):
     """All blocks independent of the sampled conductivity."""
     mesh = ws.mesh
@@ -427,33 +407,90 @@ def assemble_mean(mesh, params, kl_mean=1.0, *, delta_from=None):
     """
     kbar = _nodal_field(mesh, kl_mean)
     dfield = kbar if delta_from is None else _nodal_field(mesh, delta_from)
-    ws = _Workspace(mesh, params, dfield)
+    asm = PerturbationAssembler(mesh, params, kbar=dfield)
     coo = _Coo((mesh.N, mesh.N))
-    _deterministic_triplets(ws, coo)
-    _k_dependent_triplets(ws, coo, kbar)
-    return coo.tocsr(), _load_vector(ws)
+    _deterministic_triplets(asm.ws, coo)
+    return coo.tocsr() + asm.assemble(kbar), _load_vector(asm.ws)
+
+
+def _spread(row_dofs, col_dofs, vertices, coefs):
+    """Flat (row, col, vertex, coefficient) of a block whose entry (t, i, j)
+    is sum_c coefs[t, i, j, c] * field[vertices[t, c]]."""
+    shape = coefs.shape
+    return (
+        np.broadcast_to(row_dofs[:, :, None, None], shape).ravel(),
+        np.broadcast_to(col_dofs[:, None, :, None], shape).ravel(),
+        np.broadcast_to(vertices[:, None, None, :], shape).ravel(),
+        coefs.ravel(),
+    )
 
 
 class PerturbationAssembler:
-    """Reusable per-sample assembler (geometry tables built once).
+    """Assembler of the blocks linear in the conductivity: P and I9..I12.
 
-    Only the conductivity-weighted blocks are populated (head stiffness
-    and the conductivity-carrying interface rows), so each perturbation
-    is nonzero only in the first N1 columns of the first N1+2*N2 rows.
-    The slip coefficient inside the interface blocks is evaluated at the
-    mean field ``kbar``, never at the sampled field, keeping the mean +
-    perturbation split exactly additive.
+    Built once: the geometry tables, the CSR pattern of those blocks and
+    a sparse map ``L`` (one row per stored entry, one column per porous
+    vertex).  A volume entry of P weights each triangle vertex by
+    sum_q scale*p1val[q, c]*grad(phi_i).grad(phi_j); an interface entry
+    weights the two edge endpoints by the quadrature of (1 - s) and s.
+    A sample then costs one sparse mat-vec, ``data = L @ k``, on the
+    fixed pattern.  Every returned matrix shares that pattern's
+    ``indices`` and ``indptr``, which are read-only: copy a matrix before
+    editing its structure in place.
+
+    Each perturbation is nonzero only in the first N1 columns of the
+    first N1+2*N2 rows.  The slip coefficient inside the interface blocks
+    is evaluated at the mean field ``kbar``, never at the sampled field,
+    keeping the mean + perturbation split exactly additive.
     """
 
     def __init__(self, mesh, params, kbar=1.0):
         self.mesh = mesh
-        self.ws = _Workspace(mesh, params, _nodal_field(mesh, kbar))
+        self.ws = ws = _Workspace(mesh, params, _nodal_field(mesh, kbar))
+        sp_p = ws.space_p
+        heads = sp_p.tri6 + ws.o_head
+        # volume head stiffness; the field is linear on each triangle
+        grads = np.einsum("tqid,tqjd->tqij", sp_p.grad, sp_p.grad)
+        weights = sp_p.scale[:, :, None] * ws.p1val          # (nt, nq, 3)
+        blocks = [_spread(heads, heads, mesh.tri3_darcy,
+                          np.einsum("tqc,tqij->tijc", weights, grads))]
+
+        # interface slip blocks; the field is linear along each edge
+        ed = ws.edges
+        ends = np.stack([1.0 - ed.s, ed.s], axis=-1)       # (nq, 2)
+        base = ed.wl * ws.delta                              # (ne, nq)
+        for coeff, row_off in (
+            (ed.t1 * ed.t1, ws.o_u1),   # tangential-squared, u1 rows
+            (ed.t1 * ed.t2, ws.o_u1),   # mixed tangent, u1 rows
+            (ed.t2 * ed.t2, ws.o_u2),   # tangential-squared, u2 rows
+            (ed.t1 * ed.t2, ws.o_u2),   # mixed tangent, u2 rows
+        ):
+            blocks.append(_spread(
+                ed.vel_dofs + row_off, ed.head_dofs + ws.o_head, ed.vpair,
+                np.einsum("eq,eqi,eqj,qv->eijv", base * coeff[:, None],
+                          ed.bval, ed.dax, ends)))
+
+        rows, cols, verts, coefs = (np.concatenate(b) for b in zip(*blocks))
+        n = mesh.N
+        keys, slot = np.unique(rows.astype(np.int64) * n + cols,
+                               return_inverse=True)
+        # numpy 2.0.x gave the inverse the input's shape, not 1-D
+        slot = slot.ravel()
+        self._L = sp.csr_matrix(
+            (coefs, (slot, verts)),
+            shape=(keys.size, mesh.darcy_vertices.shape[0]),
+        )
+        self._indices = (keys % n).astype(np.int32)
+        self._indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(
+            np.int32)
+        self._indices.setflags(write=False)
+        self._indptr.setflags(write=False)
 
     def assemble(self, k_tilde):
-        field_nodal = _nodal_field(self.mesh, k_tilde)
-        coo = _Coo((self.mesh.N, self.mesh.N))
-        _k_dependent_triplets(self.ws, coo, field_nodal)
-        return coo.tocsr()
+        n = self.mesh.N
+        data = self._L @ _nodal_field(self.mesh, k_tilde)
+        return sp.csr_matrix((data, self._indices, self._indptr),
+                             shape=(n, n))
 
 
 def assemble_family(mesh, params, kl, coefficients):
@@ -527,14 +564,12 @@ def apply_dirichlet(system, constraints):
     b = system.b - system.A_bar @ lift
     b[dofs] = vals
 
-    free = np.ones(n)
-    free[dofs] = 0.0
-    d_free = sp.diags(free)
+    free = np.ones(n, dtype=bool)
+    free[dofs] = False
     pinned = np.zeros(n)
     pinned[dofs] = 1.0
-    a_bar = d_free @ system.A_bar @ d_free + sp.diags(pinned)
-    a_bar = sp.csr_matrix(a_bar)
-    a_tildes = [sp.csr_matrix(d_free @ t @ d_free) for t in system.A_tildes]
+    a_bar = _zero_constrained(system.A_bar, free) + sp.diags(pinned)
+    a_tildes = [_zero_constrained(t, free) for t in system.A_tildes]
     return replace(
         system,
         A_bar=a_bar,
@@ -542,6 +577,23 @@ def apply_dirichlet(system, constraints):
         A_tildes=a_tildes,
         constraints=list(constraints),
     )
+
+
+def _zero_constrained(mat, free):
+    """CSR copy of ``mat`` without the entries of rows or columns where
+    ``free`` is False and without explicit zeros.
+
+    The copy is canonical (sorted, no duplicates) and holds the entries
+    of ``D @ mat @ D`` for D = diag(free), bit for bit: a kept entry is
+    unchanged, a removed one is dropped.  It owns its arrays, because
+    ``eliminate_zeros`` works in place.
+    """
+    out = sp.csr_matrix(mat, copy=True)
+    out.sum_duplicates()
+    keep = np.repeat(free, np.diff(out.indptr)) & free[out.indices]
+    out.data[~keep] = 0.0
+    out.eliminate_zeros()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "CovarianceKernel",
@@ -49,8 +48,9 @@ class CovarianceKernel:
     correlation_length_sq: float = 0.2
 
     def __call__(self, pts_a, pts_b):
-        d2 = cdist(np.atleast_2d(pts_a), np.atleast_2d(pts_b),
-                   metric="sqeuclidean")
+        a, b = np.atleast_2d(pts_a), np.atleast_2d(pts_b)
+        d = a[:, None, :] - b[None, :, :]
+        d2 = (d * d).sum(-1)
         return np.exp(-d2 / self.correlation_length_sq)
 
 

@@ -1,15 +1,19 @@
 """Independent reference computations used by the tests.
 
-Everything here is derived from first principles with exact rational
+The integrals are derived from first principles with exact rational
 arithmetic (binary floats are rationals, so Fraction keeps vertex
-coordinates exact) and never touches the package's quadrature or
-assembly code paths.
+coordinates exact) and never touch the package's quadrature or
+assembly code paths.  The one exception is ``k_linear_blocks``: a
+per-element reference for the conductivity-linear blocks that reuses the
+package's geometry tables but not its precomputed conductivity map.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from sdlowrank.assembly import _Coo, _nodal_field, _Workspace
 
 
 def _factorial_bary_integral(c0, c1, c2):
@@ -104,3 +108,40 @@ def two_pass_moments(samples, center=None):
     c = mean if center is None else np.asarray(center, dtype=float)
     dev = samples - c
     return mean, (dev * dev).sum(axis=0) / samples.shape[0]
+
+
+def _k_dependent_triplets(ws, coo, field_nodal):
+    """Blocks linear in the conductivity field: P and I9..I12."""
+    mesh = ws.mesh
+    sp_p = ws.space_p
+    # volume head stiffness weighted by the interpolated field
+    kq = np.einsum("qc,tc->tq", ws.p1val, field_nodal[mesh.tri3_darcy])
+    w = ws.space_p.scale * kq
+    ent = np.einsum("tq,tqic,tqjc->tij", w, sp_p.grad, sp_p.grad)
+    coo.add_block(sp_p.tri6 + ws.o_head, sp_p.tri6 + ws.o_head, ent)
+
+    # interface slip blocks carrying the conductivity
+    ed = ws.edges
+    kq_e = ed.edge_field(field_nodal)
+    base = ed.wl * ws.delta * kq_e                       # (ne, nq)
+    for coeff, row_off in (
+        (ed.t1 * ed.t1, ws.o_u1),   # tangential-squared, u1 rows
+        (ed.t1 * ed.t2, ws.o_u1),   # mixed tangent, u1 rows
+        (ed.t2 * ed.t2, ws.o_u2),   # tangential-squared, u2 rows
+        (ed.t1 * ed.t2, ws.o_u2),   # mixed tangent, u2 rows
+    ):
+        ent = np.einsum(
+            "eq,eqi,eqj->eij", base * coeff[:, None], ed.bval, ed.dax
+        )
+        coo.add_block(ed.vel_dofs + row_off, ed.head_dofs + ws.o_head, ent)
+
+
+def k_linear_blocks(mesh, params, kbar, field_nodal):
+    """P and I9..I12 of ``field_nodal`` (slip coefficient at ``kbar``),
+    assembled element by element: the field is interpolated to every
+    quadrature point, the products are integrated per element and the
+    triplets are summed by a COO to CSR conversion."""
+    ws = _Workspace(mesh, params, _nodal_field(mesh, kbar))
+    coo = _Coo((mesh.N, mesh.N))
+    _k_dependent_triplets(ws, coo, _nodal_field(mesh, field_nodal))
+    return coo.tocsr()

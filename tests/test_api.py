@@ -3,6 +3,8 @@
 import dataclasses
 import importlib
 import inspect
+import subprocess
+import sys
 
 import sdlowrank
 
@@ -44,3 +46,13 @@ def test_cut_inputs_stay_cut():
     # the retained spectrum is gram.eigenvalues[:k]
     fields = {f.name for f in dataclasses.fields(sdlowrank.GlramFactors)}
     assert "eigenvalues" not in fields
+
+
+def test_import_leaves_scipy_spatial_out():
+    # the covariance kernel computes its distances with numpy; importing
+    # scipy.spatial for them cost about 0.1 s of every process's start
+    probe = "import sys, sdlowrank; print('scipy.spatial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

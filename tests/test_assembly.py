@@ -7,13 +7,17 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from _oracles import k_linear_blocks
 from sdlowrank import (
+    Geometry,
     PerturbationAssembler,
     PhysicalParams,
+    SplitSystem,
     apply_dirichlet,
     assemble_family,
     assemble_mean,
     bj_delta,
+    build_mesh,
     p1_pressure_mass,
     p2_mass,
     p2_stiffness,
@@ -275,6 +279,46 @@ def test_perturbation_scalar_and_array_fields_agree(mesh8, params):
     assert np.abs(t_scalar.toarray()).max() > 0.0
 
 
+# the meshes of the solver tests: the porous rectangle on top at n = 8
+# and n = 16, below the free flow, and a porous layer shallower than
+# half its width
+@pytest.mark.parametrize("geometry, n", [
+    (None, 8),
+    (None, 16),
+    (Geometry(darcy_rect=(0.0, 1.0, -0.5, 0.0),
+              stokes_rect=(0.0, 1.0, 0.0, 0.5)), 8),
+    (Geometry(darcy_rect=(0.0, 1.0, 0.0, 0.25),
+              stokes_rect=(0.0, 1.0, -0.5, 0.0)), 8),
+], ids=["n8", "n16", "porous_below", "shallow_porous"])
+def test_perturbation_matches_per_element_oracle(geometry, n, params):
+    mesh = build_mesh(geometry, n=n)
+    xy = mesh.darcy_vertices
+    # a mean varying along the interface, so delta varies too
+    kbar = 1.0 + 0.5 * np.sin(3.0 * xy[:, 0]) * np.cos(2.0 * xy[:, 1])
+    rng = np.random.default_rng(11)
+    asm = PerturbationAssembler(mesh, params, kbar=kbar)
+    for field in (rng.normal(size=xy.shape[0]), kbar):
+        got = asm.assemble(field)
+        ref = k_linear_blocks(mesh, params, kbar, field)
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        scale = np.abs(ref.data).max()
+        assert np.abs(got.data - ref.data).max() <= 1e-13 * scale
+
+
+def test_perturbations_share_a_read_only_pattern(mesh8, params):
+    asm = PerturbationAssembler(mesh8, params)
+    a = asm.assemble(0.5)
+    b = asm.assemble(2.0)
+    assert np.shares_memory(a.indices, b.indices)
+    assert np.shares_memory(a.indptr, b.indptr)
+    assert not np.shares_memory(a.data, b.data)
+    # an in-place structural edit of one would corrupt the other
+    with pytest.raises(ValueError):
+        a.eliminate_zeros()
+    assert np.array_equal(b.toarray(), 4.0 * a.toarray())
+
+
 def test_nodal_field_size_validation(mesh8, params):
     with pytest.raises(ValueError):
         assemble_mean(mesh8, params, kl_mean=np.ones(11))
@@ -363,3 +407,75 @@ def test_constrained_solution_satisfies_free_equations(problem20):
         resid = (a_r @ x - raw.b)[free]
         scale = np.abs(a_r.data).max() * np.abs(x).max()
         assert np.abs(resid).max() <= 1e-11 * scale
+
+
+def _masked_by_product(system, constraints):
+    """A_bar and the perturbations constrained by products with D = the
+    diagonal of the free DOFs, indices sorted."""
+    n = system.N
+    dofs = [c[0] for c in constraints]
+    free = np.ones(n)
+    free[dofs] = 0.0
+    d_free = sp.diags(free)
+    pinned = np.zeros(n)
+    pinned[dofs] = 1.0
+    out = [sp.csr_matrix(d_free @ system.A_bar @ d_free + sp.diags(pinned))]
+    out += [sp.csr_matrix(d_free @ t @ d_free) for t in system.A_tildes]
+    for m in out:
+        m.sort_indices()
+    return out
+
+
+def _assert_bitwise(got, ref):
+    assert got.has_sorted_indices
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)
+
+
+def _assert_own_buffers(mats):
+    arrays = [a for m in mats for a in (m.indices, m.indptr, m.data)]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_apply_dirichlet_matches_masking_by_product(problem20):
+    raw, system = problem20["raw"], problem20["system"]
+    ref = _masked_by_product(raw, problem20["constraints"])
+    got = [system.A_bar] + system.A_tildes
+    assert len(got) == len(ref) == 21
+    for g, r in zip(got, ref):
+        _assert_bitwise(g, r)
+    # the raw perturbations share one pattern; eliminate_zeros works in
+    # place, so every constrained matrix must own its arrays
+    _assert_own_buffers(got)
+
+
+def test_apply_dirichlet_unsorted_duplicate_input():
+    # N1 = N2 = 2, N3 = 1: DOF 1 is a head, 3 a u1 and 6 the pressure DOF
+    indptr = np.array([0, 3, 5, 7, 10, 11, 13, 14])
+    indices = np.array([2, 0, 2,  1, 0,  3, 2,  4, 3, 0,  4,  5, 1,  6])
+    data = np.array([1.5, 4.0, 0.25, 2.0, -1.0, 0.5, 3.0, 0.75, 5.0, 0.0,
+                     6.0, 7.0, 2.5, 0.0])
+    a = sp.csr_matrix((data, indices, indptr), shape=(7, 7))
+    # a cancelling duplicate pair and an explicit zero at free positions
+    t = sp.csr_matrix((np.array([1.0, 0.5, -0.5, 2.0, 0.0]),
+                       np.array([2, 0, 0, 1, 5]),
+                       np.array([0, 3, 3, 3, 3, 3, 5, 5])), shape=(7, 7))
+    snapshot = [m.copy() for m in (a, t)]
+    raw = SplitSystem(A_bar=a, b=np.zeros(7), A_tildes=[t], N1=2, N2=2,
+                      N3=1)
+    constraints = [(1, 0.0), (3, 1.0)]
+    system = apply_dirichlet(raw, constraints)
+    ref = _masked_by_product(raw, constraints)
+    got = [system.A_bar] + system.A_tildes
+    for g, r in zip(got, ref):
+        _assert_bitwise(g, r)
+    assert system.A_tildes[0].nnz == 1
+    # the inputs are left as they were
+    for m, before in zip((a, t), snapshot):
+        assert np.array_equal(m.indptr, before.indptr)
+        assert np.array_equal(m.indices, before.indices)
+        assert np.array_equal(m.data, before.data)
+    _assert_own_buffers(got + [a, t])

@@ -29,6 +29,18 @@ def test_kernel_values():
     assert mat[1, 0] == mat[0, 1]
 
 
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_kernel_distances_match_cdist(n):
+    # the broadcast sum of squares is cdist's "sqeuclidean", bit for bit
+    from scipy.spatial.distance import cdist
+
+    pts = build_mesh(n=n).darcy_vertices
+    cov = CovarianceKernel(correlation_length_sq=0.2)
+    ref = np.exp(-cdist(pts, pts, metric="sqeuclidean") / 0.2)
+    assert np.array_equal(cov(pts, pts), ref)
+    assert np.array_equal(cov(pts[:5], pts), ref[:5])
+
+
 def test_nystrom_two_node_oracle():
     # two nodes with equal weights w: the symmetrised operator is
     # w*[[1, c], [c, 1]] with eigenvalues w*(1 +/- c), derivable by hand
