@@ -9,10 +9,10 @@ matrix of top-k eigenvectors of the Gram matrix
     G = sum_m A_m A_m^T,
 
 which solves min_U sum_m ||A_m - U U^T A_m||_F^2 over orthonormal U, and
-the optimal right factors are V_m = A_m^T U.  The reconstruction quality
-admits a closed form: the squared root-mean-square reconstruction error
-equals (trace(G) - sum of the retained eigenvalues)/M, which doubles as a
-cheap cross-check of the direct evaluation.
+the optimal right factors are V_m = A_m^T U.  The squared root-mean-square
+reconstruction error has a closed form, (trace(G) - sum of the retained
+eigenvalues)/M, and a direct evaluation, ``rmsre``, that forms the
+residuals A - U U^T A; each checks the other.
 
 The retained dimension is the smallest k with k/N >= theta for a
 compression ratio theta in (0, 1], capped at the Gram block dimension.
@@ -25,14 +25,13 @@ Past |S| the columns of U are unit vectors on zero rows, whose right
 factors vanish, so the stored factors and the solver stop at
 k_s = min(k, |S|) columns.
 
-The family is read once, by ``build_gram``: an orthonormal basis
-B_1..B_r of its span (r = T, the number of KL modes, for the Monte Carlo
-family) and coefficients Y with A_m = sum_j Y[m, j] B_j are found in
+The factors read the family once, in ``build_gram``: an orthonormal
+basis B_1..B_r of its span (r = T, the number of KL modes, for the Monte
+Carlo family) and coefficients Y with A_m = sum_j Y[m, j] B_j are found in
 O(M r p) for p entries in the union sparsity pattern, and G is an r-term
-sum whatever M.  ``factorize`` stores W_j = B_j^T U and Y, so
-V_m = sum_j Y[m, j] W_j is built only when asked for.  The Woodbury
-solver sums r k_s x k_s blocks formed from W once per family instead of
-multiplying by each V_m.
+sum whatever M.  ``factorize`` stores W_j = B_j^T U and Y, and no N x k
+V_m is formed: the Woodbury solver sums r k_s x k_s blocks formed from W
+once per family, and ``rmsre`` sums the residuals of r matrices, not M.
 """
 
 import bisect
@@ -175,7 +174,6 @@ class GlramFactors:
     k: int
     rmsre: float             # closed-form reconstruction error
     energy_ratio: float      # e(theta) of the retained spectrum
-    block_dim: int
     n_full: int
 
     @property
@@ -230,19 +228,6 @@ class _RightFactors(Sequence):
         return v
 
 
-def _row_col_support(a, width):
-    """Last nonzero row + 1 and last nonzero column (mod width) + 1.
-
-    ``a`` is CSR; explicitly stored zeros are not support.
-    """
-    nz = np.flatnonzero(a.data)
-    if nz.size == 0:
-        return 0, 0
-    # rows are stored in order, so the last nonzero entry is in the last row
-    nrow = int(np.searchsorted(a.indptr, nz[-1], side="right"))
-    return nrow, int(np.max(a.indices[nz] % width)) + 1
-
-
 def build_gram(A_tildes, block_dim=None):
     """Form G = sum_m A_m A_m^T on its nonzero principal block.
 
@@ -260,11 +245,6 @@ def build_gram(A_tildes, block_dim=None):
     if len(A_tildes) < 1:
         raise ValueError("need at least one perturbation matrix")
     n = A_tildes[0].shape[0]
-    for m, a in enumerate(A_tildes):
-        if a.shape != (n, n):
-            raise ValueError(
-                f"matrix {m} has shape {a.shape}, expected ({n}, {n})"
-            )
     h, rows, cols, col_dim = _pattern_rows(A_tildes, n)
     bad = np.flatnonzero(~np.isfinite(h).all(axis=1))
     if bad.size:
@@ -272,8 +252,11 @@ def build_gram(A_tildes, block_dim=None):
             f"perturbation {bad[0]} has non-finite entries")
     basis = _span_basis(h)
     y = h @ basis.T
-    c = _stacked(np.linalg.qr(y, mode="r") @ basis, rows, cols, col_dim, n)
-    max_row, max_col = _row_col_support(c, col_dim)
+    c = np.linalg.qr(y, mode="r") @ basis
+    # explicitly stored zeros are not support
+    nonzero = (c != 0.0).any(axis=0)
+    max_row = int(rows[nonzero].max(initial=-1)) + 1
+    max_col = int(cols[nonzero].max(initial=-1)) + 1
     if block_dim is None:
         block_dim = max(max_row, max_col, 1)
     elif max_row > block_dim:
@@ -283,7 +266,7 @@ def build_gram(A_tildes, block_dim=None):
         )
     elif block_dim > n:
         raise ValueError(f"declared block {block_dim} exceeds dimension {n}")
-    c = c[:block_dim]
+    c = _stacked(c, rows, cols, col_dim, n)[:block_dim]
     gram = (c @ c.T).toarray()
     gram = 0.5 * (gram + gram.T)
     return GramMatrix(block=gram, n_full=n, block_dim=block_dim,
@@ -314,8 +297,13 @@ def _pattern_rows(A_tildes, n):
 
     Returns (h, rows, cols, col_dim): h[m, e] is entry (rows[e], cols[e])
     of A_m (duplicates summed), and col_dim is one more than the largest
-    stored column index.  Costs O(nnz + n col_dim).
+    stored column index.  Costs O(nnz + n col_dim).  Each A_m must be n x n.
     """
+    for m, a in enumerate(A_tildes):
+        if a.shape != (n, n):
+            raise ValueError(
+                f"matrix {m} has shape {a.shape}, expected ({n}, {n})"
+            )
     csrs = [a.tocsr() for a in A_tildes]
     col_dim = max((int(a.indices.max()) + 1 for a in csrs if a.nnz), default=0)
     # entry (i, j) of a matrix has the flat index i * col_dim + j
@@ -335,6 +323,12 @@ def _pattern_rows(A_tildes, n):
     return h.reshape(len(csrs), pattern.size), rows, cols, col_dim
 
 
+def _span_tol(d):
+    """Residual norm up to which a row of d (M x p) is roundoff."""
+    norms2 = np.einsum("ij,ij->i", d, d)
+    return max(d.shape) * SPAN_EPS * math.sqrt(norms2.max(initial=0.0))
+
+
 def _span_basis(d):
     """Orthonormal rows spanning the rows of d (M x p), up to roundoff.
 
@@ -348,7 +342,7 @@ def _span_basis(d):
     Returns the r x p basis.
     """
     norms2 = np.einsum("ij,ij->i", d, d)
-    tol = max(d.shape) * SPAN_EPS * math.sqrt(norms2.max(initial=0.0))
+    tol = _span_tol(d)
     basis = np.zeros((min(d.shape), d.shape[1]))
     r, exact = 0, True
     while r < basis.shape[0]:
@@ -424,7 +418,6 @@ def factorize(gram, A_tildes, theta):
         k=k,
         rmsre=rmsre_closed_form(gram, k),
         energy_ratio=energy_ratio(gram, theta),
-        block_dim=gram.block_dim,
         n_full=n,
     )
 
@@ -432,22 +425,27 @@ def factorize(gram, A_tildes, theta):
 def rmsre(factors, A_tildes):
     """Direct root-mean-square reconstruction error.
 
-    sqrt( (1/M) * sum_m ||A_m - U V_m^T||_F^2 ), evaluated on the dense
-    nonzero block of each matrix.
+    sqrt( (1/M) * sum_m ||A_m - U U^T A_m||_F^2 ) over r matrices, not M:
+    with the family read as the rows of h on its pattern and the thin QR
+    Y = Q R, h = Q C for C = Q^T h, so C_1..C_r carry the family's sum
+    of squares.  Each residual C_i - U (U^T C_i) is formed densely, with
+    no trace - sum(lambda) cancellation.  Raises ValueError if a row of
+    h - Q Q^T h exceeds the span cutoff: the family is not the factors'.
     """
     if len(A_tildes) != factors.M:
         raise ValueError("factors do not cover the given matrix family")
     u = factors.U
+    h, rows, cols, col_dim = _pattern_rows(A_tildes, u.shape[0])
+    q, _ = np.linalg.qr(factors.Y)
+    c = q.T @ h
+    if np.linalg.norm(h - q @ c, axis=1).max(initial=0.0) > _span_tol(h):
+        raise ValueError("the family does not lie in the factors' span")
     total = 0.0
-    for a, v in zip(A_tildes, factors.V):
-        a = sp.csr_matrix(a)
-        nrow, ncol = _row_col_support(a, a.shape[1])
-        nrow = max(nrow, factors.block_dim)
-        ncol = max(ncol, 1)
-        diff = np.asarray(a[:nrow, :ncol].todense())
-        diff -= u[:nrow] @ v[:ncol].T
-        # rows below the block are zero in A_m and in U V_m^T alike
-        total += float(np.sum(diff * diff))
+    for c_i in c:
+        x = np.zeros((u.shape[0], col_dim))
+        x[rows, cols] = c_i
+        x -= u @ (u.T @ x)
+        total += float(np.vdot(x, x))
     return math.sqrt(total / len(A_tildes))
 
 

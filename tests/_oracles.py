@@ -6,12 +6,15 @@ coordinates exact) and never touch the package's quadrature or
 assembly code paths.  The one exception is ``k_linear_blocks``: a
 per-element reference for the conductivity-linear blocks that reuses the
 package's geometry tables but not its precomputed conductivity map.
+``rmsre_per_sample`` is the per-matrix reconstruction error that
+``glram.rmsre`` evaluated before it summed over the family's span.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from sdlowrank.assembly import _Coo, _nodal_field, _Workspace
 
@@ -145,3 +148,40 @@ def k_linear_blocks(mesh, params, kbar, field_nodal):
     coo = _Coo((mesh.N, mesh.N))
     _k_dependent_triplets(ws, coo, _nodal_field(mesh, field_nodal))
     return coo.tocsr()
+
+
+def _row_col_support(a, width):
+    """Last nonzero row + 1 and last nonzero column (mod width) + 1.
+
+    ``a`` is CSR; explicitly stored zeros are not support.
+    """
+    nz = np.flatnonzero(a.data)
+    if nz.size == 0:
+        return 0, 0
+    # rows are stored in order, so the last nonzero entry is in the last row
+    nrow = int(np.searchsorted(a.indptr, nz[-1], side="right"))
+    return nrow, int(np.max(a.indices[nz] % width)) + 1
+
+
+def rmsre_per_sample(factors, A_tildes):
+    """Direct root-mean-square reconstruction error, one sample at a time.
+
+    sqrt( (1/M) * sum_m ||A_m - U V_m^T||_F^2 ), evaluated on the dense
+    nonzero block of each matrix with the N x k V_m of ``factors.V``.
+    """
+    if len(A_tildes) != factors.M:
+        raise ValueError("factors do not cover the given matrix family")
+    u = factors.U
+    # U vanishes below its last nonzero row
+    u_rows = int(np.flatnonzero(u.any(axis=1)).max(initial=-1)) + 1
+    total = 0.0
+    for a, v in zip(A_tildes, factors.V):
+        a = sp.csr_matrix(a)
+        nrow, ncol = _row_col_support(a, a.shape[1])
+        nrow = max(nrow, u_rows)
+        ncol = max(ncol, 1)
+        diff = np.asarray(a[:nrow, :ncol].todense())
+        diff -= u[:nrow] @ v[:ncol].T
+        # rows below the block are zero in A_m and in U V_m^T alike
+        total += float(np.sum(diff * diff))
+    return math.sqrt(total / len(A_tildes))

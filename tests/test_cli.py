@@ -310,8 +310,8 @@ def test_theta_sweep_records_a_failed_ratio_and_keeps_sweeping(
     real_smw = cli.solve_sample_smw
 
     def smw(mean, factors, m):
-        # theta = 1.0 keeps the whole Gram block; theta = 0.1 keeps fewer
-        if factors.k < factors.block_dim:
+        # theta = 1.0 keeps the whole spectrum; theta = 0.1 keeps less
+        if factors.energy_ratio < 1.0:
             raise IllConditionedUpdateError(f"sample {m}: forced, a comma")
         return real_smw(mean, factors, m)
 

@@ -10,11 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from _oracles import rmsre_per_sample
 from sdlowrank import (
+    CovarianceKernel,
     EigensolverError,
+    Geometry,
     GramMatrix,
     NonFiniteFamilyError,
+    PhysicalParams,
+    assemble_family,
     build_gram,
+    build_kl,
+    build_mesh,
+    draw_samples,
     energy_ratio,
     factorize,
     numerical_rank,
@@ -53,12 +61,18 @@ def _dense_block(a, block_dim):
 def test_build_gram_single_hand_case():
     a = np.zeros((4, 4))
     a[0, 0], a[0, 1] = 1.0, 2.0
-    gram = build_gram([sp.csr_matrix(a)])
-    # support: one nonzero row, two nonzero columns -> auto block of 2
-    assert gram.block_dim == 2
-    assert gram.n_full == 4
-    assert np.array_equal(gram.block, [[5.0, 0.0], [0.0, 0.0]])
-    assert gram.trace == 5.0
+    # the same matrix with zeros stored past its last nonzero row and
+    # column: stored zeros are not support and must not widen the block
+    stored = sp.csr_matrix(
+        ([1.0, 2.0, 0.0, 0.0], ([0, 0, 2, 3], [0, 1, 3, 2])), shape=(4, 4))
+    assert stored.nnz == 4
+    for matrix in (sp.csr_matrix(a), stored):
+        gram = build_gram([matrix])
+        # support: one nonzero row, two nonzero columns -> auto block of 2
+        assert gram.block_dim == 2
+        assert gram.n_full == 4
+        assert np.array_equal(gram.block, [[5.0, 0.0], [0.0, 0.0]])
+        assert gram.trace == 5.0
 
 
 def test_build_gram_matches_naive_sum():
@@ -212,6 +226,8 @@ def test_all_zero_gram_block():
     assert (factors.rmsre, factors.energy_ratio, factors.col_dim) == \
         (0.0, 1.0, 0)
     assert factors.span_dim == 0
+    # r = 0: the direct error sums no residual
+    assert rmsre(factors, [zero]) == 0.0
 
 
 def test_non_finite_gram_block_is_an_eigensolver_failure():
@@ -415,6 +431,60 @@ def test_error_formula_matches_direct_evaluation(problem20, gram20):
         direct = rmsre(factors, tildes)
         formula = rmsre_closed_form(gram20, factors.k)
         assert abs(direct - formula) <= 1e-8 * max(direct, formula) + floor
+
+
+def _assert_rmsre_matches_the_per_sample_oracle(gram, factors, tildes):
+    # where the per-sample error is roundoff, only the floor is checked
+    floor = 2.0 * math.sqrt(np.finfo(float).eps * gram.trace / gram.M)
+    direct, oracle = rmsre(factors, tildes), rmsre_per_sample(factors, tildes)
+    if oracle > floor:
+        assert direct == pytest.approx(oracle, rel=1e-10)
+    else:
+        assert direct < floor
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.1, 0.2, 0.5, 1.0])
+def test_rmsre_matches_the_per_sample_oracle(problem20, gram20, theta):
+    tildes = problem20["system"].A_tildes
+    factors = factorize(gram20, tildes, theta)
+    if theta == 1.0:
+        # k = 459 past k_s = |S| = 135: U has unit-vector columns
+        assert (factors.k, factors.W.shape[2]) == (459, 135)
+    _assert_rmsre_matches_the_per_sample_oracle(gram20, factors, tildes)
+
+
+@pytest.mark.parametrize("darcy_rect, stokes_rect", [
+    ((0.0, 1.0, -0.5, 0.0), (0.0, 1.0, 0.0, 0.5)),
+    # |S| = 75 exceeds the column support c = 67
+    ((0.0, 1.0, 0.0, 0.25), (0.0, 1.0, -0.5, 0.0)),
+], ids=["porous_below", "shallow_porous"])
+def test_rmsre_matches_the_per_sample_oracle_on_other_geometries(
+        darcy_rect, stokes_rect):
+    mesh = build_mesh(Geometry(darcy_rect=darcy_rect,
+                               stokes_rect=stokes_rect), n=8)
+    kl = build_kl(CovarianceKernel(correlation_length_sq=0.2), mesh,
+                  epsilon=0.01)
+    samples = draw_samples(kl, M=20, seed=1234)
+    system = assemble_family(mesh, PhysicalParams(), kl,
+                             samples.coefficients)
+    gram = build_gram(system.A_tildes, block_dim=system.n_flow)
+    for theta in (0.1, select_theta(gram)[0], 1.0):
+        factors = factorize(gram, system.A_tildes, theta)
+        _assert_rmsre_matches_the_per_sample_oracle(gram, factors,
+                                                    system.A_tildes)
+
+
+def test_rmsre_rejects_a_family_the_factors_do_not_span(problem20, gram20):
+    tildes = problem20["system"].A_tildes
+    factors = factorize(gram20, tildes, 0.3)
+    with pytest.raises(ValueError, match="cover"):
+        rmsre(factors, tildes[:-1])
+    # M = 20 samples in r = 10 directions: a random matrix on the same
+    # pattern in place of one sample leaves the factors' span
+    other = tildes[3].copy()
+    other.data = np.random.default_rng(5).normal(size=other.nnz)
+    with pytest.raises(ValueError, match="span"):
+        rmsre(factors, tildes[:3] + [other] + tildes[4:])
 
 
 def test_factorize_col_dim_is_the_stored_column_support(problem20, gram20):

@@ -48,7 +48,7 @@ def _toy_factors(u, v_list, col_dim=None):
     w = np.array([np.asarray(v, dtype=float)[rows] for v in v_list])
     return GlramFactors(
         U=u, W=w, Y=np.eye(len(v_list)), k=k, rmsre=0.0, energy_ratio=1.0,
-        block_dim=n, n_full=n,
+        n_full=n,
     )
 
 
