@@ -109,7 +109,10 @@ class GramMatrix:
         zero row i adds the exact eigenpair (0, e_i).  Returns (w, v): w
         holds all block_dim eigenvalues in descending order, clipped at
         zero, the |S| of G[S, S] first; v holds the |S| x |S|
-        eigenvectors of G[S, S] in the order of w[:|S|].  No
+        eigenvectors of G[S, S] in the order of w[:|S|], each signed so
+        that its largest-magnitude entry (the first of equal ones) is
+        positive, so the factors do not depend on the eigensolver's
+        choice of signs.  No
         block_dim x block_dim eigenvector matrix is formed; ``factorize``
         embeds the leading ones.  Results are cached.  Raises
         EigensolverError if G[S, S] holds a NaN or an infinity, if the
@@ -147,7 +150,13 @@ class GramMatrix:
             # eigh returns ascending pairs; the zero rows add zeros last
             self._evals = np.concatenate([np.clip(w[::-1], 0.0, None),
                                           np.zeros(self.block_dim - s.size)])
-            self._evecs = v[:, ::-1]
+            v = v[:, ::-1]
+            if s.size:
+                # fix each eigenvector's sign: its largest-magnitude entry,
+                # the first of equal ones, is positive
+                peak = v[np.argmax(np.abs(v), axis=0), np.arange(s.size)]
+                v[:, peak < 0] *= -1.0
+            self._evecs = v
         return self._evals, self._evecs
 
     @property
@@ -297,7 +306,10 @@ def _pattern_rows(A_tildes, n):
 
     Returns (h, rows, cols, col_dim): h[m, e] is entry (rows[e], cols[e])
     of A_m (duplicates summed), and col_dim is one more than the largest
-    stored column index.  Costs O(nnz + n col_dim).  Each A_m must be n x n.
+    stored column index.  Consecutive matrices with equal ``indptr`` and
+    ``indices`` share one flat index array and are written as one block
+    of rows; the Monte Carlo family is a single such run.  Costs
+    O(nnz + n col_dim).  Each A_m must be n x n.
     """
     for m, a in enumerate(A_tildes):
         if a.shape != (n, n):
@@ -305,22 +317,42 @@ def _pattern_rows(A_tildes, n):
                 f"matrix {m} has shape {a.shape}, expected ({n}, {n})"
             )
     csrs = [a.tocsr() for a in A_tildes]
-    col_dim = max((int(a.indices.max()) + 1 for a in csrs if a.nnz), default=0)
-    # entry (i, j) of a matrix has the flat index i * col_dim + j
-    flat = (np.repeat(np.tile(np.arange(n) * col_dim, len(csrs)),
-                      np.concatenate([np.diff(a.indptr) for a in csrs]))
-            + np.concatenate([a.indices for a in csrs]))
+    runs = []   # [first matrix, one past the last]
+    for m, a in enumerate(csrs):
+        if runs and _same_pattern(a, csrs[runs[-1][0]]):
+            runs[-1][1] = m + 1
+        else:
+            runs.append([m, m + 1])
+    col_dim = max((int(csrs[m].indices.max()) + 1 for m, _ in runs
+                   if csrs[m].nnz), default=0)
+    # entry (i, j) has the flat index i * col_dim + j
+    runs = [(start, stop, np.repeat(np.arange(n) * col_dim,
+                                    np.diff(csrs[start].indptr))
+             + csrs[start].indices) for start, stop in runs]
     used = np.zeros(n * col_dim, dtype=bool)
-    used[flat] = True
+    for _, _, flat in runs:
+        used[flat] = True
     pattern = np.flatnonzero(used)
     position = np.cumsum(used) - 1
-    offset = np.repeat(np.arange(len(csrs)) * pattern.size,
-                       [a.indptr[-1] for a in csrs])
-    h = np.bincount(position[flat] + offset,
-                    weights=np.concatenate([a.data for a in csrs]),
-                    minlength=len(csrs) * pattern.size)
+    h = np.zeros((len(csrs), pattern.size))
+    for start, stop, flat in runs:
+        data = np.array([a.data for a in csrs[start:stop]])
+        if np.all(np.diff(flat) > 0):   # no duplicates
+            h[start:stop, position[flat]] = data
+        else:
+            index = (np.arange(stop - start)[:, None] * pattern.size
+                     + position[flat])
+            h[start:stop] = np.bincount(
+                index.ravel(), weights=data.ravel(),
+                minlength=h[start:stop].size).reshape(stop - start, -1)
     rows, cols = np.divmod(pattern, max(col_dim, 1))
-    return h.reshape(len(csrs), pattern.size), rows, cols, col_dim
+    return h, rows, cols, col_dim
+
+
+def _same_pattern(a, b):
+    """Whether CSR matrices a and b store entries at the same places."""
+    return (np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices))
 
 
 def _span_tol(d):
@@ -429,22 +461,36 @@ def rmsre(factors, A_tildes):
     with the family read as the rows of h on its pattern and the thin QR
     Y = Q R, h = Q C for C = Q^T h, so C_1..C_r carry the family's sum
     of squares.  Each residual C_i - U (U^T C_i) is formed densely, with
-    no trace - sum(lambda) cancellation.  Raises ValueError if a row of
-    h - Q Q^T h exceeds the span cutoff: the family is not the factors'.
+    no trace - sum(lambda) cancellation, on the rows S where U[:, :k_s]
+    is nonzero and with those k_s columns only: past k_s the columns of
+    U are unit vectors on rows outside S, which reproduce their entries
+    exactly, and on the other rows outside S the residual is the entry
+    itself.  Raises ValueError if a row of h - Q Q^T h exceeds the span
+    cutoff: the family is not the factors'.
     """
     if len(A_tildes) != factors.M:
         raise ValueError("factors do not cover the given matrix family")
     u = factors.U
+    k_s = factors.W.shape[2]
     h, rows, cols, col_dim = _pattern_rows(A_tildes, u.shape[0])
     q, _ = np.linalg.qr(factors.Y)
     c = q.T @ h
     if np.linalg.norm(h - q @ c, axis=1).max(initial=0.0) > _span_tol(h):
         raise ValueError("the family does not lie in the factors' span")
-    total = 0.0
+    s = np.flatnonzero(u[:, :k_s].any(axis=1))
+    local = np.full(u.shape[0], -1)
+    local[s] = np.arange(s.size)
+    on_s = local[rows] >= 0
+    # off S, an entry on a unit-vector row of U is reproduced exactly
+    off = np.flatnonzero(~on_s)
+    off = off[~u[rows[off], k_s:].any(axis=1)]
+    total = float(np.vdot(c[:, off], c[:, off]))
+    u_s = u[s, :k_s]
+    rows_s, cols_s = local[rows[on_s]], cols[on_s]
     for c_i in c:
-        x = np.zeros((u.shape[0], col_dim))
-        x[rows, cols] = c_i
-        x -= u @ (u.T @ x)
+        x = np.zeros((s.size, col_dim))
+        x[rows_s, cols_s] = c_i[on_s]
+        x -= u_s @ (u_s.T @ x)
         total += float(np.vdot(x, x))
     return math.sqrt(total / len(A_tildes))
 

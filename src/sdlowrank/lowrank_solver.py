@@ -13,18 +13,19 @@ and the row products run over c rows; the capacitance matrix is
 k_s x k_s.  The family spans r matrices, so V_m = sum_j Y[m, j] W_j
 (see ``GlramFactors``) and each capacitance matrix is an r-term sum of
 blocks P_j = W_j^T Z[:c] built once per family in O(r c k_s^2), next to
-the right sides W_j^T x_bar[:c].  A sample then costs
-O(r k_s^2 + k_s^3 + N k_s) instead of a fresh N-dimensional sparse
-solve, and never forms V_m.  A direct sparse solve of (Abar + A_m) x = b
-is kept as the reference baseline.
+the right sides W_j^T x_bar[:c].  The blocks are stored flattened, one
+row per j, so a sample's sum is one matrix-vector product whose result
+is the capacitance matrix in Fortran order, and the sample is then three
+LAPACK calls (LU, condition estimate, back-substitution) on it in place.
+A sample costs O(r k_s^2 + k_s^3 + N k_s) instead of a fresh
+N-dimensional sparse solve, and never forms V_m.  A direct sparse solve
+of (Abar + A_m) x = b is kept as the reference baseline.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
@@ -42,6 +43,10 @@ __all__ = [
 ]
 
 CAPACITANCE_COND_LIMIT = 1e12
+
+# looked up once: every capacitance matrix is a float64 Fortran array
+_GETRF, _GECON, _GETRS, _LANGE = get_lapack_funcs(
+    ("getrf", "gecon", "getrs", "lange"), dtype=np.float64)
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -95,7 +100,8 @@ class MeanFactorization:
         """Abar^{-1} U[:, :k_s] for ``factors``, with k_s = W.shape[2],
         recomputed when the family changes."""
         if factors is not self._factors:
-            u = factors.U[:, :factors.W.shape[2]]
+            # SuperLU solves a Fortran-ordered right side without a copy
+            u = np.asfortranarray(factors.U[:, :factors.W.shape[2]])
             z = self._lu.solve(u)
             resid = np.linalg.norm(self.A_bar @ z - u, axis=0)
             scale = np.linalg.norm(u, axis=0)
@@ -110,20 +116,23 @@ class MeanFactorization:
         return self._z
 
     def blocks_for(self, factors):
-        """The r capacitance blocks of ``factors``, transposed, and their
+        """The r capacitance blocks of ``factors``, flattened, and their
         right sides.
 
         With c = ``factors.col_dim`` and W_j from ``factors.W``, returns
-        (P, w) with P[j] = (W_j^T Z[:c])^T (k_s x k_s) and
-        w[j] = W_j^T x_bar[:c].  Summing the transposes gives each
-        capacitance matrix in Fortran order, which LAPACK factors in
-        place.  Built with BLAS once per family, in O(r c k_s^2).
+        (P, w) with P[j] the k_s x k_s block W_j^T Z[:c] flattened in
+        Fortran order (P is r x k_s^2) and w[j] = W_j^T x_bar[:c].  So
+        y @ P, reshaped in Fortran order without a copy, is
+        sum_j y_j W_j^T Z[:c], which LAPACK factors in place.  Built with
+        BLAS once per family, in O(r c k_s^2).
         """
         z = self.z_for(factors)
         if self._blocks is None:
             c = factors.col_dim
             w = factors.W
-            self._blocks = (z[:c].T @ w,
+            r, _, k_s = w.shape
+            # row-major Z[:c]^T W_j is column-major W_j^T Z[:c]
+            self._blocks = ((z[:c].T @ w).reshape(r, k_s * k_s),
                             w.transpose(0, 2, 1) @ self.x_bar[:c])
         return self._blocks
 
@@ -173,35 +182,37 @@ def solve_sample_smw(mean, factors, m):
     Forms the k_s x k_s capacitance matrix C = I + sum_j y_j P_j
     (= I + V_m[:c, :k_s]^T Z[:c]) from the family's cached blocks
     (``MeanFactorization.blocks_for``) and the sample's span
-    coefficients y = Y[m], factorizes it, estimates its condition
-    number (``capacitance_cond``), and applies the Woodbury identity
-    x = x_bar - Z C^{-1} (sum_j y_j W_j^T x_bar[:c]).  A sample costs
+    coefficients y = Y[m] as one matrix-vector product, in Fortran order,
+    with the identity added on a strided view of its diagonal.  Three
+    LAPACK calls follow on C in place: the LU (``getrf``), its 1-norm
+    condition estimate (``gecon``, reported as ``capacitance_cond``) and
+    the back-substitution (``getrs``) of w = sum_j y_j W_j^T x_bar[:c];
+    then x = x_bar - Z C^{-1} w.  A sample costs
     O(r k_s^2 + k_s^3 + N k_s) after the one-time block build.  When
     k_s = 0 the update vanishes and x = x_bar with condition 1.  No
-    N x N inverse and no V_m is ever formed.  A non-finite C or x raises
-    SingularSystemError naming the sample.
+    N x N inverse and no V_m is ever formed.  An exactly singular C has
+    condition infinity; a condition above CAPACITANCE_COND_LIMIT raises
+    IllConditionedUpdateError, and a non-finite C or x raises
+    SingularSystemError, each naming the sample.
     """
     if not 0 <= m < factors.M:
         raise IndexError(f"sample index {m} outside 0..{factors.M - 1}")
     y_m = factors.Y[m]
     blocks, rhs = mean.blocks_for(factors)
-    # the sum of the transposed blocks is C^T, so c is C in Fortran order
-    c = np.tensordot(y_m, blocks, axes=1).T
+    k_s = rhs.shape[1]
+    flat = y_m @ blocks
     w = y_m @ rhs
-    c[np.diag_indices_from(c)] += 1.0
-    if not np.all(np.isfinite(c)):
+    flat[::k_s + 1] += 1.0
+    if not np.all(np.isfinite(flat)):
         raise SingularSystemError(
             f"sample {m}: non-finite capacitance matrix entries"
         )
-    if c.size:
-        anorm = np.linalg.norm(c, 1)
-        with warnings.catch_warnings():
-            # an exactly singular factor is caught by the condition estimate
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(c, overwrite_a=True,
-                                             check_finite=False)
-        gecon = get_lapack_funcs(("gecon",), (lu,))[0]
-        rcond, info = gecon(lu, anorm, norm="1")
+    if k_s:
+        c = flat.reshape(k_s, k_s, order="F")
+        anorm = _LANGE("1", c)
+        # an exactly zero pivot leaves getrf's info > 0 and rcond = 0
+        lu, piv, _ = _GETRF(c, overwrite_a=1)
+        rcond, info = _GECON(lu, anorm, norm="1")
         if info != 0 or rcond == 0.0 or not np.isfinite(rcond):
             cond = math.inf
         else:
@@ -214,7 +225,7 @@ def solve_sample_smw(mean, factors, m):
                 f"singularity"
             )
         # a non-finite w (from x_bar) reaches x, which is checked below
-        y = scipy.linalg.lu_solve((lu, piv), w, check_finite=False)
+        y, _ = _GETRS(lu, piv, w, overwrite_b=1)
     else:  # k_s = 0: no update, and LAPACK rejects an empty matrix
         cond, y = 1.0, w
     x = mean.x_bar - mean.z_for(factors) @ y

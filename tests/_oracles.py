@@ -7,14 +7,20 @@ assembly code paths.  The one exception is ``k_linear_blocks``: a
 per-element reference for the conductivity-linear blocks that reuses the
 package's geometry tables but not its precomputed conductivity map.
 ``rmsre_per_sample`` is the per-matrix reconstruction error that
-``glram.rmsre`` evaluated before it summed over the family's span.
+``glram.rmsre`` evaluated before it summed over the family's span, and
+``smw_reference`` the per-sample Woodbury solve that
+``lowrank_solver.solve_sample_smw`` ran before it called LAPACK directly
+on flattened capacitance blocks.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import get_lapack_funcs
 
 from sdlowrank.assembly import _Coo, _nodal_field, _Workspace
 
@@ -185,3 +191,34 @@ def rmsre_per_sample(factors, A_tildes):
         # rows below the block are zero in A_m and in U V_m^T alike
         total += float(np.sum(diff * diff))
     return math.sqrt(total / len(A_tildes))
+
+
+def smw_reference(mean, factors, m):
+    """Woodbury solve of sample m through scipy's LU wrappers.
+
+    Returns (x, condition estimate).  Z = Abar^{-1} U[:, :k_s] is solved
+    afresh, the r blocks (W_j^T Z[:c])^T are summed by ``tensordot`` into
+    the capacitance matrix C, and C goes through ``lu_factor``, LAPACK's
+    ``gecon`` 1-norm estimate and ``lu_solve``.  An exactly singular C
+    has condition infinity; k_s = 0 gives x_bar with condition 1.
+    """
+    c, k_s = factors.col_dim, factors.W.shape[2]
+    z = mean.solve(factors.U[:, :k_s])
+    blocks = z[:c].T @ factors.W
+    rhs = factors.W.transpose(0, 2, 1) @ mean.x_bar[:c]
+    y_m = factors.Y[m]
+    cap = np.tensordot(y_m, blocks, axes=1).T
+    w = y_m @ rhs
+    cap[np.diag_indices_from(cap)] += 1.0
+    if not cap.size:
+        return mean.x_bar - z @ w, 1.0
+    anorm = np.linalg.norm(cap, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(cap, check_finite=False)
+    gecon = get_lapack_funcs(("gecon",), (lu,))[0]
+    rcond, info = gecon(lu, anorm, norm="1")
+    if info != 0 or rcond == 0.0 or not np.isfinite(rcond):
+        return None, math.inf
+    y = scipy.linalg.lu_solve((lu, piv), w, check_finite=False)
+    return mean.x_bar - z @ y, 1.0 / rcond

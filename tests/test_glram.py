@@ -31,7 +31,7 @@ from sdlowrank import (
     select_theta,
     write_report,
 )
-from sdlowrank.glram import RANK_RTOL
+from sdlowrank.glram import RANK_RTOL, _pattern_rows
 
 
 def _random_family(rng, n, block_rows, block_cols, M, rank=None):
@@ -182,6 +182,51 @@ def test_build_gram_matches_dense_sum_on_random_families(case):
         assert factorize(auto, family, 1.0).span_dim == r
 
 
+@st.composite
+def _csr_families(draw):
+    """(n, family) of n x n CSR matrices built from raw arrays, so rows may
+    hold unsorted and repeated column indices.  Each matrix takes one of
+    up to three patterns: all the first ("shared") or any ("mixed")."""
+    n = draw(st.integers(1, 6))
+    patterns = []
+    for _ in range(draw(st.integers(1, 3))):
+        counts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        indices = draw(st.lists(st.integers(0, n - 1), min_size=sum(counts),
+                                max_size=sum(counts)))
+        patterns.append((np.array(indices, dtype=np.int32),
+                         np.concatenate([[0], np.cumsum(counts)])
+                         .astype(np.int32)))
+    shared = draw(st.booleans())
+    value = st.just(0.0) | st.floats(-2.0, 2.0, allow_subnormal=False)
+    family = []
+    for _ in range(draw(st.integers(1, 6))):
+        j = 0 if shared else draw(st.integers(0, len(patterns) - 1))
+        indices, indptr = patterns[j]
+        data = draw(hnp.arrays(np.float64, indices.size, elements=value))
+        family.append(sp.csr_matrix((data, indices.copy(), indptr.copy()),
+                                    shape=(n, n)))
+    return n, family
+
+
+@settings(deadline=None, max_examples=100)
+@given(_csr_families())
+def test_pattern_rows_matches_a_bincount_per_matrix(case):
+    # each matrix scattered on its own, duplicates summed in storage order
+    n, family = case
+    col_dim = max((int(a.indices.max()) + 1 for a in family if a.nnz),
+                  default=0)
+    flats = [np.repeat(np.arange(n) * col_dim, np.diff(a.indptr))
+             + a.indices for a in family]
+    dense = [np.bincount(f, weights=a.data, minlength=n * col_dim)
+             for f, a in zip(flats, family)]
+    pattern = np.unique(np.concatenate(flats)).astype(int)
+    h, rows, cols, got_col_dim = _pattern_rows(family, n)
+    assert got_col_dim == col_dim
+    assert np.array_equal(h, np.array([d[pattern] for d in dense])
+                          .reshape(len(family), pattern.size))
+    assert np.array_equal(rows * max(col_dim, 1) + cols, pattern)
+
+
 def test_eigenpairs_cached_and_descending(gram20):
     w1, v1 = gram20.eigenpairs()
     w2, v2 = gram20.eigenpairs()
@@ -318,6 +363,20 @@ def test_support_eigensolve_matches_the_dense_block(case):
     assert np.all(units.sum(axis=0) == 1.0)
     assert not v[:, on_zero].any()
     assert rmsre(factors, family) <= 1e-12
+
+
+@settings(deadline=None, max_examples=100)
+@given(_psd_blocks_with_zero_rows())
+def test_support_eigenvectors_have_a_positive_largest_entry(case):
+    # eigh's eigenvectors, each signed by its largest-magnitude entry
+    gram = case[0]
+    s = gram.support
+    _, v = gram.eigenpairs()
+    ref = scipy.linalg.eigh(gram.block[np.ix_(s, s)])[1][:, ::-1]
+    assert np.array_equal(np.abs(v), np.abs(ref))
+    if s.size:
+        peak = v[np.argmax(np.abs(v), axis=0), np.arange(s.size)]
+        assert np.all(peak > 0.0)
 
 
 @settings(deadline=None, max_examples=60)
@@ -485,6 +544,18 @@ def test_rmsre_rejects_a_family_the_factors_do_not_span(problem20, gram20):
     other.data = np.random.default_rng(5).normal(size=other.nnz)
     with pytest.raises(ValueError, match="span"):
         rmsre(factors, tildes[:3] + [other] + tildes[4:])
+
+
+def test_rmsre_of_entries_off_the_gram_support():
+    # the factors of a = e0 e0^T (S = {0}) applied to b = a + 2 e1 e0^T,
+    # which the one-matrix span admits: at k = 1 the entry on row 1 is
+    # all residual, at k = 3 the unit-vector column on row 1 reproduces it
+    a = sp.csr_matrix(([1.0], ([0], [0])), shape=(3, 3))
+    b = sp.csr_matrix(([1.0, 2.0], ([0, 1], [0, 0])), shape=(3, 3))
+    gram = build_gram([a], block_dim=3)
+    assert list(gram.support) == [0]
+    assert rmsre(factorize(gram, [a], 1 / 3), [b]) == 2.0
+    assert rmsre(factorize(gram, [a], 1.0), [b]) == 0.0
 
 
 def test_factorize_col_dim_is_the_stored_column_support(problem20, gram20):

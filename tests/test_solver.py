@@ -1,5 +1,7 @@
 """Sample solvers: Woodbury updates against direct sparse solves."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import get_lapack_funcs
 
+from _oracles import smw_reference
 from sdlowrank import (
     CovarianceKernel,
     Geometry,
@@ -32,6 +35,7 @@ from sdlowrank import (
     solve_sample_direct,
     solve_sample_smw,
 )
+from sdlowrank.lowrank_solver import CAPACITANCE_COND_LIMIT
 
 
 def _toy_system(a, b, n1=1, n2=1, n3=0, tildes=()):
@@ -175,6 +179,17 @@ def test_smw_matches_dense_solve_on_random_column_support(n, data):
             assert err <= 1e-10, f"col_dim={rows}, sample {m}: {err:.3e}"
 
 
+def _span_family(rng, n, M, r):
+    """A_m = sum_t Y[m, t] B_t over r random sparse n x n B_t, with zeros
+    in Y so that the samples' sparsity patterns differ."""
+    basis = [sp.random(n, n, density=rng.uniform(0.1, 0.6),
+                       random_state=rng, data_rvs=rng.standard_normal)
+             for _ in range(r)]
+    y = rng.normal(size=(M, r)) * (rng.random((M, r)) < 0.7)
+    return [sum((y[m, t] * basis[t] for t in range(r) if y[m, t]),
+                sp.csr_matrix((n, n))).tocsr() for m in range(M)]
+
+
 @settings(deadline=None, max_examples=100)
 @given(st.integers(3, 10), st.data())
 def test_span_solve_matches_dense_solve_on_random_families(n, data):
@@ -186,12 +201,7 @@ def test_span_solve_matches_dense_solve_on_random_families(n, data):
     r = data.draw(st.integers(0, min(4, M)), label="r")
     off_span = data.draw(st.booleans(), label="off_span")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    basis = [sp.random(n, n, density=rng.uniform(0.1, 0.6),
-                       random_state=rng, data_rvs=rng.standard_normal)
-             for _ in range(r)]
-    y = rng.normal(size=(M, r)) * (rng.random((M, r)) < 0.7)
-    tildes = [sum((y[m, t] * basis[t] for t in range(r) if y[m, t]),
-                  sp.csr_matrix((n, n))).tocsr() for m in range(M)]
+    tildes = _span_family(rng, n, M, r)
     if off_span:
         j = int(rng.integers(M))
         e = sp.random(n, n, density=0.3, random_state=rng,
@@ -217,6 +227,42 @@ def test_span_solve_matches_dense_solve_on_random_families(n, data):
         x = solve_sample_smw(mean, factors, m).x
         err = np.linalg.norm(x - expect) / np.linalg.norm(expect)
         assert err <= 1e-10, f"sample {m}: {err:.3e}"
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(3, 10), st.data())
+def test_lapack_solve_matches_the_reference_on_random_span_families(n, data):
+    # k_s = 0 (the all-zero family), k_s = 1 (k = 1) and k_s = |S|
+    # (k from |S| up to the block dimension); the flattened blocks and the
+    # direct LAPACK calls must give the reference's x and condition
+    # estimate, or reject the sample where the reference's estimate
+    # exceeds the limit
+    kind = data.draw(st.sampled_from(["zero", "one", "support"]),
+                     label="kind")
+    M = data.draw(st.integers(1, 6), label="M")
+    r = 0 if kind == "zero" else data.draw(st.integers(1, min(4, M)),
+                                           label="r")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    tildes = _span_family(rng, n, M, r)
+    a = rng.normal(size=(n, n)) + 2 * n * np.eye(n)
+    b = rng.normal(size=n)
+    gram = build_gram(tildes)
+    s = gram.support.size
+    k = (data.draw(st.integers(max(s, 1), gram.block_dim), label="k")
+         if kind == "support" else 1)
+    factors = factorize(gram, tildes, k / n)
+    assert factors.W.shape[2] == min(k, s)
+    mean = factor_mean(_toy_system(a, b, n1=n, n2=0))
+    for m in range(M):
+        x, cond = smw_reference(mean, factors, m)
+        if cond > CAPACITANCE_COND_LIMIT:
+            with pytest.raises(IllConditionedUpdateError):
+                solve_sample_smw(mean, factors, m)
+            continue
+        sol = solve_sample_smw(mean, factors, m)
+        err = np.linalg.norm(sol.x - x) / np.linalg.norm(x)
+        assert err <= 1e-14, f"sample {m}: {err:.3e}"
+        assert sol.capacitance_cond == pytest.approx(cond, rel=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.0])
@@ -342,6 +388,32 @@ def test_smw_deterministic(problem20, gram20):
     assert np.array_equal(a.x, c.x)
 
 
+def test_capacitance_cond_does_not_move_with_eigenvector_signs(
+        problem20, monkeypatch):
+    # an eigensolver that flips every other eigenvector leaves U, W and
+    # each sample's condition estimate bit for bit as they were
+    system = problem20["system"]
+    grams = [build_gram(system.A_tildes, block_dim=system.n_flow)
+             for _ in range(2)]
+    grams[0].eigenpairs()
+    eigh = scipy.linalg.eigh
+
+    def flipped(a, *args, **kwargs):
+        w, v = eigh(a, *args, **kwargs)
+        return w, v * np.where(np.arange(v.shape[1]) % 2, -1.0, 1.0)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", flipped)
+    grams[1].eigenpairs()
+    monkeypatch.undo()
+    f0, f1 = (factorize(g, system.A_tildes, select_theta(g)[0])
+              for g in grams)
+    assert np.array_equal(f0.U, f1.U) and np.array_equal(f0.W, f1.W)
+    mean = factor_mean(system)
+    for m in range(f0.M):
+        assert (solve_sample_smw(mean, f0, m).capacitance_cond
+                == solve_sample_smw(mean, f1, m).capacitance_cond)
+
+
 def test_singular_capacitance_rejected():
     # U = e1, V = -e1 drives the sample matrix to diag(0, 1, 1)
     system = _toy_system(np.eye(3), np.ones(3))
@@ -363,6 +435,21 @@ def test_singular_column_support_capacitance_rejected():
     factors = _toy_factors(np.eye(3)[:, :2], [v], col_dim=1)
     with pytest.raises(IllConditionedUpdateError, match="sample 0"):
         solve_sample_smw(mean, factors, 0)
+
+
+def test_exactly_singular_capacitance_rejected_without_a_warning():
+    # Abar = I and U = [e1, e2], so C = I + V_0[:2]^T = [[1, 1], [1, 1]]:
+    # LU meets an exactly zero pivot, the condition estimate is infinite
+    system = _toy_system(np.eye(3), np.ones(3))
+    mean = factor_mean(system)
+    v = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+    factors = _toy_factors(np.eye(3)[:, :2], [v])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditionedUpdateError,
+                           match="sample 0: capacitance matrix condition "
+                                 "estimate inf exceeds"):
+            solve_sample_smw(mean, factors, 0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
