@@ -55,7 +55,7 @@ def main():
     print("  theta      k    predicted err   measured err   storage ratio")
     for theta in (0.05, 0.10, theta_sel, 0.75, 1.00):
         factors = factorize(gram, system.A_tildes, theta)
-        measured = rmsre(factors, system.A_tildes)
+        measured = rmsre(gram, factors)
         print(f"  {theta:.4f}  {factors.k:4d}     {factors.rmsre:.4e}"
               f"      {measured:.4e}       {factors.storage_reduction:.4f}")
     print()

@@ -420,7 +420,7 @@ def cmd_theta_sweep(cfg):
                 "k": factors.k,
                 "rmsre_formula": factors.rmsre,
                 "rmsre_direct": stages.run(
-                    "rmsre", lambda: rmsre(factors, system.A_tildes)),
+                    "rmsre", lambda: rmsre(gram, factors)),
                 "energy_ratio": factors.energy_ratio,
                 "err_total": total,
                 "err_darcy": darcy,
@@ -485,8 +485,7 @@ def cmd_select_theta(cfg):
     factors = stages.run(
         "factorize", lambda: factorize(gram, system.A_tildes, theta)
     )
-    rmsre_direct = stages.run(
-        "rmsre", lambda: rmsre(factors, system.A_tildes))
+    rmsre_direct = stages.run("rmsre", lambda: rmsre(gram, factors))
     txt = _out(cfg, "glram_report.txt")
     spectrum = _out(cfg, "gram_spectrum.csv")
     write_report(gram, factors, rmsre_direct, txt, spectrum)

@@ -12,7 +12,7 @@ which solves min_U sum_m ||A_m - U U^T A_m||_F^2 over orthonormal U, and
 the optimal right factors are V_m = A_m^T U.  The squared root-mean-square
 reconstruction error has a closed form, (trace(G) - sum of the retained
 eigenvalues)/M, and a direct evaluation, ``rmsre``, that forms the
-residuals A - U U^T A; each checks the other.
+residuals of the family's span directions; each checks the other.
 
 The retained dimension is the smallest k with k/N >= theta for a
 compression ratio theta in (0, 1], capped at the Gram block dimension.
@@ -25,13 +25,15 @@ Past |S| the columns of U are unit vectors on zero rows, whose right
 factors vanish, so the stored factors and the solver stop at
 k_s = min(k, |S|) columns.
 
-The factors read the family once, in ``build_gram``: an orthonormal
-basis B_1..B_r of its span (r = T, the number of KL modes, for the Monte
-Carlo family) and coefficients Y with A_m = sum_j Y[m, j] B_j are found in
-O(M r p) for p entries in the union sparsity pattern, and G is an r-term
-sum whatever M.  ``factorize`` stores W_j = B_j^T U and Y, and no N x k
-V_m is formed: the Woodbury solver sums r k_s x k_s blocks formed from W
-once per family, and ``rmsre`` sums the residuals of r matrices, not M.
+The family is read once, in ``build_gram``: an orthonormal basis
+B_1..B_r of its span (r = T, the number of KL modes, for the Monte Carlo
+family) and coefficients Y with A_m = sum_j Y[m, j] B_j are found in
+O(M r p) for p entries in the union sparsity pattern, and G = sum_j C_j
+C_j^T is an r-term sum whatever M, with C = R B for the thin QR Y = Q R.
+The Gram matrix keeps B, Y and C; nothing after it reads the family.
+``factorize`` stores W_j = B_j^T U and Y, and no N x k V_m is formed: the
+Woodbury solver sums r k_s x k_s blocks formed from W once per family,
+and ``rmsre`` sums the residuals of C_1..C_r, not of M matrices.
 """
 
 import bisect
@@ -85,7 +87,7 @@ class GramMatrix:
     _support: np.ndarray = field(default=None, repr=False)
     _evals: np.ndarray = field(default=None, repr=False)
     _evecs: np.ndarray = field(default=None, repr=False)
-    # the family's span (B on the pattern, rows, cols, col_dim, Y)
+    # the family's span (B on the pattern, rows, cols, col_dim, Y, C = R B)
     _span: tuple = field(default=None, repr=False)
 
     @property
@@ -242,9 +244,10 @@ def build_gram(A_tildes, block_dim=None):
 
     The family is read once, as the rows of an M x p matrix on its union
     sparsity pattern, whose orthonormal row basis B_1..B_r and
-    coefficients Y give A_m = sum_j Y[m, j] B_j to roundoff, in O(M r p);
-    they are kept for ``factorize``.  With the thin QR Y = Q R,
-    G = sum_j C_j C_j^T for C = R B: one sparse product of r matrices.
+    coefficients Y give A_m = sum_j Y[m, j] B_j to roundoff, in O(M r p).
+    With the thin QR Y = Q R, G = sum_j C_j C_j^T for C = R B: one sparse
+    product of r matrices.  B and Y are kept for ``factorize``, C for
+    ``rmsre``.
     All matrices must share the same dimension.  ``block_dim`` bounds the
     nonzero rows; when omitted it is detected from the nonzeros of C.
     The block is explicitly symmetrized to remove accumulation roundoff.
@@ -262,6 +265,7 @@ def build_gram(A_tildes, block_dim=None):
     basis = _span_basis(h)
     y = h @ basis.T
     c = np.linalg.qr(y, mode="r") @ basis
+    span = (basis, rows, cols, col_dim, y, c)
     # explicitly stored zeros are not support
     nonzero = (c != 0.0).any(axis=0)
     max_row = int(rows[nonzero].max(initial=-1)) + 1
@@ -279,7 +283,7 @@ def build_gram(A_tildes, block_dim=None):
     gram = (c @ c.T).toarray()
     gram = 0.5 * (gram + gram.T)
     return GramMatrix(block=gram, n_full=n, block_dim=block_dim,
-                      M=len(A_tildes), _span=(basis, rows, cols, col_dim, y))
+                      M=len(A_tildes), _span=span)
 
 
 def _k_from_theta(theta, gram):
@@ -351,14 +355,8 @@ def _pattern_rows(A_tildes, n):
 
 def _same_pattern(a, b):
     """Whether CSR matrices a and b store entries at the same places."""
-    return (np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices))
-
-
-def _span_tol(d):
-    """Residual norm up to which a row of d (M x p) is roundoff."""
-    norms2 = np.einsum("ij,ij->i", d, d)
-    return max(d.shape) * SPAN_EPS * math.sqrt(norms2.max(initial=0.0))
+    return (a.indptr.tobytes() == b.indptr.tobytes()
+            and a.indices.tobytes() == b.indices.tobytes())
 
 
 def _span_basis(d):
@@ -374,7 +372,7 @@ def _span_basis(d):
     Returns the r x p basis.
     """
     norms2 = np.einsum("ij,ij->i", d, d)
-    tol = _span_tol(d)
+    tol = max(d.shape) * SPAN_EPS * math.sqrt(norms2.max(initial=0.0))
     basis = np.zeros((min(d.shape), d.shape[1]))
     r, exact = 0, True
     while r < basis.shape[0]:
@@ -441,7 +439,7 @@ def factorize(gram, A_tildes, theta):
     u_full[s, :k_s] = v[:, :k_s]
     u_full[zero_rows[::-1][:k - k_s], np.arange(k_s, k)] = 1.0
 
-    basis, rows, cols, col_dim, y = gram._span
+    basis, rows, cols, col_dim, y, _ = gram._span
     b = _stacked(basis, rows, cols, col_dim, n)
     return GlramFactors(
         U=u_full,
@@ -454,37 +452,30 @@ def factorize(gram, A_tildes, theta):
     )
 
 
-def rmsre(factors, A_tildes):
+def rmsre(gram, factors):
     """Direct root-mean-square reconstruction error.
 
     sqrt( (1/M) * sum_m ||A_m - U U^T A_m||_F^2 ) over r matrices, not M:
-    with the family read as the rows of h on its pattern and the thin QR
-    Y = Q R, h = Q C for C = Q^T h, so C_1..C_r carry the family's sum
-    of squares.  Each residual C_i - U (U^T C_i) is formed densely, with
-    no trace - sum(lambda) cancellation, on the rows S where U[:, :k_s]
-    is nonzero and with those k_s columns only: past k_s the columns of
-    U are unit vectors on rows outside S, which reproduce their entries
-    exactly, and on the other rows outside S the residual is the entry
-    itself.  Raises ValueError if a row of h - Q Q^T h exceeds the span
-    cutoff: the family is not the factors'.
+    the family is Q C with orthonormal Q (Y = Q R, C = R B, as
+    ``build_gram`` kept them), so C_1..C_r carry its sum of squares.
+    Each residual C_i - U (U^T C_i) is formed densely, with no
+    trace - sum(lambda) cancellation, on the rows S where U[:, :k_s] is
+    nonzero and with those k_s columns only.  Off S the residual is the
+    entry itself: past k_s the columns of U are unit vectors on zero Gram
+    rows, where every C_i is zero.  Raises ValueError unless the factors
+    carry the Gram matrix's Y, i.e. were made from it.
     """
-    if len(A_tildes) != factors.M:
-        raise ValueError("factors do not cover the given matrix family")
+    if gram._span is None or not np.array_equal(factors.Y, gram._span[4]):
+        raise ValueError("factors were not made from this Gram matrix")
+    _, rows, cols, col_dim, _, c = gram._span
     u = factors.U
     k_s = factors.W.shape[2]
-    h, rows, cols, col_dim = _pattern_rows(A_tildes, u.shape[0])
-    q, _ = np.linalg.qr(factors.Y)
-    c = q.T @ h
-    if np.linalg.norm(h - q @ c, axis=1).max(initial=0.0) > _span_tol(h):
-        raise ValueError("the family does not lie in the factors' span")
     s = np.flatnonzero(u[:, :k_s].any(axis=1))
     local = np.full(u.shape[0], -1)
     local[s] = np.arange(s.size)
     on_s = local[rows] >= 0
-    # off S, an entry on a unit-vector row of U is reproduced exactly
-    off = np.flatnonzero(~on_s)
-    off = off[~u[rows[off], k_s:].any(axis=1)]
-    total = float(np.vdot(c[:, off], c[:, off]))
+    off = c[:, ~on_s]
+    total = float(np.vdot(off, off))
     u_s = u[s, :k_s]
     rows_s, cols_s = local[rows[on_s]], cols[on_s]
     for c_i in c:
@@ -492,7 +483,7 @@ def rmsre(factors, A_tildes):
         x[rows_s, cols_s] = c_i[on_s]
         x -= u_s @ (u_s.T @ x)
         total += float(np.vdot(x, x))
-    return math.sqrt(total / len(A_tildes))
+    return math.sqrt(total / gram.M)
 
 
 def rmsre_closed_form(gram, k):
@@ -544,7 +535,7 @@ def select_theta(gram, energy_target=1.0 - 1e-9):
 def write_report(gram, factors, rmsre_direct, txt_path, csv_path):
     """Serialize one factorization as key-value text plus an eigenvalue CSV.
 
-    ``rmsre_direct`` is ``rmsre(factors, A_tildes)``; the text also holds
+    ``rmsre_direct`` is ``rmsre(gram, factors)``; the text also holds
     e(theta) on the grid theta = 0, 0.05, ..., 1.
     """
     with open(txt_path, "w", encoding="utf-8") as f:

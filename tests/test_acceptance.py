@@ -118,7 +118,7 @@ def test_criterion_01_shared_factor_minimizes_family_error():
         factors = factorize(gram1, fam1, theta=k / 6)
         tail = math.sqrt(float(np.sum(sigma[k:] ** 2)))
         worst_svd_rel = max(worst_svd_rel,
-                            abs(rmsre(factors, fam1) - tail) / tail)
+                            abs(rmsre(gram1, factors) - tail) / tail)
     elapsed = time.perf_counter() - t0
 
     ok = (worst_margin <= 1e-10 and worst_eig_rel <= 1e-10
@@ -140,7 +140,7 @@ def test_criterion_02_spectrum_formula_matches_direct_error(problem20, gram20):
     worst_gap = 0.0
     for theta in (0.05, 0.2, 0.5, 1.0):
         factors = factorize(gram20, tildes, theta)
-        direct = rmsre(factors, tildes)
+        direct = rmsre(gram20, factors)
         formula = factors.rmsre
         worst_gap = max(
             worst_gap,

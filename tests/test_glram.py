@@ -272,7 +272,7 @@ def test_all_zero_gram_block():
         (0.0, 1.0, 0)
     assert factors.span_dim == 0
     # r = 0: the direct error sums no residual
-    assert rmsre(factors, [zero]) == 0.0
+    assert rmsre(gram, factors) == 0.0
 
 
 def test_non_finite_gram_block_is_an_eigensolver_failure():
@@ -362,7 +362,7 @@ def test_support_eigensolve_matches_the_dense_block(case):
     assert np.array_equal(np.sort(units.nonzero()[0]), zero_rows)
     assert np.all(units.sum(axis=0) == 1.0)
     assert not v[:, on_zero].any()
-    assert rmsre(factors, family) <= 1e-12
+    assert rmsre(gram, factors) <= 1e-12
 
 
 @settings(deadline=None, max_examples=100)
@@ -419,7 +419,7 @@ def test_full_rank_factorization_is_lossless():
     assert np.abs(factors.U[6:]).max() == 0.0
     assert np.allclose(factors.U.T @ factors.U, np.eye(6), atol=1e-12)
     scale = math.sqrt(gram.trace)
-    assert rmsre(factors, fam) <= 1e-9 * scale
+    assert rmsre(gram, factors) <= 1e-9 * scale
 
 
 def test_right_factors_are_projections(problem20, gram20):
@@ -439,7 +439,7 @@ def test_single_matrix_error_matches_svd_tail():
         factors = factorize(gram, fam, theta=k / 8)
         assert factors.k == k
         tail = math.sqrt(float(np.sum(sing[k:] ** 2)))
-        assert rmsre(factors, fam) == pytest.approx(tail, rel=1e-10)
+        assert rmsre(gram, factors) == pytest.approx(tail, rel=1e-10)
         assert rmsre_closed_form(gram, k) == pytest.approx(tail, rel=1e-8)
 
 
@@ -454,7 +454,7 @@ def test_repeated_matrix_family_matches_single():
     assert np.allclose(g4.block, 4.0 * g1.block, atol=1e-12)
     f1 = factorize(g1, one, theta=2 / 7)
     f4 = factorize(g4, fam, theta=2 / 7)
-    assert rmsre(f4, fam) == pytest.approx(rmsre(f1, one), rel=1e-10)
+    assert rmsre(g4, f4) == pytest.approx(rmsre(g1, f1), rel=1e-10)
 
 
 def test_shared_factor_beats_random_candidates():
@@ -467,7 +467,7 @@ def test_shared_factor_beats_random_candidates():
     dense = [a.toarray() for a in fam]
     k = 2
     factors = factorize(gram, fam, theta=k / 5)
-    best = rmsre(factors, fam)
+    best = rmsre(gram, factors)
     for _ in range(200):
         q, _ = np.linalg.qr(rng.normal(size=(5, k)))
         err2 = 0.0
@@ -487,7 +487,7 @@ def test_error_formula_matches_direct_evaluation(problem20, gram20):
     )
     for theta in (0.05, 0.15, 0.3, 0.6, 1.0):
         factors = factorize(gram20, tildes, theta)
-        direct = rmsre(factors, tildes)
+        direct = rmsre(gram20, factors)
         formula = rmsre_closed_form(gram20, factors.k)
         assert abs(direct - formula) <= 1e-8 * max(direct, formula) + floor
 
@@ -495,7 +495,7 @@ def test_error_formula_matches_direct_evaluation(problem20, gram20):
 def _assert_rmsre_matches_the_per_sample_oracle(gram, factors, tildes):
     # where the per-sample error is roundoff, only the floor is checked
     floor = 2.0 * math.sqrt(np.finfo(float).eps * gram.trace / gram.M)
-    direct, oracle = rmsre(factors, tildes), rmsre_per_sample(factors, tildes)
+    direct, oracle = rmsre(gram, factors), rmsre_per_sample(factors, tildes)
     if oracle > floor:
         assert direct == pytest.approx(oracle, rel=1e-10)
     else:
@@ -512,13 +512,15 @@ def test_rmsre_matches_the_per_sample_oracle(problem20, gram20, theta):
     _assert_rmsre_matches_the_per_sample_oracle(gram20, factors, tildes)
 
 
-@pytest.mark.parametrize("darcy_rect, stokes_rect", [
+_OTHER_GEOMETRIES = pytest.mark.parametrize("darcy_rect, stokes_rect", [
     ((0.0, 1.0, -0.5, 0.0), (0.0, 1.0, 0.0, 0.5)),
     # |S| = 75 exceeds the column support c = 67
     ((0.0, 1.0, 0.0, 0.25), (0.0, 1.0, -0.5, 0.0)),
 ], ids=["porous_below", "shallow_porous"])
-def test_rmsre_matches_the_per_sample_oracle_on_other_geometries(
-        darcy_rect, stokes_rect):
+
+
+def _system_and_gram(darcy_rect, stokes_rect):
+    """An n=8, M=20 family on another geometry and its Gram matrix."""
     mesh = build_mesh(Geometry(darcy_rect=darcy_rect,
                                stokes_rect=stokes_rect), n=8)
     kl = build_kl(CovarianceKernel(correlation_length_sq=0.2), mesh,
@@ -526,36 +528,68 @@ def test_rmsre_matches_the_per_sample_oracle_on_other_geometries(
     samples = draw_samples(kl, M=20, seed=1234)
     system = assemble_family(mesh, PhysicalParams(), kl,
                              samples.coefficients)
-    gram = build_gram(system.A_tildes, block_dim=system.n_flow)
+    return system, build_gram(system.A_tildes, block_dim=system.n_flow)
+
+
+@_OTHER_GEOMETRIES
+def test_rmsre_matches_the_per_sample_oracle_on_other_geometries(
+        darcy_rect, stokes_rect):
+    system, gram = _system_and_gram(darcy_rect, stokes_rect)
     for theta in (0.1, select_theta(gram)[0], 1.0):
         factors = factorize(gram, system.A_tildes, theta)
         _assert_rmsre_matches_the_per_sample_oracle(gram, factors,
                                                     system.A_tildes)
 
 
-def test_rmsre_rejects_a_family_the_factors_do_not_span(problem20, gram20):
-    tildes = problem20["system"].A_tildes
-    factors = factorize(gram20, tildes, 0.3)
-    with pytest.raises(ValueError, match="cover"):
-        rmsre(factors, tildes[:-1])
-    # M = 20 samples in r = 10 directions: a random matrix on the same
-    # pattern in place of one sample leaves the factors' span
-    other = tildes[3].copy()
-    other.data = np.random.default_rng(5).normal(size=other.nnz)
-    with pytest.raises(ValueError, match="span"):
-        rmsre(factors, tildes[:3] + [other] + tildes[4:])
+def _assert_span_holds_the_family(gram, family):
+    # every sample is Y B to within the cutoff that stopped the span
+    # search: rmsre reads C = R B in place of the family
+    h, _, _, _ = _pattern_rows(family, gram.n_full)
+    basis, _, _, _, y, _ = gram._span
+    cutoff = (max(h.shape) * np.finfo(float).eps
+              * np.linalg.norm(h, axis=1).max())
+    assert np.linalg.norm(h - y @ basis, axis=1).max() <= cutoff
+
+
+def test_build_gram_span_holds_the_family(problem20, gram20):
+    _assert_span_holds_the_family(gram20, problem20["system"].A_tildes)
+
+
+@_OTHER_GEOMETRIES
+def test_build_gram_span_holds_the_family_on_other_geometries(
+        darcy_rect, stokes_rect):
+    system, gram = _system_and_gram(darcy_rect, stokes_rect)
+    _assert_span_holds_the_family(gram, system.A_tildes)
+
+
+def test_rmsre_rejects_factors_of_another_gram_matrix(problem20, gram20):
+    # the same family in reverse order has the same span, another Y
+    tildes = problem20["system"].A_tildes[::-1]
+    other = build_gram(tildes, block_dim=gram20.block_dim)
+    factors = factorize(other, tildes, 0.3)
+    with pytest.raises(ValueError, match="not made from this Gram matrix"):
+        rmsre(gram20, factors)
+    with pytest.raises(ValueError, match="not made from this Gram matrix"):
+        rmsre(other, factorize(gram20, tildes, 0.3))
+    # a hand-built Gram matrix carries no span
+    bare = GramMatrix(block=gram20.block, n_full=gram20.n_full,
+                      block_dim=gram20.block_dim, M=gram20.M)
+    with pytest.raises(ValueError, match="not made from this Gram matrix"):
+        rmsre(bare, factors)
 
 
 def test_rmsre_of_entries_off_the_gram_support():
-    # the factors of a = e0 e0^T (S = {0}) applied to b = a + 2 e1 e0^T,
-    # which the one-matrix span admits: at k = 1 the entry on row 1 is
-    # all residual, at k = 3 the unit-vector column on row 1 reproduces it
-    a = sp.csr_matrix(([1.0], ([0], [0])), shape=(3, 3))
-    b = sp.csr_matrix(([1.0, 2.0], ([0, 1], [0, 0])), shape=(3, 3))
+    # a = diag(2, 1, 0) with the zero stored: S = {0, 1}.  At k = 1 the
+    # entry on row 1 is off the rows of U[:, :1] and all residual; at
+    # k = 2 and at k = 3, whose unit-vector column sits on the zero row
+    # 2, nothing is left
+    a = sp.csr_matrix(([2.0, 1.0, 0.0], ([0, 1, 2], [0, 1, 2])),
+                      shape=(3, 3))
     gram = build_gram([a], block_dim=3)
-    assert list(gram.support) == [0]
-    assert rmsre(factorize(gram, [a], 1 / 3), [b]) == 2.0
-    assert rmsre(factorize(gram, [a], 1.0), [b]) == 0.0
+    assert list(gram.support) == [0, 1]
+    assert rmsre(gram, factorize(gram, [a], 1 / 3)) == 1.0
+    assert rmsre(gram, factorize(gram, [a], 2 / 3)) == 0.0
+    assert rmsre(gram, factorize(gram, [a], 1.0)) == 0.0
 
 
 def test_factorize_col_dim_is_the_stored_column_support(problem20, gram20):
@@ -696,7 +730,7 @@ def test_storage_reduction_identity(problem20, gram20):
 def test_report_round_trip(tmp_path, problem20, gram20):
     tildes = problem20["system"].A_tildes
     factors = factorize(gram20, tildes, theta=0.3)
-    direct = rmsre(factors, tildes)
+    direct = rmsre(gram20, factors)
     txt = tmp_path / "report.txt"
     csv = tmp_path / "spectrum.csv"
     write_report(gram20, factors, direct, txt, csv)
