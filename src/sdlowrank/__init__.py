@@ -64,7 +64,6 @@ from .lowrank_solver import (
     solve_sample_smw,
     solve_sample_direct,
     save_solutions,
-    load_solutions,
 )
 from .uq import (
     MomentEstimate,
@@ -98,7 +97,6 @@ __all__ = [
     "MeanFactorization", "SampleSolution", "SingularSystemError",
     "IllConditionedUpdateError", "factor_mean",
     "solve_sample_smw", "solve_sample_direct", "save_solutions",
-    "load_solutions",
     "MomentEstimate", "XNormWeights", "build_xnorm_weights",
     "estimate_moments", "xnorm", "xnorm_components", "loglog_slope",
     "write_moments",

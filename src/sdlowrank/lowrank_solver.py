@@ -18,8 +18,15 @@ row per j, so a sample's sum is one matrix-vector product whose result
 is the capacitance matrix in Fortran order, and the sample is then three
 LAPACK calls (LU, condition estimate, back-substitution) on it in place.
 A sample costs O(r k_s^2 + k_s^3 + N k_s) instead of a fresh
-N-dimensional sparse solve, and never forms V_m.  A direct sparse solve
-of (Abar + A_m) x = b is kept as the reference baseline.
+N-dimensional sparse solve, and never forms V_m.
+
+A direct sparse solve of (Abar + A_m) x = b is kept as the reference
+baseline.  Every sample of a Monte Carlo family has the same sparsity
+pattern, so its symbolic work (the union pattern of Abar + A_m and
+SuperLU's COLAMD column order with its postorder) is done once per
+pattern, and each sample is a numeric LU on the column-permuted pattern.
+On a single-pattern family the result is bit-identical to a fresh COLAMD
+``splu`` of each sample's matrix.
 """
 
 import math
@@ -39,7 +46,6 @@ __all__ = [
     "solve_sample_smw",
     "solve_sample_direct",
     "save_solutions",
-    "load_solutions",
 ]
 
 CAPACITANCE_COND_LIMIT = 1e12
@@ -234,22 +240,96 @@ def solve_sample_smw(mean, factors, m):
     return SampleSolution(x=x, sample_index=m, capacitance_cond=cond)
 
 
+class _DirectOrder:
+    """Symbolic part of the direct solve, shared by a family's samples.
+
+    Built from one ``A_bar`` (CSR view ``a``) and one perturbation ``t``:
+    the union CSC pattern of a + t with its columns permuted by the order
+    ``perm_c`` (COLAMD plus SuperLU's postorder) of one ``splu`` of that
+    matrix, and ``slot``, where each stored entry of a, then of t, lands
+    in it.  It serves every sample whose perturbation has t's shape,
+    ``indptr`` and ``indices``, byte for byte, while ``system.A_bar`` is
+    ``a_bar``.
+    """
+
+    def __init__(self, a_bar, a, t):
+        if t.shape != a.shape:
+            raise ValueError(f"perturbation shape {t.shape} does not match "
+                             f"the mean matrix shape {a.shape}")
+        n = a.shape[0]
+        self.a_bar = a_bar
+        self.pattern = self._pattern(t)
+        self.shape = a.shape
+        rows = np.concatenate([np.repeat(np.arange(n), np.diff(c.indptr))
+                               for c in (a, t)])
+        cols = np.concatenate((a.indices, t.indices)).astype(np.int64)
+        # column-major keys order the union pattern as CSC
+        keys, slot = np.unique(cols * n + rows, return_inverse=True)
+        cols, rows = np.divmod(keys, n)
+        data = np.bincount(slot, np.concatenate((a.data, t.data)),
+                           keys.size)
+        union = sp.csc_matrix(
+            (data, rows, np.searchsorted(keys, np.arange(n + 1) * n)),
+            shape=self.shape)
+        self.perm_c = spla.splu(union).perm_c.astype(np.int64)
+        # column perm_c[j] of the permuted matrix is column j of a + t
+        keys, where = np.unique(self.perm_c[cols] * n + rows,
+                                return_inverse=True)
+        self.slot = where[slot]
+        self.indices = (keys % n).astype(np.intc)
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(
+            np.intc)
+
+    def _matrix(self, a, t):
+        data = np.bincount(self.slot, np.concatenate((a.data, t.data)),
+                           self.indices.size)
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+    @staticmethod
+    def _pattern(t):
+        return t.shape, t.indptr.tobytes(), t.indices.tobytes()
+
+    def serves(self, a_bar, t):
+        return a_bar is self.a_bar and self._pattern(t) == self.pattern
+
+    def solve(self, a, t, b):
+        """x with (a + t) x = b, from the numeric LU of the permuted
+        matrix in the stored column order."""
+        lu = spla.splu(self._matrix(a, t), permc_spec="NATURAL")
+        return lu.solve(b)[self.perm_c]
+
+
 def solve_sample_direct(system, m):
-    """Reference path: sparse direct solve of (Abar + A_m) x = b."""
+    """Reference path: sparse direct solve of (Abar + A_m) x = b.
+
+    The symbolic work is done once per pattern and kept on ``system``:
+    the first solve for a given ``A_bar`` and perturbation pattern builds
+    the union pattern of Abar + A_m and takes SuperLU's COLAMD column
+    order from one ``splu`` of it.  Each sample then sums its values into
+    that pattern, runs SuperLU's numeric LU in the stored order and undoes
+    the column permutation.  On a single-pattern family the solution is
+    bit-identical to a fresh COLAMD ``splu`` of each sample's matrix.  The
+    state is rebuilt when ``system.A_bar`` is another object or A_m's
+    shape, ``indptr`` or ``indices`` differ from the stored ones; values
+    are read afresh on every call.
+    """
     if not 0 <= m < len(system.A_tildes):
         raise IndexError(
             f"sample index {m} outside 0..{len(system.A_tildes) - 1}"
         )
-    a = sp.csc_matrix(system.A_bar + system.A_tildes[m])
+    a, t = system.A_bar.tocsr(), system.A_tildes[m].tocsr()
     try:
-        lu = spla.splu(a)
+        if system._direct is None or not system._direct.serves(
+                system.A_bar, t):
+            system._direct = _DirectOrder(system.A_bar, a, t)
+        x = system._direct.solve(a, t, system.b)
     except RuntimeError as exc:
-        dof, why = _diagnose_singularity(a)
+        dof, why = _diagnose_singularity(system.A_bar + system.A_tildes[m])
         raise SingularSystemError(
             f"sample {m}: matrix factorization failed ({exc}); suspect "
             f"DOF {dof} ({why})"
         ) from exc
-    x = lu.solve(system.b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"sample {m}: non-finite solution entries")
     return SampleSolution(x=x, sample_index=m)
@@ -267,12 +347,3 @@ def save_solutions(path, solutions):
                 first = False
             coeffs = ",".join(f"{v:.17e}" for v in sol.x)
             f.write(f"{sol.sample_index},{coeffs}\n")
-
-
-def load_solutions(path):
-    """Read solutions written by :func:`save_solutions`."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return [
-        SampleSolution(x=row[1:].copy(), sample_index=int(row[0]))
-        for row in data
-    ]

@@ -10,7 +10,10 @@ package's geometry tables but not its precomputed conductivity map.
 ``glram.rmsre`` evaluated before it summed over the family's span, and
 ``smw_reference`` the per-sample Woodbury solve that
 ``lowrank_solver.solve_sample_smw`` ran before it called LAPACK directly
-on flattened capacitance blocks.
+on flattened capacitance blocks, and ``direct_oracle`` the direct solve
+that ``lowrank_solver.solve_sample_direct`` ran before it kept its
+column order across a family's samples.  ``read_solutions`` reads back
+the CSV that ``lowrank_solver.save_solutions`` writes.
 """
 
 import math
@@ -20,8 +23,10 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
+from sdlowrank import SampleSolution
 from sdlowrank.assembly import _Coo, _nodal_field, _Workspace
 
 
@@ -222,3 +227,17 @@ def smw_reference(mean, factors, m):
         return None, math.inf
     y = scipy.linalg.lu_solve((lu, piv), w, check_finite=False)
     return mean.x_bar - z @ y, 1.0 / rcond
+
+
+def direct_oracle(system, m):
+    """Solution of sample m from a fresh COLAMD ``splu`` of the CSC sum
+    Abar + A_m."""
+    a = sp.csc_matrix(system.A_bar + system.A_tildes[m])
+    return spla.splu(a).solve(system.b)
+
+
+def read_solutions(path):
+    """The SampleSolution rows of a CSV written by ``save_solutions``."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return [SampleSolution(x=row[1:].copy(), sample_index=int(row[0]))
+            for row in data]

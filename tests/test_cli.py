@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy
 
+from _oracles import read_solutions
 from sdlowrank import cli
 from sdlowrank.cli import (
     ConfigError,
@@ -24,7 +25,7 @@ from sdlowrank.cli import (
     main,
     parse_theta_list,
 )
-from sdlowrank.lowrank_solver import IllConditionedUpdateError, load_solutions
+from sdlowrank.lowrank_solver import IllConditionedUpdateError
 
 
 def _read_csv(path):
@@ -437,8 +438,8 @@ def test_solve_once_paths_agree(tmp_path, capsys):
     assert main(["solve-once", "--output-dir", str(direct),
                  "--solver", "direct"]) == 0
 
-    (sol_low,) = load_solutions(low / "solution.csv")
-    (sol_direct,) = load_solutions(direct / "solution.csv")
+    (sol_low,) = read_solutions(low / "solution.csv")
+    (sol_direct,) = read_solutions(direct / "solution.csv")
     assert sol_low.sample_index == 0
     assert sol_low.x.shape == (504,)
     gap = np.linalg.norm(sol_low.x - sol_direct.x)

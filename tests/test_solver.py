@@ -1,5 +1,6 @@
 """Sample solvers: Woodbury updates against direct sparse solves."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import get_lapack_funcs
 
-from _oracles import smw_reference
+from _oracles import direct_oracle, read_solutions, smw_reference
 from sdlowrank import (
     CovarianceKernel,
     Geometry,
@@ -29,7 +30,6 @@ from sdlowrank import (
     factor_mean,
     factorize,
     numerical_rank,
-    load_solutions,
     save_solutions,
     select_theta,
     solve_sample_direct,
@@ -41,6 +41,22 @@ from sdlowrank.lowrank_solver import CAPACITANCE_COND_LIMIT
 def _toy_system(a, b, n1=1, n2=1, n3=0, tildes=()):
     return SplitSystem(A_bar=sp.csr_matrix(a), b=np.asarray(b, dtype=float),
                        A_tildes=list(tildes), N1=n1, N2=n2, N3=n3)
+
+
+# (darcy_rect, stokes_rect) of the porous rectangle below the free flow,
+# and of a porous layer shallower than half its width
+POROUS_BELOW = ((0.0, 1.0, -0.5, 0.0), (0.0, 1.0, 0.0, 0.5))
+SHALLOW_POROUS = ((0.0, 1.0, 0.0, 0.25), (0.0, 1.0, -0.5, 0.0))
+
+
+def _family(darcy_rect, stokes_rect):
+    """An n=8, M=20 constrained family on another geometry."""
+    mesh = build_mesh(Geometry(darcy_rect=darcy_rect,
+                               stokes_rect=stokes_rect), n=8)
+    kl = build_kl(CovarianceKernel(correlation_length_sq=0.2), mesh,
+                  epsilon=0.01)
+    samples = draw_samples(kl, M=20, seed=1234)
+    return assemble_family(mesh, PhysicalParams(), kl, samples.coefficients)
 
 
 def _toy_factors(u, v_list, col_dim=None):
@@ -313,13 +329,7 @@ def test_shallow_porous_layer_gram_support_exceeds_column_support():
     # a porous layer shallower than half its width: the Gram support
     # |S| = 75 exceeds the column support c = 67, so the capacitance
     # matrix (k_s = 75) is larger than the rank bound c of the update
-    mesh = build_mesh(Geometry(darcy_rect=(0.0, 1.0, 0.0, 0.25),
-                               stokes_rect=(0.0, 1.0, -0.5, 0.0)), n=8)
-    kl = build_kl(CovarianceKernel(correlation_length_sq=0.2), mesh,
-                  epsilon=0.01)
-    samples = draw_samples(kl, M=20, seed=1234)
-    system = assemble_family(mesh, PhysicalParams(), kl,
-                             samples.coefficients)
+    system = _family(*SHALLOW_POROUS)
     gram = build_gram(system.A_tildes, block_dim=system.n_flow)
     assert gram.support.size == 75
     mean = factor_mean(system)
@@ -352,18 +362,12 @@ def test_porous_below_rank_update_matches_direct(problem20, gram20):
     # interface row last, and the column support c nearly fills the head
     # block (152 of N1 = 153) instead of 135 with the porous rectangle
     # on top
-    mesh = build_mesh(Geometry(darcy_rect=(0.0, 1.0, -0.5, 0.0),
-                               stokes_rect=(0.0, 1.0, 0.0, 0.5)), n=8)
-    kl = build_kl(CovarianceKernel(correlation_length_sq=0.2), mesh,
-                  epsilon=0.01)
-    samples = draw_samples(kl, M=20, seed=1234)
-    system = assemble_family(mesh, PhysicalParams(), kl,
-                             samples.coefficients)
+    system = _family(*POROUS_BELOW)
     gram = build_gram(system.A_tildes, block_dim=system.n_flow)
     rank = numerical_rank(gram)
     factors = factorize(gram, system.A_tildes, rank / gram.n_full)
     assert factors.k == rank
-    assert (factors.col_dim, mesh.N1) == (152, 153)
+    assert (factors.col_dim, system.N1) == (152, 153)
     on_top = factorize(gram20, problem20["system"].A_tildes, 1.0)
     assert on_top.col_dim == 135
     mean = factor_mean(system)
@@ -514,6 +518,89 @@ def test_direct_solve_residual(problem20):
     assert resid <= 1e-9 * np.linalg.norm(system.b)
 
 
+@pytest.mark.parametrize("geometry", [None, POROUS_BELOW, SHALLOW_POROUS],
+                         ids=["problem20", "porous_below", "shallow_porous"])
+def test_direct_solve_is_a_fresh_colamd_splu_bit_for_bit(problem20,
+                                                          geometry):
+    # one pattern for the whole family: the column order is taken once,
+    # and every sample's solution is the fresh splu's to the last bit
+    system = (problem20["system"] if geometry is None
+              else _family(*geometry))
+    for m in range(len(system.A_tildes)):
+        x = solve_sample_direct(system, m).x
+        assert np.array_equal(x, direct_oracle(system, m)), f"sample {m}"
+
+
+def test_direct_solve_follows_a_family_of_mixed_patterns(problem20):
+    # two perturbation patterns (the second lacks one stored entry) and
+    # the zero perturbation, interleaved and solved in order: each change
+    # of pattern rebuilds the column order instead of reusing a stale one
+    system = problem20["system"]
+    full = system.A_tildes[1]
+    cut = full.copy()
+    cut.data[0] = 0.0
+    cut.eliminate_zeros()
+    assert cut.nnz == full.nnz - 1
+    zero = sp.csr_matrix(system.A_bar.shape)
+    tildes = [system.A_tildes[0], cut, full, zero, cut, zero,
+              system.A_tildes[2]]
+    mixed = SplitSystem(A_bar=system.A_bar, b=system.b, A_tildes=tildes,
+                        N1=system.N1, N2=system.N2, N3=system.N3)
+    for m in range(len(tildes)):
+        x = solve_sample_direct(mixed, m).x
+        ref = direct_oracle(mixed, m)
+        err = np.linalg.norm(x - ref) / np.linalg.norm(ref)
+        assert err <= 1e-13, f"sample {m}: {err:.3e}"
+
+
+def test_direct_solve_follows_a_new_mean_matrix(problem20):
+    system = problem20["system"]
+    solve_sample_direct(system, 0)
+    doubled = dataclasses.replace(system, A_bar=2 * system.A_bar)
+    for m in (0, 1):
+        x = solve_sample_direct(doubled, m).x
+        assert np.array_equal(x, direct_oracle(doubled, m)), f"sample {m}"
+    # a mean matrix assigned in place, without its last stored entry (a
+    # divergence entry of the last pressure row), on a system that
+    # already holds a column order
+    probe = dataclasses.replace(system)
+    solve_sample_direct(probe, 0)
+    cut = system.A_bar.copy()
+    cut.data[-1] = 0.0
+    cut.eliminate_zeros()
+    assert cut.nnz == system.A_bar.nnz - 1
+    probe.A_bar = cut
+    x = solve_sample_direct(probe, 0).x
+    assert np.array_equal(x, direct_oracle(probe, 0))
+
+
+def test_direct_solve_rejects_a_perturbation_of_another_shape():
+    # the second perturbation stores its entries where the first does
+    system = _toy_system(np.eye(3), np.ones(3), tildes=[
+        sp.csr_matrix(([0.5], ([0], [0])), shape=(3, 3)),
+        sp.csr_matrix(([0.5], ([0], [0])), shape=(3, 4))])
+    solve_sample_direct(system, 0)
+    with pytest.raises(ValueError, match="shape"):
+        solve_sample_direct(system, 1)
+
+
+def test_singular_sample_is_diagnosed():
+    # samples 0 and 2 cancel the first diagonal entry of Abar = I, which
+    # leaves row 0 empty; sample 0 fails while the column order is taken,
+    # sample 2 in the numeric LU on the order that sample 1 left
+    singular = sp.csr_matrix(([-1.0], ([0], [0])), shape=(3, 3))
+    benign = sp.csr_matrix(([0.5], ([0], [0])), shape=(3, 3))
+    system = _toy_system(np.eye(3), np.ones(3),
+                         tildes=[singular, benign, singular])
+    for m in (0, 2):
+        with pytest.raises(SingularSystemError,
+                           match=f"sample {m}: matrix factorization failed "
+                                 r".*suspect DOF 0 \(structurally empty row\)"):
+            solve_sample_direct(system, m)
+        assert solve_sample_direct(system, 1).x == pytest.approx(
+            [2 / 3, 1.0, 1.0], rel=1e-15)
+
+
 def test_structurally_singular_mean_is_diagnosed():
     a = sp.coo_matrix(([1.0, 1.0], ([0, 2], [0, 2])), shape=(3, 3)).tocsr()
     system = _toy_system(a, np.ones(3))
@@ -533,7 +620,7 @@ def test_save_load_solutions_round_trip(tmp_path):
     save_solutions(path, sols)
     lines = path.read_text().splitlines()
     assert lines[0] == "sample," + ",".join(f"x{j}" for j in range(6))
-    loaded = load_solutions(path)
+    loaded = read_solutions(path)
     assert [s.sample_index for s in loaded] == [0, 3, 4]
     for a, b in zip(sols, loaded):
         assert np.array_equal(a.x, b.x)
