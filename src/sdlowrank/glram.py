@@ -10,20 +10,20 @@ matrix of top-k eigenvectors of the Gram matrix
 
 which solves min_U sum_m ||A_m - U U^T A_m||_F^2 over orthonormal U, and
 the optimal right factors are V_m = A_m^T U.  The squared root-mean-square
-reconstruction error has a closed form, (trace(G) - sum of the retained
-eigenvalues)/M, and a direct evaluation, ``rmsre``, that forms the
+reconstruction error has a closed form, the sum of the discarded
+eigenvalues over M, and a direct evaluation, ``rmsre``, that forms the
 residuals of the family's span directions; each checks the other.
 
 The retained dimension is the smallest k with k/N >= theta for a
-compression ratio theta in (0, 1], capped at the Gram block dimension.
-Because the perturbations vanish outside their leading block, G is
-formed on that dense block only.  Inside it, a row of G is zero exactly
-when every A_m has a zero row there, and each such row i carries the
-exact eigenpair (0, e_i); the eigensolver therefore only sees G[S, S] on
-the support S of nonzero rows, and U is embedded back with zero rows.
-Past |S| the columns of U are unit vectors on zero rows, whose right
-factors vanish, so the stored factors and the solver stop at
-k_s = min(k, |S|) columns.
+compression ratio theta in (0, 1], capped at the Gram block dimension:
+the perturbations vanish outside their leading block, so every nonzero
+row of G lies in it.  Inside it, a row of G is zero exactly when every
+A_m has a zero row there, and each such row i carries the exact
+eigenpair (0, e_i).  G is therefore formed only as G[S, S] on the
+support S of nonzero rows, which the eigensolver sees as it is, and U is
+embedded back with zero rows.  Past |S| the columns of U are unit
+vectors on zero rows, whose right factors vanish, so the stored factors
+and the solver stop at k_s = min(k, |S|) columns.
 
 The family is read once, in ``build_gram``: an orthonormal basis
 B_1..B_r of its span (r = T, the number of KL modes, for the Monte Carlo
@@ -78,13 +78,18 @@ class NonFiniteFamilyError(np.linalg.LinAlgError):
 
 @dataclass
 class GramMatrix:
-    """Dense symmetric PSD block of sum_m A_m A_m^T plus embedding data."""
+    """G = sum_m A_m A_m^T held on its support, plus embedding data.
 
-    block: np.ndarray        # (block_dim, block_dim) dense symmetric
+    Rows 0..block_dim-1 of G carry all its nonzeros, and of those only the
+    ascending rows S in ``support`` are nonzero; ``block`` is the dense
+    symmetric PSD |S| x |S| block G[S, S].
+    """
+
+    block: np.ndarray        # (|S|, |S|) dense symmetric G[S, S]
     n_full: int              # dimension of the original matrices
     block_dim: int           # rows 0..block_dim-1 carry all nonzeros
     M: int                   # number of matrices accumulated
-    _support: np.ndarray = field(default=None, repr=False)
+    support: np.ndarray      # ascending indices S of the nonzero rows
     _evals: np.ndarray = field(default=None, repr=False)
     _evecs: np.ndarray = field(default=None, repr=False)
     # the family's span (B on the pattern, rows, cols, col_dim, Y, C = R B)
@@ -95,21 +100,12 @@ class GramMatrix:
         """trace(G) = sum_m ||A_m||_F^2."""
         return float(np.trace(self.block))
 
-    @property
-    def support(self):
-        """Ascending indices S of the block rows holding a nonzero entry."""
-        if self._support is None:
-            nonzero = self.block != 0.0
-            self._support = np.flatnonzero(nonzero.any(axis=0)
-                                           | nonzero.any(axis=1))
-        return self._support
-
     def eigenpairs(self):
-        """Spectrum of the block and eigenvectors of its support block.
+        """Spectrum of G and eigenvectors of its support block.
 
-        Only G[S, S] on the support S goes through the eigensolver; each
-        zero row i adds the exact eigenpair (0, e_i).  Returns (w, v): w
-        holds all block_dim eigenvalues in descending order, clipped at
+        Only G[S, S] goes through the eigensolver; each zero row i of the
+        block_dim rows adds the exact eigenpair (0, e_i).  Returns (w, v):
+        w holds all block_dim eigenvalues in descending order, clipped at
         zero, the |S| of G[S, S] first; v holds the |S| x |S|
         eigenvectors of G[S, S] in the order of w[:|S|], each signed so
         that its largest-magnitude entry (the first of equal ones) is
@@ -122,15 +118,14 @@ class GramMatrix:
         1e-8 * lambda_max, or if G_SS is indefinite beyond roundoff.
         """
         if self._evals is None:
-            s = self.support
-            g = self.block[np.ix_(s, s)]
-            where = (f"the {s.size}x{s.size} support of the "
+            g = self.block
+            where = (f"the {g.shape[0]}x{g.shape[0]} support of the "
                      f"{self.block_dim}x{self.block_dim} Gram block")
             if not np.all(np.isfinite(g)):
                 raise EigensolverError(f"non-finite entries in {where}")
             try:
-                # an all-zero block has no support to solve on
-                w, v = scipy.linalg.eigh(g) if s.size else (np.zeros(0), g)
+                # an empty support has nothing to solve
+                w, v = scipy.linalg.eigh(g) if g.size else (np.zeros(0), g)
             except np.linalg.LinAlgError as exc:
                 raise EigensolverError(
                     f"symmetric eigensolver failed on {where}: {exc}"
@@ -151,12 +146,12 @@ class GramMatrix:
                 )
             # eigh returns ascending pairs; the zero rows add zeros last
             self._evals = np.concatenate([np.clip(w[::-1], 0.0, None),
-                                          np.zeros(self.block_dim - s.size)])
+                                          np.zeros(self.block_dim - w.size)])
             v = v[:, ::-1]
-            if s.size:
+            if w.size:
                 # fix each eigenvector's sign: its largest-magnitude entry,
                 # the first of equal ones, is positive
-                peak = v[np.argmax(np.abs(v), axis=0), np.arange(s.size)]
+                peak = v[np.argmax(np.abs(v), axis=0), np.arange(w.size)]
                 v[:, peak < 0] *= -1.0
             self._evecs = v
         return self._evals, self._evecs
@@ -240,14 +235,16 @@ class _RightFactors(Sequence):
 
 
 def build_gram(A_tildes, block_dim=None):
-    """Form G = sum_m A_m A_m^T on its nonzero principal block.
+    """Form G = sum_m A_m A_m^T on its support, the block G[S, S].
 
     The family is read once, as the rows of an M x p matrix on its union
     sparsity pattern, whose orthonormal row basis B_1..B_r and
     coefficients Y give A_m = sum_j Y[m, j] B_j to roundoff, in O(M r p).
     With the thin QR Y = Q R, G = sum_j C_j C_j^T for C = R B: one sparse
     product of r matrices.  B and Y are kept for ``factorize``, C for
-    ``rmsre``.
+    ``rmsre``.  Since G_ii = sum_j ||C_j[i, :]||^2, the support S is the
+    set of rows where some C_j has a nonzero entry, and only the rows S of
+    the C_j enter the product.
     All matrices must share the same dimension.  ``block_dim`` bounds the
     nonzero rows; when omitted it is detected from the nonzeros of C.
     The block is explicitly symmetrized to remove accumulation roundoff.
@@ -268,7 +265,8 @@ def build_gram(A_tildes, block_dim=None):
     span = (basis, rows, cols, col_dim, y, c)
     # explicitly stored zeros are not support
     nonzero = (c != 0.0).any(axis=0)
-    max_row = int(rows[nonzero].max(initial=-1)) + 1
+    support = np.unique(rows[nonzero])
+    max_row = int(support.max(initial=-1)) + 1
     max_col = int(cols[nonzero].max(initial=-1)) + 1
     if block_dim is None:
         block_dim = max(max_row, max_col, 1)
@@ -279,11 +277,11 @@ def build_gram(A_tildes, block_dim=None):
         )
     elif block_dim > n:
         raise ValueError(f"declared block {block_dim} exceeds dimension {n}")
-    c = _stacked(c, rows, cols, col_dim, n)[:block_dim]
+    c = _stacked(c, rows, cols, col_dim, n)[support]
     gram = (c @ c.T).toarray()
     gram = 0.5 * (gram + gram.T)
     return GramMatrix(block=gram, n_full=n, block_dim=block_dim,
-                      M=len(A_tildes), _span=span)
+                      M=len(A_tildes), support=support, _span=span)
 
 
 def _k_from_theta(theta, gram):
@@ -458,12 +456,12 @@ def rmsre(gram, factors):
     sqrt( (1/M) * sum_m ||A_m - U U^T A_m||_F^2 ) over r matrices, not M:
     the family is Q C with orthonormal Q (Y = Q R, C = R B, as
     ``build_gram`` kept them), so C_1..C_r carry its sum of squares.
-    Each residual C_i - U (U^T C_i) is formed densely, with no
-    trace - sum(lambda) cancellation, on the rows S where U[:, :k_s] is
-    nonzero and with those k_s columns only.  Off S the residual is the
-    entry itself: past k_s the columns of U are unit vectors on zero Gram
-    rows, where every C_i is zero.  Raises ValueError unless the factors
-    carry the Gram matrix's Y, i.e. were made from it.
+    Each residual C_i - U (U^T C_i) is formed densely on the rows S
+    where U[:, :k_s] is nonzero and with those k_s columns only.  Off S
+    the residual is the entry itself: past k_s the columns of U are unit
+    vectors on zero Gram rows, where every C_i is zero.  Raises
+    ValueError unless the factors carry the Gram matrix's Y, i.e. were
+    made from it.
     """
     if gram._span is None or not np.array_equal(factors.Y, gram._span[4]):
         raise ValueError("factors were not made from this Gram matrix")
@@ -487,15 +485,14 @@ def rmsre(gram, factors):
 
 
 def rmsre_closed_form(gram, k):
-    """Reconstruction error from the retained spectrum alone.
+    """Reconstruction error from the discarded spectrum alone.
 
-    sqrt( (1/M) (sum_m ||A_m||_F^2 - sum_{i<=l} lambda_i) ) with
-    l = min(k, numerical rank); the trace of the Gram matrix supplies
-    sum_m ||A_m||_F^2.
+    sqrt( (1/M) sum_{i>k} lambda_i ), which equals
+    sqrt( (1/M) (sum_m ||A_m||_F^2 - sum_{i<=k} lambda_i) ) but sums the
+    discarded eigenvalues directly, with no trace - sum(lambda)
+    cancellation.
     """
-    l = min(k, numerical_rank(gram))
-    residual = gram.trace - float(np.sum(gram.eigenvalues[:l]))
-    return math.sqrt(max(residual, 0.0) / gram.M)
+    return math.sqrt(float(np.sum(gram.eigenvalues[k:])) / gram.M)
 
 
 def energy_ratio(gram, theta):

@@ -133,8 +133,8 @@ def test_criterion_01_shared_factor_minimizes_family_error():
 
 
 def test_criterion_02_spectrum_formula_matches_direct_error(problem20, gram20):
-    # closed-form reconstruction error against direct evaluation; the
-    # trace subtraction sets a cancellation floor
+    # closed-form reconstruction error against direct evaluation; past
+    # the rank both read roundoff, which sets the floor
     tildes = problem20["system"].A_tildes
     floor = 2.0 * math.sqrt(np.finfo(float).eps * gram20.trace / gram20.M)
     worst_gap = 0.0
@@ -149,7 +149,7 @@ def test_criterion_02_spectrum_formula_matches_direct_error(problem20, gram20):
     ok = worst_gap <= floor
     _report(
         2, "reconstruction-error formula", ok,
-        f"max |direct - formula| {worst_gap:.2e} vs cancellation floor "
+        f"max |direct - formula| {worst_gap:.2e} vs roundoff floor "
         f"{floor:.2e} over theta in (0.05, 0.2, 0.5, 1.0), M=20, h=1/8",
     )
 

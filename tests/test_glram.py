@@ -1,6 +1,7 @@
 """Shared-factor compression: Gram accumulation, spectra, error formulas."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,8 +51,16 @@ def _random_family(rng, n, block_rows, block_cols, M, rank=None):
     return out
 
 
-def _dense_block(a, block_dim):
-    return np.asarray(sp.csr_matrix(a).todense())[:block_dim, :block_dim]
+def _assert_block_is_the_dense_sum_on_its_support(gram, full):
+    """gram holds the dense sum ``full`` of A_m A_m^T on S, its nonzero rows.
+
+    So the dense sum is exactly zero off S, and S is found by build_gram.
+    """
+    s = gram.support
+    assert np.array_equal(s, np.flatnonzero(full.any(axis=1)))
+    assert gram.block.shape == (s.size, s.size)
+    assert (np.linalg.norm(gram.block - full[np.ix_(s, s)])
+            <= 1e-12 * np.linalg.norm(full))
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +80,10 @@ def test_build_gram_single_hand_case():
         # support: one nonzero row, two nonzero columns -> auto block of 2
         assert gram.block_dim == 2
         assert gram.n_full == 4
-        assert np.array_equal(gram.block, [[5.0, 0.0], [0.0, 0.0]])
+        # G = [[5, 0], [0, 0]] is held on its support S = {0}
+        assert np.array_equal(gram.support, [0])
+        assert np.array_equal(gram.block, [[5.0]])
+        _assert_block_is_the_dense_sum_on_its_support(gram, a @ a.T)
         assert gram.trace == 5.0
 
 
@@ -80,6 +92,7 @@ def test_build_gram_matches_naive_sum():
     fam = _random_family(rng, n=9, block_rows=5, block_cols=3, M=4)
     gram = build_gram(fam)
     assert gram.block_dim == 5
+    assert np.array_equal(gram.support, np.arange(5))
     naive = np.zeros((9, 9))
     for a in fam:
         d = a.toarray()
@@ -97,10 +110,29 @@ def test_build_gram_declared_block(problem20):
     auto = build_gram(tildes)
     declared = build_gram(tildes, block_dim=system.n_flow)
     # constrained interface rows may end before the declared bound, but
-    # the declared block must contain the detected one
+    # the declared block must contain the detected one; both hold the
+    # same support
     assert auto.block_dim <= declared.block_dim
-    d = declared.block[: auto.block_dim, : auto.block_dim]
-    assert np.allclose(auto.block, d, atol=1e-13)
+    assert np.array_equal(auto.support, declared.support)
+    assert np.allclose(auto.block, declared.block, atol=1e-13)
+
+
+def test_build_gram_allocates_less_than_one_dense_block():
+    # n=16, M=20: only |S| = 527 of the block_dim = 1683 rows are nonzero,
+    # and no block_dim x block_dim array is formed on the way to G[S, S]
+    mesh = build_mesh(n=16)
+    kl = build_kl(CovarianceKernel(correlation_length_sq=0.2), mesh,
+                  epsilon=0.01)
+    system = assemble_family(mesh, PhysicalParams(), kl,
+                             draw_samples(kl, M=20, seed=1234).coefficients)
+    tracemalloc.start()
+    try:
+        gram = build_gram(system.A_tildes, block_dim=system.n_flow)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (gram.block_dim, gram.support.size) == (1683, 527)
+    assert peak < gram.block_dim ** 2 * 8
 
 
 def test_build_gram_validation():
@@ -166,7 +198,6 @@ def _span_families(draw):
 def test_build_gram_matches_dense_sum_on_random_families(case):
     n, dense, family, r = case
     full = sum(d @ d.T for d in dense)
-    scale = np.linalg.norm(full)
     support = np.any(np.stack(dense) != 0.0, axis=0)
     last_row = np.flatnonzero(support.any(axis=1)).max(initial=-1)
     last_col = np.flatnonzero(support.any(axis=0)).max(initial=-1)
@@ -174,10 +205,10 @@ def test_build_gram_matches_dense_sum_on_random_families(case):
 
     auto = build_gram(family)
     assert auto.block_dim == dim
-    assert np.linalg.norm(auto.block - full[:dim, :dim]) <= 1e-12 * scale
+    _assert_block_is_the_dense_sum_on_its_support(auto, full)
     declared = build_gram(family, block_dim=n)
-    assert declared.block.shape == (n, n)
-    assert np.linalg.norm(declared.block - full) <= 1e-12 * scale
+    assert declared.block_dim == n
+    _assert_block_is_the_dense_sum_on_its_support(declared, full)
     if r is not None:
         assert factorize(auto, family, 1.0).span_dim == r
 
@@ -236,20 +267,22 @@ def test_eigenpairs_cached_and_descending(gram20):
 
 
 def test_indefinite_gram_rejected():
-    gram = GramMatrix(block=np.diag([1.0, -1.0]), n_full=2, block_dim=2, M=1)
+    gram = GramMatrix(block=np.diag([1.0, -1.0]), n_full=2, block_dim=2, M=1,
+                      support=np.arange(2))
     with pytest.raises(EigensolverError, match="indefinite"):
         gram.eigenpairs()
 
 
-@pytest.mark.parametrize("block", [
-    np.diag([1.0, 0.0, -1.0, 0.0]),
-    # a zero diagonal does not make a zero row
-    np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+@pytest.mark.parametrize("block, dim", [
+    # G = diag(1, 0, -1, 0) on S = {0, 2}
+    (np.diag([1.0, -1.0]), 4),
+    # a zero diagonal: G = [[0, 0, 1], [0, 0, 0], [1, 0, 0]] on S = {0, 2}
+    (np.array([[0.0, 1.0], [1.0, 0.0]]), 3),
 ], ids=["diagonal", "off-diagonal"])
-def test_indefinite_gram_with_zero_rows_rejected(block):
-    dim = block.shape[0]
-    gram = GramMatrix(block=block, n_full=dim, block_dim=dim, M=1)
-    assert gram.support.size == 2
+def test_indefinite_gram_with_zero_rows_rejected(block, dim):
+    # the support block is checked before the zero rows are added
+    gram = GramMatrix(block=block, n_full=dim, block_dim=dim, M=1,
+                      support=np.array([0, 2]))
     with pytest.raises(EigensolverError, match="indefinite"):
         gram.eigenpairs()
 
@@ -259,8 +292,8 @@ def test_all_zero_gram_block():
     # order the full-block eigensolve used to give
     zero = sp.csr_matrix((5, 5))
     gram = build_gram([zero], block_dim=3)
-    assert np.array_equal(gram.block, np.zeros((3, 3)))
-    assert gram.support.size == 0
+    assert gram.block.shape == (0, 0)
+    _assert_block_is_the_dense_sum_on_its_support(gram, np.zeros((5, 5)))
     assert numerical_rank(gram) == 0
     assert select_theta(gram) == (0.2, 1)
     factors = factorize(gram, [zero], 1.0)
@@ -277,9 +310,9 @@ def test_all_zero_gram_block():
 
 def test_non_finite_gram_block_is_an_eigensolver_failure():
     # build_gram rejects a non-finite family, so the NaN is put in the
-    # block by hand; the zero row 1 stays out of the support
-    gram = GramMatrix(block=np.diag([1.0, 0.0, np.nan]), n_full=4,
-                      block_dim=3, M=1)
+    # block by hand: G = diag(1, 0, nan) on S = {0, 2}
+    gram = GramMatrix(block=np.diag([1.0, np.nan]), n_full=4,
+                      block_dim=3, M=1, support=np.array([0, 2]))
     with pytest.raises(EigensolverError,
                        match="non-finite entries in the 2x2 support of "
                              "the 3x3 Gram block"):
@@ -298,7 +331,8 @@ def test_non_finite_perturbation_is_named_by_build_gram():
 
 def test_factorize_rejects_a_gram_matrix_build_gram_did_not_make():
     # a hand-built Gram matrix carries no span to take W and Y from
-    gram = GramMatrix(block=np.eye(2), n_full=2, block_dim=2, M=1)
+    gram = GramMatrix(block=np.eye(2), n_full=2, block_dim=2, M=1,
+                      support=np.arange(2))
     with pytest.raises(ValueError, match="build_gram"):
         factorize(gram, [sp.eye(2, format="csr")], 1.0)
 
@@ -336,7 +370,10 @@ def _select_k(w, target):
 @given(_psd_blocks_with_zero_rows())
 def test_support_eigensolve_matches_the_dense_block(case):
     gram, family, zero_rows, rank = case
-    dense = scipy.linalg.eigh(gram.block, eigvals_only=True)[::-1]
+    a = family[0].toarray()
+    full = (a @ a.T)[:gram.block_dim, :gram.block_dim]
+    _assert_block_is_the_dense_sum_on_its_support(gram, full)
+    dense = scipy.linalg.eigh(full, eigvals_only=True)[::-1]
     assert np.array_equal(np.setdiff1d(np.arange(gram.block_dim),
                                        gram.support), zero_rows)
     w = gram.eigenvalues
@@ -368,11 +405,14 @@ def test_support_eigensolve_matches_the_dense_block(case):
 @settings(deadline=None, max_examples=100)
 @given(_psd_blocks_with_zero_rows())
 def test_support_eigenvectors_have_a_positive_largest_entry(case):
-    # eigh's eigenvectors, each signed by its largest-magnitude entry
-    gram = case[0]
+    # eigh's eigenvectors of G[S, S], each signed by its largest-magnitude
+    # entry
+    gram, family = case[:2]
+    a = family[0].toarray()
+    _assert_block_is_the_dense_sum_on_its_support(gram, a @ a.T)
     s = gram.support
     _, v = gram.eigenpairs()
-    ref = scipy.linalg.eigh(gram.block[np.ix_(s, s)])[1][:, ::-1]
+    ref = scipy.linalg.eigh(gram.block)[1][:, ::-1]
     assert np.array_equal(np.abs(v), np.abs(ref))
     if s.size:
         peak = v[np.argmax(np.abs(v), axis=0), np.arange(s.size)]
@@ -479,8 +519,8 @@ def test_shared_factor_beats_random_candidates():
 
 def test_error_formula_matches_direct_evaluation(problem20, gram20):
     # identity between the direct reconstruction error and the spectrum
-    # formula; the subtraction in the formula loses accuracy near the
-    # rank, which sets the comparison floor
+    # formula; past the rank both read roundoff, which sets the
+    # comparison floor
     tildes = problem20["system"].A_tildes
     floor = 2.0 * math.sqrt(
         np.finfo(float).eps * gram20.trace / gram20.M
@@ -562,6 +602,26 @@ def test_build_gram_span_holds_the_family_on_other_geometries(
     _assert_span_holds_the_family(gram, system.A_tildes)
 
 
+def _assert_support_is_the_nonzero_rows_of_the_family_sum(gram, family):
+    # sum_m A_m A_m^T formed from the family itself, not from its span
+    h = sp.hstack(family, format="csr")
+    _assert_block_is_the_dense_sum_on_its_support(gram, (h @ h.T).toarray())
+
+
+def test_build_gram_support_is_the_nonzero_rows_of_the_family_sum(
+        problem20, gram20):
+    _assert_support_is_the_nonzero_rows_of_the_family_sum(
+        gram20, problem20["system"].A_tildes)
+
+
+@_OTHER_GEOMETRIES
+def test_build_gram_support_is_the_nonzero_rows_on_other_geometries(
+        darcy_rect, stokes_rect):
+    system, gram = _system_and_gram(darcy_rect, stokes_rect)
+    _assert_support_is_the_nonzero_rows_of_the_family_sum(gram,
+                                                          system.A_tildes)
+
+
 def test_rmsre_rejects_factors_of_another_gram_matrix(problem20, gram20):
     # the same family in reverse order has the same span, another Y
     tildes = problem20["system"].A_tildes[::-1]
@@ -573,7 +633,8 @@ def test_rmsre_rejects_factors_of_another_gram_matrix(problem20, gram20):
         rmsre(other, factorize(gram20, tildes, 0.3))
     # a hand-built Gram matrix carries no span
     bare = GramMatrix(block=gram20.block, n_full=gram20.n_full,
-                      block_dim=gram20.block_dim, M=gram20.M)
+                      block_dim=gram20.block_dim, M=gram20.M,
+                      support=gram20.support)
     with pytest.raises(ValueError, match="not made from this Gram matrix"):
         rmsre(bare, factors)
 
@@ -637,16 +698,18 @@ def test_energy_ratio_endpoints_and_monotonicity(gram20):
 
 
 def test_select_theta_spectrum_with_negligible_tail():
-    gram = GramMatrix(block=np.diag([10.0, 5.0, 1e-14, 0.0]),
-                      n_full=10, block_dim=4, M=1)
+    # G = diag(10, 5, 1e-14, 0) on S = {0, 1, 2}
+    gram = GramMatrix(block=np.diag([10.0, 5.0, 1e-14]),
+                      n_full=10, block_dim=4, M=1, support=np.arange(3))
     theta, k = select_theta(gram)
     assert k == 2
     assert theta == pytest.approx(0.2)
 
 
 def test_select_theta_exact_rank_at_target_one():
-    gram = GramMatrix(block=np.diag([4.0, 3.0, 0.0, 0.0]),
-                      n_full=8, block_dim=4, M=1)
+    # G = diag(4, 3, 0, 0) on S = {0, 1}
+    gram = GramMatrix(block=np.diag([4.0, 3.0]),
+                      n_full=8, block_dim=4, M=1, support=np.arange(2))
     theta, k = select_theta(gram, energy_target=1.0)
     assert k == 2
     assert theta == pytest.approx(0.25)
@@ -667,7 +730,8 @@ def test_theta_of_k_reads_back_as_k(n):
     # the same k, also where theta*N rounds up past the integer k, and
     # one ulp above k/N as k+1, also where theta*N rounds down to k
     dim = min(n, 600)
-    gram = GramMatrix(block=np.eye(dim), n_full=n, block_dim=dim, M=1)
+    gram = GramMatrix(block=np.eye(dim), n_full=n, block_dim=dim, M=1,
+                      support=np.arange(dim))
     for k in range(dim + 1):
         assert energy_ratio(gram, k / n) == k / dim, f"k={k}"
         above = min(float(np.nextafter(k / n, 2.0)), 1.0)
@@ -692,10 +756,12 @@ def test_select_theta_validation(gram20):
 
 
 def test_numerical_rank():
-    gram = GramMatrix(block=np.diag([1.0, 1e-5, 1e-11, 0.0]),
-                      n_full=4, block_dim=4, M=1)
+    # G = diag(1, 1e-5, 1e-11, 0) on S = {0, 1, 2}
+    gram = GramMatrix(block=np.diag([1.0, 1e-5, 1e-11]),
+                      n_full=4, block_dim=4, M=1, support=np.arange(3))
     assert numerical_rank(gram) == 2
-    zero = GramMatrix(block=np.zeros((3, 3)), n_full=3, block_dim=3, M=1)
+    zero = GramMatrix(block=np.zeros((0, 0)), n_full=3, block_dim=3, M=1,
+                      support=np.arange(0))
     assert numerical_rank(zero) == 0
 
 
