@@ -13,14 +13,14 @@ where P is the conductivity-weighted head stiffness, F1..F6 the viscous
 and divergence blocks of the free-flow rectangle, I1..I4 the mass-flux
 and normal-stress interface couplings, I5..I8 the slip-penalty blocks of
 the tangential interface condition, and I9..I12 its conductivity-carrying
-counterparts (I11/I12 share I9/I10's integrand with the mixed tangent
-factor tau1*tau2; for a flat horizontal interface that factor vanishes).
-The load vector is b = (b1, b2, b3, 0).
+counterparts; b = (b1, b2, b3, 0).  The interface is flat, n = (0, n2)
+and tau = (1, 0) (:func:`~.mesh.interface_frame`), so I1, I3, I6..I8,
+I10..I12 and b2, which carry a factor n1 or tau2, are not assembled.
 
-The random conductivity enters linearly, only through P and I9..I12, so
-the matrix splits additively into a deterministic part (assembled once
-from the mean field) and a per-sample perturbation supported on the first
-N1 columns of the first N1+2*N2 rows.  The slip coefficient delta is
+The random conductivity enters linearly, only through P and I9, so the
+matrix splits additively into a deterministic part (assembled once from
+the mean field) and a per-sample perturbation supported on the first N1
+columns of the first N1+N2 rows.  The slip coefficient delta is
 evaluated at the mean field everywhere, which keeps that splitting exact.
 Those conductivity blocks are a fixed linear map of the porous-vertex
 field, so :class:`PerturbationAssembler` builds their CSR pattern and a
@@ -287,11 +287,7 @@ class _EdgeTables:
         self.head_dofs = space_p.tri6[tp]                     # (ne, 6)
         self.vel_dofs = space_f.tri6[tf]
 
-        frame = interface_frame(mesh)
-        self.n1 = frame.normals[:, 0]
-        self.n2 = frame.normals[:, 1]
-        self.t1 = frame.tangents[:, 0]
-        self.t2 = frame.tangents[:, 1]
+        self.n2 = interface_frame(mesh).normals[:, 1]   # n1 = 0
 
     def edge_field(self, nodal):
         """Linear interpolation of a porous nodal field along the edges."""
@@ -349,40 +345,24 @@ def _deterministic_triplets(ws, coo):
     coo.add_block(pres, u1, np.swapaxes(f5, 1, 2))      # F5^T
     coo.add_block(pres, u2, np.swapaxes(f6, 1, 2))      # F6^T
 
-    # interface couplings
+    # interface: -I2 (head rows), g*I4 (u2 rows) and slip penalty I5
     ed = ws.edges
-    heads = ed.head_dofs + ws.o_head
+    heads, iface_u2 = ed.head_dofs + ws.o_head, ed.vel_dofs + ws.o_u2
     mass_ab = np.einsum("eq,eqi,eqj->eij", ed.wl, ed.aval, ed.bval)
-    # head row: -I1 (u1 columns), -I2 (u2 columns)
-    coo.add_block(heads, ed.vel_dofs + ws.o_u1, -ed.n1[:, None, None] * mass_ab)
-    coo.add_block(heads, ed.vel_dofs + ws.o_u2, -ed.n2[:, None, None] * mass_ab)
-    # velocity rows: +g*I3, +g*I4 (head columns)
-    mass_ba = np.swapaxes(mass_ab, 1, 2)
-    coo.add_block(ed.vel_dofs + ws.o_u1, heads,
-                  g * ed.n1[:, None, None] * mass_ba)
-    coo.add_block(ed.vel_dofs + ws.o_u2, heads,
-                  g * ed.n2[:, None, None] * mass_ba)
-    # slip penalty I5..I8
-    mass_bb = np.einsum("eq,eqi,eqj->eij", ed.wl * ws.delta, ed.bval, ed.bval)
-    coo.add_block(ed.vel_dofs + ws.o_u1, ed.vel_dofs + ws.o_u1,
-                  (ed.t1 * ed.t1)[:, None, None] * mass_bb)
-    coo.add_block(ed.vel_dofs + ws.o_u2, ed.vel_dofs + ws.o_u2,
-                  (ed.t2 * ed.t2)[:, None, None] * mass_bb)
-    coo.add_block(ed.vel_dofs + ws.o_u1, ed.vel_dofs + ws.o_u2,
-                  (ed.t1 * ed.t2)[:, None, None] * mass_bb)
-    coo.add_block(ed.vel_dofs + ws.o_u2, ed.vel_dofs + ws.o_u1,
-                  (ed.t1 * ed.t2)[:, None, None] * mass_bb)
+    coo.add_block(heads, iface_u2, -ed.n2[:, None, None] * mass_ab)
+    coo.add_block(iface_u2, heads,
+                  g * ed.n2[:, None, None] * np.swapaxes(mass_ab, 1, 2))
+    coo.add_block(ed.vel_dofs + ws.o_u1, ed.vel_dofs + ws.o_u1, np.einsum(
+        "eq,eqi,eqj->eij", ed.wl * ws.delta, ed.bval, ed.bval))
 
 
 def _load_vector(ws):
     """The elevation-head term g*z on the interface; no volume sources."""
     b = np.zeros(ws.mesh.N)
+    ed = ws.edges
     gz = ws.params.g * ws.params.z
-    if gz != 0.0:
-        ed = ws.edges
-        for nc, off in ((ed.n1, ws.o_u1), (ed.n2, ws.o_u2)):
-            ent = np.einsum("eq,eqi->ei", ed.wl * (gz * nc)[:, None], ed.bval)
-            np.add.at(b, ed.vel_dofs + off, ent)
+    ent = np.einsum("eq,eqi->ei", ed.wl * (gz * ed.n2)[:, None], ed.bval)
+    np.add.at(b, ed.vel_dofs + ws.o_u2, ent)
     return b
 
 
@@ -411,8 +391,12 @@ def assemble_mean(mesh, params, kl_mean=1.0, *, delta_from=None):
     """
     kbar = _nodal_field(mesh, kl_mean)
     dfield = kbar if delta_from is None else _nodal_field(mesh, delta_from)
-    asm = PerturbationAssembler(mesh, params, kbar=dfield)
-    coo = _Coo((mesh.N, mesh.N))
+    return _mean_system(PerturbationAssembler(mesh, params, kbar=dfield), kbar)
+
+
+def _mean_system(asm, kbar):
+    """(A_bar, b) of :func:`assemble_mean` on the tables of ``asm``."""
+    coo = _Coo((asm.mesh.N, asm.mesh.N))
     _deterministic_triplets(asm.ws, coo)
     return coo.tocsr() + asm.assemble(kbar), _load_vector(asm.ws)
 
@@ -430,7 +414,7 @@ def _spread(row_dofs, col_dofs, vertices, coefs):
 
 
 class PerturbationAssembler:
-    """Assembler of the blocks linear in the conductivity: P and I9..I12.
+    """Assembler of the blocks linear in the conductivity: P and I9.
 
     Built once: the geometry tables, the CSR pattern of those blocks and
     a sparse map ``L`` (one row per stored entry, one column per porous
@@ -442,39 +426,32 @@ class PerturbationAssembler:
     ``indices`` and ``indptr``, which are read-only: copy a matrix before
     editing its structure in place.
 
-    Each perturbation is nonzero only in the first N1 columns of the
-    first N1+2*N2 rows.  The slip coefficient inside the interface blocks
-    is evaluated at the mean field ``kbar``, never at the sampled field,
-    keeping the mean + perturbation split exactly additive.
+    Each perturbation is stored only in the first N1 columns of the
+    head rows (P) and the u1 rows (I9), never in the u2 rows.  The slip
+    coefficient inside I9 is evaluated at the mean field ``kbar``, never
+    at the sampled field, keeping the mean + perturbation split exactly
+    additive.
     """
 
     def __init__(self, mesh, params, kbar=1.0):
         self.mesh = mesh
         self.ws = ws = _Workspace(mesh, params, _nodal_field(mesh, kbar))
         sp_p = ws.space_p
+        ed = ws.edges
         heads = sp_p.tri6 + ws.o_head
-        # volume head stiffness; the field is linear on each triangle
+        # volume head stiffness P; the field is linear on each triangle
         grads = np.einsum("tqid,tqjd->tqij", sp_p.grad, sp_p.grad)
         weights = sp_p.scale[:, :, None] * ws.p1val          # (nt, nq, 3)
-        blocks = [_spread(heads, heads, mesh.tri3_darcy,
-                          np.einsum("tqc,tqij->tijc", weights, grads))]
-
-        # interface slip blocks; the field is linear along each edge
-        ed = ws.edges
+        p_coefs = np.einsum("tqc,tqij->tijc", weights, grads)
+        # interface slip block I9; the field is linear along each edge
         ends = np.stack([1.0 - ed.s, ed.s], axis=-1)       # (nq, 2)
-        base = ed.wl * ws.delta                              # (ne, nq)
-        for coeff, row_off in (
-            (ed.t1 * ed.t1, ws.o_u1),   # tangential-squared, u1 rows
-            (ed.t1 * ed.t2, ws.o_u1),   # mixed tangent, u1 rows
-            (ed.t2 * ed.t2, ws.o_u2),   # tangential-squared, u2 rows
-            (ed.t1 * ed.t2, ws.o_u2),   # mixed tangent, u2 rows
-        ):
-            blocks.append(_spread(
-                ed.vel_dofs + row_off, ed.head_dofs + ws.o_head, ed.vpair,
-                np.einsum("eq,eqi,eqj,qv->eijv", base * coeff[:, None],
-                          ed.bval, ed.dax, ends)))
-
-        rows, cols, verts, coefs = (np.concatenate(b) for b in zip(*blocks))
+        i9_coefs = np.einsum("eq,eqi,eqj,qv->eijv", ed.wl * ws.delta,
+                             ed.bval, ed.dax, ends)
+        rows, cols, verts, coefs = (np.concatenate(b) for b in zip(
+            _spread(heads, heads, mesh.tri3_darcy, p_coefs),
+            _spread(ed.vel_dofs + ws.o_u1, ed.head_dofs + ws.o_head,
+                    ed.vpair, i9_coefs),
+        ))
         n = mesh.N
         keys, slot = np.unique(rows.astype(np.int64) * n + cols,
                                return_inverse=True)
@@ -506,8 +483,8 @@ def assemble_family(mesh, params, kl, coefficients):
     ``mesh``.
     """
     _, tildes = realize_conductivity(kl, coefficients)
-    a_bar, b = assemble_mean(mesh, params, kl.mean_nodal)
     asm = PerturbationAssembler(mesh, params, kbar=kl.mean_nodal)
+    a_bar, b = _mean_system(asm, kl.mean_nodal)
     system = SplitSystem(
         A_bar=a_bar, b=b, A_tildes=[asm.assemble(t) for t in tildes],
         N1=mesh.N1, N2=mesh.N2, N3=mesh.N3,

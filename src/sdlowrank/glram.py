@@ -459,9 +459,9 @@ def rmsre(gram, factors):
     Each residual C_i - U (U^T C_i) is formed densely on the rows S
     where U[:, :k_s] is nonzero and with those k_s columns only.  Off S
     the residual is the entry itself: past k_s the columns of U are unit
-    vectors on zero Gram rows, where every C_i is zero.  Raises
-    ValueError unless the factors carry the Gram matrix's Y, i.e. were
-    made from it.
+    vectors on zero Gram rows, where every C_i is zero.  At k_s = |S|
+    U[S, :k_s] is orthogonal and nothing is left on S.  Raises ValueError
+    unless the factors carry the Gram matrix's Y, i.e. were made from it.
     """
     if gram._span is None or not np.array_equal(factors.Y, gram._span[4]):
         raise ValueError("factors were not made from this Gram matrix")
@@ -474,6 +474,8 @@ def rmsre(gram, factors):
     on_s = local[rows] >= 0
     off = c[:, ~on_s]
     total = float(np.vdot(off, off))
+    if s.size == k_s:
+        return math.sqrt(total / gram.M)
     u_s = u[s, :k_s]
     rows_s, cols_s = local[rows[on_s]], cols[on_s]
     for c_i in c:

@@ -5,7 +5,10 @@ arithmetic (binary floats are rationals, so Fraction keeps vertex
 coordinates exact) and never touch the package's quadrature or
 assembly code paths.  The one exception is ``k_linear_blocks``: a
 per-element reference for the conductivity-linear blocks that reuses the
-package's geometry tables but not its precomputed conductivity map.
+package's geometry tables but not its precomputed conductivity map, and
+builds all four slip blocks I9..I12 from the tangent of
+``mesh.interface_frame``: the general-frame form the package assembled
+before it dropped the three that a flat interface zeroes.
 ``rmsre_per_sample`` is the per-matrix reconstruction error that
 ``glram.rmsre`` evaluated before it summed over the family's span, and
 ``smw_reference`` the per-sample Woodbury solve that
@@ -28,6 +31,7 @@ from scipy.linalg import get_lapack_funcs
 
 from sdlowrank import SampleSolution
 from sdlowrank.assembly import _Coo, _nodal_field, _Workspace
+from sdlowrank.mesh import interface_frame
 
 
 def _factorial_bary_integral(c0, c1, c2):
@@ -134,15 +138,17 @@ def _k_dependent_triplets(ws, coo, field_nodal):
     ent = np.einsum("tq,tqic,tqjc->tij", w, sp_p.grad, sp_p.grad)
     coo.add_block(sp_p.tri6 + ws.o_head, sp_p.tri6 + ws.o_head, ent)
 
-    # interface slip blocks carrying the conductivity
+    # interface slip blocks carrying the conductivity, in the frame's
+    # tangent tau = (t1, t2)
     ed = ws.edges
+    t1, t2 = interface_frame(mesh).tangents.T
     kq_e = ed.edge_field(field_nodal)
     base = ed.wl * ws.delta * kq_e                       # (ne, nq)
     for coeff, row_off in (
-        (ed.t1 * ed.t1, ws.o_u1),   # tangential-squared, u1 rows
-        (ed.t1 * ed.t2, ws.o_u1),   # mixed tangent, u1 rows
-        (ed.t2 * ed.t2, ws.o_u2),   # tangential-squared, u2 rows
-        (ed.t1 * ed.t2, ws.o_u2),   # mixed tangent, u2 rows
+        (t1 * t1, ws.o_u1),   # I9: tangential-squared, u1 rows
+        (t1 * t2, ws.o_u1),   # I11: mixed tangent, u1 rows
+        (t2 * t2, ws.o_u2),   # I10: tangential-squared, u2 rows
+        (t1 * t2, ws.o_u2),   # I12: mixed tangent, u2 rows
     ):
         ent = np.einsum(
             "eq,eqi,eqj->eij", base * coeff[:, None], ed.bval, ed.dax

@@ -552,6 +552,17 @@ def test_rmsre_matches_the_per_sample_oracle(problem20, gram20, theta):
     _assert_rmsre_matches_the_per_sample_oracle(gram20, factors, tildes)
 
 
+def test_rmsre_is_exactly_zero_when_u_spans_the_gram_support(problem20,
+                                                            gram20):
+    # at k_s = |S| the rows S of U[:, :k_s] form a square orthogonal
+    # matrix, so no residual is left on S and the family has none off S
+    tildes = problem20["system"].A_tildes
+    for theta in (1.0, select_theta(gram20)[0]):
+        factors = factorize(gram20, tildes, theta)
+        assert factors.W.shape[2] == gram20.support.size
+        assert rmsre(gram20, factors) == 0.0
+
+
 _OTHER_GEOMETRIES = pytest.mark.parametrize("darcy_rect, stokes_rect", [
     ((0.0, 1.0, -0.5, 0.0), (0.0, 1.0, 0.0, 0.5)),
     # |S| = 75 exceeds the column support c = 67
