@@ -238,15 +238,19 @@ class RunLedger:
 
 
 class _Stages:
-    """Wall-clock bookkeeping per pipeline stage."""
+    """Wall-clock time and minor page faults per pipeline stage."""
 
     def __init__(self):
         self.times = {}
+        self.minflt = {}
 
     def run(self, name, fn):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         result = fn()
         self.times[name] = self.times.get(name, 0.0) + time.perf_counter() - t0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+        self.minflt[name] = self.minflt.get(name, 0) + faults
         return result
 
 
@@ -314,6 +318,9 @@ def _ledger(cfg, command, stages, metrics):
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
         "stage_seconds": {k: round(v, 6) for k, v in stages.times.items()},
+        # minor page faults: pages the stage touched for the first time,
+        # e.g. buffers the allocator had returned to the system
+        "stage_minflt": dict(stages.minflt),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "environment": {
             "numpy": np.__version__,
@@ -430,7 +437,8 @@ def cmd_theta_sweep(cfg):
                 "status": "ok",
                 "col_dim": factors.col_dim,
                 "span_dim": factors.span_dim,
-                # U, W and Y plus the solver's cached Z and blocks
+                # U, the span values and Y plus the solver's cached
+                # Z[S], X, blocks and right sides
                 "factor_bytes": factors.nbytes + mean_factor.nbytes,
                 "capacitance_cond_min": min(conds),
                 "capacitance_cond_median": float(np.median(conds)),

@@ -31,9 +31,10 @@ family) and coefficients Y with A_m = sum_j Y[m, j] B_j are found in
 O(M r p) for p entries in the union sparsity pattern, and G = sum_j C_j
 C_j^T is an r-term sum whatever M, with C = R B for the thin QR Y = Q R.
 The Gram matrix keeps B, Y and C; nothing after it reads the family.
-``factorize`` stores W_j = B_j^T U and Y, and no N x k V_m is formed: the
-Woodbury solver sums r k_s x k_s blocks formed from W once per family,
-and ``rmsre`` sums the residuals of C_1..C_r, not of M matrices.
+The factors hold U and Y and share the Gram matrix's B, from which the
+Woodbury solver forms its r k_s x k_s blocks once per family, one sparse
+B_j at a time; no W_j = B_j^T U and no N x k V_m is held.  ``rmsre``
+sums the residuals of C_1..C_r, not of M matrices.
 """
 
 import bisect
@@ -163,21 +164,29 @@ class GramMatrix:
 
 @dataclass
 class GlramFactors:
-    """Shared left factor and the right factors in the family's span.
+    """Shared left factor and the family's span, which the right factors
+    are read from.
 
     The family spans r matrices B_1..B_r, orthonormal in the Frobenius
-    inner product, with A_m = sum_j Y[m, j] B_j.  So the right factors are
-    V_m = A_m^T U = sum_j Y[m, j] W_j with W_j = B_j^T U, and only the r
-    blocks W_j and the M x r coefficients Y are stored.  Rows of every
-    W_j (and V_m) from ``col_dim`` on are exactly zero and are not held,
-    and so are the columns from k_s = min(k, |S|) on: those columns of U
-    are unit vectors on zero rows of the Gram matrix.
+    inner product, with A_m = sum_j Y[m, j] B_j, so the right factors are
+    V_m = A_m^T U = sum_j Y[m, j] B_j^T U.  The factors hold U, the
+    M x r coefficients Y and, shared with the Gram matrix that
+    ``factorize`` read them from, the values of the B_j on the family's
+    sparsity pattern (``basis``, r x p, at ``rows`` and ``cols``).  No
+    B_j^T U and no V_m is stored.  Every B_j is zero in the columns from
+    ``col_dim`` on, and so are the rows of V_m.  Only the first
+    k_s = min(k, |S|) columns of U enter the solver: the others are unit
+    vectors on zero rows of the Gram matrix, where every B_j vanishes.
     """
 
     U: np.ndarray            # (N, k), orthonormal columns
-    W: np.ndarray            # (r, col_dim, k_s), the leading block of B_j^T U
+    basis: np.ndarray        # (r, p), B_j on the pattern (the Gram's array)
+    rows: np.ndarray         # (p,) row of each pattern entry
+    cols: np.ndarray         # (p,) column of each pattern entry
+    col_dim: int             # every column index of the pattern is below it
     Y: np.ndarray            # (M, r), A_m = sum_j Y[m, j] B_j
     k: int
+    k_s: int                 # min(k, |S|), the columns of U the solver reads
     rmsre: float             # closed-form reconstruction error
     energy_ratio: float      # e(theta) of the retained spectrum
     n_full: int
@@ -189,12 +198,7 @@ class GlramFactors:
     @property
     def span_dim(self):
         """r, the dimension of the family's span."""
-        return self.W.shape[0]
-
-    @property
-    def col_dim(self):
-        """Rows 0..col_dim-1 of every V_m may be nonzero."""
-        return self.W.shape[1]
+        return self.basis.shape[0]
 
     @property
     def V(self):
@@ -203,8 +207,9 @@ class GlramFactors:
 
     @property
     def nbytes(self):
-        """Bytes of the stored U, W and Y."""
-        return self.U.nbytes + self.W.nbytes + self.Y.nbytes
+        """Bytes of U, the span values and Y (the pattern's indices are
+        the family's sparsity pattern, not counted here)."""
+        return self.U.nbytes + self.basis.nbytes + self.Y.nbytes
 
     @property
     def theta_effective(self):
@@ -216,9 +221,18 @@ class GlramFactors:
         """Storage of (U, V_1..V_M) relative to the M full matrices."""
         return self.theta_effective * (1.0 + 1.0 / self.M)
 
+    def transposed(self, values, n_rows):
+        """A^T as an n_rows x N CSR matrix, for the matrix A that holds
+        ``values`` on the family's pattern; n_rows >= col_dim.
+
+        ``basis[j]`` gives B_j^T, ``Y[m] @ basis`` gives A_m^T.
+        """
+        return sp.csr_matrix((values, (self.cols, self.rows)),
+                             shape=(n_rows, self.n_full))
+
 
 class _RightFactors(Sequence):
-    """Read-only sequence of V_m = sum_j Y[m, j] W_j; nothing is cached."""
+    """Read-only sequence of V_m = A_m^T U; nothing is cached."""
 
     def __init__(self, factors):
         self._factors = factors
@@ -228,10 +242,8 @@ class _RightFactors(Sequence):
 
     def __getitem__(self, m):
         f = self._factors
-        y = f.Y[operator.index(m)]
-        v = np.zeros((f.n_full, f.k))
-        v[:f.col_dim, :f.W.shape[2]] = np.tensordot(y, f.W, axes=1)
-        return v
+        a_t = f.transposed(f.Y[operator.index(m)] @ f.basis, f.n_full)
+        return a_t @ f.U
 
 
 def build_gram(A_tildes, block_dim=None):
@@ -408,15 +420,15 @@ def factorize(gram, A_tildes, theta):
     dimension: the first k_s = min(k, |S|) columns are eigenvectors of
     the support block G[S, S] on the rows S, and the k - k_s others are
     unit vectors on the zero rows of G, last row first.  Their V_m
-    columns are exactly zero, so W holds the first k_s columns only.
+    columns are exactly zero, so the solver reads the first k_s only.
 
-    The family is not read: B_1..B_r and Y come from the span that
-    ``build_gram`` kept, and W_j = B_j^T U is one sparse product for all
-    j, O(r p k_s), in place of M products A_m^T U.  ``A_tildes`` is only
-    checked to hold gram.M matrices.  ``col_dim`` is one more than the
-    largest stored column index of the family, so the rows of every W_j
-    and V_m from ``col_dim`` on are exactly zero.  Raises ValueError for
-    a GramMatrix that ``build_gram`` did not make: it has no span.
+    The family is not read: B_1..B_r (on the pattern) and Y are the
+    arrays of the span that ``build_gram`` kept, shared, not copied, and
+    nothing is formed from them here.  ``A_tildes`` is only checked to
+    hold gram.M matrices.  ``col_dim`` is one more than the largest
+    stored column index of the family, so the rows of every V_m from
+    ``col_dim`` on are exactly zero.  Raises ValueError for a GramMatrix
+    that ``build_gram`` did not make: it has no span.
     """
     if gram._span is None:
         raise ValueError("factorize needs the span kept by build_gram")
@@ -438,12 +450,15 @@ def factorize(gram, A_tildes, theta):
     u_full[zero_rows[::-1][:k - k_s], np.arange(k_s, k)] = 1.0
 
     basis, rows, cols, col_dim, y, _ = gram._span
-    b = _stacked(basis, rows, cols, col_dim, n)
     return GlramFactors(
         U=u_full,
-        W=(b.T @ u_full[:, :k_s]).reshape(basis.shape[0], col_dim, k_s),
+        basis=basis,
+        rows=rows,
+        cols=cols,
+        col_dim=col_dim,
         Y=y,
         k=k,
+        k_s=k_s,
         rmsre=rmsre_closed_form(gram, k),
         energy_ratio=energy_ratio(gram, theta),
         n_full=n,
@@ -467,7 +482,7 @@ def rmsre(gram, factors):
         raise ValueError("factors were not made from this Gram matrix")
     _, rows, cols, col_dim, _, c = gram._span
     u = factors.U
-    k_s = factors.W.shape[2]
+    k_s = factors.k_s
     s = np.flatnonzero(u[:, :k_s].any(axis=1))
     local = np.full(u.shape[0], -1)
     local[s] = np.arange(s.size)

@@ -7,18 +7,31 @@ the Woodbury identity
     x_m = x_bar - Z (I + V_m^T Z)^{-1} (V_m^T x_bar),   Z = Abar^{-1} U.
 
 Z and x_bar are computed once and shared across samples.  Only the
-leading c = ``GlramFactors.col_dim`` rows and k_s = W.shape[2] columns
-of V_m can be nonzero, so U and V_m are cut to their first k_s columns
-and the row products run over c rows; the capacitance matrix is
-k_s x k_s.  The family spans r matrices, so V_m = sum_j Y[m, j] W_j
-(see ``GlramFactors``) and each capacitance matrix is an r-term sum of
-blocks P_j = W_j^T Z[:c] built once per family in O(r c k_s^2), next to
-the right sides W_j^T x_bar[:c].  The blocks are stored flattened, one
-row per j, so a sample's sum is one matrix-vector product whose result
-is the capacitance matrix in Fortran order, and the sample is then three
-LAPACK calls (LU, condition estimate, back-substitution) on it in place.
-A sample costs O(r k_s^2 + k_s^3 + N k_s) instead of a fresh
-N-dimensional sparse solve, and never forms V_m.
+leading c = ``GlramFactors.col_dim`` rows and k_s = ``GlramFactors.k_s``
+columns of V_m can be nonzero, so U and V_m are cut to their first k_s
+columns and the row products run over c rows; the capacitance matrix is
+k_s x k_s.
+
+Z is held on the support.  U[:, :k_s] is zero off its nonzero rows S,
+and S couples to the other rows T only through the few columns I of
+Abar[T, S] that hold entries (the interface: |I| = 2(2n-1) of |S| = 527
+at n=16).  With X = Abar[T, T]^{-1} Abar[T, I], block elimination gives
+Z[S] from the Schur complement Abar[S, S] - Abar[S, T] X, which is
+sparse plus one dense block on the rows of Abar[S, T] that hold entries,
+and Z[T] = -X Z[S][I].  Only Z[S] (|S| x k_s) and X (|T| x |I|) are held;
+this is the algebraic form of the Steklov-Poincare substructuring of the
+coupled problem.
+
+The family spans r matrices, so V_m = sum_j Y[m, j] B_j^T U (see
+``GlramFactors``) and each capacitance matrix is an r-term sum of
+blocks P_j = U^T B_j Z[:c] built once per family in O(r c k_s^2), one j
+at a time from the sparse B_j, next to the right sides U^T B_j x_bar[:c].
+The blocks are stored flattened, one row per j, so a sample's sum is one
+matrix-vector product whose result is the capacitance matrix in Fortran
+order, and the sample is then three LAPACK calls (LU, condition
+estimate, back-substitution) on it in place.  A sample costs
+O(r k_s^2 + k_s^3 + N k_s) instead of a fresh N-dimensional sparse
+solve, and never forms V_m.
 
 A direct sparse solve of (Abar + A_m) x = b is kept as the reference
 baseline.  Every sample of a Monte Carlo family has the same sparsity
@@ -76,8 +89,9 @@ class MeanFactorization:
     """Sparse LU of the mean matrix with cached derived data.
 
     Holds the deterministic solution x_bar = Abar^{-1} b and, for the
-    factor family asked for last, the block Z = Abar^{-1} U[:, :k_s] and
-    the capacitance blocks reused by every sample solve of that family.
+    factor family asked for last, the block Z = Abar^{-1} U[:, :k_s] on
+    its support (``z_for``) and the capacitance blocks reused by every
+    sample solve of that family.
     """
 
     def __init__(self, lu, A_bar, b, x_bar):
@@ -95,25 +109,38 @@ class MeanFactorization:
 
     @property
     def nbytes(self):
-        """Bytes of the cached Z and capacitance blocks (0 before a solve)."""
-        arrays = (self._z,) + (self._blocks or ())
-        return sum(a.nbytes for a in arrays if a is not None)
+        """Bytes of the cached Z[S], X, capacitance blocks and right sides
+        (0 before a solve)."""
+        held = [self._z, *(self._blocks or ())]
+        return sum(a.nbytes for a in held if a is not None)
 
     def solve(self, rhs):
         return self._lu.solve(rhs)
 
     def z_for(self, factors):
-        """Abar^{-1} U[:, :k_s] for ``factors``, with k_s = W.shape[2],
-        recomputed when the family changes."""
+        """Abar^{-1} U[:, :k_s] for ``factors`` as a ``SupportZ``,
+        recomputed when the family changes.
+
+        Z is solved by block elimination on the nonzero rows S of
+        U[:, :k_s] (see the module docstring) and checked column by
+        column: a residual ||Abar Z_j - U_j|| above 1e-8 (||U_j|| + 1),
+        or not finite, raises SingularSystemError naming the column.  The
+        check assembles Z a few columns at a time.  A failed LU of
+        Abar[T, T] or of the Schur complement raises SingularSystemError
+        naming the block.
+        """
         if factors is not self._factors:
-            # SuperLU solves a Fortran-ordered right side without a copy
-            u = np.asfortranarray(factors.U[:, :factors.W.shape[2]])
-            z = self._lu.solve(u)
-            resid = np.linalg.norm(self.A_bar @ z - u, axis=0)
-            scale = np.linalg.norm(u, axis=0)
-            bad = resid > 1e-8 * (scale + 1.0)
-            if np.any(bad):
-                j = int(np.argmax(resid))
+            u = factors.U[:, :factors.k_s]
+            z = SupportZ.solve(self.A_bar, u)
+            resid = np.empty(u.shape[1])
+            for j in range(0, u.shape[1], _CHECK_COLUMNS):
+                cols = slice(j, j + _CHECK_COLUMNS)
+                resid[cols] = np.linalg.norm(
+                    self.A_bar @ z.rows(self.N, cols) - u[:, cols], axis=0)
+            tol = 1e-8 * (np.linalg.norm(u, axis=0) + 1.0)
+            bad = np.flatnonzero(~(resid <= tol))   # a NaN is bad
+            if bad.size:
+                j = bad[np.argmax(np.nan_to_num(resid[bad], nan=np.inf))]
                 raise SingularSystemError(
                     f"inaccurate solve for column {j} of the shared "
                     f"factor: residual {resid[j]:.3e}"
@@ -125,22 +152,117 @@ class MeanFactorization:
         """The r capacitance blocks of ``factors``, flattened, and their
         right sides.
 
-        With c = ``factors.col_dim`` and W_j from ``factors.W``, returns
-        (P, w) with P[j] the k_s x k_s block W_j^T Z[:c] flattened in
-        Fortran order (P is r x k_s^2) and w[j] = W_j^T x_bar[:c].  So
-        y @ P, reshaped in Fortran order without a copy, is
-        sum_j y_j W_j^T Z[:c], which LAPACK factors in place.  Built with
-        BLAS once per family, in O(r c k_s^2).
+        With c = ``factors.col_dim``, returns (P, w) with P[j] the
+        k_s x k_s block W_j^T Z[:c] flattened in Fortran order (P is
+        r x k_s^2) and w[j] = W_j^T x_bar[:c], for W_j = B_j^T U[:, :k_s].
+        So y @ P, reshaped in Fortran order without a copy, is
+        sum_j y_j W_j^T Z[:c], which LAPACK factors in place.  Built once
+        per family, one j at a time: W_j from the sparse B_j, then a BLAS
+        product with Z[:c], so only one W_j and Z[:c] are held while the
+        blocks are built, in O(r c k_s^2).
         """
         z = self.z_for(factors)
         if self._blocks is None:
-            c = factors.col_dim
-            w = factors.W
-            r, _, k_s = w.shape
-            # row-major Z[:c]^T W_j is column-major W_j^T Z[:c]
-            self._blocks = ((z[:c].T @ w).reshape(r, k_s * k_s),
-                            w.transpose(0, 2, 1) @ self.x_bar[:c])
+            c, k_s = factors.col_dim, factors.k_s
+            # scipy copies a strided dense operand per sparse product;
+            # at k > k_s this copies U[:, :k_s] once instead
+            u = np.ascontiguousarray(factors.U[:, :k_s])
+            z_c = z.rows(c)
+            r = factors.span_dim
+            blocks, rhs = np.empty((r, k_s * k_s)), np.empty((r, k_s))
+            for j in range(r):
+                w_j = factors.transposed(factors.basis[j], c) @ u
+                # row-major Z[:c]^T W_j is column-major W_j^T Z[:c]
+                np.matmul(z_c.T, w_j, out=blocks[j].reshape(k_s, k_s))
+                rhs[j] = w_j.T @ self.x_bar[:c]
+            self._blocks = (blocks, rhs)
         return self._blocks
+
+
+# columns of Z assembled at a time by z_for's residual check
+_CHECK_COLUMNS = 64
+
+
+@dataclass(eq=False)
+class SupportZ:
+    """Z = Abar^{-1} U held on the nonzero rows S of U.
+
+    Since U[T] = 0 on the other rows T, Z[T] = -X Z[S][I]; it is never
+    stored.
+    """
+
+    support: np.ndarray      # S, ascending
+    rest: np.ndarray         # T, ascending
+    coupled: np.ndarray      # I: positions in S of Abar[T, S]'s columns
+    z_s: np.ndarray          # Z[S], |S| x k
+    x: np.ndarray            # X = Abar[T, T]^{-1} Abar[T, I], |T| x |I|
+
+    @classmethod
+    def solve(cls, a_bar, u):
+        """Block elimination of Abar Z = U on the nonzero rows S of U.
+
+        One sparse LU of Abar[T, T] solves for X (skipped when I is
+        empty), and one sparse LU of the Schur complement
+        Abar[S, S] - Abar[S, T] X, sparse plus a dense block on the rows
+        R of Abar[S, T] that hold entries and the columns I, gives
+        Z[S] (skipped when S is empty).
+        """
+        a = sp.csr_matrix(a_bar)
+        on_s = u.any(axis=1)
+        s, t = np.flatnonzero(on_s), np.flatnonzero(~on_s)
+        a_s, a_t = a[s], a[t]
+        a_ts = a_t[:, s]
+        coupled = np.unique(a_ts.indices)
+        x = np.zeros((t.size, coupled.size))
+        if coupled.size:
+            x = _splu(a_t[:, t], "Abar[T, T]").solve(
+                a_ts[:, coupled].toarray())
+        z_s = np.zeros((s.size, u.shape[1]))
+        if s.size:
+            a_st = a_s[:, t]
+            r = np.flatnonzero(np.diff(a_st.indptr))
+            dense = a_st[r] @ x
+            schur = a_s[:, s] - sp.csr_matrix(
+                (dense.ravel(), (np.repeat(r, coupled.size),
+                                 np.tile(coupled, r.size))),
+                shape=(s.size, s.size))
+            z_s = _splu(schur, "the Schur complement on the support of U"
+                        ).solve(u[s])
+        return cls(s, t, coupled, z_s, x)
+
+    @property
+    def nbytes(self):
+        """Bytes of Z[S] and X."""
+        return self.z_s.nbytes + self.x.nbytes
+
+    def rows(self, stop, cols=slice(None)):
+        """Z[:stop, cols], assembled."""
+        z_s = self.z_s[:, cols]
+        z = np.empty((stop, z_s.shape[1]))
+        # S and T are ascending, so their rows below stop lead
+        n_s = np.searchsorted(self.support, stop)
+        n_t = np.searchsorted(self.rest, stop)
+        z[self.support[:n_s]] = z_s[:n_s]
+        z[self.rest[:n_t]] = -(self.x[:n_t] @ z_s[self.coupled])
+        return z
+
+    def subtract_from(self, x_bar, y):
+        """x_bar - Z y."""
+        zy = self.z_s @ y
+        x = x_bar.copy()
+        x[self.support] -= zy
+        x[self.rest] += self.x @ zy[self.coupled]
+        return x
+
+
+def _splu(a, block):
+    """SuperLU of the sparse matrix ``a``; SingularSystemError naming
+    ``block`` if it fails."""
+    try:
+        return spla.splu(sp.csc_matrix(a))
+    except RuntimeError as exc:
+        raise SingularSystemError(
+            f"factorization of {block} failed ({exc})") from exc
 
 
 def _diagnose_singularity(a):
@@ -193,13 +315,15 @@ def solve_sample_smw(mean, factors, m):
     LAPACK calls follow on C in place: the LU (``getrf``), its 1-norm
     condition estimate (``gecon``, reported as ``capacitance_cond``) and
     the back-substitution (``getrs``) of w = sum_j y_j W_j^T x_bar[:c];
-    then x = x_bar - Z C^{-1} w.  A sample costs
-    O(r k_s^2 + k_s^3 + N k_s) after the one-time block build.  When
+    then x = x_bar - Z C^{-1} w from Z[S] and X (``SupportZ``).  A
+    sample costs O(r k_s^2 + k_s^3 + N k_s) after the one-time block
+    build.  When
     k_s = 0 the update vanishes and x = x_bar with condition 1.  No
     N x N inverse and no V_m is ever formed.  An exactly singular C has
     condition infinity; a condition above CAPACITANCE_COND_LIMIT raises
     IllConditionedUpdateError, and a non-finite C or x raises
-    SingularSystemError, each naming the sample.
+    SingularSystemError, each naming the sample; C's entries are scanned
+    only when its 1-norm is not finite.
     """
     if not 0 <= m < factors.M:
         raise IndexError(f"sample index {m} outside 0..{factors.M - 1}")
@@ -209,13 +333,15 @@ def solve_sample_smw(mean, factors, m):
     flat = y_m @ blocks
     w = y_m @ rhs
     flat[::k_s + 1] += 1.0
-    if not np.all(np.isfinite(flat)):
-        raise SingularSystemError(
-            f"sample {m}: non-finite capacitance matrix entries"
-        )
     if k_s:
         c = flat.reshape(k_s, k_s, order="F")
         anorm = _LANGE("1", c)
+        # the 1-norm is nan or inf when an entry is; finite entries whose
+        # norm overflows go on to rcond 0 below
+        if not math.isfinite(anorm) and not np.all(np.isfinite(flat)):
+            raise SingularSystemError(
+                f"sample {m}: non-finite capacitance matrix entries"
+            )
         # an exactly zero pivot leaves getrf's info > 0 and rcond = 0
         lu, piv, _ = _GETRF(c, overwrite_a=1)
         rcond, info = _GECON(lu, anorm, norm="1")
@@ -234,7 +360,7 @@ def solve_sample_smw(mean, factors, m):
         y, _ = _GETRS(lu, piv, w, overwrite_b=1)
     else:  # k_s = 0: no update, and LAPACK rejects an empty matrix
         cond, y = 1.0, w
-    x = mean.x_bar - mean.z_for(factors) @ y
+    x = mean.z_for(factors).subtract_from(mean.x_bar, y)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"sample {m}: non-finite solution entries")
     return SampleSolution(x=x, sample_index=m, capacitance_cond=cond)

@@ -208,15 +208,22 @@ def smw_reference(mean, factors, m):
     """Woodbury solve of sample m through scipy's LU wrappers.
 
     Returns (x, condition estimate).  Z = Abar^{-1} U[:, :k_s] is solved
-    afresh, the r blocks (W_j^T Z[:c])^T are summed by ``tensordot`` into
-    the capacitance matrix C, and C goes through ``lu_factor``, LAPACK's
-    ``gecon`` 1-norm estimate and ``lu_solve``.  An exactly singular C
-    has condition infinity; k_s = 0 gives x_bar with condition 1.
+    afresh through the mean's LU, each W_j = B_j^T U[:, :k_s] is formed
+    from the span values of ``factors`` as a COO matrix B_j, the r blocks
+    (W_j^T Z[:c])^T are summed by ``tensordot`` into the capacitance
+    matrix C, and C goes through ``lu_factor``, LAPACK's ``gecon`` 1-norm
+    estimate and ``lu_solve``.  An exactly singular C has condition
+    infinity; k_s = 0 gives x_bar with condition 1.
     """
-    c, k_s = factors.col_dim, factors.W.shape[2]
-    z = mean.solve(factors.U[:, :k_s])
-    blocks = z[:c].T @ factors.W
-    rhs = factors.W.transpose(0, 2, 1) @ mean.x_bar[:c]
+    c, k_s, n = factors.col_dim, factors.k_s, factors.n_full
+    u = factors.U[:, :k_s]
+    z = mean.solve(u)
+    w = np.zeros((factors.span_dim, c, k_s))
+    for j, b_j in enumerate(factors.basis):
+        b = sp.coo_matrix((b_j, (factors.rows, factors.cols)), shape=(n, n))
+        w[j] = (b.T @ u)[:c]
+    blocks = z[:c].T @ w
+    rhs = w.transpose(0, 2, 1) @ mean.x_bar[:c]
     y_m = factors.Y[m]
     cap = np.tensordot(y_m, blocks, axes=1).T
     w = y_m @ rhs

@@ -51,9 +51,11 @@ def test_cut_inputs_stay_cut():
     for name, expected in PARAMETERS.items():
         params = tuple(inspect.signature(getattr(sdlowrank, name)).parameters)
         assert params == expected, name
-    # the retained spectrum is gram.eigenvalues[:k]
+    # the retained spectrum is gram.eigenvalues[:k]; the blocks
+    # W_j = B_j^T U are formed one at a time by the solver, not held
     fields = {f.name for f in dataclasses.fields(sdlowrank.GlramFactors)}
     assert "eigenvalues" not in fields
+    assert "W" not in fields
 
 
 def test_import_leaves_scipy_spatial_out():

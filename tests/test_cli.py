@@ -335,12 +335,14 @@ def test_theta_sweep_records_a_failed_ratio_and_keeps_sweeping(
 
 def test_theta_sweep_records_a_non_finite_factor_as_a_failed_ratio(
         tmp_path, monkeypatch):
+    # the NaN goes into U, which the factors own: the span values and Y
+    # are the Gram matrix's, shared by every ratio of the sweep
     real_factorize = cli.factorize
 
     def factorize(gram, tildes, theta):
         factors = real_factorize(gram, tildes, theta)
         if theta == 0.1:
-            factors.W[0][0, 0] = np.nan
+            factors.U[gram.support[0], 0] = np.nan
         return factors
 
     monkeypatch.setattr(cli, "factorize", factorize)
@@ -349,7 +351,9 @@ def test_theta_sweep_records_a_non_finite_factor_as_a_failed_ratio(
     assert rc == 0
     _, (full, tenth) = _read_csv(tmp_path / "theta_sweep.csv")
     assert full["status"] == "ok"
-    assert tenth["status"].startswith("failed: sample 0: non-finite")
+    assert tenth["status"].startswith(
+        "failed: inaccurate solve for column 0 of the shared factor: "
+        "residual nan")
     (rec,) = _ledger_records(tmp_path)
     assert rec["rows"][1]["col_dim"] == 0
     assert np.isnan(rec["rows"][1]["capacitance_cond_max"])
@@ -482,7 +486,8 @@ def test_cli_overrides_beat_config_file(tmp_path):
 
 
 _RECORD_KEYS = {"command", "config_hash", "seed", "stage_seconds",
-                "timestamp", "rejected_fields", "environment", "peak_rss_mb"}
+                "stage_minflt", "timestamp", "rejected_fields", "environment",
+                "peak_rss_mb"}
 _ENVIRONMENT_KEYS = {"numpy", "scipy", "blas", "OPENBLAS_NUM_THREADS",
                      "OMP_NUM_THREADS"}
 _LOWRANK_STAGES = {"mesh", "kl", "assembly", "gram", "factor_mean",
@@ -523,6 +528,10 @@ def test_ledger_record_schema(tmp_path, args, keys, stages):
     assert rec["command"] == args[0]
     assert set(rec) == _RECORD_KEYS | keys
     assert set(rec["stage_seconds"]) == stages
+    # each stage's minor page faults, a count
+    assert set(rec["stage_minflt"]) == stages
+    assert all(isinstance(f, int) and f >= 0
+               for f in rec["stage_minflt"].values())
     assert set(rec["environment"]) == _ENVIRONMENT_KEYS
     assert rec["environment"]["numpy"] == np.__version__
     assert rec["environment"]["scipy"] == scipy.__version__

@@ -439,7 +439,7 @@ def test_shared_factor_captures_the_top_gram_energy(case, seed):
             q, _ = np.linalg.qr(rng.normal(size=(n, k)))
             other = float(np.sum(np.square(h.T @ q)))
             assert other <= captured * (1.0 + 1e-10)
-        k_s = factors.W.shape[2]
+        k_s = factors.k_s
         assert k_s == min(k, gram.support.size)
         for v in factors.V:
             assert not v[:, k_s:].any()
@@ -548,7 +548,7 @@ def test_rmsre_matches_the_per_sample_oracle(problem20, gram20, theta):
     factors = factorize(gram20, tildes, theta)
     if theta == 1.0:
         # k = 459 past k_s = |S| = 135: U has unit-vector columns
-        assert (factors.k, factors.W.shape[2]) == (459, 135)
+        assert (factors.k, factors.k_s) == (459, 135)
     _assert_rmsre_matches_the_per_sample_oracle(gram20, factors, tildes)
 
 
@@ -559,7 +559,7 @@ def test_rmsre_is_exactly_zero_when_u_spans_the_gram_support(problem20,
     tildes = problem20["system"].A_tildes
     for theta in (1.0, select_theta(gram20)[0]):
         factors = factorize(gram20, tildes, theta)
-        assert factors.W.shape[2] == gram20.support.size
+        assert factors.k_s == gram20.support.size
         assert rmsre(gram20, factors) == 0.0
 
 

@@ -60,15 +60,22 @@ def _family(darcy_rect, stokes_rect):
 
 
 def _toy_factors(u, v_list, col_dim=None):
-    """Hand-built factors: sample m is basis element m (Y = I_M), so
-    W_m is the leading col_dim rows of V_m (all rows when None)."""
+    """Hand-built factors: sample m is basis element m (Y = I_M), and
+    B_m, stored on the nonzero rows of U and the first col_dim columns
+    (all when None), is pinv(U)^T V_m[:col_dim]^T there, so that
+    B_m^T U = V_m[:col_dim] for U of full column rank."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
     n, k = u.shape
-    rows = slice(n if col_dim is None else col_dim)
-    w = np.array([np.asarray(v, dtype=float)[rows] for v in v_list])
+    col_dim = n if col_dim is None else col_dim
+    on_u = np.flatnonzero(u.any(axis=1))
+    left = np.linalg.pinv(u)[:, on_u].T
+    basis = np.array([(left @ np.asarray(v, dtype=float)[:col_dim].T).ravel()
+                      for v in v_list])
+    rows, cols = np.divmod(np.arange(on_u.size * col_dim), max(col_dim, 1))
     return GlramFactors(
-        U=u, W=w, Y=np.eye(len(v_list)), k=k, rmsre=0.0, energy_ratio=1.0,
-        n_full=n,
+        U=u, basis=basis.reshape(len(v_list), -1), rows=on_u[rows],
+        cols=cols, col_dim=col_dim, Y=np.eye(len(v_list)), k=k, k_s=k,
+        rmsre=0.0, energy_ratio=1.0, n_full=n,
     )
 
 
@@ -139,16 +146,113 @@ def test_shared_solve_cached_per_family():
     z2 = mean.z_for(factors)
     assert z1 is z2
     # identity mean matrix: Z must reproduce U itself
-    assert np.allclose(z1, factors.U, atol=1e-14)
+    assert np.allclose(z1.rows(3), factors.U, atol=1e-14)
 
     # switching to another family yields that family's own Z, and
     # switching back recomputes Abar^{-1} U_1
     other = _toy_factors(np.array([[0.0], [0.6], [0.8]]),
                          [np.zeros((3, 1)), np.zeros((3, 1))])
-    z_other = mean.z_for(other)
+    z_other = mean.z_for(other).rows(3)
     assert np.allclose(z_other, other.U, atol=1e-14)
-    assert not np.allclose(z_other, z1)
-    assert np.allclose(mean.z_for(factors), factors.U, atol=1e-14)
+    assert not np.allclose(z_other, z1.rows(3))
+    assert np.allclose(mean.z_for(factors).rows(3), factors.U, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Z by block elimination on the support of U
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("geometry", [None, POROUS_BELOW, SHALLOW_POROUS],
+                         ids=["default", "porous-below", "shallow-porous"])
+def test_block_elimination_matches_the_mean_solve(problem20, geometry):
+    # Z[S] from the Schur complement and Z[T] = -X Z[S][I] reproduce the
+    # mean LU's solve of all k_s right sides; S couples to T through the
+    # 2(2n - 1) = 30 interface columns I only
+    system = (problem20["system"] if geometry is None
+              else _family(*geometry))
+    gram = build_gram(system.A_tildes, block_dim=system.n_flow)
+    factors = factorize(gram, system.A_tildes, select_theta(gram)[0])
+    mean = factor_mean(system)
+    z = mean.z_for(factors)
+    assert np.array_equal(z.support, gram.support)
+    assert z.z_s.shape == (gram.support.size, factors.k_s)
+    assert z.x.shape == (mean.N - gram.support.size, 30)
+    ref = mean.solve(factors.U[:, :factors.k_s])
+    assert (np.linalg.norm(z.rows(mean.N) - ref)
+            <= 1e-12 * np.linalg.norm(ref))
+
+
+def test_singular_rest_block_is_named():
+    # U = e1, so S = {0} and T = {1, 2}; Abar[T, T] = diag(0, 1) is
+    # singular, while Abar itself (determinant -1) is not
+    a = np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    mean = factor_mean(_toy_system(a, np.ones(3)))
+    factors = _toy_factors(np.array([[1.0], [0.0], [0.0]]),
+                           [np.zeros((3, 1))])
+    with pytest.raises(SingularSystemError,
+                       match=r"factorization of Abar\[T, T\] failed"):
+        mean.z_for(factors)
+
+
+def _edge_case(case):
+    """(Abar, U) with k_s = 0, with T empty, or with I empty."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 4)) + 8.0 * np.eye(4)
+    if case == "k_s=0":
+        return a, np.zeros((4, 0))
+    if case == "T empty":   # every row of U is nonzero
+        return a, np.linalg.qr(rng.normal(size=(4, 2)))[0]
+    a[2:, :2] = 0.0         # Abar[T, S] holds no entry: I is empty
+    return a, np.eye(4)[:, :2]
+
+
+@pytest.mark.parametrize("case", ["k_s=0", "T empty", "I empty"])
+def test_block_elimination_edge_cases(case):
+    a, u = _edge_case(case)
+    b = np.arange(1.0, 5.0)
+    mean = factor_mean(_toy_system(a, b, n1=4, n2=0))
+    v = 0.3 * np.ones((4, u.shape[1]))
+    factors = _toy_factors(u, [v])
+    z = mean.z_for(factors)
+    expect = {"k_s=0": (0, 4, 0), "T empty": (4, 0, 0),
+              "I empty": (2, 2, 0)}[case]
+    assert (z.support.size, z.rest.size, z.coupled.size) == expect
+    ref = mean.solve(u)
+    assert z.rows(4).shape == u.shape
+    assert np.allclose(z.rows(4), ref, rtol=0.0, atol=1e-14)
+    x = solve_sample_smw(mean, factors, 0).x
+    dense = np.linalg.solve(a + u @ v.T, b)
+    assert np.allclose(x, dense, rtol=1e-13, atol=0.0)
+
+
+def test_non_finite_shared_factor_column_is_named():
+    # a NaN in U gives a NaN residual, which the per-column check rejects
+    mean = factor_mean(_toy_system(np.eye(3), np.ones(3)))
+    factors = _toy_factors(np.eye(3)[:, :2], [np.zeros((3, 2))])
+    factors.U[0, 1] = np.nan
+    with pytest.raises(SingularSystemError,
+                       match="inaccurate solve for column 1 of the shared "
+                             "factor: residual nan"):
+        mean.z_for(factors)
+
+
+def test_held_bytes_at_n8(problem20, gram20):
+    # the factors hold U, the span values (shared with the Gram matrix)
+    # and Y; the mean holds Z[S], X, the r blocks and their right sides,
+    # and no N x k_s Z, no W_j = B_j^T U
+    system = problem20["system"]
+    factors = factorize(gram20, system.A_tildes, select_theta(gram20)[0])
+    assert factors.basis is gram20._span[0]
+    r, p = factors.basis.shape
+    n, k_s = factors.n_full, factors.k_s
+    assert (n, k_s, r, p, factors.M) == (504, 135, 10, 1161, 20)
+    assert factors.nbytes == 8 * (n * k_s + r * p + 20 * r) == 638_800
+    mean = factor_mean(system)
+    assert mean.nbytes == 0
+    solve_sample_smw(mean, factors, 0)
+    s, t, i = 135, n - 135, 30
+    assert mean.nbytes == 8 * (s * k_s + t * i + r * k_s**2 + r * k_s)
+    assert mean.nbytes == 1_703_160
 
 
 def test_matches_dense_woodbury_on_random_system():
@@ -267,7 +371,7 @@ def test_lapack_solve_matches_the_reference_on_random_span_families(n, data):
     k = (data.draw(st.integers(max(s, 1), gram.block_dim), label="k")
          if kind == "support" else 1)
     factors = factorize(gram, tildes, k / n)
-    assert factors.W.shape[2] == min(k, s)
+    assert factors.k_s == min(k, s)
     mean = factor_mean(_toy_system(a, b, n1=n, n2=0))
     for m in range(M):
         x, cond = smw_reference(mean, factors, m)
@@ -290,7 +394,7 @@ def test_column_support_solve_matches_full_row_formula(problem20, gram20,
     # I + V_m[:c, :k_s]^T Z[:c] with k_s = 135, whose condition it reports
     system = problem20["system"]
     factors = factorize(gram20, system.A_tildes, theta)
-    c, k_s = factors.col_dim, factors.W.shape[2]
+    c, k_s = factors.col_dim, factors.k_s
     assert k_s == c < factors.k
     mean = factor_mean(system)
     z = mean.solve(factors.U)
@@ -316,7 +420,7 @@ def test_columns_past_the_gram_support_leave_the_solve_unchanged(
     at_s = factorize(gram20, system.A_tildes, s / gram20.n_full)
     assert factors.U.shape == (gram20.n_full, factors.k)
     assert at_s.k == s < factors.k
-    assert factors.W.shape[2] == s <= factors.col_dim
+    assert factors.k_s == s <= factors.col_dim
     mean = factor_mean(system)
     xs = [solve_sample_smw(mean, factors, m).x for m in range(factors.M)]
     for m, x in enumerate(xs):
@@ -336,7 +440,7 @@ def test_shallow_porous_layer_gram_support_exceeds_column_support():
     direct = [solve_sample_direct(system, m).x for m in range(20)]
     for theta in (select_theta(gram)[0], 1.0):
         factors = factorize(gram, system.A_tildes, theta)
-        assert (factors.W.shape[2], factors.col_dim) == (75, 67)
+        assert (factors.k_s, factors.col_dim) == (75, 67)
         for m, d in enumerate(direct):
             x = solve_sample_smw(mean, factors, m).x
             err = np.linalg.norm(x - d) / np.linalg.norm(d)
@@ -394,8 +498,9 @@ def test_smw_deterministic(problem20, gram20):
 
 def test_capacitance_cond_does_not_move_with_eigenvector_signs(
         problem20, monkeypatch):
-    # an eigensolver that flips every other eigenvector leaves U, W and
-    # each sample's condition estimate bit for bit as they were
+    # an eigensolver that flips every other eigenvector leaves U, the
+    # capacitance blocks and each sample's condition estimate bit for bit
+    # as they were
     system = problem20["system"]
     grams = [build_gram(system.A_tildes, block_dim=system.n_flow)
              for _ in range(2)]
@@ -411,8 +516,10 @@ def test_capacitance_cond_does_not_move_with_eigenvector_signs(
     monkeypatch.undo()
     f0, f1 = (factorize(g, system.A_tildes, select_theta(g)[0])
               for g in grams)
-    assert np.array_equal(f0.U, f1.U) and np.array_equal(f0.W, f1.W)
+    assert np.array_equal(f0.U, f1.U)
     mean = factor_mean(system)
+    for a, b in zip(mean.blocks_for(f0), mean.blocks_for(f1)):
+        assert np.array_equal(a, b)
     for m in range(f0.M):
         assert (solve_sample_smw(mean, f0, m).capacitance_cond
                 == solve_sample_smw(mean, f1, m).capacitance_cond)
@@ -463,6 +570,36 @@ def test_non_finite_right_factor_is_a_singular_system(bad):
     factors = _toy_factors(np.array([[1.0], [0.0], [0.0]]),
                            [np.array([[bad], [0.0], [0.0]])])
     with pytest.raises(SingularSystemError, match="sample 0: non-finite"):
+        solve_sample_smw(mean, factors, 0)
+
+
+def _cached_blocks(rng):
+    """A mean and 3 x 3 factors (Abar = I) whose blocks are cached."""
+    mean = factor_mean(_toy_system(np.eye(3), np.ones(3)))
+    factors = _toy_factors(np.eye(3), [0.1 * rng.normal(size=(3, 3))])
+    mean.blocks_for(factors)
+    return mean, factors
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_one_non_finite_capacitance_entry_is_a_singular_system(bad):
+    # an off-diagonal entry: the 1-norm is nan or inf, and the scan that
+    # follows finds the entry
+    mean, factors = _cached_blocks(np.random.default_rng(5))
+    mean.blocks_for(factors)[0][0, 7] = bad
+    with pytest.raises(SingularSystemError,
+                       match="sample 0: non-finite capacitance matrix"):
+        solve_sample_smw(mean, factors, 0)
+
+
+def test_finite_capacitance_whose_norm_overflows_is_ill_conditioned():
+    # every entry 1e308 is finite, but the 1-norm overflows to inf: the
+    # condition estimate is infinite, not a non-finite matrix
+    mean, factors = _cached_blocks(np.random.default_rng(5))
+    mean.blocks_for(factors)[0][0] = 1e308
+    with pytest.raises(IllConditionedUpdateError,
+                       match="sample 0: capacitance matrix condition "
+                             "estimate inf exceeds"):
         solve_sample_smw(mean, factors, 0)
 
 
