@@ -7,9 +7,7 @@ of a single mean-matrix factorization.
 from .mesh import (
     Geometry,
     CoupledMesh,
-    InterfaceFrame,
     build_mesh,
-    interface_frame,
     TAG_INTERIOR_P,
     TAG_GAMMA_P,
     TAG_GAMMA_I,
@@ -80,8 +78,7 @@ from .cli import RunConfig, RunLedger, ConfigError, main
 __version__ = "0.1.0"
 
 __all__ = [
-    "Geometry", "CoupledMesh", "InterfaceFrame", "build_mesh",
-    "interface_frame",
+    "Geometry", "CoupledMesh", "build_mesh",
     "TAG_INTERIOR_P", "TAG_GAMMA_P", "TAG_GAMMA_I", "TAG_INTERIOR_F",
     "TAG_GAMMA_F_WALL", "TAG_GAMMA_F_BOTTOM",
     "QuadRule", "triangle_rule_7pt", "edge_rule_3pt",

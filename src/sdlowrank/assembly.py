@@ -13,9 +13,10 @@ where P is the conductivity-weighted head stiffness, F1..F6 the viscous
 and divergence blocks of the free-flow rectangle, I1..I4 the mass-flux
 and normal-stress interface couplings, I5..I8 the slip-penalty blocks of
 the tangential interface condition, and I9..I12 its conductivity-carrying
-counterparts; b = (b1, b2, b3, 0).  The interface is flat, n = (0, n2)
-and tau = (1, 0) (:func:`~.mesh.interface_frame`), so I1, I3, I6..I8,
-I10..I12 and b2, which carry a factor n1 or tau2, are not assembled.
+counterparts; b = (b1, b2, b3, 0).  The interface is flat, with tangent
+tau = (1, 0) and the free flow's outward normal n = (0, n2), n2 = 1 when
+the porous rectangle lies above and -1 below, so I1, I3, I6..I8, I10..I12
+and b2, which carry a factor n1 or tau2, are not assembled.
 
 The random conductivity enters linearly, only through P and I9, so the
 matrix splits additively into a deterministic part (assembled once from
@@ -39,7 +40,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import TAG_GAMMA_F_BOTTOM, TAG_GAMMA_F_WALL, TAG_GAMMA_P
-from .mesh import interface_frame
 from .quadrature import edge_rule_3pt, triangle_rule_7pt
 from .randfield import realize_conductivity
 
@@ -287,7 +287,8 @@ class _EdgeTables:
         self.head_dofs = space_p.tri6[tp]                     # (ne, 6)
         self.vel_dofs = space_f.tri6[tf]
 
-        self.n2 = interface_frame(mesh).normals[:, 1]   # n1 = 0
+        # the free flow's outward normal is (0, n2)
+        self.n2 = 1.0 if mesh.darcy_above else -1.0
 
     def edge_field(self, nodal):
         """Linear interpolation of a porous nodal field along the edges."""
@@ -349,9 +350,8 @@ def _deterministic_triplets(ws, coo):
     ed = ws.edges
     heads, iface_u2 = ed.head_dofs + ws.o_head, ed.vel_dofs + ws.o_u2
     mass_ab = np.einsum("eq,eqi,eqj->eij", ed.wl, ed.aval, ed.bval)
-    coo.add_block(heads, iface_u2, -ed.n2[:, None, None] * mass_ab)
-    coo.add_block(iface_u2, heads,
-                  g * ed.n2[:, None, None] * np.swapaxes(mass_ab, 1, 2))
+    coo.add_block(heads, iface_u2, -ed.n2 * mass_ab)
+    coo.add_block(iface_u2, heads, g * ed.n2 * np.swapaxes(mass_ab, 1, 2))
     coo.add_block(ed.vel_dofs + ws.o_u1, ed.vel_dofs + ws.o_u1, np.einsum(
         "eq,eqi,eqj->eij", ed.wl * ws.delta, ed.bval, ed.bval))
 
@@ -361,7 +361,7 @@ def _load_vector(ws):
     b = np.zeros(ws.mesh.N)
     ed = ws.edges
     gz = ws.params.g * ws.params.z
-    ent = np.einsum("eq,eqi->ei", ed.wl * (gz * ed.n2)[:, None], ed.bval)
+    ent = np.einsum("eq,eqi->ei", ed.wl * (gz * ed.n2), ed.bval)
     np.add.at(b, ed.vel_dofs + ws.o_u2, ent)
     return b
 

@@ -232,7 +232,9 @@ class GlramFactors:
 
 
 class _RightFactors(Sequence):
-    """Read-only sequence of V_m = A_m^T U; nothing is cached."""
+    """Read-only sequence of V_m = A_m^T U; nothing is cached.  Only the
+    leading ``col_dim`` rows of V_m can be nonzero, and only they are
+    formed."""
 
     def __init__(self, factors):
         self._factors = factors
@@ -242,8 +244,10 @@ class _RightFactors(Sequence):
 
     def __getitem__(self, m):
         f = self._factors
-        a_t = f.transposed(f.Y[operator.index(m)] @ f.basis, f.n_full)
-        return a_t @ f.U
+        v = np.zeros((f.n_full, f.k))
+        v[:f.col_dim] = f.transposed(f.Y[operator.index(m)] @ f.basis,
+                                     f.col_dim) @ f.U
+        return v
 
 
 def build_gram(A_tildes, block_dim=None):

@@ -6,7 +6,9 @@ the Woodbury identity
 
     x_m = x_bar - Z (I + V_m^T Z)^{-1} (V_m^T x_bar),   Z = Abar^{-1} U.
 
-Z and x_bar are computed once and shared across samples.  Only the
+x_bar is computed once.  Z and the capacitance blocks below are one
+Woodbury state per factor family, built in one pass and cached for the
+family asked for last (``MeanFactorization.woodbury``).  Only the
 leading c = ``GlramFactors.col_dim`` rows and k_s = ``GlramFactors.k_s``
 columns of V_m can be nonzero, so U and V_m are cut to their first k_s
 columns and the row products run over c rows; the capacitance matrix is
@@ -88,10 +90,10 @@ class SampleSolution:
 class MeanFactorization:
     """Sparse LU of the mean matrix with cached derived data.
 
-    Holds the deterministic solution x_bar = Abar^{-1} b and, for the
-    factor family asked for last, the block Z = Abar^{-1} U[:, :k_s] on
-    its support (``z_for``) and the capacitance blocks reused by every
-    sample solve of that family.
+    Holds the deterministic solution x_bar = Abar^{-1} b and the Woodbury
+    state (``woodbury``) of the factor family asked for last: the block
+    Z = Abar^{-1} U[:, :k_s] on its support and the capacitance blocks
+    reused by every sample solve of that family.
     """
 
     def __init__(self, lu, A_bar, b, x_bar):
@@ -99,9 +101,7 @@ class MeanFactorization:
         self.A_bar = A_bar
         self.b = b
         self.x_bar = x_bar
-        self._factors = None
-        self._z = None
-        self._blocks = None
+        self._woodbury = None
 
     @property
     def N(self):
@@ -111,103 +111,41 @@ class MeanFactorization:
     def nbytes(self):
         """Bytes of the cached Z[S], X, capacitance blocks and right sides
         (0 before a solve)."""
-        held = [self._z, *(self._blocks or ())]
-        return sum(a.nbytes for a in held if a is not None)
+        held = self._woodbury
+        return 0 if held is None else sum(
+            a.nbytes for a in (held.z_s, held.x, held.blocks, held.rhs))
 
     def solve(self, rhs):
         return self._lu.solve(rhs)
 
-    def z_for(self, factors):
-        """Abar^{-1} U[:, :k_s] for ``factors`` as a ``SupportZ``,
-        recomputed when the family changes.
+    def woodbury(self, factors):
+        """The Woodbury state of ``factors``, built in one pass and cached
+        until another family is asked for (the old state goes first).
 
-        Z is solved by block elimination on the nonzero rows S of
-        U[:, :k_s] (see the module docstring) and checked column by
-        column: a residual ||Abar Z_j - U_j|| above 1e-8 (||U_j|| + 1),
-        or not finite, raises SingularSystemError naming the column.  The
-        check assembles Z a few columns at a time.  A failed LU of
-        Abar[T, T] or of the Schur complement raises SingularSystemError
-        naming the block.
+        Block elimination on the nonzero rows S of U[:, :k_s] gives
+        Z = Abar^{-1} U[:, :k_s] (see the module docstring); a failed LU
+        of Abar[T, T] or of the Schur complement raises
+        SingularSystemError naming the block.  One loop assembles Z a few
+        columns at a time, keeps Z[:c] (c = ``factors.col_dim``) and
+        checks each column: a residual ||Abar Z_j - U_j|| above
+        1e-8 (||U_j|| + 1), or not finite, raises SingularSystemError
+        naming the column.  Then the r blocks P (r x k_s^2) and their
+        right sides w: P[j] is W_j^T Z[:c] flattened in Fortran order and
+        w[j] = W_j^T x_bar[:c], for W_j = B_j^T U[:, :k_s], so y @ P
+        reshapes without a copy to sum_j y_j W_j^T Z[:c], which LAPACK
+        factors in place.  Each W_j is formed from the sparse B_j and
+        used in one BLAS product with Z[:c], so one W_j is held at a
+        time, in O(r c k_s^2).
         """
-        if factors is not self._factors:
-            u = factors.U[:, :factors.k_s]
-            z = SupportZ.solve(self.A_bar, u)
-            resid = np.empty(u.shape[1])
-            for j in range(0, u.shape[1], _CHECK_COLUMNS):
-                cols = slice(j, j + _CHECK_COLUMNS)
-                resid[cols] = np.linalg.norm(
-                    self.A_bar @ z.rows(self.N, cols) - u[:, cols], axis=0)
-            tol = 1e-8 * (np.linalg.norm(u, axis=0) + 1.0)
-            bad = np.flatnonzero(~(resid <= tol))   # a NaN is bad
-            if bad.size:
-                j = bad[np.argmax(np.nan_to_num(resid[bad], nan=np.inf))]
-                raise SingularSystemError(
-                    f"inaccurate solve for column {j} of the shared "
-                    f"factor: residual {resid[j]:.3e}"
-                )
-            self._factors, self._z, self._blocks = factors, z, None
-        return self._z
-
-    def blocks_for(self, factors):
-        """The r capacitance blocks of ``factors``, flattened, and their
-        right sides.
-
-        With c = ``factors.col_dim``, returns (P, w) with P[j] the
-        k_s x k_s block W_j^T Z[:c] flattened in Fortran order (P is
-        r x k_s^2) and w[j] = W_j^T x_bar[:c], for W_j = B_j^T U[:, :k_s].
-        So y @ P, reshaped in Fortran order without a copy, is
-        sum_j y_j W_j^T Z[:c], which LAPACK factors in place.  Built once
-        per family, one j at a time: W_j from the sparse B_j, then a BLAS
-        product with Z[:c], so only one W_j and Z[:c] are held while the
-        blocks are built, in O(r c k_s^2).
-        """
-        z = self.z_for(factors)
-        if self._blocks is None:
-            c, k_s = factors.col_dim, factors.k_s
-            # scipy copies a strided dense operand per sparse product;
-            # at k > k_s this copies U[:, :k_s] once instead
-            u = np.ascontiguousarray(factors.U[:, :k_s])
-            z_c = z.rows(c)
-            r = factors.span_dim
-            blocks, rhs = np.empty((r, k_s * k_s)), np.empty((r, k_s))
-            for j in range(r):
-                w_j = factors.transposed(factors.basis[j], c) @ u
-                # row-major Z[:c]^T W_j is column-major W_j^T Z[:c]
-                np.matmul(z_c.T, w_j, out=blocks[j].reshape(k_s, k_s))
-                rhs[j] = w_j.T @ self.x_bar[:c]
-            self._blocks = (blocks, rhs)
-        return self._blocks
-
-
-# columns of Z assembled at a time by z_for's residual check
-_CHECK_COLUMNS = 64
-
-
-@dataclass(eq=False)
-class SupportZ:
-    """Z = Abar^{-1} U held on the nonzero rows S of U.
-
-    Since U[T] = 0 on the other rows T, Z[T] = -X Z[S][I]; it is never
-    stored.
-    """
-
-    support: np.ndarray      # S, ascending
-    rest: np.ndarray         # T, ascending
-    coupled: np.ndarray      # I: positions in S of Abar[T, S]'s columns
-    z_s: np.ndarray          # Z[S], |S| x k
-    x: np.ndarray            # X = Abar[T, T]^{-1} Abar[T, I], |T| x |I|
-
-    @classmethod
-    def solve(cls, a_bar, u):
-        """Block elimination of Abar Z = U on the nonzero rows S of U.
-
-        One sparse LU of Abar[T, T] solves for X (skipped when I is
-        empty), and one sparse LU of the Schur complement
-        Abar[S, S] - Abar[S, T] X, sparse plus a dense block on the rows
-        R of Abar[S, T] that hold entries and the columns I, gives
-        Z[S] (skipped when S is empty).
-        """
-        a = sp.csr_matrix(a_bar)
+        if self._woodbury is not None and self._woodbury.factors is factors:
+            return self._woodbury
+        self._woodbury = None
+        c, k_s = factors.col_dim, factors.k_s
+        u = factors.U[:, :k_s]
+        # X = Abar[T, T]^{-1} Abar[T, I] (skipped when I is empty), then
+        # Z[S] from the Schur complement, sparse plus a dense block on the
+        # rows of Abar[S, T] that hold entries (skipped when S is empty)
+        a = sp.csr_matrix(self.A_bar)
         on_s = u.any(axis=1)
         s, t = np.flatnonzero(on_s), np.flatnonzero(~on_s)
         a_s, a_t = a[s], a[t]
@@ -217,34 +155,68 @@ class SupportZ:
         if coupled.size:
             x = _splu(a_t[:, t], "Abar[T, T]").solve(
                 a_ts[:, coupled].toarray())
-        z_s = np.zeros((s.size, u.shape[1]))
+        z_s = np.zeros((s.size, k_s))
         if s.size:
             a_st = a_s[:, t]
-            r = np.flatnonzero(np.diff(a_st.indptr))
-            dense = a_st[r] @ x
+            rows = np.flatnonzero(np.diff(a_st.indptr))
+            dense = a_st[rows] @ x
             schur = a_s[:, s] - sp.csr_matrix(
-                (dense.ravel(), (np.repeat(r, coupled.size),
-                                 np.tile(coupled, r.size))),
+                (dense.ravel(), (np.repeat(rows, coupled.size),
+                                 np.tile(coupled, rows.size))),
                 shape=(s.size, s.size))
             z_s = _splu(schur, "the Schur complement on the support of U"
                         ).solve(u[s])
-        return cls(s, t, coupled, z_s, x)
+        z_c, resid = np.empty((c, k_s)), np.empty(k_s)
+        for j in range(0, k_s, _CHECK_COLUMNS):
+            cols = slice(j, j + _CHECK_COLUMNS)
+            z = np.empty((self.N, z_s[:, cols].shape[1]))
+            z[s] = z_s[:, cols]
+            z[t] = -(x @ z_s[coupled, cols])
+            resid[cols] = np.linalg.norm(self.A_bar @ z - u[:, cols], axis=0)
+            z_c[:, cols] = z[:c]
+        tol = 1e-8 * (np.linalg.norm(u, axis=0) + 1.0)
+        bad = np.flatnonzero(~(resid <= tol))   # a NaN is bad
+        if bad.size:
+            j = bad[np.argmax(np.nan_to_num(resid[bad], nan=np.inf))]
+            raise SingularSystemError(
+                f"inaccurate solve for column {j} of the shared "
+                f"factor: residual {resid[j]:.3e}"
+            )
+        # scipy copies a strided dense operand per sparse product; at
+        # k > k_s this copies U[:, :k_s] once instead
+        u = np.ascontiguousarray(u)
+        r = factors.span_dim
+        blocks, rhs = np.empty((r, k_s * k_s)), np.empty((r, k_s))
+        for j in range(r):
+            w_j = factors.transposed(factors.basis[j], c) @ u
+            # row-major Z[:c]^T W_j is column-major W_j^T Z[:c]
+            np.matmul(z_c.T, w_j, out=blocks[j].reshape(k_s, k_s))
+            rhs[j] = w_j.T @ self.x_bar[:c]
+        self._woodbury = _Woodbury(factors, s, t, coupled, z_s, x, blocks,
+                                   rhs)
+        return self._woodbury
 
-    @property
-    def nbytes(self):
-        """Bytes of Z[S] and X."""
-        return self.z_s.nbytes + self.x.nbytes
 
-    def rows(self, stop, cols=slice(None)):
-        """Z[:stop, cols], assembled."""
-        z_s = self.z_s[:, cols]
-        z = np.empty((stop, z_s.shape[1]))
-        # S and T are ascending, so their rows below stop lead
-        n_s = np.searchsorted(self.support, stop)
-        n_t = np.searchsorted(self.rest, stop)
-        z[self.support[:n_s]] = z_s[:n_s]
-        z[self.rest[:n_t]] = -(self.x[:n_t] @ z_s[self.coupled])
-        return z
+# columns of Z assembled at a time by the residual check
+_CHECK_COLUMNS = 64
+
+
+@dataclass(eq=False)
+class _Woodbury:
+    """The Woodbury state of one factor family.
+
+    Z = Abar^{-1} U[:, :k_s] is held on the nonzero rows S of U: since
+    U[T] = 0 on the other rows T, Z[T] = -X Z[S][I]; it is never stored.
+    """
+
+    factors: object          # the GlramFactors it was built from
+    support: np.ndarray      # S, ascending
+    rest: np.ndarray         # T, ascending
+    coupled: np.ndarray      # I: positions in S of Abar[T, S]'s columns
+    z_s: np.ndarray          # Z[S], |S| x k_s
+    x: np.ndarray            # X = Abar[T, T]^{-1} Abar[T, I], |T| x |I|
+    blocks: np.ndarray       # P, r x k_s^2
+    rhs: np.ndarray          # w, r x k_s
 
     def subtract_from(self, x_bar, y):
         """x_bar - Z y."""
@@ -309,15 +281,14 @@ def solve_sample_smw(mean, factors, m):
 
     Forms the k_s x k_s capacitance matrix C = I + sum_j y_j P_j
     (= I + V_m[:c, :k_s]^T Z[:c]) from the family's cached blocks
-    (``MeanFactorization.blocks_for``) and the sample's span
+    (``MeanFactorization.woodbury``) and the sample's span
     coefficients y = Y[m] as one matrix-vector product, in Fortran order,
     with the identity added on a strided view of its diagonal.  Three
     LAPACK calls follow on C in place: the LU (``getrf``), its 1-norm
     condition estimate (``gecon``, reported as ``capacitance_cond``) and
     the back-substitution (``getrs``) of w = sum_j y_j W_j^T x_bar[:c];
-    then x = x_bar - Z C^{-1} w from Z[S] and X (``SupportZ``).  A
-    sample costs O(r k_s^2 + k_s^3 + N k_s) after the one-time block
-    build.  When
+    then x = x_bar - Z C^{-1} w from Z[S] and X.  A sample costs
+    O(r k_s^2 + k_s^3 + N k_s) after the one-time block build.  When
     k_s = 0 the update vanishes and x = x_bar with condition 1.  No
     N x N inverse and no V_m is ever formed.  An exactly singular C has
     condition infinity; a condition above CAPACITANCE_COND_LIMIT raises
@@ -328,10 +299,10 @@ def solve_sample_smw(mean, factors, m):
     if not 0 <= m < factors.M:
         raise IndexError(f"sample index {m} outside 0..{factors.M - 1}")
     y_m = factors.Y[m]
-    blocks, rhs = mean.blocks_for(factors)
-    k_s = rhs.shape[1]
-    flat = y_m @ blocks
-    w = y_m @ rhs
+    state = mean.woodbury(factors)
+    k_s = state.rhs.shape[1]
+    flat = y_m @ state.blocks
+    w = y_m @ state.rhs
     flat[::k_s + 1] += 1.0
     if k_s:
         c = flat.reshape(k_s, k_s, order="F")
@@ -360,7 +331,7 @@ def solve_sample_smw(mean, factors, m):
         y, _ = _GETRS(lu, piv, w, overwrite_b=1)
     else:  # k_s = 0: no update, and LAPACK rejects an empty matrix
         cond, y = 1.0, w
-    x = mean.z_for(factors).subtract_from(mean.x_bar, y)
+    x = state.subtract_from(mean.x_bar, y)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"sample {m}: non-finite solution entries")
     return SampleSolution(x=x, sample_index=m, capacitance_cond=cond)

@@ -26,9 +26,7 @@ import numpy as np
 __all__ = [
     "Geometry",
     "CoupledMesh",
-    "InterfaceFrame",
     "build_mesh",
-    "interface_frame",
     "TAG_INTERIOR_P",
     "TAG_GAMMA_P",
     "TAG_GAMMA_I",
@@ -79,14 +77,6 @@ class Geometry:
                 "rectangles must meet exactly at interface_y (one above, one below)"
             )
         return darcy_above
-
-
-@dataclass
-class InterfaceFrame:
-    """Per-edge unit outward normal of the free-flow side and unit tangent."""
-
-    normals: np.ndarray  # (n_edges, 2), outward from the Stokes rectangle
-    tangents: np.ndarray  # (n_edges, 2)
 
 
 @dataclass
@@ -334,18 +324,3 @@ def build_mesh(geometry=None, n=8):
         head_tags=head_tags,
         vel_tags=vel_tags,
     )
-
-
-def interface_frame(mesh):
-    """Unit outward normal of the free-flow side and unit tangent per edge.
-
-    For the flat horizontal interface the normal is (0, 1) when the
-    free-flow rectangle sits below the porous one, (0, -1) otherwise; the
-    tangent is always (1, 0).
-    """
-    ne = mesh.iface_darcy_vpair.shape[0]
-    sign = 1.0 if mesh.darcy_above else -1.0
-    normals = np.tile([0.0, sign], (ne, 1))
-    tangents = np.tile([1.0, 0.0], (ne, 1))
-    return InterfaceFrame(normals=normals, tangents=tangents)
-

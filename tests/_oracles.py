@@ -6,8 +6,8 @@ coordinates exact) and never touch the package's quadrature or
 assembly code paths.  The one exception is ``k_linear_blocks``: a
 per-element reference for the conductivity-linear blocks that reuses the
 package's geometry tables but not its precomputed conductivity map, and
-builds all four slip blocks I9..I12 from the tangent of
-``mesh.interface_frame``: the general-frame form the package assembled
+builds all four slip blocks I9..I12 from each edge's unit tangent,
+taken from its endpoints: the general-frame form the package assembled
 before it dropped the three that a flat interface zeroes.
 ``rmsre_per_sample`` is the per-matrix reconstruction error that
 ``glram.rmsre`` evaluated before it summed over the family's span, and
@@ -31,7 +31,6 @@ from scipy.linalg import get_lapack_funcs
 
 from sdlowrank import SampleSolution
 from sdlowrank.assembly import _Coo, _nodal_field, _Workspace
-from sdlowrank.mesh import interface_frame
 
 
 def _factorial_bary_integral(c0, c1, c2):
@@ -138,10 +137,12 @@ def _k_dependent_triplets(ws, coo, field_nodal):
     ent = np.einsum("tq,tqic,tqjc->tij", w, sp_p.grad, sp_p.grad)
     coo.add_block(sp_p.tri6 + ws.o_head, sp_p.tri6 + ws.o_head, ent)
 
-    # interface slip blocks carrying the conductivity, in the frame's
-    # tangent tau = (t1, t2)
+    # interface slip blocks carrying the conductivity, in each edge's
+    # unit tangent tau = (t1, t2), from its first endpoint to its second
     ed = ws.edges
-    t1, t2 = interface_frame(mesh).tangents.T
+    ends = mesh.darcy_vertices[mesh.iface_darcy_vpair]     # (ne, 2, 2)
+    tangent = ends[:, 1] - ends[:, 0]
+    t1, t2 = (tangent / np.hypot(*tangent.T)[:, None]).T
     kq_e = ed.edge_field(field_nodal)
     base = ed.wl * ws.delta * kq_e                       # (ne, nq)
     for coeff, row_off in (

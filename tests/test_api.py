@@ -12,7 +12,7 @@ SUBMODULES = ("mesh", "quadrature", "randfield", "assembly", "glram",
               "lowrank_solver", "uq", "cli")
 REMOVED = ("prolong", "cross_mesh_error", "write_coo", "save_samples",
            "load_samples", "pin_pressure_dof", "MomentAccumulator",
-           "load_solutions")
+           "load_solutions", "InterfaceFrame", "interface_frame")
 # the whole parameter list of each function whose unset inputs were cut
 # (volume sources, boundary data, the KL mean, the positivity switches)
 PARAMETERS = {

@@ -553,10 +553,17 @@ def test_ledger_record_schema(tmp_path, args, keys, stages):
                    for e in rec["errors"])
 
 
-def test_ledger_blas_is_none_where_numpy_cannot_name_it(monkeypatch):
-    # numpy < 1.25: show_config prints and takes no mode argument
+def test_ledger_blas_is_none_where_numpy_cannot_name_it(tmp_path,
+                                                       monkeypatch):
+    # numpy < 1.25: show_config prints and takes no mode argument, so
+    # mode= raises TypeError; the run goes on and its ledger says null
     monkeypatch.setattr(np, "show_config", lambda: None)
     assert cli._blas() is None
+    assert main(["kl-report", "--n", "4", "--output-dir", str(tmp_path)]) == 0
+    (rec,) = _ledger_records(tmp_path)
+    assert rec["environment"]["blas"] is None
+    assert '"blas": null' in (tmp_path / "ledger.jsonl").read_text(
+        encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

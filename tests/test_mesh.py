@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sdlowrank import (
     TAG_GAMMA_F_BOTTOM,
@@ -9,8 +10,9 @@ from sdlowrank import (
     TAG_GAMMA_I,
     TAG_GAMMA_P,
     Geometry,
+    PhysicalParams,
+    assemble_mean,
     build_mesh,
-    interface_frame,
 )
 
 # the porous rectangle below the free flow instead of on top of it
@@ -95,14 +97,6 @@ def test_velocity_tags_and_corner_priority(mesh8):
     assert np.array_equal(mesh8.vel_tags == TAG_GAMMA_I, iface)
 
 
-def test_interface_frame_is_flat(mesh8):
-    frame = interface_frame(mesh8)
-    ne = mesh8.iface_darcy_vpair.shape[0]
-    assert frame.normals.shape == frame.tangents.shape == (ne, 2)
-    assert np.all(frame.normals == [0.0, 1.0])
-    assert np.all(frame.tangents == [1.0, 0.0])
-
-
 def test_interface_edges_lie_on_interface(mesh8):
     assert mesh8.iface_darcy_vpair.shape == (8, 2)
     pts = mesh8.darcy_vertices[mesh8.iface_darcy_vpair]
@@ -130,14 +124,36 @@ def test_interface_triangles_touch_the_interface(mesh8):
     _assert_interface_triangles_touch_the_interface(mesh8)
 
 
-def test_porous_below_frame_and_tags():
+def _interface_couplings(mesh, g):
+    """-I2 (head rows, u2 columns) and g*I4 (u2 rows, head columns) of
+    the mean matrix on the interface nodes, each ordered by x."""
+    a = sp.csr_matrix(assemble_mean(mesh, PhysicalParams(g=g))[0])
+    heads, vels = (np.flatnonzero(c[:, 1] == 0.0)
+                   for c in (mesh.head_coords, mesh.vel_coords))
+    heads = heads[np.argsort(mesh.head_coords[heads, 0])] + mesh.sl_head.start
+    vels = vels[np.argsort(mesh.vel_coords[vels, 0])] + mesh.sl_u2.start
+    return a[heads][:, vels].toarray(), a[vels][:, heads].toarray()
+
+
+def test_interface_coupling_flips_sign_with_the_porous_side(mesh8):
+    # the free flow's outward normal is (0, 1) with the pores above and
+    # (0, -1) with them below; -I2 and g*I4 carry its sign, nothing else
+    # about them changes
+    g = 2.0
+    above = _interface_couplings(mesh8, g)
+    below = _interface_couplings(build_mesh(POROUS_BELOW, n=8), g)
+    minus_i2, g_i4 = above
+    assert minus_i2.shape == (17, 17)
+    assert minus_i2.sum() == pytest.approx(-1.0, rel=1e-13)
+    assert np.allclose(g_i4, -g * minus_i2.T, rtol=0.0, atol=1e-15)
+    for a, b in zip(above, below):
+        assert np.allclose(b, -a, rtol=0.0, atol=1e-15)
+
+
+def test_porous_below_tags():
     mesh = build_mesh(POROUS_BELOW, n=8)
     assert not mesh.darcy_above
     assert (mesh.N1, mesh.N2, mesh.N3) == (153, 153, 45)
-    frame = interface_frame(mesh)
-    # the free-flow rectangle's outward normal points down into the pores
-    assert np.all(frame.normals == [0.0, -1.0])
-    assert np.all(frame.tangents == [1.0, 0.0])
 
     x, y = mesh.head_coords[:, 0], mesh.head_coords[:, 1]
     outer = np.isclose(x, 0) | np.isclose(x, 1) | np.isclose(y, -0.5)

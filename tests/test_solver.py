@@ -137,25 +137,41 @@ def test_empty_column_support_returns_mean_solution():
     assert sol.capacitance_cond == 1.0
 
 
-def test_shared_solve_cached_per_family():
-    system = _toy_system(np.eye(3), np.ones(3))
-    mean = factor_mean(system)
-    factors = _toy_factors(np.array([[1.0], [0.0], [0.0]]),
-                           [np.zeros((3, 1)), np.zeros((3, 1))])
-    z1 = mean.z_for(factors)
-    z2 = mean.z_for(factors)
-    assert z1 is z2
-    # identity mean matrix: Z must reproduce U itself
-    assert np.allclose(z1.rows(3), factors.U, atol=1e-14)
+def _state_bytes(state):
+    return sum(a.nbytes for a in (state.z_s, state.x, state.blocks,
+                                  state.rhs))
 
-    # switching to another family yields that family's own Z, and
-    # switching back recomputes Abar^{-1} U_1
-    other = _toy_factors(np.array([[0.0], [0.6], [0.8]]),
-                         [np.zeros((3, 1)), np.zeros((3, 1))])
-    z_other = mean.z_for(other).rows(3)
-    assert np.allclose(z_other, other.U, atol=1e-14)
-    assert not np.allclose(z_other, z1.rows(3))
-    assert np.allclose(mean.z_for(factors).rows(3), factors.U, atol=1e-14)
+
+def test_shared_solve_cached_per_family(problem20, gram20):
+    # one Woodbury state per family: reused within it, rebuilt on a
+    # switch (k_s = 135, then a truncated k_s), and after f0 -> f1 -> f0
+    # the solutions are those of the first f0 pass, bit for bit; the mean
+    # holds the live state's Z[S], X, blocks and right sides only
+    system = problem20["system"]
+    f0 = factorize(gram20, system.A_tildes, select_theta(gram20)[0])
+    f1 = factorize(gram20, system.A_tildes, theta=0.05)
+    assert f1.k_s < f0.k_s == 135
+    mean = factor_mean(system)
+    passes, states = [], []
+    for f in (f0, f1, f0):
+        passes.append([solve_sample_smw(mean, f, m).x for m in range(f.M)])
+        state = mean.woodbury(f)
+        assert state.factors is f and mean.woodbury(f) is state
+        assert all(state is not s for s in states)
+        assert mean.nbytes == _state_bytes(state)
+        states.append(state)
+    assert _state_bytes(states[1]) < _state_bytes(states[0])
+    assert all(np.array_equal(a, b) for a, b in zip(passes[0], passes[2]))
+    assert not np.array_equal(passes[0][0], passes[1][0])
+
+
+def _assembled_z(state, n):
+    """Z = Abar^{-1} U[:, :k_s] from the state's Z[S] and X, with
+    Z[T] = -X Z[S][I]."""
+    z = np.empty((n, state.z_s.shape[1]))
+    z[state.support] = state.z_s
+    z[state.rest] = -(state.x @ state.z_s[state.coupled])
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +189,12 @@ def test_block_elimination_matches_the_mean_solve(problem20, geometry):
     gram = build_gram(system.A_tildes, block_dim=system.n_flow)
     factors = factorize(gram, system.A_tildes, select_theta(gram)[0])
     mean = factor_mean(system)
-    z = mean.z_for(factors)
+    z = mean.woodbury(factors)
     assert np.array_equal(z.support, gram.support)
     assert z.z_s.shape == (gram.support.size, factors.k_s)
     assert z.x.shape == (mean.N - gram.support.size, 30)
     ref = mean.solve(factors.U[:, :factors.k_s])
-    assert (np.linalg.norm(z.rows(mean.N) - ref)
+    assert (np.linalg.norm(_assembled_z(z, mean.N) - ref)
             <= 1e-12 * np.linalg.norm(ref))
 
 
@@ -191,7 +207,7 @@ def test_singular_rest_block_is_named():
                            [np.zeros((3, 1))])
     with pytest.raises(SingularSystemError,
                        match=r"factorization of Abar\[T, T\] failed"):
-        mean.z_for(factors)
+        mean.woodbury(factors)
 
 
 def _edge_case(case):
@@ -213,13 +229,13 @@ def test_block_elimination_edge_cases(case):
     mean = factor_mean(_toy_system(a, b, n1=4, n2=0))
     v = 0.3 * np.ones((4, u.shape[1]))
     factors = _toy_factors(u, [v])
-    z = mean.z_for(factors)
+    z = mean.woodbury(factors)
     expect = {"k_s=0": (0, 4, 0), "T empty": (4, 0, 0),
               "I empty": (2, 2, 0)}[case]
     assert (z.support.size, z.rest.size, z.coupled.size) == expect
     ref = mean.solve(u)
-    assert z.rows(4).shape == u.shape
-    assert np.allclose(z.rows(4), ref, rtol=0.0, atol=1e-14)
+    assert _assembled_z(z, 4).shape == u.shape
+    assert np.allclose(_assembled_z(z, 4), ref, rtol=0.0, atol=1e-14)
     x = solve_sample_smw(mean, factors, 0).x
     dense = np.linalg.solve(a + u @ v.T, b)
     assert np.allclose(x, dense, rtol=1e-13, atol=0.0)
@@ -233,7 +249,7 @@ def test_non_finite_shared_factor_column_is_named():
     with pytest.raises(SingularSystemError,
                        match="inaccurate solve for column 1 of the shared "
                              "factor: residual nan"):
-        mean.z_for(factors)
+        mean.woodbury(factors)
 
 
 def test_held_bytes_at_n8(problem20, gram20):
@@ -518,8 +534,9 @@ def test_capacitance_cond_does_not_move_with_eigenvector_signs(
               for g in grams)
     assert np.array_equal(f0.U, f1.U)
     mean = factor_mean(system)
-    for a, b in zip(mean.blocks_for(f0), mean.blocks_for(f1)):
-        assert np.array_equal(a, b)
+    s0, s1 = mean.woodbury(f0), mean.woodbury(f1)
+    assert np.array_equal(s0.blocks, s1.blocks)
+    assert np.array_equal(s0.rhs, s1.rhs)
     for m in range(f0.M):
         assert (solve_sample_smw(mean, f0, m).capacitance_cond
                 == solve_sample_smw(mean, f1, m).capacitance_cond)
@@ -577,7 +594,7 @@ def _cached_blocks(rng):
     """A mean and 3 x 3 factors (Abar = I) whose blocks are cached."""
     mean = factor_mean(_toy_system(np.eye(3), np.ones(3)))
     factors = _toy_factors(np.eye(3), [0.1 * rng.normal(size=(3, 3))])
-    mean.blocks_for(factors)
+    mean.woodbury(factors)
     return mean, factors
 
 
@@ -586,7 +603,7 @@ def test_one_non_finite_capacitance_entry_is_a_singular_system(bad):
     # an off-diagonal entry: the 1-norm is nan or inf, and the scan that
     # follows finds the entry
     mean, factors = _cached_blocks(np.random.default_rng(5))
-    mean.blocks_for(factors)[0][0, 7] = bad
+    mean.woodbury(factors).blocks[0, 7] = bad
     with pytest.raises(SingularSystemError,
                        match="sample 0: non-finite capacitance matrix"):
         solve_sample_smw(mean, factors, 0)
@@ -596,7 +613,7 @@ def test_finite_capacitance_whose_norm_overflows_is_ill_conditioned():
     # every entry 1e308 is finite, but the 1-norm overflows to inf: the
     # condition estimate is infinite, not a non-finite matrix
     mean, factors = _cached_blocks(np.random.default_rng(5))
-    mean.blocks_for(factors)[0][0] = 1e308
+    mean.woodbury(factors).blocks[0] = 1e308
     with pytest.raises(IllConditionedUpdateError,
                        match="sample 0: capacitance matrix condition "
                              "estimate inf exceeds"):
