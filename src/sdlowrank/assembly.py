@@ -452,6 +452,10 @@ class PerturbationAssembler:
             _spread(ed.vel_dofs + ws.o_u1, ed.head_dofs + ws.o_head,
                     ed.vpair, i9_coefs),
         ))
+        # the P2 couplings that vanish on right triangles vanish for every
+        # field: leave them out of the pattern, as A_bar does
+        keep = coefs != 0.0
+        rows, cols, verts, coefs = (a[keep] for a in (rows, cols, verts, coefs))
         n = mesh.N
         keys, slot = np.unique(rows.astype(np.int64) * n + cols,
                                return_inverse=True)

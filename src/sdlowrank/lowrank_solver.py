@@ -88,24 +88,23 @@ class SampleSolution:
 
 
 class MeanFactorization:
-    """Sparse LU of the mean matrix with cached derived data.
+    """The mean matrix, its solution and the cached Woodbury state.
 
-    Holds the deterministic solution x_bar = Abar^{-1} b and the Woodbury
-    state (``woodbury``) of the factor family asked for last: the block
-    Z = Abar^{-1} U[:, :k_s] on its support and the capacitance blocks
-    reused by every sample solve of that family.
+    Holds Abar, the deterministic solution x_bar = Abar^{-1} b and the
+    Woodbury state (``woodbury``) of the factor family asked for last:
+    the block Z = Abar^{-1} U[:, :k_s] on its support and the capacitance
+    blocks reused by every sample solve of that family.  The LU of Abar
+    that gave x_bar is not kept.
     """
 
-    def __init__(self, lu, A_bar, b, x_bar):
-        self._lu = lu
+    def __init__(self, A_bar, x_bar):
         self.A_bar = A_bar
-        self.b = b
         self.x_bar = x_bar
         self._woodbury = None
 
     @property
     def N(self):
-        return self.b.shape[0]
+        return self.x_bar.shape[0]
 
     @property
     def nbytes(self):
@@ -114,9 +113,6 @@ class MeanFactorization:
         held = self._woodbury
         return 0 if held is None else sum(
             a.nbytes for a in (held.z_s, held.x, held.blocks, held.rhs))
-
-    def solve(self, rhs):
-        return self._lu.solve(rhs)
 
     def woodbury(self, factors):
         """The Woodbury state of ``factors``, built in one pass and cached
@@ -273,7 +269,7 @@ def factor_mean(system):
             f"mean solve residual {resid:.3e} exceeds {bound:.3e}; "
             f"the constrained mean matrix is numerically singular"
         )
-    return MeanFactorization(lu, system.A_bar, system.b.copy(), x_bar)
+    return MeanFactorization(system.A_bar, x_bar)
 
 
 def solve_sample_smw(mean, factors, m):

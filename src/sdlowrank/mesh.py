@@ -145,57 +145,49 @@ def _lattice(nx, ny, x0, y0, step):
     return np.column_stack([x0 + A.ravel() * step, y0 + C.ravel() * step])
 
 
-def _tri6_rows(nx, ny):
-    """Quadratic connectivity for the structured grid, one row per triangle.
+# vertices of each cell's two triangles, (x, y) in cells from its
+# lower-left corner: lower half (ll, lr, ur), upper half (ll, ur, ul)
+_HALVES = np.array([[[0, 0], [1, 0], [1, 1]],
+                    [[0, 0], [1, 1], [0, 1]]], dtype=np.int64)
+
+
+def _triangles(nx, ny, quadratic):
+    """Connectivity for the structured grid, one row per triangle.
 
     Triangle 2*(j*nx+i) is the lower half of cell (i, j) (vertices
     lower-left, lower-right, upper-right) and 2*(j*nx+i)+1 the upper half
-    (lower-left, upper-right, upper-left).  Local node order is the three
+    (lower-left, upper-right, upper-left).  Linear rows index the
+    (nx+1) x (ny+1) vertex lattice and hold the three vertices; quadratic
+    rows index the (2nx+1) x (2ny+1) node lattice and hold the three
     vertices followed by the midpoints opposite each vertex.
     """
-    stride = 2 * nx + 1
-
-    def node(a, c):
-        return c * stride + a
-
-    rows = np.empty((2 * nx * ny, 6), dtype=np.int64)
-    t = 0
-    for j in range(ny):
-        for i in range(nx):
-            a, c = 2 * i, 2 * j
-            ll = node(a, c)
-            lr = node(a + 2, c)
-            ur = node(a + 2, c + 2)
-            ul = node(a, c + 2)
-            # lower: vertices (ll, lr, ur)
-            rows[t] = (ll, lr, ur, node(a + 2, c + 1), node(a + 1, c + 1),
-                       node(a + 1, c))
-            # upper: vertices (ll, ur, ul)
-            rows[t + 1] = (ll, ur, ul, node(a + 1, c + 2), node(a, c + 1),
-                           node(a + 1, c + 1))
-            t += 2
-    return rows
+    step = 2 if quadratic else 1
+    offsets = step * _HALVES
+    if quadratic:
+        # the midpoint opposite a vertex, in half cells, is the sum of the
+        # other two vertices in cells
+        offsets = np.concatenate(
+            [offsets, _HALVES.sum(axis=1, keepdims=True) - _HALVES], axis=1)
+    stride = step * nx + 1
+    j = np.arange(ny, dtype=np.int64)[:, None]
+    i = np.arange(nx, dtype=np.int64)
+    corner = step * (j * stride + i)  # lower-left node of cell (i, j)
+    rows = corner[..., None, None] + offsets[..., 1] * stride + offsets[..., 0]
+    return rows.reshape(-1, offsets.shape[1])
 
 
-def _tri3_rows(nx, ny):
-    """Linear (vertex) connectivity with the same triangle ordering."""
-    stride = nx + 1
+def _tags(nx, ny, iface_on_top, interior, outer, side):
+    """Tags of the (2nx+1) x (2ny+1) quadratic lattice, x fastest.
 
-    def node(i, j):
-        return j * stride + i
-
-    rows = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    t = 0
-    for j in range(ny):
-        for i in range(nx):
-            ll = node(i, j)
-            lr = node(i + 1, j)
-            ur = node(i + 1, j + 1)
-            ul = node(i, j + 1)
-            rows[t] = (ll, lr, ur)
-            rows[t + 1] = (ll, ur, ul)
-            t += 2
-    return rows
+    The interface row, then the outer horizontal edge, then the two side
+    columns are tagged, each overriding the one before it.
+    """
+    tags = np.full((2 * ny + 1, 2 * nx + 1), interior, dtype=np.int8)
+    iface = 2 * ny * iface_on_top
+    tags[iface] = TAG_GAMMA_I
+    tags[2 * ny - iface] = outer
+    tags[:, [0, -1]] = side
+    return tags.ravel()
 
 
 def build_mesh(geometry=None, n=8):
@@ -241,86 +233,40 @@ def build_mesh(geometry=None, n=8):
     ny_p = cells(dy1 - dy0, "porous rectangle height")
     ny_f = cells(sy1 - sy0, "free-flow rectangle height")
 
+    # the rectangle under the interface starts its lattice ny cells below it
     y_if = geometry.interface_y
-    half = h / 2.0
-
-    if darcy_above:
-        darcy_y0 = y_if
-        stokes_y0 = y_if - ny_f * h
-    else:
-        darcy_y0 = y_if - ny_p * h
-        stokes_y0 = y_if
-
-    # quadratic lattices (local per subdomain)
-    head_coords = _lattice(2 * nx, 2 * ny_p, dx0, darcy_y0, half)
-    vel_coords = _lattice(2 * nx, 2 * ny_f, dx0, stokes_y0, half)
-    tri6_p = _tri6_rows(nx, ny_p)
-    tri6_f = _tri6_rows(nx, ny_f)
-
-    # pressure nodes = Stokes vertices, local numbering
-    pres_coords = _lattice(nx, ny_f, dx0, stokes_y0, h)
-    tri3_pres = _tri3_rows(nx, ny_f)
-
-    # conductivity field support: porous vertices including the interface row
-    darcy_vertices = _lattice(nx, ny_p, dx0, darcy_y0, h)
-    tri3_darcy = _tri3_rows(nx, ny_p)
-
-    # interface edges ordered by x
-    ne = nx
-    if darcy_above:
-        # Darcy cell row 0 touches the interface from above (lower half),
-        # Stokes cell row ny_f-1 from below (upper half).
-        iface_darcy_tri = 2 * np.arange(ne)
-        iface_stokes_tri = 2 * ((ny_f - 1) * nx + np.arange(ne)) + 1
-        darcy_row = 0
-    else:
-        iface_darcy_tri = 2 * ((ny_p - 1) * nx + np.arange(ne)) + 1
-        iface_stokes_tri = 2 * np.arange(ne)
-        darcy_row = ny_p
-    iface_darcy_vpair = np.column_stack(
-        [darcy_row * (nx + 1) + np.arange(ne),
-         darcy_row * (nx + 1) + np.arange(ne) + 1]
-    )
-
-    # node tags.  Dirichlet boundaries win ties against the interface;
-    # side walls win at the bottom corners of the free-flow rectangle.
-    head_tags = np.full(head_coords.shape[0], TAG_INTERIOR_P, dtype=np.int8)
-    a = np.arange(2 * nx + 1)
-    c = np.arange(2 * ny_p + 1)
-    A, C = np.meshgrid(a, c, indexing="xy")
-    A = A.ravel()
-    C = C.ravel()
-    c_iface_p = 0 if darcy_above else 2 * ny_p
-    c_top_p = 2 * ny_p if darcy_above else 0  # outer horizontal lid of D_p
-    head_tags[C == c_iface_p] = TAG_GAMMA_I
-    head_tags[C == c_top_p] = TAG_GAMMA_P
-    head_tags[(A == 0) | (A == 2 * nx)] = TAG_GAMMA_P
-
-    vel_tags = np.full(vel_coords.shape[0], TAG_INTERIOR_F, dtype=np.int8)
-    cf = np.arange(2 * ny_f + 1)
-    AF, CF = np.meshgrid(a, cf, indexing="xy")
-    AF = AF.ravel()
-    CF = CF.ravel()
-    c_iface_f = 2 * ny_f if darcy_above else 0
-    c_bottom_f = 0 if darcy_above else 2 * ny_f  # outer horizontal floor of D_f
-    vel_tags[CF == c_iface_f] = TAG_GAMMA_I
-    vel_tags[CF == c_bottom_f] = TAG_GAMMA_F_BOTTOM
-    vel_tags[(AF == 0) | (AF == 2 * nx)] = TAG_GAMMA_F_WALL
+    below = not darcy_above
+    darcy_y0 = y_if - below * ny_p * h
+    stokes_y0 = y_if - darcy_above * ny_f * h
+    # interface edges ordered by x.  The upper rectangle touches the
+    # interface with the lower halves of its cell row 0 (triangles 2i), the
+    # lower one with the upper halves of its last cell row
+    # (2((ny-1)nx+i)+1).
+    i = np.arange(nx)
+    first = below * ny_p * (nx + 1) + i
 
     return CoupledMesh(
         h=h,
         darcy_above=darcy_above,
-        head_coords=head_coords,
-        vel_coords=vel_coords,
-        pres_coords=pres_coords,
-        tri6_p=tri6_p,
-        tri6_f=tri6_f,
-        tri3_pres=tri3_pres,
-        darcy_vertices=darcy_vertices,
-        tri3_darcy=tri3_darcy,
-        iface_darcy_tri=iface_darcy_tri,
-        iface_stokes_tri=iface_stokes_tri,
-        iface_darcy_vpair=iface_darcy_vpair,
-        head_tags=head_tags,
-        vel_tags=vel_tags,
+        # quadratic lattices (local per subdomain); the pressure nodes are
+        # the Stokes vertices, local numbering
+        head_coords=_lattice(2 * nx, 2 * ny_p, dx0, darcy_y0, h / 2.0),
+        vel_coords=_lattice(2 * nx, 2 * ny_f, dx0, stokes_y0, h / 2.0),
+        pres_coords=_lattice(nx, ny_f, dx0, stokes_y0, h),
+        tri6_p=_triangles(nx, ny_p, quadratic=True),
+        tri6_f=_triangles(nx, ny_f, quadratic=True),
+        tri3_pres=_triangles(nx, ny_f, quadratic=False),
+        # conductivity field support: porous vertices including the
+        # interface row
+        darcy_vertices=_lattice(nx, ny_p, dx0, darcy_y0, h),
+        tri3_darcy=_triangles(nx, ny_p, quadratic=False),
+        iface_darcy_tri=2 * (below * (ny_p - 1) * nx + i) + below,
+        iface_stokes_tri=2 * (darcy_above * (ny_f - 1) * nx + i) + darcy_above,
+        iface_darcy_vpair=np.column_stack([first, first + 1]),
+        # Dirichlet boundaries win ties against the interface; side walls
+        # win at the bottom corners of the free-flow rectangle.
+        head_tags=_tags(nx, ny_p, below, TAG_INTERIOR_P, TAG_GAMMA_P,
+                        TAG_GAMMA_P),
+        vel_tags=_tags(nx, ny_f, darcy_above, TAG_INTERIOR_F,
+                       TAG_GAMMA_F_BOTTOM, TAG_GAMMA_F_WALL),
     )

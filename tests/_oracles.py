@@ -15,8 +15,10 @@ before it dropped the three that a flat interface zeroes.
 ``lowrank_solver.solve_sample_smw`` ran before it called LAPACK directly
 on flattened capacitance blocks, and ``direct_oracle`` the direct solve
 that ``lowrank_solver.solve_sample_direct`` ran before it kept its
-column order across a family's samples.  ``read_solutions`` reads back
-the CSV that ``lowrank_solver.save_solutions`` writes.
+column order across a family's samples.  ``mean_solve`` is the solve
+through the mean's LU that ``lowrank_solver.MeanFactorization`` offered
+while it kept that LU.  ``read_solutions`` reads back the CSV that
+``lowrank_solver.save_solutions`` writes.
 """
 
 import math
@@ -209,7 +211,7 @@ def smw_reference(mean, factors, m):
     """Woodbury solve of sample m through scipy's LU wrappers.
 
     Returns (x, condition estimate).  Z = Abar^{-1} U[:, :k_s] is solved
-    afresh through the mean's LU, each W_j = B_j^T U[:, :k_s] is formed
+    afresh through ``mean_solve``, each W_j = B_j^T U[:, :k_s] is formed
     from the span values of ``factors`` as a COO matrix B_j, the r blocks
     (W_j^T Z[:c])^T are summed by ``tensordot`` into the capacitance
     matrix C, and C goes through ``lu_factor``, LAPACK's ``gecon`` 1-norm
@@ -218,7 +220,7 @@ def smw_reference(mean, factors, m):
     """
     c, k_s, n = factors.col_dim, factors.k_s, factors.n_full
     u = factors.U[:, :k_s]
-    z = mean.solve(u)
+    z = mean_solve(mean, u)
     w = np.zeros((factors.span_dim, c, k_s))
     for j, b_j in enumerate(factors.basis):
         b = sp.coo_matrix((b_j, (factors.rows, factors.cols)), shape=(n, n))
@@ -241,6 +243,12 @@ def smw_reference(mean, factors, m):
         return None, math.inf
     y = scipy.linalg.lu_solve((lu, piv), w, check_finite=False)
     return mean.x_bar - z @ y, 1.0 / rcond
+
+
+def mean_solve(mean, rhs):
+    """Abar^{-1} rhs from a fresh ``splu`` of the mean's matrix in CSC, as
+    ``factor_mean`` factors it."""
+    return spla.splu(sp.csc_matrix(mean.A_bar)).solve(rhs)
 
 
 def direct_oracle(system, m):

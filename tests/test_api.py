@@ -28,6 +28,8 @@ PARAMETERS = {
     # benchmark too
     "build_gram": ("A_tildes", "block_dim"),
     "factorize": ("gram", "A_tildes", "theta"),
+    # the mean's LU and right side are dropped once x_bar is solved
+    "MeanFactorization": ("A_bar", "x_bar"),
 }
 
 
@@ -56,6 +58,7 @@ def test_cut_inputs_stay_cut():
     fields = {f.name for f in dataclasses.fields(sdlowrank.GlramFactors)}
     assert "eigenvalues" not in fields
     assert "W" not in fields
+    assert not hasattr(sdlowrank.MeanFactorization, "solve")
 
 
 def test_import_leaves_scipy_spatial_out():

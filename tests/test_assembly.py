@@ -329,6 +329,22 @@ def test_perturbation_stores_nothing_in_the_u2_rows(geometry, n, params):
     assert np.all(u2_rows == u2_rows[0])
 
 
+@_ORACLE_MESHES
+def test_perturbation_stores_no_entry_zero_for_every_field(geometry, n,
+                                                           params):
+    # the P2 couplings that vanish on right triangles vanish for every
+    # field, so the pattern leaves them out: each stored position is
+    # nonzero for some field
+    mesh = build_mesh(geometry, n=n)
+    asm = PerturbationAssembler(mesh, params)
+    fields = np.random.default_rng(2).normal(
+        size=(3, mesh.darcy_vertices.shape[0]))
+    live = np.zeros(asm.assemble(0.0).nnz, dtype=bool)
+    for field in fields:
+        live |= asm.assemble(field).data != 0.0
+    assert live.all(), f"{np.count_nonzero(~live)} of {live.size} zero"
+
+
 def test_perturbations_share_a_read_only_pattern(mesh8, params):
     asm = PerturbationAssembler(mesh8, params)
     a = asm.assemble(0.5)

@@ -182,12 +182,41 @@ def test_triangle_areas_tile_each_domain(mesh8):
         assert abs(areas.sum() - 0.5) < 1e-13
 
 
-def test_quadratic_midpoints_sit_between_vertices(mesh8):
-    # local node order: three vertices then the midpoint opposite each one
-    c = mesh8.head_coords
-    for tri in mesh8.tri6_p[:6]:
-        v0, v1, v2, m0, m1, m2 = c[tri]
-        assert np.allclose(m0, 0.5 * (v1 + v2))
-        assert np.allclose(m1, 0.5 * (v2 + v0))
-        assert np.allclose(m2, 0.5 * (v0 + v1))
+# a porous layer shallower than half its width; n must be a multiple of 4
+SHALLOW_POROUS = Geometry(darcy_rect=(0.0, 1.0, 0.0, 0.25))
 
+
+@pytest.mark.parametrize("geometry, n", [
+    (Geometry(), 2), (Geometry(), 8), (POROUS_BELOW, 2), (POROUS_BELOW, 8),
+    (SHALLOW_POROUS, 4), (SHALLOW_POROUS, 8),
+], ids=["default-2", "default-8", "porous_below-2", "porous_below-8",
+        "shallow_porous-4", "shallow_porous-8"])
+def test_triangles_follow_the_documented_order(geometry, n):
+    mesh = build_mesh(geometry, n=n)
+    # the tri3 rows are the vertices of the tri6 rows of the same
+    # rectangle; the perturbation assembler relies on it
+    assert np.array_equal(mesh.darcy_vertices[mesh.tri3_darcy],
+                          mesh.head_coords[mesh.tri6_p[:, :3]])
+    assert np.array_equal(mesh.pres_coords[mesh.tri3_pres],
+                          mesh.vel_coords[mesh.tri6_f[:, :3]])
+    h = mesh.h
+    lower = np.array([[0.0, 0.0], [h, 0.0], [h, h]])
+    upper = np.array([[0.0, 0.0], [h, h], [0.0, h]])
+    for tri6, coords, rect in (
+            (mesh.tri6_p, mesh.head_coords, geometry.darcy_rect),
+            (mesh.tri6_f, mesh.vel_coords, geometry.stokes_rect)):
+        v0, v1, v2, m0, m1, m2 = coords[tri6].transpose(1, 0, 2)
+        e1, e2 = v1 - v0, v2 - v0
+        assert np.all(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] > 0)
+        # local node order: three vertices then the midpoint opposite each
+        for mid, a, b in ((m0, v1, v2), (m1, v2, v0), (m2, v0, v1)):
+            assert np.allclose(mid, 0.5 * (a + b), rtol=0.0, atol=1e-15)
+        # triangle 2(j nx + i) is the lower half of cell (i, j), the next
+        # one its upper half, both starting at the lower-left corner
+        nx = round((rect[1] - rect[0]) * n)
+        j, i = np.divmod(np.arange(tri6.shape[0] // 2), nx)
+        corner = np.column_stack([rect[0] + i * h, rect[2] + j * h])
+        verts = np.stack([v0, v1, v2], axis=1)
+        for half, offsets in ((0, lower), (1, upper)):
+            assert np.allclose(verts[half::2], corner[:, None] + offsets,
+                               rtol=0.0, atol=1e-15)

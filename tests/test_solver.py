@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import get_lapack_funcs
 
-from _oracles import direct_oracle, read_solutions, smw_reference
+from _oracles import (direct_oracle, mean_solve, read_solutions,
+                      smw_reference)
 from sdlowrank import (
     CovarianceKernel,
     Geometry,
@@ -81,9 +82,9 @@ def _toy_factors(u, v_list, col_dim=None):
 
 def _full_row_smw(mean, factors, m):
     """Oracle: the k x k Woodbury solve over all N rows and k columns
-    of V_m, with its own Z = Abar^{-1} U."""
+    of V_m, with its own Z = Abar^{-1} U from a fresh LU of Abar."""
     v = factors.V[m]
-    z = mean.solve(factors.U)
+    z = mean_solve(mean, factors.U)
     c = np.eye(factors.k) + v.T @ z
     y = scipy.linalg.solve(c, v.T @ mean.x_bar)
     return mean.x_bar - z @ y
@@ -181,8 +182,8 @@ def _assembled_z(state, n):
 @pytest.mark.parametrize("geometry", [None, POROUS_BELOW, SHALLOW_POROUS],
                          ids=["default", "porous-below", "shallow-porous"])
 def test_block_elimination_matches_the_mean_solve(problem20, geometry):
-    # Z[S] from the Schur complement and Z[T] = -X Z[S][I] reproduce the
-    # mean LU's solve of all k_s right sides; S couples to T through the
+    # Z[S] from the Schur complement and Z[T] = -X Z[S][I] reproduce an
+    # LU solve of Abar for all k_s right sides; S couples to T through the
     # 2(2n - 1) = 30 interface columns I only
     system = (problem20["system"] if geometry is None
               else _family(*geometry))
@@ -193,7 +194,7 @@ def test_block_elimination_matches_the_mean_solve(problem20, geometry):
     assert np.array_equal(z.support, gram.support)
     assert z.z_s.shape == (gram.support.size, factors.k_s)
     assert z.x.shape == (mean.N - gram.support.size, 30)
-    ref = mean.solve(factors.U[:, :factors.k_s])
+    ref = mean_solve(mean, factors.U[:, :factors.k_s])
     assert (np.linalg.norm(_assembled_z(z, mean.N) - ref)
             <= 1e-12 * np.linalg.norm(ref))
 
@@ -233,7 +234,7 @@ def test_block_elimination_edge_cases(case):
     expect = {"k_s=0": (0, 4, 0), "T empty": (4, 0, 0),
               "I empty": (2, 2, 0)}[case]
     assert (z.support.size, z.rest.size, z.coupled.size) == expect
-    ref = mean.solve(u)
+    ref = mean_solve(mean, u)
     assert _assembled_z(z, 4).shape == u.shape
     assert np.allclose(_assembled_z(z, 4), ref, rtol=0.0, atol=1e-14)
     x = solve_sample_smw(mean, factors, 0).x
@@ -413,7 +414,7 @@ def test_column_support_solve_matches_full_row_formula(problem20, gram20,
     c, k_s = factors.col_dim, factors.k_s
     assert k_s == c < factors.k
     mean = factor_mean(system)
-    z = mean.solve(factors.U)
+    z = mean_solve(mean, factors.U)
     for m in range(factors.M):
         sol = solve_sample_smw(mean, factors, m)
         x = _full_row_smw(mean, factors, m)
