@@ -59,9 +59,9 @@ def main():
         print(f"  {theta:.4f}  {factors.k:4d}     {factors.rmsre:.4e}"
               f"      {measured:.4e}       {factors.storage_reduction:.4f}")
     print()
-    print("past the rank the error formula bottoms out at the roundoff of")
-    print("the trace subtraction; the measured error keeps falling to the")
-    print("reconstruction noise floor.")
+    print("from the rank on both columns are exactly zero: the formula sums")
+    print("the discarded spectrum, which is empty there, and U spans the")
+    print("family's support, so the measured error vanishes too.")
 
 
 if __name__ == "__main__":

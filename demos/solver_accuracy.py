@@ -1,12 +1,14 @@
 """Per-sample solves through the low-rank update formula.
 
-The mean operator is factorized once.  Each sample's matrix differs
-from it by the compressed update U V_m^T, so the per-sample solve needs
-only back-substitutions with the cached mean factorization plus one
-dense k x k system (the capacitance matrix of the update formula).  At
-k equal to the numerical rank of the perturbation family the answers
-match per-sample direct factorizations to solver precision; truncating
-below the rank trades accuracy for smaller k.
+The mean solution is computed once.  Each sample's matrix differs from
+it by the compressed update U V_m^T, so Z = Abar^{-1} U is solved once
+per factor family, by block elimination on U's nonzero rows, and each
+sample then costs one dense LU of the k_s x k_s capacitance matrix of
+the update formula (k_s <= k: the retained directions that can touch
+the perturbations) and a product with Z.  At k equal to the numerical
+rank of the perturbation family the answers match per-sample direct
+factorizations to solver precision; truncating below the rank trades
+accuracy for smaller k.
 
 Run with:  python3 demos/solver_accuracy.py
 """

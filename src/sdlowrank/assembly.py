@@ -30,6 +30,10 @@ costs one sparse mat-vec, and :func:`assemble_mean` takes the mean's
 conductivity blocks from the same map.  :func:`apply_dirichlet` zeroes
 the stored entries of constrained rows and columns and drops them.
 
+Every block (mean, map L, norm matrices) takes one path: :func:`_spread`
+flattens it into (row, column, coefficient) triplets and :func:`_csr`
+sums a list of such blocks in order with one COO to CSR conversion.
+
 All volume integrals use the seven-point degree-5 triangle rule and all
 interface integrals the three-point Gauss rule.
 """
@@ -68,6 +72,9 @@ class PhysicalParams:
     z: float = 0.0       # elevation head
 
     def __post_init__(self):
+        for name in ("nu", "g", "alpha", "z"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.nu > 0.0 and self.g > 0.0 and self.alpha > 0.0):
             raise ValueError("nu, g and alpha must be positive")
 
@@ -199,7 +206,6 @@ class _Space:
         inv[:, 1, 0] = -jac[:, 1, 0]
         inv[:, 1, 1] = jac[:, 0, 0]
         inv /= det[:, None, None]
-        self.jac = jac
         self.inv = inv
         self.area = 0.5 * np.abs(det)
 
@@ -219,33 +225,21 @@ class _Space:
         return np.einsum("ecd,eqd->eqc", self.inv[tri_ids], rel)
 
 
-class _Coo:
-    """Triplet accumulator for one global sparse matrix."""
+def _spread(row_dofs, col_dofs, coefs):
+    """Flat (row, column, coefficient) triplets of a block whose entry
+    coefs[t, i, j, ...] sits at (row_dofs[t, i], col_dofs[t, j]); the
+    DOFs repeat over any trailing axes of ``coefs``."""
+    t, ni, nj, *tail = coefs.shape
+    ones = (1,) * len(tail)
+    rows = np.broadcast_to(row_dofs.reshape(t, ni, 1, *ones), coefs.shape)
+    cols = np.broadcast_to(col_dofs.reshape(t, 1, nj, *ones), coefs.shape)
+    return rows.ravel(), cols.ravel(), coefs.ravel()
 
-    def __init__(self, shape):
-        self.shape = shape
-        self.rows = []
-        self.cols = []
-        self.vals = []
 
-    def add_block(self, row_dofs, col_dofs, entries):
-        """row_dofs (t, i), col_dofs (t, j), entries (t, i, j)."""
-        ti, tj = entries.shape[1], entries.shape[2]
-        r = np.repeat(row_dofs[:, :, None], tj, axis=2)
-        c = np.repeat(col_dofs[:, None, :], ti, axis=1)
-        self.rows.append(r.ravel())
-        self.cols.append(c.ravel())
-        self.vals.append(entries.ravel())
-
-    def tocsr(self):
-        if self.rows:
-            rows = np.concatenate(self.rows)
-            cols = np.concatenate(self.cols)
-            vals = np.concatenate(self.vals)
-        else:
-            rows = cols = vals = np.empty(0)
-        mat = sp.coo_matrix((vals, (rows, cols)), shape=self.shape)
-        return mat.tocsr()
+def _csr(blocks, shape):
+    """CSR sum of :func:`_spread` blocks; duplicates add in block order."""
+    rows, cols, vals = (np.concatenate(b) for b in zip(*blocks))
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 def _nodal_field(mesh, value):
@@ -298,71 +292,49 @@ class _EdgeTables:
         )
 
 
-class _Workspace:
-    """Everything that depends on the mesh but not on the sampled field."""
-
-    def __init__(self, mesh, params, kbar_nodal):
-        rule = triangle_rule_7pt()
-        self.mesh = mesh
-        self.params = params
-        self.space_p = _Space(mesh.head_coords, mesh.tri6_p, rule)
-        self.space_f = _Space(mesh.vel_coords, mesh.tri6_f, rule)
-        self.p1val = rule.points                   # barycentric = P1 basis
-        self.edges = _EdgeTables(mesh, self.space_p, self.space_f)
-        self.delta = bj_delta(params, self.edges.edge_field(kbar_nodal))
-        # offsets of the four blocks
-        self.o_head = 0
-        self.o_u1 = mesh.N1
-        self.o_u2 = mesh.N1 + mesh.N2
-        self.o_p = mesh.N1 + 2 * mesh.N2
-
-
-def _deterministic_triplets(ws, coo):
-    """All blocks independent of the sampled conductivity."""
-    mesh = ws.mesh
-    nu = ws.params.nu
-    g = ws.params.g
-    sp_f = ws.space_f
-    gx = sp_f.grad[..., 0]
-    gy = sp_f.grad[..., 1]
-    w = sp_f.scale
-
+def _deterministic_triplets(asm):
+    """Triplet blocks of everything independent of the sampled
+    conductivity, on the tables of the assembler ``asm``."""
+    mesh, ed, nu = asm.mesh, asm.edges, asm.params.nu
+    gx, gy = asm.space_f.grad[..., 0], asm.space_f.grad[..., 1]
+    w = asm.space_f.scale
     f1 = nu * np.einsum("tq,tqi,tqj->tij", w, gx, gx)
     f2 = nu * np.einsum("tq,tqi,tqj->tij", w, gy, gy)
     f3 = nu * np.einsum("tq,tqi,tqj->tij", w, gy, gx)   # rows d/dy, cols d/dx
-    u1 = sp_f.tri6 + ws.o_u1
-    u2 = sp_f.tri6 + ws.o_u2
-    coo.add_block(u1, u1, 2.0 * f1 + f2)
-    coo.add_block(u2, u2, f1 + 2.0 * f2)
-    coo.add_block(u1, u2, f3)
-    coo.add_block(u2, u1, np.swapaxes(f3, 1, 2))        # F4 = F3^T
-
-    p1v = ws.p1val
-    f5 = -np.einsum("tq,tqi,qj->tij", w, gx, p1v)
-    f6 = -np.einsum("tq,tqi,qj->tij", w, gy, p1v)
-    pres = mesh.tri3_pres + ws.o_p
-    coo.add_block(u1, pres, f5)
-    coo.add_block(u2, pres, f6)
-    coo.add_block(pres, u1, np.swapaxes(f5, 1, 2))      # F5^T
-    coo.add_block(pres, u2, np.swapaxes(f6, 1, 2))      # F6^T
-
+    f5 = -np.einsum("tq,tqi,qj->tij", w, gx, asm.p1val)
+    f6 = -np.einsum("tq,tqi,qj->tij", w, gy, asm.p1val)
+    u1 = asm.space_f.tri6 + mesh.sl_u1.start
+    u2 = asm.space_f.tri6 + mesh.sl_u2.start
+    pres = mesh.tri3_pres + mesh.sl_pres.start
     # interface: -I2 (head rows), g*I4 (u2 rows) and slip penalty I5
-    ed = ws.edges
-    heads, iface_u2 = ed.head_dofs + ws.o_head, ed.vel_dofs + ws.o_u2
+    heads = ed.head_dofs
+    iface_u1 = ed.vel_dofs + mesh.sl_u1.start
+    iface_u2 = ed.vel_dofs + mesh.sl_u2.start
     mass_ab = np.einsum("eq,eqi,eqj->eij", ed.wl, ed.aval, ed.bval)
-    coo.add_block(heads, iface_u2, -ed.n2 * mass_ab)
-    coo.add_block(iface_u2, heads, g * ed.n2 * np.swapaxes(mass_ab, 1, 2))
-    coo.add_block(ed.vel_dofs + ws.o_u1, ed.vel_dofs + ws.o_u1, np.einsum(
-        "eq,eqi,eqj->eij", ed.wl * ws.delta, ed.bval, ed.bval))
+    return [
+        _spread(u1, u1, 2.0 * f1 + f2),
+        _spread(u2, u2, f1 + 2.0 * f2),
+        _spread(u1, u2, f3),
+        _spread(u2, u1, np.swapaxes(f3, 1, 2)),         # F4 = F3^T
+        _spread(u1, pres, f5),
+        _spread(u2, pres, f6),
+        _spread(pres, u1, np.swapaxes(f5, 1, 2)),       # F5^T
+        _spread(pres, u2, np.swapaxes(f6, 1, 2)),       # F6^T
+        _spread(heads, iface_u2, -ed.n2 * mass_ab),
+        _spread(iface_u2, heads,
+                asm.params.g * ed.n2 * np.swapaxes(mass_ab, 1, 2)),
+        _spread(iface_u1, iface_u1, np.einsum(
+            "eq,eqi,eqj->eij", ed.wl * asm.delta, ed.bval, ed.bval)),
+    ]
 
 
-def _load_vector(ws):
+def _load_vector(asm):
     """The elevation-head term g*z on the interface; no volume sources."""
-    b = np.zeros(ws.mesh.N)
-    ed = ws.edges
-    gz = ws.params.g * ws.params.z
+    mesh, ed = asm.mesh, asm.edges
+    b = np.zeros(mesh.N)
+    gz = asm.params.g * asm.params.z
     ent = np.einsum("eq,eqi->ei", ed.wl * (gz * ed.n2), ed.bval)
-    np.add.at(b, ed.vel_dofs + ws.o_u2, ent)
+    np.add.at(b, ed.vel_dofs + mesh.sl_u2.start, ent)
     return b
 
 
@@ -396,29 +368,19 @@ def assemble_mean(mesh, params, kl_mean=1.0, *, delta_from=None):
 
 def _mean_system(asm, kbar):
     """(A_bar, b) of :func:`assemble_mean` on the tables of ``asm``."""
-    coo = _Coo((asm.mesh.N, asm.mesh.N))
-    _deterministic_triplets(asm.ws, coo)
-    return coo.tocsr() + asm.assemble(kbar), _load_vector(asm.ws)
-
-
-def _spread(row_dofs, col_dofs, vertices, coefs):
-    """Flat (row, col, vertex, coefficient) of a block whose entry (t, i, j)
-    is sum_c coefs[t, i, j, c] * field[vertices[t, c]]."""
-    shape = coefs.shape
-    return (
-        np.broadcast_to(row_dofs[:, :, None, None], shape).ravel(),
-        np.broadcast_to(col_dofs[:, None, :, None], shape).ravel(),
-        np.broadcast_to(vertices[:, None, None, :], shape).ravel(),
-        coefs.ravel(),
-    )
+    n = asm.mesh.N
+    a_det = _csr(_deterministic_triplets(asm), (n, n))
+    return a_det + asm.assemble(kbar), _load_vector(asm)
 
 
 class PerturbationAssembler:
     """Assembler of the blocks linear in the conductivity: P and I9.
 
-    Built once: the geometry tables, the CSR pattern of those blocks and
-    a sparse map ``L`` (one row per stored entry, one column per porous
-    vertex).  A volume entry of P weights each triangle vertex by
+    Built once: the geometry tables (``space_p``, ``space_f``, ``p1val``,
+    ``edges``) and the slip coefficient ``delta``, which the mean blocks
+    read too, the CSR pattern of P and I9 and a sparse map ``L`` (one row
+    per stored entry, one column per porous vertex).  A volume entry of
+    P weights each triangle vertex by
     sum_q scale*p1val[q, c]*grad(phi_i).grad(phi_j); an interface entry
     weights the two edge endpoints by the quadrature of (1 - s) and s.
     A sample then costs one sparse mat-vec, ``data = L @ k``, on the
@@ -434,24 +396,30 @@ class PerturbationAssembler:
     """
 
     def __init__(self, mesh, params, kbar=1.0):
+        rule = triangle_rule_7pt()
         self.mesh = mesh
-        self.ws = ws = _Workspace(mesh, params, _nodal_field(mesh, kbar))
-        sp_p = ws.space_p
-        ed = ws.edges
-        heads = sp_p.tri6 + ws.o_head
+        self.params = params
+        self.space_p = sp_p = _Space(mesh.head_coords, mesh.tri6_p, rule)
+        self.space_f = _Space(mesh.vel_coords, mesh.tri6_f, rule)
+        self.p1val = rule.points                   # barycentric = P1 basis
+        self.edges = ed = _EdgeTables(mesh, sp_p, self.space_f)
+        self.delta = bj_delta(params, ed.edge_field(_nodal_field(mesh, kbar)))
         # volume head stiffness P; the field is linear on each triangle
         grads = np.einsum("tqid,tqjd->tqij", sp_p.grad, sp_p.grad)
-        weights = sp_p.scale[:, :, None] * ws.p1val          # (nt, nq, 3)
+        weights = sp_p.scale[:, :, None] * self.p1val        # (nt, nq, 3)
         p_coefs = np.einsum("tqc,tqij->tijc", weights, grads)
         # interface slip block I9; the field is linear along each edge
         ends = np.stack([1.0 - ed.s, ed.s], axis=-1)       # (nq, 2)
-        i9_coefs = np.einsum("eq,eqi,eqj,qv->eijv", ed.wl * ws.delta,
+        i9_coefs = np.einsum("eq,eqi,eqj,qv->eijv", ed.wl * self.delta,
                              ed.bval, ed.dax, ends)
-        rows, cols, verts, coefs = (np.concatenate(b) for b in zip(
-            _spread(heads, heads, mesh.tri3_darcy, p_coefs),
-            _spread(ed.vel_dofs + ws.o_u1, ed.head_dofs + ws.o_head,
-                    ed.vpair, i9_coefs),
-        ))
+        # (rows, cols, the vertex each coefficient weights, coefficients)
+        blocks = ((sp_p.tri6, sp_p.tri6, mesh.tri3_darcy, p_coefs),
+                  (ed.vel_dofs + mesh.sl_u1.start, ed.head_dofs, ed.vpair,
+                   i9_coefs))
+        spread = [(*_spread(r, c, k),
+                   np.broadcast_to(v[:, None, None], k.shape).ravel())
+                  for r, c, v, k in blocks]
+        rows, cols, coefs, verts = (np.concatenate(b) for b in zip(*spread))
         # the P2 couplings that vanish on right triangles vanish for every
         # field: leave them out of the pattern, as A_bar does
         keep = coefs != 0.0
@@ -461,10 +429,8 @@ class PerturbationAssembler:
                                return_inverse=True)
         # numpy 2.0.x gave the inverse the input's shape, not 1-D
         slot = slot.ravel()
-        self._L = sp.csr_matrix(
-            (coefs, (slot, verts)),
-            shape=(keys.size, mesh.darcy_vertices.shape[0]),
-        )
+        self._L = _csr([(slot, verts, coefs)],
+                       (keys.size, mesh.darcy_vertices.shape[0]))
         self._indices = (keys % n).astype(np.int32)
         self._indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(
             np.int32)
@@ -598,20 +564,16 @@ def p2_stiffness(mesh, domain):
     """H1-seminorm (stiffness) matrix of one quadratic scalar space."""
     space = _space_for(mesh, domain)
     n = space.coords.shape[0]
-    coo = _Coo((n, n))
     ent = np.einsum("tq,tqic,tqjc->tij", space.scale, space.grad, space.grad)
-    coo.add_block(space.tri6, space.tri6, ent)
-    return coo.tocsr()
+    return _csr([_spread(space.tri6, space.tri6, ent)], (n, n))
 
 
 def p2_mass(mesh, domain):
     """L2 mass matrix of one quadratic scalar space."""
     space = _space_for(mesh, domain)
     n = space.coords.shape[0]
-    coo = _Coo((n, n))
     ent = np.einsum("tq,qi,qj->tij", space.scale, space.val, space.val)
-    coo.add_block(space.tri6, space.tri6, ent)
-    return coo.tocsr()
+    return _csr([_spread(space.tri6, space.tri6, ent)], (n, n))
 
 
 def p1_pressure_mass(mesh):
@@ -623,6 +585,5 @@ def p1_pressure_mass(mesh):
     p1v = triangle_rule_7pt().points
     scale = _space_for(mesh, "velocity").scale
     ent = np.einsum("tq,qi,qj->tij", scale, p1v, p1v)
-    coo = _Coo((mesh.N3, mesh.N3))
-    coo.add_block(mesh.tri3_pres, mesh.tri3_pres, ent)
-    return coo.tocsr()
+    return _csr([_spread(mesh.tri3_pres, mesh.tri3_pres, ent)],
+                (mesh.N3, mesh.N3))

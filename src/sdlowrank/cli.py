@@ -108,6 +108,10 @@ class RunConfig:
     sample_index: int = 0
 
     def validate(self):
+        for fld in dataclasses.fields(self):
+            value = getattr(self, fld.name)
+            if fld.type is float and not np.isfinite(value):
+                raise ConfigError(f"{fld.name} must be finite, got {value}")
         if self.n < 2 or self.n % 2 != 0:
             raise ConfigError(f"n must be a positive even integer, got {self.n}")
         if not 0.0 < self.epsilon < 1.0:

@@ -32,7 +32,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
 from sdlowrank import SampleSolution
-from sdlowrank.assembly import _Coo, _nodal_field, _Workspace
+from sdlowrank.assembly import (PerturbationAssembler, _csr, _nodal_field,
+                                _spread)
 
 
 def _factorial_bary_integral(c0, c1, c2):
@@ -129,45 +130,47 @@ def two_pass_moments(samples, center=None):
     return mean, (dev * dev).sum(axis=0) / samples.shape[0]
 
 
-def _k_dependent_triplets(ws, coo, field_nodal):
-    """Blocks linear in the conductivity field: P and I9..I12."""
-    mesh = ws.mesh
-    sp_p = ws.space_p
+def _k_dependent_triplets(asm, field_nodal):
+    """Triplet blocks linear in the conductivity field: P and I9..I12."""
+    mesh = asm.mesh
+    sp_p = asm.space_p
     # volume head stiffness weighted by the interpolated field
-    kq = np.einsum("qc,tc->tq", ws.p1val, field_nodal[mesh.tri3_darcy])
-    w = ws.space_p.scale * kq
+    kq = np.einsum("qc,tc->tq", asm.p1val, field_nodal[mesh.tri3_darcy])
+    w = sp_p.scale * kq
     ent = np.einsum("tq,tqic,tqjc->tij", w, sp_p.grad, sp_p.grad)
-    coo.add_block(sp_p.tri6 + ws.o_head, sp_p.tri6 + ws.o_head, ent)
+    blocks = [_spread(sp_p.tri6, sp_p.tri6, ent)]
 
     # interface slip blocks carrying the conductivity, in each edge's
     # unit tangent tau = (t1, t2), from its first endpoint to its second
-    ed = ws.edges
+    ed = asm.edges
     ends = mesh.darcy_vertices[mesh.iface_darcy_vpair]     # (ne, 2, 2)
     tangent = ends[:, 1] - ends[:, 0]
     t1, t2 = (tangent / np.hypot(*tangent.T)[:, None]).T
     kq_e = ed.edge_field(field_nodal)
-    base = ed.wl * ws.delta * kq_e                       # (ne, nq)
+    base = ed.wl * asm.delta * kq_e                      # (ne, nq)
+    u1, u2 = mesh.sl_u1.start, mesh.sl_u2.start
     for coeff, row_off in (
-        (t1 * t1, ws.o_u1),   # I9: tangential-squared, u1 rows
-        (t1 * t2, ws.o_u1),   # I11: mixed tangent, u1 rows
-        (t2 * t2, ws.o_u2),   # I10: tangential-squared, u2 rows
-        (t1 * t2, ws.o_u2),   # I12: mixed tangent, u2 rows
+        (t1 * t1, u1),   # I9: tangential-squared, u1 rows
+        (t1 * t2, u1),   # I11: mixed tangent, u1 rows
+        (t2 * t2, u2),   # I10: tangential-squared, u2 rows
+        (t1 * t2, u2),   # I12: mixed tangent, u2 rows
     ):
         ent = np.einsum(
             "eq,eqi,eqj->eij", base * coeff[:, None], ed.bval, ed.dax
         )
-        coo.add_block(ed.vel_dofs + row_off, ed.head_dofs + ws.o_head, ent)
+        blocks.append(_spread(ed.vel_dofs + row_off, ed.head_dofs, ent))
+    return blocks
 
 
 def k_linear_blocks(mesh, params, kbar, field_nodal):
     """P and I9..I12 of ``field_nodal`` (slip coefficient at ``kbar``),
     assembled element by element: the field is interpolated to every
     quadrature point, the products are integrated per element and the
-    triplets are summed by a COO to CSR conversion."""
-    ws = _Workspace(mesh, params, _nodal_field(mesh, kbar))
-    coo = _Coo((mesh.N, mesh.N))
-    _k_dependent_triplets(ws, coo, _nodal_field(mesh, field_nodal))
-    return coo.tocsr()
+    triplets are summed by a COO to CSR conversion.  Only the
+    assembler's geometry tables are read, never its map ``L``."""
+    asm = PerturbationAssembler(mesh, params, kbar=kbar)
+    blocks = _k_dependent_triplets(asm, _nodal_field(mesh, field_nodal))
+    return _csr(blocks, (mesh.N, mesh.N))
 
 
 def _row_col_support(a, width):

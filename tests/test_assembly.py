@@ -44,6 +44,10 @@ def test_params_validation():
         PhysicalParams(alpha=-1.0)
     with pytest.raises(ValueError):
         PhysicalParams(g=-2.0)
+    for name in ("nu", "g", "alpha", "z"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                PhysicalParams(**{name: bad})
 
 
 def test_bj_delta_hand_values():
@@ -207,19 +211,28 @@ def test_load_vector_elevation_head(mesh8):
 # mean / perturbation splitting
 # ---------------------------------------------------------------------------
 
-def test_split_matches_from_scratch_assembly(problem20):
+@pytest.mark.parametrize(
+    "physics",
+    [PhysicalParams(), PhysicalParams(nu=2.0, g=1.5, alpha=0.25, z=1.0)],
+    ids=["default_physics", "other_physics"])
+def test_split_matches_from_scratch_assembly(problem20, physics):
     # assembling the full sampled conductivity in one shot (slip
-    # coefficient still at the mean) must reproduce mean + perturbation
-    mesh, params, kl = (problem20[k] for k in ("mesh", "params", "kl"))
-    raw = problem20["raw"]
-    scale = np.abs(raw.A_bar.data).max()
+    # coefficient still at the mean) must reproduce mean + perturbation,
+    # also with an elevation-head load and nu, g, alpha off 1
+    mesh, kl = problem20["mesh"], problem20["kl"]
+    a_bar, b = assemble_mean(mesh, physics, kl.mean_nodal)
+    asm = PerturbationAssembler(mesh, physics, kbar=kl.mean_nodal)
+    scale = np.abs(a_bar.data).max()
     for m in (0, 7, 19):
-        total = kl.mean_nodal + problem20["tildes_nodal"][m]
-        scratch, _ = assemble_mean(mesh, params, kl_mean=total,
-                                   delta_from=kl.mean_nodal)
-        diff = scratch - (raw.A_bar + raw.A_tildes[m])
+        tilde = problem20["tildes_nodal"][m]
+        scratch, b_scratch = assemble_mean(mesh, physics,
+                                           kl_mean=kl.mean_nodal + tilde,
+                                           delta_from=kl.mean_nodal)
+        diff = scratch - (a_bar + asm.assemble(tilde))
         err = 0.0 if diff.nnz == 0 else np.abs(diff.data).max()
         assert err <= 1e-12 * scale, f"sample {m}: {err:.3e}"
+        assert np.array_equal(b_scratch, b)
+    assert (np.abs(b).max() > 0.0) == (physics.z != 0.0)
 
 
 def test_assemble_family_matches_the_piecewise_build(mesh8, params, kl8,

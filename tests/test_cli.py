@@ -118,6 +118,11 @@ def test_config_validation_rejects_bad_values():
         ({"ell2": 0.0}, "ell2"),
         ({"sample_index": -1}, "sample_index"),
     ]
+    # NaN and inf pass every sign or range test written with < and <=
+    cases += [({key: bad}, f"{key} must be finite")
+              for key in ("epsilon", "energy_target", "nu", "g", "alpha",
+                          "z", "ell2")
+              for bad in (float("nan"), float("inf"), float("-inf"))]
     for kwargs, match in cases:
         with pytest.raises(ConfigError, match=match):
             RunConfig(**kwargs).validate()
@@ -580,6 +585,13 @@ def test_exit_code_1_for_config_errors(tmp_path, capsys):
     assert main([]) == 1                             # subcommand is required
     err = capsys.readouterr().err
     assert "configuration error" in err
+    # a NaN in a config file stops the run before any assembly
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("n = 4\nM = 6\ntheta_list = 1.0\nz = nan\n")
+    assert main(["theta-sweep", "--config", str(cfg),
+                 "--output-dir", str(tmp_path / "out")]) == 1
+    assert "z must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_2_for_numerical_failures(monkeypatch, capsys):

@@ -50,14 +50,18 @@ POROUS_BELOW = ((0.0, 1.0, -0.5, 0.0), (0.0, 1.0, 0.0, 0.5))
 SHALLOW_POROUS = ((0.0, 1.0, 0.0, 0.25), (0.0, 1.0, -0.5, 0.0))
 
 
-def _family(darcy_rect, stokes_rect):
+# physics off every default: nonzero elevation head, nu, g, alpha != 1
+OTHER_PHYSICS = PhysicalParams(nu=2.0, g=1.5, alpha=0.25, z=1.0)
+
+
+def _family(darcy_rect, stokes_rect, params=PhysicalParams()):
     """An n=8, M=20 constrained family on another geometry."""
     mesh = build_mesh(Geometry(darcy_rect=darcy_rect,
                                stokes_rect=stokes_rect), n=8)
     kl = build_kl(CovarianceKernel(correlation_length_sq=0.2), mesh,
                   epsilon=0.01)
     samples = draw_samples(kl, M=20, seed=1234)
-    return assemble_family(mesh, PhysicalParams(), kl, samples.coefficients)
+    return assemble_family(mesh, params, kl, samples.coefficients)
 
 
 def _toy_factors(u, v_list, col_dim=None):
@@ -477,13 +481,16 @@ def test_full_rank_update_matches_direct_on_coupled_problem(problem20,
         assert err <= 1e-8, f"sample {m}: {err:.3e}"
 
 
-def test_porous_below_rank_update_matches_direct(problem20, gram20):
+@pytest.mark.parametrize("physics", [PhysicalParams(), OTHER_PHYSICS],
+                         ids=["default_physics", "other_physics"])
+def test_porous_below_rank_update_matches_direct(problem20, gram20,
+                                                 physics):
     # the porous rectangle below the free flow: the head numbering runs
     # upward, so the constrained outer lid now comes first and the free
     # interface row last, and the column support c nearly fills the head
     # block (152 of N1 = 153) instead of 135 with the porous rectangle
     # on top
-    system = _family(*POROUS_BELOW)
+    system = _family(*POROUS_BELOW, physics)
     gram = build_gram(system.A_tildes, block_dim=system.n_flow)
     rank = numerical_rank(gram)
     factors = factorize(gram, system.A_tildes, rank / gram.n_full)
