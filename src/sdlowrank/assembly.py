@@ -38,11 +38,13 @@ All volume integrals use the seven-point degree-5 triangle rule and all
 interface integrals the three-point Gauss rule.
 """
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
+from .glram import _pattern_runs
 from .mesh import TAG_GAMMA_F_BOTTOM, TAG_GAMMA_F_WALL, TAG_GAMMA_P
 from .quadrature import edge_rule_3pt, triangle_rule_7pt
 from .randfield import realize_conductivity
@@ -85,7 +87,9 @@ class SplitSystem:
 
     ``A_bar + A_tildes[m]`` is the full matrix of sample m.  After
     :func:`apply_dirichlet` the constrained rows/columns of ``A_bar`` are
-    identity and the same rows/columns of every perturbation are zero.
+    identity and the same rows/columns of every perturbation are zero;
+    the perturbations then share a read-only pattern, so copy one before
+    editing its structure in place.
     """
 
     A_bar: sp.csr_matrix
@@ -494,6 +498,12 @@ def apply_dirichlet(system, constraints):
     The lift is exact for the whole sample family because perturbations
     have no columns outside the head block and prescribed head values are
     required to be homogeneous.
+
+    Each run of perturbations on one canonical CSR pattern shares one
+    read-only constrained pattern (:func:`_constrain_run`): copy a
+    matrix before editing its structure in place.  Every output holds
+    the entries of D @ A @ D, D = diag(free), bit for bit, and aliases
+    no input.
     """
     n = system.N
     dofs = np.array([c[0] for c in constraints], dtype=np.int64)
@@ -519,8 +529,11 @@ def apply_dirichlet(system, constraints):
     free[dofs] = False
     pinned = np.zeros(n)
     pinned[dofs] = 1.0
-    a_bar = _zero_constrained(system.A_bar, free) + sp.diags(pinned)
-    a_tildes = [_zero_constrained(t, free) for t in system.A_tildes]
+    a_bar = _constrain_run([system.A_bar.tocsr()], free)[0] + sp.diags(
+        pinned)
+    csrs = [t.tocsr() for t in system.A_tildes]
+    a_tildes = [m for start, stop in _pattern_runs(csrs)
+                for m in _constrain_run(csrs[start:stop], free)]
     return replace(
         system,
         A_bar=a_bar,
@@ -530,19 +543,48 @@ def apply_dirichlet(system, constraints):
     )
 
 
-def _zero_constrained(mat, free):
-    """CSR copy of ``mat`` without the entries of rows or columns where
-    ``free`` is False and without explicit zeros.
+def _constrain_run(mats, free):
+    """The entries of D @ A @ D, D = diag(free), bit for bit, for CSR
+    matrices A that share one pattern.
 
-    The copy is canonical (sorted, no duplicates) and holds the entries
-    of ``D @ mat @ D`` for D = diag(free), bit for bit: a kept entry is
-    unchanged, a removed one is dropped.  It owns its arrays, because
-    ``eliminate_zeros`` works in place.
+    The constrained ``indices``/``indptr`` of a canonical pattern are
+    taken once, read-only, and each matrix's kept entries go straight
+    into its row of one len(mats) x nnz block.  A matrix on a
+    non-canonical pattern, or whose row holds an exact zero, which the
+    product drops, is first made canonical and zero-free on its own.
     """
+    lead = mats[0]
+    if not lead.has_canonical_format:
+        return [_constrain_run([_canonical(t)], free)[0] for t in mats]
+    keep = np.repeat(free, np.diff(lead.indptr)) & free[lead.indices]
+    where = np.flatnonzero(keep)
+    indices = lead.indices[where]
+    indptr = np.append(0, np.cumsum(keep))[lead.indptr].astype(
+        lead.indptr.dtype)
+    indices.flags.writeable = indptr.flags.writeable = False
+    dtype = np.result_type(*(t.dtype for t in mats))
+    block = np.empty((len(mats), where.size), dtype)
+    # scipy's constructor copies a row of a larger array: each matrix is a
+    # shallow copy of this one, its row swapped in
+    shared = sp.csr_matrix((np.empty_like(block[0]), indices, indptr),
+                           lead.shape)
+    out = []
+    for t, row in zip(mats, block):
+        # mode="clip" writes straight into the row; "raise" buffers
+        np.take(t.data.astype(dtype, copy=False), where, out=row,
+                mode="clip")
+        if row.all():
+            out.append(copy.copy(shared))
+            out[-1].data = row
+        else:
+            out += _constrain_run([_canonical(t)], free)
+    return out
+
+
+def _canonical(mat):
+    """CSR copy of ``mat``: sorted, no duplicates, no stored zeros."""
     out = sp.csr_matrix(mat, copy=True)
     out.sum_duplicates()
-    keep = np.repeat(free, np.diff(out.indptr)) & free[out.indices]
-    out.data[~keep] = 0.0
     out.eliminate_zeros()
     return out
 
@@ -552,6 +594,9 @@ def _zero_constrained(mat, free):
 # ---------------------------------------------------------------------------
 
 def _space_for(mesh, domain):
+    """Tables of ``domain``: 'head', 'velocity' or the tables themselves."""
+    if isinstance(domain, _Space):
+        return domain
     rule = triangle_rule_7pt()
     if domain == "head":
         return _Space(mesh.head_coords, mesh.tri6_p, rule)
@@ -561,7 +606,8 @@ def _space_for(mesh, domain):
 
 
 def p2_stiffness(mesh, domain):
-    """H1-seminorm (stiffness) matrix of one quadratic scalar space."""
+    """H1-seminorm (stiffness) matrix of the quadratic scalar space
+    ``domain``: its name or its tables (see :func:`_space_for`)."""
     space = _space_for(mesh, domain)
     n = space.coords.shape[0]
     ent = np.einsum("tq,tqic,tqjc->tij", space.scale, space.grad, space.grad)
@@ -569,21 +615,23 @@ def p2_stiffness(mesh, domain):
 
 
 def p2_mass(mesh, domain):
-    """L2 mass matrix of one quadratic scalar space."""
+    """L2 mass matrix of the quadratic scalar space ``domain``: its name
+    or its tables (see :func:`_space_for`)."""
     space = _space_for(mesh, domain)
     n = space.coords.shape[0]
     ent = np.einsum("tq,qi,qj->tij", space.scale, space.val, space.val)
     return _csr([_spread(space.tri6, space.tri6, ent)], (n, n))
 
 
-def p1_pressure_mass(mesh):
+def p1_pressure_mass(mesh, velocity=None):
     """L2 mass matrix of the linear pressure space.
 
     The pressure triangles are the velocity triangles (same order, same
-    vertices), so the velocity space supplies the quadrature scale.
+    vertices), so the velocity space supplies the quadrature scale, from
+    its tables ``velocity`` when they are given.
     """
     p1v = triangle_rule_7pt().points
-    scale = _space_for(mesh, "velocity").scale
+    scale = _space_for(mesh, velocity or "velocity").scale
     ent = np.einsum("tq,qi,qj->tij", scale, p1v, p1v)
     return _csr([_spread(mesh.tri3_pres, mesh.tri3_pres, ent)],
                 (mesh.N3, mesh.N3))

@@ -476,9 +476,11 @@ def cmd_theta_sweep(cfg):
 
 
 def _perturbation_bytes(system):
-    """Bytes of the sparse A_tilde_m: data, indices and indptr."""
-    return sum(a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
-               for a in system.A_tildes)
+    """Bytes held by the sparse A_tilde_m (data, indices and indptr),
+    each buffer once: the constrained family shares one pattern."""
+    held = {(arr.__array_interface__["data"][0], arr.nbytes)
+            for a in system.A_tildes for arr in (a.data, a.indices, a.indptr)}
+    return sum(nbytes for _, nbytes in held)
 
 
 def _csv_cell(value):

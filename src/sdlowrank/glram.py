@@ -67,6 +67,7 @@ PSD_RTOL = 1e-10           # tolerated negative-eigenvalue magnitude
 # span cutoff per dimension: a residual at most max(M, p) * SPAN_EPS times
 # the largest sample's norm is roundoff (numpy's matrix_rank default)
 SPAN_EPS = np.finfo(float).eps
+_REFRESH_ROWS = 64      # rows of d per residual refresh in _span_basis
 
 
 class EigensolverError(np.linalg.LinAlgError):
@@ -277,6 +278,7 @@ def build_gram(A_tildes, block_dim=None):
             f"perturbation {bad[0]} has non-finite entries")
     basis = _span_basis(h)
     y = h @ basis.T
+    del h   # the family's one copy; the Gram block is formed without it
     c = np.linalg.qr(y, mode="r") @ basis
     span = (basis, rows, cols, col_dim, y, c)
     # explicitly stored zeros are not support
@@ -324,10 +326,12 @@ def _pattern_rows(A_tildes, n):
 
     Returns (h, rows, cols, col_dim): h[m, e] is entry (rows[e], cols[e])
     of A_m (duplicates summed), and col_dim is one more than the largest
-    stored column index.  Consecutive matrices with equal ``indptr`` and
-    ``indices`` share one flat index array and are written as one block
-    of rows; the Monte Carlo family is a single such run.  Costs
-    O(nnz + n col_dim).  Each A_m must be n x n.
+    stored column index.  Each run of matrices on one pattern
+    (:func:`_pattern_runs`) shares one flat index array, and each value
+    array is written straight into its row of h, the one copy of the
+    family held; the Monte Carlo family is one run, on one read-only
+    pattern.  Costs O(nnz log nnz) over the distinct patterns.  Each A_m
+    must be n x n.
     """
     for m, a in enumerate(A_tildes):
         if a.shape != (n, n):
@@ -335,42 +339,35 @@ def _pattern_rows(A_tildes, n):
                 f"matrix {m} has shape {a.shape}, expected ({n}, {n})"
             )
     csrs = [a.tocsr() for a in A_tildes]
-    runs = []   # [first matrix, one past the last]
-    for m, a in enumerate(csrs):
-        if runs and _same_pattern(a, csrs[runs[-1][0]]):
-            runs[-1][1] = m + 1
-        else:
-            runs.append([m, m + 1])
+    runs = _pattern_runs(csrs)
     col_dim = max((int(csrs[m].indices.max()) + 1 for m, _ in runs
                    if csrs[m].nnz), default=0)
     # entry (i, j) has the flat index i * col_dim + j
-    runs = [(start, stop, np.repeat(np.arange(n) * col_dim,
-                                    np.diff(csrs[start].indptr))
-             + csrs[start].indices) for start, stop in runs]
-    used = np.zeros(n * col_dim, dtype=bool)
-    for _, _, flat in runs:
-        used[flat] = True
-    pattern = np.flatnonzero(used)
-    position = np.cumsum(used) - 1
+    flats = [np.repeat(np.arange(n) * col_dim, np.diff(csrs[m].indptr))
+             + csrs[m].indices for m, _ in runs]
+    pattern = np.unique(np.concatenate(flats))
     h = np.zeros((len(csrs), pattern.size))
-    for start, stop, flat in runs:
-        data = np.array([a.data for a in csrs[start:stop]])
-        if np.all(np.diff(flat) > 0):   # no duplicates
-            h[start:stop, position[flat]] = data
-        else:
-            index = (np.arange(stop - start)[:, None] * pattern.size
-                     + position[flat])
-            h[start:stop] = np.bincount(
-                index.ravel(), weights=data.ravel(),
-                minlength=h[start:stop].size).reshape(stop - start, -1)
+    for (start, stop), flat in zip(runs, flats):
+        at = np.searchsorted(pattern, flat)
+        unique = np.all(np.diff(flat) > 0)
+        for m in range(start, stop):
+            if unique:
+                h[m, at] = csrs[m].data
+            else:   # duplicates add up, in stored order
+                np.add.at(h[m], at, csrs[m].data)
     rows, cols = np.divmod(pattern, max(col_dim, 1))
     return h, rows, cols, col_dim
 
 
-def _same_pattern(a, b):
-    """Whether CSR matrices a and b store entries at the same places."""
-    return (a.indptr.tobytes() == b.indptr.tobytes()
-            and a.indices.tobytes() == b.indices.tobytes())
+def _pattern_runs(csrs):
+    """(start, stop) of each run of consecutive CSR matrices with equal
+    ``indptr`` and ``indices``; an array two matrices share is not read."""
+    def same(x, y):
+        return x is y or x.tobytes() == y.tobytes()
+    starts = [m for m, a in enumerate(csrs) if m == 0
+              or not (same(a.indptr, csrs[m - 1].indptr)
+                      and same(a.indices, csrs[m - 1].indices))]
+    return list(zip(starts, starts[1:] + [len(csrs)]))
 
 
 def _span_basis(d):
@@ -380,31 +377,38 @@ def _span_basis(d):
     column-pivoted QR, stopped once every residual is at most
     max(M, p) * SPAN_EPS times the largest row norm.  The residual norms
     are downdated by one product d @ b per basis row b, and recomputed
-    from d once the downdate has lost its accuracy, so the cost is
-    O(M r p) for r basis rows.  Each pivot row is projected off the basis
-    twice, so the rows stay orthonormal when a residual is small.
-    Returns the r x p basis.
+    from d, _REFRESH_ROWS rows at a time in one buffer, once the
+    downdate has lost its accuracy, so the cost is O(M r p) for r basis
+    rows and no M x p temporary is formed.  Each pivot row is
+    projected off the basis twice, so the rows stay orthonormal when a
+    residual is small.  Returns the r x p basis.
     """
     norms2 = np.einsum("ij,ij->i", d, d)
     tol = max(d.shape) * SPAN_EPS * math.sqrt(norms2.max(initial=0.0))
-    basis = np.zeros((min(d.shape), d.shape[1]))
-    r, exact = 0, True
-    while r < basis.shape[0]:
+    basis = np.zeros((0, d.shape[1]))
+    exact = True
+    while basis.shape[0] < min(d.shape):
         i = int(np.argmax(norms2))
         b = d[i]
         for _ in range(2):
-            b = b - basis[:r].T @ (basis[:r] @ b)
+            b = b - basis.T @ (basis @ b)
         norm = np.linalg.norm(b)
         if not exact and (norm <= tol or norm * norm < 0.5 * norms2[i]):
-            resid = d - (d @ basis[:r].T) @ basis[:r]
-            norms2, exact = np.einsum("ij,ij->i", resid, resid), True
+            buf = np.empty((min(_REFRESH_ROWS, d.shape[0]), d.shape[1]))
+            for start in range(0, d.shape[0], _REFRESH_ROWS):
+                part = d[start:start + _REFRESH_ROWS]
+                resid = np.matmul(part @ basis.T, basis, out=buf[:len(part)])
+                np.subtract(part, resid, out=resid)
+                norms2[start:start + len(part)] = np.einsum("ij,ij->i",
+                                                            resid, resid)
+            exact = True
             continue
         if not norm > tol:
             break
-        basis[r] = b / norm
-        norms2 -= np.square(d @ basis[r])
-        r, exact = r + 1, False
-    return basis[:r]
+        basis = np.vstack([basis, b / norm])
+        norms2 -= np.square(d @ basis[-1])
+        exact = False
+    return basis
 
 
 def _stacked(x, rows, cols, col_dim, n):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import p1_pressure_mass, p2_mass, p2_stiffness
+from .assembly import _space_for, p1_pressure_mass, p2_mass, p2_stiffness
 
 __all__ = [
     "MomentEstimate",
@@ -107,12 +107,11 @@ class XNormWeights:
 
 
 def build_xnorm_weights(mesh):
-    h1_head = p2_stiffness(mesh, "head") + p2_mass(mesh, "head")
-    h1_vel = p2_stiffness(mesh, "velocity") + p2_mass(mesh, "velocity")
+    head, vel = (_space_for(mesh, d) for d in ("head", "velocity"))
     return XNormWeights(
-        h1_head=h1_head.tocsr(),
-        h1_vel=h1_vel.tocsr(),
-        l2_pres=p1_pressure_mass(mesh),
+        h1_head=(p2_stiffness(mesh, head) + p2_mass(mesh, head)).tocsr(),
+        h1_vel=(p2_stiffness(mesh, vel) + p2_mass(mesh, vel)).tocsr(),
+        l2_pres=p1_pressure_mass(mesh, vel),
         N1=mesh.N1,
         N2=mesh.N2,
         N3=mesh.N3,

@@ -76,6 +76,20 @@ def problem20(mesh8, params, kl8):
 
 
 @pytest.fixture(scope="session")
+def raw200(mesh8, params, kl8):
+    """An unconstrained n=8 system with M=200 perturbations on the
+    assembler's one pattern, and the model's constraints."""
+    samples = draw_samples(kl8, M=200, seed=SEED)
+    _, tildes_nodal = realize_conductivity(kl8, samples.coefficients)
+    a_bar, b = assemble_mean(mesh8, params, kl8.mean_nodal)
+    asm = PerturbationAssembler(mesh8, params, kbar=kl8.mean_nodal)
+    raw = SplitSystem(A_bar=a_bar, b=b,
+                      A_tildes=[asm.assemble(t) for t in tildes_nodal],
+                      N1=mesh8.N1, N2=mesh8.N2, N3=mesh8.N3)
+    return raw, dirichlet_constraints(mesh8)
+
+
+@pytest.fixture(scope="session")
 def gram20(problem20):
     system = problem20["system"]
     return build_gram(system.A_tildes, block_dim=system.n_flow)

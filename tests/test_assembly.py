@@ -1,5 +1,6 @@
 """Block assembly: signs, flat-interface structure, splitting, constraints."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -492,6 +493,27 @@ def _assert_own_buffers(mats):
             assert not np.shares_memory(a, b)
 
 
+def _assert_shares_a_read_only_pattern(run, raw):
+    """The matrices of ``run`` share one read-only pattern, each holds
+    its own values, and no array of theirs aliases one of ``raw``."""
+    first = run[0]
+    for m in run[1:]:
+        assert np.shares_memory(m.indices, first.indices)
+        assert np.shares_memory(m.indptr, first.indptr)
+    datas = [m.data for m in run]
+    for i, a in enumerate(datas):
+        for b in datas[i + 1:]:
+            assert not np.shares_memory(a, b)
+    inputs = [a for m in raw for a in (m.indices, m.indptr, m.data)]
+    for a in (first.indices, first.indptr, *datas):
+        assert not any(np.shares_memory(a, b) for b in inputs)
+    # an in-place structural edit of one would corrupt the others; a
+    # copy may be edited
+    first.copy().eliminate_zeros()
+    with pytest.raises(ValueError):
+        first.eliminate_zeros()
+
+
 def test_apply_dirichlet_matches_masking_by_product(problem20):
     raw, system = problem20["raw"], problem20["system"]
     ref = _masked_by_product(raw, problem20["constraints"])
@@ -499,9 +521,65 @@ def test_apply_dirichlet_matches_masking_by_product(problem20):
     assert len(got) == len(ref) == 21
     for g, r in zip(got, ref):
         _assert_bitwise(g, r)
-    # the raw perturbations share one pattern; eliminate_zeros works in
-    # place, so every constrained matrix must own its arrays
-    _assert_own_buffers(got)
+    # the raw perturbations share one pattern, and so do the constrained
+    # ones: one read-only pattern, the values of each their own
+    _assert_shares_a_read_only_pattern(system.A_tildes,
+                                       [raw.A_bar] + raw.A_tildes)
+    assert not np.shares_memory(system.A_bar.data, system.A_tildes[0].data)
+
+
+def test_apply_dirichlet_on_a_mixed_family(problem20):
+    # two patterns, a member with an exact zero at a kept entry and a
+    # zero perturbation; each run shares the pattern of its members with
+    # no zero, the others drop their zeros as the product does
+    raw, constraints = problem20["raw"], problem20["constraints"]
+    free = np.ones(raw.N, dtype=bool)
+    free[[c[0] for c in constraints]] = False
+    t0, t1, t2 = raw.A_tildes[:3]
+    rows = np.repeat(np.arange(raw.N), np.diff(t0.indptr))
+    kept = np.flatnonzero(free[rows] & free[t0.indices])
+    zeroed = t0.data.copy()
+    zeroed[kept[3]] = 0.0
+    other = t1.copy()            # own, writable arrays
+    other.data[kept[5]] = 0.0
+    other.eliminate_zeros()      # the second pattern: one entry less
+    family = [t0, t1,
+              sp.csr_matrix((zeroed, t0.indices, t0.indptr), t0.shape),
+              other, 2.0 * other,
+              sp.csr_matrix((0.0 * t2.data, t2.indices, t2.indptr),
+                            t2.shape),
+              t2]
+    mixed = replace(raw, A_tildes=family)
+    system = apply_dirichlet(mixed, constraints)
+    got = system.A_tildes
+    for g, r in zip([system.A_bar] + got,
+                    _masked_by_product(mixed, constraints)):
+        _assert_bitwise(g, r)
+    assert [g.nnz for g in got] == [kept.size, kept.size, kept.size - 1,
+                                    kept.size - 1, kept.size - 1, 0,
+                                    kept.size]
+    _assert_shares_a_read_only_pattern(got[:2], family)
+    _assert_shares_a_read_only_pattern(got[3:5], family)
+    for g in (got[2], got[5], got[6]):
+        assert not np.shares_memory(g.indices, got[0].indices)
+        assert not np.shares_memory(g.indices, got[3].indices)
+
+
+def test_apply_dirichlet_holds_one_copy_of_the_family(raw200):
+    raw, constraints = raw200
+    tracemalloc.start()
+    try:
+        system = apply_dirichlet(raw, constraints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    first = system.A_tildes[0]
+    assert all(m.indices is first.indices for m in system.A_tildes)
+    held = (sum(m.data.nbytes for m in system.A_tildes)
+            + first.indices.nbytes + first.indptr.nbytes)
+    # one block of constrained values and one pattern, not a copy of
+    # each raw matrix besides
+    assert peak < 1.5 * held
 
 
 def test_apply_dirichlet_unsorted_duplicate_input():

@@ -558,6 +558,22 @@ def test_ledger_record_schema(tmp_path, args, keys, stages):
                    for e in rec["errors"])
 
 
+def test_perturbation_bytes_count_the_shared_pattern_once(tmp_path):
+    args = ["--n", "4", "--samples", "6", "--output-dir", str(tmp_path)]
+    assert main(["select-theta"] + args) == 0
+    (rec,) = _ledger_records(tmp_path)
+    cfg = RunConfig(n=4, M=6)
+    stages = cli._Stages()
+    mesh, kl = cli._build_field(cfg, stages)
+    system, _ = cli._family(cfg, stages, mesh, kl, cfg.M, cfg.seed)
+    first = system.A_tildes[0]
+    assert all(a.indices is first.indices and a.indptr is first.indptr
+               for a in system.A_tildes)
+    # the block of the six matrices' values plus their one pattern
+    assert rec["perturbation_bytes"] == (
+        6 * first.data.nbytes + first.indices.nbytes + first.indptr.nbytes)
+
+
 def test_ledger_blas_is_none_where_numpy_cannot_name_it(tmp_path,
                                                        monkeypatch):
     # numpy < 1.25: show_config prints and takes no mode argument, so

@@ -19,6 +19,7 @@ from sdlowrank import (
     GramMatrix,
     NonFiniteFamilyError,
     PhysicalParams,
+    apply_dirichlet,
     assemble_family,
     build_gram,
     build_kl,
@@ -133,6 +134,21 @@ def test_build_gram_allocates_less_than_one_dense_block():
         tracemalloc.stop()
     assert (gram.block_dim, gram.support.size) == (1683, 527)
     assert peak < gram.block_dim ** 2 * 8
+
+
+def test_build_gram_holds_one_copy_of_the_family(raw200):
+    raw, constraints = raw200
+    system = apply_dirichlet(raw, constraints)
+    tracemalloc.start()
+    try:
+        gram = build_gram(system.A_tildes, block_dim=system.n_flow)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m, p = gram._span[4].shape[0], gram._span[0].shape[1]
+    assert (m, p) == (200, system.A_tildes[0].nnz)
+    # the M x p rows once, not their copy and two residual temporaries
+    assert peak < 1.5 * m * p * 8
 
 
 def test_build_gram_validation():

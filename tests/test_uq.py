@@ -7,6 +7,9 @@ from sdlowrank import (
     SampleSolution,
     estimate_moments,
     loglog_slope,
+    p1_pressure_mass,
+    p2_mass,
+    p2_stiffness,
     write_moments,
     xnorm,
     xnorm_components,
@@ -80,6 +83,20 @@ def test_moment_validation():
 # ---------------------------------------------------------------------------
 # combined norm
 # ---------------------------------------------------------------------------
+
+def test_xnorm_weights_are_the_norm_matrices(mesh8, weights8):
+    # one geometry table per space gives the matrices each helper builds
+    # from its own tables, bit for bit
+    expect = [p2_stiffness(mesh8, "head") + p2_mass(mesh8, "head"),
+              p2_stiffness(mesh8, "velocity") + p2_mass(mesh8, "velocity"),
+              p1_pressure_mass(mesh8)]
+    got = [weights8.h1_head, weights8.h1_vel, weights8.l2_pres]
+    for g, e in zip(got, expect):
+        e = e.tocsr()
+        for a, b in ((g.indptr, e.indptr), (g.indices, e.indices),
+                     (g.data, e.data)):
+            assert np.array_equal(a, b)
+
 
 def test_xnorm_zero_vector(mesh8, weights8):
     total, head, flow = xnorm_components(np.zeros(mesh8.N), weights8)
