@@ -144,10 +144,6 @@ class RunConfig:
         return self
 
     # -- serialization ----------------------------------------------------
-    def to_file(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.canonical_string())
-
     def canonical_string(self):
         lines = []
         for fld in dataclasses.fields(self):
@@ -649,47 +645,36 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None,
-                       help="key = value config file")
-        p.add_argument("--output-dir", default=None)
-        p.add_argument("--n", type=int, default=None,
-                       help="grid subdivisions per unit length")
-        p.add_argument("--epsilon", type=float, default=None,
+        p.add_argument("--config", help="key = value config file")
+        # every other flag is read as text and parsed as a config value
+        p.add_argument("--output-dir")
+        p.add_argument("--n", help="grid subdivisions per unit length")
+        p.add_argument("--epsilon",
                        help="truncation tolerance of the random field")
-        p.add_argument("--samples", type=int, default=None, dest="M")
-        p.add_argument("--ref-samples", type=int, default=None, dest="M_ref")
-        p.add_argument("--m-list", default=None,
+        p.add_argument("--samples", dest="M")
+        p.add_argument("--ref-samples", dest="M_ref")
+        p.add_argument("--m-list",
                        help="comma-separated sample counts for convergence")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--theta-list", default=None,
+        p.add_argument("--seed")
+        p.add_argument("--theta-list",
                        help="comma-separated ratios; 'select' picks by energy")
-        p.add_argument("--energy-target", type=float, default=None)
-        p.add_argument("--solver", choices=("lowrank", "direct"), default=None)
-        p.add_argument("--sample-index", type=int, default=None)
+        p.add_argument("--energy-target")
+        p.add_argument("--solver", help="lowrank or direct")
+        p.add_argument("--sample-index")
     return parser
 
 
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
+        overrides = {
+            f.name: _parse_value(f.name, getattr(args, f.name))
+            for f in dataclasses.fields(RunConfig)
+            if getattr(args, f.name, None) is not None
+        }
         cfg = RunConfig()
         if args.config:
             cfg = RunConfig.from_file(args.config)
-        overrides = {
-            "output_dir": args.output_dir,
-            "n": args.n,
-            "epsilon": args.epsilon,
-            "M": args.M,
-            "M_ref": args.M_ref,
-            "seed": args.seed,
-            "energy_target": args.energy_target,
-            "solver": args.solver,
-            "sample_index": args.sample_index,
-        }
-        if args.theta_list is not None:
-            overrides["theta_list"] = parse_theta_list(args.theta_list)
-        if args.m_list is not None:
-            overrides["m_list"] = _parse_value("m_list", args.m_list)
         cfg = cfg.with_overrides(**overrides)
         return _COMMANDS[args.command](cfg)
     # ahead of ValueError: np.linalg.LinAlgError is a ValueError subclass

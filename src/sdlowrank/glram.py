@@ -39,8 +39,6 @@ sums the residuals of C_1..C_r, not of M matrices.
 
 import bisect
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,8 +201,14 @@ class GlramFactors:
 
     @property
     def V(self):
-        """The M right factors V_m = A_m^T U (N x k), built when indexed."""
-        return _RightFactors(self)
+        """Yield the M right factors V_m = A_m^T U (N x k) in order; nothing
+        is cached.  Only the leading ``col_dim`` rows of V_m can be
+        nonzero, and only they are formed."""
+        for y in self.Y:
+            v = np.zeros((self.n_full, self.k))
+            v[:self.col_dim] = self.transposed(y @ self.basis,
+                                               self.col_dim) @ self.U
+            yield v
 
     @property
     def nbytes(self):
@@ -230,25 +234,6 @@ class GlramFactors:
         """
         return sp.csr_matrix((values, (self.cols, self.rows)),
                              shape=(n_rows, self.n_full))
-
-
-class _RightFactors(Sequence):
-    """Read-only sequence of V_m = A_m^T U; nothing is cached.  Only the
-    leading ``col_dim`` rows of V_m can be nonzero, and only they are
-    formed."""
-
-    def __init__(self, factors):
-        self._factors = factors
-
-    def __len__(self):
-        return self._factors.M
-
-    def __getitem__(self, m):
-        f = self._factors
-        v = np.zeros((f.n_full, f.k))
-        v[:f.col_dim] = f.transposed(f.Y[operator.index(m)] @ f.basis,
-                                     f.col_dim) @ f.U
-        return v
 
 
 def build_gram(A_tildes, block_dim=None):

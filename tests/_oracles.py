@@ -18,7 +18,8 @@ that ``lowrank_solver.solve_sample_direct`` ran before it kept its
 column order across a family's samples.  ``mean_solve`` is the solve
 through the mean's LU that ``lowrank_solver.MeanFactorization`` offered
 while it kept that LU.  ``read_solutions`` reads back the CSV that
-``lowrank_solver.save_solutions`` writes.
+``lowrank_solver.save_solutions`` writes.  ``right_factor`` forms one
+V_m = A_m^T U, which ``glram.GlramFactors.V`` only yields in order.
 """
 
 import math
@@ -208,6 +209,15 @@ def rmsre_per_sample(factors, A_tildes):
         # rows below the block are zero in A_m and in U V_m^T alike
         total += float(np.sum(diff * diff))
     return math.sqrt(total / len(A_tildes))
+
+
+def right_factor(factors, m):
+    """V_m = A_m^T U (N x k) over all N rows, with A_m = sum_j Y[m, j] B_j
+    rebuilt from the span values the factors hold."""
+    a_t = sp.csr_matrix(
+        (factors.Y[m] @ factors.basis, (factors.cols, factors.rows)),
+        shape=(factors.n_full, factors.n_full))
+    return a_t @ factors.U
 
 
 def smw_reference(mean, factors, m):

@@ -76,7 +76,7 @@ def test_config_round_trips_through_file(tmp_path):
         sample_index=3,
     )
     path = tmp_path / "run.cfg"
-    cfg.to_file(path)
+    path.write_text(cfg.canonical_string(), encoding="utf-8")
     text = path.read_text(encoding="utf-8")
     assert "theta_list = 0.5,select,1.0\n" in text
     assert "m_list = 2,3,5\n" in text
@@ -480,7 +480,8 @@ def test_solve_once_files_are_deterministic(tmp_path):
 
 def test_cli_overrides_beat_config_file(tmp_path):
     cfg_path = tmp_path / "run.cfg"
-    RunConfig(seed=7, output_dir=str(tmp_path / "orig")).to_file(cfg_path)
+    cfg_path.write_text(RunConfig(seed=7, output_dir=str(tmp_path / "orig"))
+                        .canonical_string(), encoding="utf-8")
     outdir = tmp_path / "override"
     rc = main(["kl-report", "--config", str(cfg_path),
                "--seed", "11", "--output-dir", str(outdir)])
@@ -488,6 +489,29 @@ def test_cli_overrides_beat_config_file(tmp_path):
     (rec,) = _ledger_records(outdir)
     assert rec["seed"] == 11
     assert not (tmp_path / "orig").exists()
+
+
+def test_flags_and_config_file_give_the_same_run(tmp_path):
+    # flags go through the config file's parser: the same settings write
+    # the same files and hash to the same config
+    outdir = tmp_path / "out"
+    settings = [("n", "--n", "4"), ("M", "--samples", "6"),
+                ("seed", "--seed", "5"), ("epsilon", "--epsilon", "0.05"),
+                ("theta_list", "--theta-list", "1.0,select"),
+                ("energy_target", "--energy-target", "0.999"),
+                ("output_dir", "--output-dir", str(outdir))]
+    flags = [tok for _, flag, value in settings for tok in (flag, value)]
+    assert main(["theta-sweep", *flags]) == 0
+    written = {p.name: p.read_bytes() for p in outdir.glob("*.csv")}
+    assert "theta_sweep.csv" in written
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("".join(f"{key} = {value}\n"
+                                for key, _, value in settings),
+                        encoding="utf-8")
+    assert main(["theta-sweep", "--config", str(cfg_path)]) == 0
+    assert {p.name: p.read_bytes() for p in outdir.glob("*.csv")} == written
+    by_flags, by_file = _ledger_records(outdir)
+    assert by_flags["config_hash"] == by_file["config_hash"]
 
 
 _RECORD_KEYS = {"command", "config_hash", "seed", "stage_seconds",
@@ -596,11 +620,21 @@ def test_exit_code_1_for_config_errors(tmp_path, capsys):
                  "--output-dir", str(tmp_path)]) == 1
     assert main(["kl-report", "--config",
                  str(tmp_path / "missing.cfg")]) == 1
-    assert main(["kl-report", "--n", "eight"]) == 1  # argparse type error
     assert main(["frobnicate"]) == 1                 # unknown subcommand
     assert main([]) == 1                             # subcommand is required
     err = capsys.readouterr().err
     assert "configuration error" in err
+    # flag values go through the config file's parser and its messages
+    for flag, value, message in (
+            ("--n", "eight", "bad value for n: 'eight'"),
+            ("--samples", "x", "bad value for M: 'x'"),
+            ("--epsilon", "abc", "bad value for epsilon: 'abc'"),
+            ("--theta-list", "0.5,zap", "bad theta entry 'zap'"),
+            ("--solver", "magic", "solver must be lowrank or direct")):
+        assert main(["kl-report", flag, value,
+                     "--output-dir", str(tmp_path / "bad")]) == 1
+        assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
     # a NaN in a config file stops the run before any assembly
     cfg = tmp_path / "nan.cfg"
     cfg.write_text("n = 4\nM = 6\ntheta_list = 1.0\nz = nan\n")

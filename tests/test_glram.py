@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from _oracles import rmsre_per_sample
+from _oracles import right_factor, rmsre_per_sample
 from sdlowrank import (
     CovarianceKernel,
     EigensolverError,
@@ -316,7 +316,7 @@ def test_all_zero_gram_block():
     assert factors.k == 3
     assert np.array_equal(gram.eigenvalues[:3], np.zeros(3))
     assert np.array_equal(factors.U, np.eye(5)[:, [2, 1, 0]])
-    assert not factors.V[0].any()
+    assert not right_factor(factors, 0).any()
     assert (factors.rmsre, factors.energy_ratio, factors.col_dim) == \
         (0.0, 1.0, 0)
     assert factors.span_dim == 0
@@ -404,7 +404,7 @@ def test_support_eigensolve_matches_the_dense_block(case):
             min(_select_k(dense, target), gram.block_dim)
 
     factors = factorize(gram, family, 1.0)
-    u, v = factors.U, factors.V[0]
+    u, v = factors.U, right_factor(factors, 0)
     assert factors.k == gram.block_dim
     assert np.abs(u.T @ u - np.eye(factors.k)).max() <= 1e-12
     assert not u[zero_rows, :rank].any()
@@ -481,9 +481,18 @@ def test_full_rank_factorization_is_lossless():
 def test_right_factors_are_projections(problem20, gram20):
     tildes = problem20["system"].A_tildes
     factors = factorize(gram20, tildes, theta=0.1)
-    for a, v in zip(tildes[:3], factors.V):
+    vs = list(factors.V)
+    assert len(vs) == factors.M == len(tildes)
+    for m, (a, v) in enumerate(zip(tildes, vs)):
         expect = a.toarray().T @ factors.U
+        assert v.shape == expect.shape == (gram20.n_full, factors.k)
         assert np.allclose(v, expect, atol=1e-12)
+        assert np.allclose(right_factor(factors, m), expect, atol=1e-12)
+    # V is a generator: it holds no V_m, so it has no index and no length
+    with pytest.raises(TypeError):
+        factors.V[0]
+    with pytest.raises(TypeError):
+        len(factors.V)
 
 
 def test_single_matrix_error_matches_svd_tail():

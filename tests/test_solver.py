@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import get_lapack_funcs
 
 from _oracles import (direct_oracle, mean_solve, read_solutions,
-                      smw_reference)
+                      right_factor, smw_reference)
 from sdlowrank import (
     CovarianceKernel,
     Geometry,
@@ -87,7 +87,7 @@ def _toy_factors(u, v_list, col_dim=None):
 def _full_row_smw(mean, factors, m):
     """Oracle: the k x k Woodbury solve over all N rows and k columns
     of V_m, with its own Z = Abar^{-1} U from a fresh LU of Abar."""
-    v = factors.V[m]
+    v = right_factor(factors, m)
     z = mean_solve(mean, factors.U)
     c = np.eye(factors.k) + v.T @ z
     y = scipy.linalg.solve(c, v.T @ mean.x_bar)
@@ -362,7 +362,7 @@ def test_span_solve_matches_dense_solve_on_random_families(n, data):
     mean = factor_mean(_toy_system(a, b, n1=n, n2=0))
     for m, t in enumerate(tildes):
         expect_v = t.toarray().T @ factors.U
-        assert (np.linalg.norm(factors.V[m] - expect_v)
+        assert (np.linalg.norm(right_factor(factors, m) - expect_v)
                 <= 1e-13 * spla_norm(t)), f"V_{m}"
         expect = np.linalg.solve(a + t.toarray(), b)
         x = solve_sample_smw(mean, factors, m).x
@@ -424,7 +424,7 @@ def test_column_support_solve_matches_full_row_formula(problem20, gram20,
         x = _full_row_smw(mean, factors, m)
         err = np.linalg.norm(sol.x - x) / np.linalg.norm(x)
         assert err <= 1e-12, f"sample {m}: {err:.3e}"
-        v = factors.V[m]
+        v = right_factor(factors, m)
         cond = _cond_estimate(np.eye(k_s) + v[:c, :k_s].T @ z[:c, :k_s])
         assert sol.capacitance_cond == pytest.approx(cond, rel=1e-12)
 
