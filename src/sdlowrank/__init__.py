@@ -73,7 +73,7 @@ from .uq import (
     loglog_slope,
     write_moments,
 )
-from .cli import RunConfig, RunLedger, ConfigError, main
+from .cli import RunConfig, ConfigError, main
 
 __version__ = "0.1.0"
 
@@ -97,6 +97,6 @@ __all__ = [
     "MomentEstimate", "XNormWeights", "build_xnorm_weights",
     "estimate_moments", "xnorm", "xnorm_components", "loglog_slope",
     "write_moments",
-    "RunConfig", "RunLedger", "ConfigError", "main",
+    "RunConfig", "ConfigError", "main",
     "__version__",
 ]

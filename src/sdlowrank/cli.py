@@ -69,7 +69,6 @@ from .uq import (
 __all__ = [
     "ConfigError",
     "RunConfig",
-    "RunLedger",
     "cmd_kl_report",
     "cmd_theta_sweep",
     "cmd_select_theta",
@@ -176,10 +175,6 @@ class RunConfig:
             values[key] = _parse_value(key, val.strip())
         return cls(**values).validate()
 
-    def with_overrides(self, **kwargs):
-        updates = {k: v for k, v in kwargs.items() if v is not None}
-        return dataclasses.replace(self, **updates).validate()
-
 
 def _format_value(value):
     if isinstance(value, tuple):
@@ -224,17 +219,6 @@ def parse_theta_list(text):
     if not out:
         raise ConfigError("theta_list is empty")
     return tuple(out)
-
-
-class RunLedger:
-    """Append-only line-delimited record of runs."""
-
-    def __init__(self, path):
-        self.path = path
-
-    def append(self, record):
-        with open(self.path, "a", encoding="utf-8") as f:
-            f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 class _Stages:
@@ -334,7 +318,9 @@ def _ledger(cfg, command, stages, metrics):
             resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     record.update(metrics)
-    RunLedger(os.path.join(cfg.output_dir, "ledger.jsonl")).append(record)
+    path = os.path.join(cfg.output_dir, "ledger.jsonl")
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _out(cfg, name):
@@ -675,7 +661,7 @@ def main(argv=None):
         cfg = RunConfig()
         if args.config:
             cfg = RunConfig.from_file(args.config)
-        cfg = cfg.with_overrides(**overrides)
+        cfg = dataclasses.replace(cfg, **overrides).validate()
         return _COMMANDS[args.command](cfg)
     # ahead of ValueError: np.linalg.LinAlgError is a ValueError subclass
     except (np.linalg.LinAlgError, RuntimeError, ArithmeticError) as exc:

@@ -10,65 +10,29 @@ physical integral is ``measure(element) * sum(w_q * f(x_q))``.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["QuadRule", "triangle_rule_7pt", "edge_rule_3pt"]
 
 
+@dataclass(frozen=True, eq=False)
 class QuadRule:
     """A fixed set of quadrature points and weights on a reference element.
 
-    Parameters
+    Attributes
     ----------
-    points : array_like
+    points : ndarray
         Barycentric triples (triangle rule) or coordinates in [0, 1]
         (edge rule), one row per quadrature point.
-    weights : array_like
+    weights : ndarray
         Positive weights summing to the reference measure (1 for both
         rules used here).
-    degree : int
-        Highest polynomial degree integrated exactly.
     """
 
-    def __init__(self, points, weights, degree):
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.weights = np.asarray(weights, dtype=float)
-        self.degree = int(degree)
-
-    def __len__(self):
-        return self.weights.size
-
-    def map_triangle(self, verts):
-        """Map the rule onto a physical triangle.
-
-        Parameters
-        ----------
-        verts : (3, 2) array
-            Triangle vertex coordinates.
-
-        Returns
-        -------
-        points : (nq, 2) array of physical quadrature points.
-        weights : (nq,) array of weights scaled by the triangle area.
-        """
-        verts = np.asarray(verts, dtype=float)
-        pts = self.points @ verts
-        j = np.array([verts[1] - verts[0], verts[2] - verts[0]])
-        area = 0.5 * abs(np.linalg.det(j))
-        return pts, self.weights * area
-
-    def map_segment(self, p0, p1):
-        """Map the rule onto the straight segment from ``p0`` to ``p1``.
-
-        Returns physical points and weights scaled by the segment length.
-        """
-        p0 = np.asarray(p0, dtype=float)
-        p1 = np.asarray(p1, dtype=float)
-        t = self.points[:, 0]
-        pts = np.outer(1.0 - t, p0) + np.outer(t, p1)
-        length = float(np.hypot(*(p1 - p0)))
-        return pts, self.weights * length
+    points: np.ndarray
+    weights: np.ndarray
 
 
 def triangle_rule_7pt():
@@ -94,7 +58,7 @@ def triangle_rule_7pt():
         (b2, b2, a2),
     ]
     weights = [9.0 / 40.0, w1, w1, w1, w2, w2, w2]
-    return QuadRule(points, weights, degree=5)
+    return QuadRule(np.array(points), np.array(weights))
 
 
 def edge_rule_3pt():
@@ -102,4 +66,4 @@ def edge_rule_3pt():
     r = math.sqrt(3.0 / 5.0)
     points = [(0.5 * (1.0 - r),), (0.5,), (0.5 * (1.0 + r),)]
     weights = [5.0 / 18.0, 4.0 / 9.0, 5.0 / 18.0]
-    return QuadRule(points, weights, degree=5)
+    return QuadRule(np.array(points), np.array(weights))

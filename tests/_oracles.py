@@ -20,6 +20,9 @@ through the mean's LU that ``lowrank_solver.MeanFactorization`` offered
 while it kept that LU.  ``read_solutions`` reads back the CSV that
 ``lowrank_solver.save_solutions`` writes.  ``right_factor`` forms one
 V_m = A_m^T U, which ``glram.GlramFactors.V`` only yields in order.
+``map_triangle`` and ``map_segment`` place a reference ``QuadRule`` on
+one physical element; the package maps its rules only through the
+assembler's geometry tables.
 """
 
 import math
@@ -112,6 +115,27 @@ def triangle_area(verts):
     e1 = verts[..., 1, :] - verts[..., 0, :]
     e2 = verts[..., 2, :] - verts[..., 0, :]
     return 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+
+
+def map_triangle(rule, verts):
+    """Physical points of ``rule`` on the triangle ``verts`` (3, 2) and
+    its weights scaled by the triangle's area."""
+    verts = np.asarray(verts, dtype=float)
+    pts = rule.points @ verts
+    j = np.array([verts[1] - verts[0], verts[2] - verts[0]])
+    area = 0.5 * abs(np.linalg.det(j))
+    return pts, rule.weights * area
+
+
+def map_segment(rule, p0, p1):
+    """Physical points of ``rule`` on the segment ``p0`` -> ``p1`` and its
+    weights scaled by the segment's length."""
+    p0 = np.asarray(p0, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
+    t = rule.points[:, 0]
+    pts = np.outer(1.0 - t, p0) + np.outer(t, p1)
+    length = float(np.hypot(*(p1 - p0)))
+    return pts, rule.weights * length
 
 
 def random_triangle(rng, scale=2.0, min_area=0.05):

@@ -13,7 +13,8 @@ import pytest
 import scipy.sparse as sp
 
 import conftest
-from _oracles import exact_segment_integral, exact_triangle_integral, random_triangle
+from _oracles import (exact_segment_integral, exact_triangle_integral,
+                      map_segment, map_triangle, random_triangle)
 
 from sdlowrank import (
     CovarianceKernel,
@@ -315,9 +316,9 @@ def test_criterion_10_quadrature_degree_five_exactness():
     worst_rel = 0.0
     for _ in range(50):
         verts = random_triangle(rng)
-        pts, w = tri.map_triangle(verts)
+        pts, w = map_triangle(tri, verts)
         p0, p1 = rng.uniform(-2.0, 2.0, size=(2, 2))
-        spts, sw = edge.map_segment(p0, p1)
+        spts, sw = map_segment(edge, p0, p1)
         for p in range(6):
             for q in range(6 - p):
                 for points, wts, exact in (

@@ -12,7 +12,8 @@ SUBMODULES = ("mesh", "quadrature", "randfield", "assembly", "glram",
               "lowrank_solver", "uq", "cli")
 REMOVED = ("prolong", "cross_mesh_error", "write_coo", "save_samples",
            "load_samples", "pin_pressure_dof", "MomentAccumulator",
-           "load_solutions", "InterfaceFrame", "interface_frame")
+           "load_solutions", "InterfaceFrame", "interface_frame",
+           "RunLedger")
 # the whole parameter list of each function whose unset inputs were cut
 # (volume sources, boundary data, the KL mean, the positivity switches)
 PARAMETERS = {
@@ -59,6 +60,12 @@ def test_cut_inputs_stay_cut():
     assert "eigenvalues" not in fields
     assert "W" not in fields
     assert not hasattr(sdlowrank.MeanFactorization, "solve")
+    # a rule is its reference points and weights; the element maps live
+    # with the assembler's geometry tables (and the tests' oracles)
+    fields = tuple(f.name for f in dataclasses.fields(sdlowrank.QuadRule))
+    assert fields == ("points", "weights")
+    # main replaces and validates the config itself
+    assert not hasattr(sdlowrank.RunConfig, "with_overrides")
 
 
 def test_import_leaves_scipy_spatial_out():

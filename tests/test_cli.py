@@ -21,7 +21,6 @@ from sdlowrank import cli
 from sdlowrank.cli import (
     ConfigError,
     RunConfig,
-    RunLedger,
     main,
     parse_theta_list,
 )
@@ -128,17 +127,6 @@ def test_config_validation_rejects_bad_values():
             RunConfig(**kwargs).validate()
 
 
-def test_with_overrides_skips_none_and_validates():
-    base = RunConfig()
-    cfg = base.with_overrides(seed=None, n=4, output_dir=None)
-    assert cfg.n == 4
-    assert cfg.seed == base.seed
-    assert cfg.output_dir == base.output_dir
-    assert base.n == 8  # frozen original untouched
-    with pytest.raises(ConfigError, match="even"):
-        base.with_overrides(n=7)
-
-
 def test_from_file_rejects_malformed_input(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         RunConfig.from_file(tmp_path / "missing.cfg")
@@ -188,17 +176,6 @@ def test_parse_theta_list():
         parse_theta_list("")
     with pytest.raises(ConfigError, match="empty"):
         parse_theta_list(",,")
-
-
-def test_run_ledger_appends_json_lines(tmp_path):
-    path = tmp_path / "ledger.jsonl"
-    ledger = RunLedger(path)
-    ledger.append({"command": "first", "value": 1})
-    ledger.append({"command": "second", "nested": {"b": 2.5, "a": 1}})
-    records = [json.loads(ln) for ln in
-               path.read_text(encoding="utf-8").splitlines()]
-    assert [r["command"] for r in records] == ["first", "second"]
-    assert records[1]["nested"] == {"a": 1, "b": 2.5}
 
 
 # ---------------------------------------------------------------------------
