@@ -151,7 +151,10 @@ class RunConfig:
         return "".join(lines)
 
     def config_hash(self):
-        return hashlib.sha256(self.canonical_string().encode()).hexdigest()[:16]
+        """The experiment's hash: where its files go is not part of it."""
+        kept = dataclasses.replace(self, output_dir=RunConfig.output_dir)
+        text = kept.canonical_string()
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     @classmethod
     def from_file(cls, path):
@@ -274,15 +277,14 @@ def _direct(stages, system, indices):
 
 
 def _lowrank(stages, gram, system, mean, theta, indices):
-    """Factors at ratio ``theta`` and the Woodbury solves of ``indices``."""
+    """The Woodbury solves of ``indices`` with the factors at ``theta``."""
     factors = stages.run(
         "factorize", lambda: factorize(gram, system.A_tildes, theta)
     )
-    sols = stages.run(
+    return stages.run(
         "smw_loop",
         lambda: [solve_sample_smw(mean, factors, m) for m in indices],
     )
-    return factors, sols
 
 
 def _blas():
@@ -390,14 +392,22 @@ def cmd_theta_sweep(cfg):
     mean_factor = stages.run("factor_mean", lambda: factor_mean(system))
 
     rows = []
+    solved = {}   # k_s -> (solutions, bytes of the Woodbury state)
     for tok in cfg.theta_list:
         label, theta = f"{tok}", tok
         if tok == _SELECT:
             theta, _ = select_theta(gram, cfg.energy_target)
             label = f"{_SELECT}({theta:.6f})"
         try:
-            factors, sols = _lowrank(stages, gram, system, mean_factor,
-                                     theta, range(cfg.M))
+            factors = stages.run(
+                "factorize", lambda: factorize(gram, system.A_tildes, theta))
+            # rows of equal k_s read the same U[:, :k_s], so their
+            # solutions agree to the bit: each k_s is solved once
+            if factors.k_s not in solved:
+                solved[factors.k_s] = stages.run("smw_loop", lambda: [
+                    solve_sample_smw(mean_factor, factors, m)
+                    for m in range(cfg.M)]), mean_factor.nbytes
+            sols, state_bytes = solved[factors.k_s]
             moments = estimate_moments(sols, theta=factors.theta_effective,
                                        mesh=mesh)
             total, darcy, stokes = xnorm_components(
@@ -424,8 +434,9 @@ def cmd_theta_sweep(cfg):
                 "col_dim": factors.col_dim,
                 "span_dim": factors.span_dim,
                 # U, the span values and Y plus the solver's cached
-                # Z[S], X, blocks and right sides
-                "factor_bytes": factors.nbytes + mean_factor.nbytes,
+                # Z[S], X and right sides, with the CSR pattern of
+                # A_m[S, :c] at k_s = |S| or the blocks below it
+                "factor_bytes": factors.nbytes + state_bytes,
                 "capacitance_cond_min": min(conds),
                 "capacitance_cond_median": float(np.median(conds)),
                 "capacitance_cond_max": max(conds),
@@ -536,8 +547,8 @@ def cmd_convergence(cfg):
     gram = _gram(stages, system_est)
     theta, k = select_theta(gram, cfg.energy_target)
     mean_factor = stages.run("factor_mean", lambda: factor_mean(system_est))
-    _, sols = _lowrank(stages, gram, system_est, mean_factor, theta,
-                       range(m_max))
+    sols = _lowrank(stages, gram, system_est, mean_factor, theta,
+                    range(m_max))
 
     rows = []
     for m in m_list:
@@ -583,7 +594,7 @@ def cmd_solve_once(cfg):
         gram = _gram(stages, system)
         theta, _ = select_theta(gram, cfg.energy_target)
         mean_factor = stages.run("factor_mean", lambda: factor_mean(system))
-        _, (sol,) = _lowrank(stages, gram, system, mean_factor, theta, [m])
+        (sol,) = _lowrank(stages, gram, system, mean_factor, theta, [m])
 
     path = _out(cfg, "solution.csv")
     save_solutions(path, [sol])

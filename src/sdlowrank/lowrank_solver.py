@@ -6,9 +6,9 @@ the Woodbury identity
 
     x_m = x_bar - Z (I + V_m^T Z)^{-1} (V_m^T x_bar),   Z = Abar^{-1} U.
 
-x_bar is computed once.  Z and the capacitance blocks below are one
-Woodbury state per factor family, built in one pass and cached for the
-family asked for last (``MeanFactorization.woodbury``).  Only the
+x_bar is computed once.  Z and what forms the capacitance matrices below
+are one Woodbury state per factor family, built in one pass and cached
+for the family asked for last (``MeanFactorization.woodbury``).  Only the
 leading c = ``GlramFactors.col_dim`` rows and k_s = ``GlramFactors.k_s``
 columns of V_m can be nonzero, so U and V_m are cut to their first k_s
 columns and the row products run over c rows; the capacitance matrix is
@@ -24,16 +24,19 @@ and Z[T] = -X Z[S][I].  Only Z[S] (|S| x k_s) and X (|T| x |I|) are held;
 this is the algebraic form of the Steklov-Poincare substructuring of the
 coupled problem.
 
-The family spans r matrices, so V_m = sum_j Y[m, j] B_j^T U (see
-``GlramFactors``) and each capacitance matrix is an r-term sum of
-blocks P_j = U^T B_j Z[:c] built once per family in O(r c k_s^2), one j
-at a time from the sparse B_j, next to the right sides U^T B_j x_bar[:c].
-The blocks are stored flattened, one row per j, so a sample's sum is one
-matrix-vector product whose result is the capacitance matrix in Fortran
-order, and the sample is then three LAPACK calls (LU, condition
-estimate, back-substitution) on it in place.  A sample costs
-O(r k_s^2 + k_s^3 + N k_s) instead of a fresh N-dimensional sparse
-solve, and never forms V_m.
+At full support rank, k_s = |S|, U[S, :k_s] is orthogonal, so
+A_m = U U^T A_m and the update does not depend on the basis of S (Hager
+1989): it runs in the coordinate basis, Z = Abar^{-1}[:, S], with the
+capacitance matrix C_S = I + A_m[S, :c] Z[:c] (C = U[S]^T C_S U[S]), one
+sparse product per sample on a shared CSR pattern of A_m[S, :c], in
+O(p k_s + k_s^3 + N k_s) for the p entries of the family's pattern.
+Below |S|, V_m = sum_j Y[m, j] B_j^T U (see ``GlramFactors``) and C is an
+r-term sum of blocks P_j = U^T B_j Z[:c], built once per family in
+O(r c k_s^2) and stored flattened, one row per j, so a sample's sum is
+one matrix-vector product, in O(r k_s^2 + k_s^3 + N k_s).  Either way a
+sample is then three LAPACK calls (LU, condition estimate,
+back-substitution) on its capacitance matrix in place, not a fresh
+N-dimensional sparse solve, and never forms V_m.
 
 A direct sparse solve of (Abar + A_m) x = b is kept as the reference
 baseline.  Every sample of a Monte Carlo family has the same sparsity
@@ -92,9 +95,9 @@ class MeanFactorization:
 
     Holds Abar, the deterministic solution x_bar = Abar^{-1} b and the
     Woodbury state (``woodbury``) of the factor family asked for last:
-    the block Z = Abar^{-1} U[:, :k_s] on its support and the capacitance
-    blocks reused by every sample solve of that family.  The LU of Abar
-    that gave x_bar is not kept.
+    the block Z = Abar^{-1} U[:, :k_s] (Abar^{-1}[:, S] at k_s = |S|) on
+    its support and what forms every sample's capacitance matrix for that
+    family.  The LU of Abar that gave x_bar is not kept.
     """
 
     def __init__(self, A_bar, x_bar):
@@ -108,24 +111,24 @@ class MeanFactorization:
 
     @property
     def nbytes(self):
-        """Bytes of the cached Z[S], X, capacitance blocks and right sides
-        (0 before a solve)."""
+        """Bytes of the cached Woodbury state (0 before a solve)."""
         held = self._woodbury
-        return 0 if held is None else sum(
-            a.nbytes for a in (held.z_s, held.x, held.blocks, held.rhs))
+        return 0 if held is None else held.nbytes
 
     def woodbury(self, factors):
         """The Woodbury state of ``factors``, built in one pass and cached
         until another family is asked for (the old state goes first).
 
-        Block elimination on the nonzero rows S of U[:, :k_s] gives
-        Z = Abar^{-1} U[:, :k_s] (see the module docstring); a failed LU
-        of Abar[T, T] or of the Schur complement raises
-        SingularSystemError naming the block.  One loop assembles Z a few
-        columns at a time, keeps Z[:c] (c = ``factors.col_dim``) and
-        checks each column: a residual ||Abar Z_j - U_j|| above
-        1e-8 (||U_j|| + 1), or not finite, raises SingularSystemError
-        naming the column.  Then the r blocks P (r x k_s^2) and their
+        A non-finite column of U[:, :k_s] raises SingularSystemError
+        naming it.  Block elimination on the nonzero rows S of U[:, :k_s]
+        gives Z = Abar^{-1} B for B = U[:, :k_s], or B = I[:, S] at
+        k_s = |S| (see the module docstring); a failed LU of Abar[T, T] or
+        of the Schur complement raises SingularSystemError naming the
+        block.  One loop assembles Z a few columns at a time and checks
+        each: a residual ||Abar Z_j - B_j|| above 1e-8 (||B_j|| + 1), or
+        not finite, raises SingularSystemError naming the column.  At
+        k_s = |S| the state then keeps a CSR pattern of A_m[S, :c]; below,
+        the loop keeps Z[:c] for the r blocks P (r x k_s^2) and their
         right sides w: P[j] is W_j^T Z[:c] flattened in Fortran order and
         w[j] = W_j^T x_bar[:c], for W_j = B_j^T U[:, :k_s], so y @ P
         reshapes without a copy to sum_j y_j W_j^T Z[:c], which LAPACK
@@ -138,12 +141,18 @@ class MeanFactorization:
         self._woodbury = None
         c, k_s = factors.col_dim, factors.k_s
         u = factors.U[:, :k_s]
+        bad = np.flatnonzero(~np.isfinite(u).all(axis=0))
+        if bad.size:
+            raise SingularSystemError(f"column {bad[0]} of the shared "
+                                      f"factor holds non-finite entries")
         # X = Abar[T, T]^{-1} Abar[T, I] (skipped when I is empty), then
         # Z[S] from the Schur complement, sparse plus a dense block on the
         # rows of Abar[S, T] that hold entries (skipped when S is empty)
         a = sp.csr_matrix(self.A_bar)
         on_s = u.any(axis=1)
         s, t = np.flatnonzero(on_s), np.flatnonzero(~on_s)
+        full = k_s == s.size
+        b_s = np.eye(k_s) if full else u[s]
         a_s, a_t = a[s], a[t]
         a_ts = a_t[:, s]
         coupled = np.unique(a_ts.indices)
@@ -160,17 +169,22 @@ class MeanFactorization:
                 (dense.ravel(), (np.repeat(rows, coupled.size),
                                  np.tile(coupled, rows.size))),
                 shape=(s.size, s.size))
-            z_s = _splu(schur, "the Schur complement on the support of U"
-                        ).solve(u[s])
-        z_c, resid = np.empty((c, k_s)), np.empty(k_s)
+            lu = _splu(schur, "the Schur complement on the support of U")
+            # the inverse is the transpose of the inverse of schur^T,
+            # row-major as the sparse products of the samples read it
+            z_s = lu.solve(b_s, trans="T").T if full else lu.solve(b_s)
+        z_c, resid = None if full else np.empty((c, k_s)), np.empty(k_s)
         for j in range(0, k_s, _CHECK_COLUMNS):
             cols = slice(j, j + _CHECK_COLUMNS)
             z = np.empty((self.N, z_s[:, cols].shape[1]))
             z[s] = z_s[:, cols]
             z[t] = -(x @ z_s[coupled, cols])
-            resid[cols] = np.linalg.norm(self.A_bar @ z - u[:, cols], axis=0)
-            z_c[:, cols] = z[:c]
-        tol = 1e-8 * (np.linalg.norm(u, axis=0) + 1.0)
+            if not full:
+                z_c[:, cols] = z[:c]
+            r = self.A_bar @ z
+            r[s] -= b_s[:, cols]
+            resid[cols] = np.linalg.norm(r, axis=0)
+        tol = 1e-8 * (np.linalg.norm(b_s, axis=0) + 1.0)
         bad = np.flatnonzero(~(resid <= tol))   # a NaN is bad
         if bad.size:
             j = bad[np.argmax(np.nan_to_num(resid[bad], nan=np.inf))]
@@ -178,19 +192,23 @@ class MeanFactorization:
                 f"inaccurate solve for column {j} of the shared "
                 f"factor: residual {resid[j]:.3e}"
             )
-        # scipy copies a strided dense operand per sparse product; at
-        # k > k_s this copies U[:, :k_s] once instead
-        u = np.ascontiguousarray(u)
-        r = factors.span_dim
-        blocks, rhs = np.empty((r, k_s * k_s)), np.empty((r, k_s))
-        for j in range(r):
-            w_j = factors.transposed(factors.basis[j], c) @ u
-            # row-major Z[:c]^T W_j is column-major W_j^T Z[:c]
-            np.matmul(z_c.T, w_j, out=blocks[j].reshape(k_s, k_s))
-            rhs[j] = w_j.T @ self.x_bar[:c]
-        self._woodbury = _Woodbury(factors, s, t, coupled, z_s, x, blocks,
-                                   rhs)
-        return self._woodbury
+        state = _Woodbury(factors, s, t, coupled, z_s, x)
+        if full:
+            state.build_pattern(self.x_bar)
+        else:
+            # scipy copies a strided dense operand per sparse product; at
+            # k > k_s this copies U[:, :k_s] once instead
+            u = np.ascontiguousarray(u)
+            r = factors.span_dim
+            state.blocks = np.empty((r, k_s * k_s))
+            state.rhs = np.empty((r, k_s))
+            for j in range(r):
+                w_j = factors.transposed(factors.basis[j], c) @ u
+                # row-major Z[:c]^T W_j is column-major W_j^T Z[:c]
+                np.matmul(z_c.T, w_j, out=state.blocks[j].reshape(k_s, k_s))
+                state.rhs[j] = w_j.T @ self.x_bar[:c]
+        self._woodbury = state
+        return state
 
 
 # columns of Z assembled at a time by the residual check
@@ -201,18 +219,64 @@ _CHECK_COLUMNS = 64
 class _Woodbury:
     """The Woodbury state of one factor family.
 
-    Z = Abar^{-1} U[:, :k_s] is held on the nonzero rows S of U: since
-    U[T] = 0 on the other rows T, Z[T] = -X Z[S][I]; it is never stored.
+    Z = Abar^{-1} U[:, :k_s] (Abar^{-1}[:, S] at k_s = |S|) is held on
+    the nonzero rows S of U: since U[T] = 0 on the other rows T,
+    Z[T] = -X Z[S][I]; it is never stored.  A sample's right side is
+    y @ rhs, for rhs[j] = W_j^T x_bar[:c], B_j[S, :c] x_bar[:c] at |S|.
     """
 
     factors: object          # the GlramFactors it was built from
     support: np.ndarray      # S, ascending
     rest: np.ndarray         # T, ascending
     coupled: np.ndarray      # I: positions in S of Abar[T, S]'s columns
-    z_s: np.ndarray          # Z[S], |S| x k_s
+    z: np.ndarray            # Z[S], then Z at the pattern's columns off S
     x: np.ndarray            # X = Abar[T, T]^{-1} Abar[T, I], |T| x |I|
-    blocks: np.ndarray       # P, r x k_s^2
-    rhs: np.ndarray          # w, r x k_s
+    rhs: np.ndarray = None       # r x k_s
+    blocks: np.ndarray = None    # P, r x k_s^2, below |S|
+    pattern: object = None       # A_m[S, :c] in CSR, at |S|
+    order: np.ndarray = None     # span pattern index of each stored entry
+
+    @property
+    def z_s(self):
+        return self.z[:self.support.size]
+
+    @property
+    def nbytes(self):
+        p = self.pattern
+        held = [self.z, self.x, self.rhs, self.blocks, self.order]
+        held += [] if p is None else [p.data, p.indices, p.indptr]
+        return sum(a.nbytes for a in held if a is not None)
+
+    def build_pattern(self, x_bar):
+        """The CSR pattern of A_m[S, :c], with read-only indices, and the
+        right sides; a column j off S appends Z[j] = -X[j] Z[S][I] to z."""
+        f, s = self.factors, self.support
+        local = np.full(x_bar.size, -1)
+        local[s] = np.arange(s.size)
+        keep = np.flatnonzero(local[f.rows] >= 0)
+        off = np.setdiff1d(f.cols[keep], s)
+        if off.size:
+            local[off] = s.size + np.arange(off.size)
+            x_off = self.x[np.searchsorted(self.rest, off)]
+            self.z = np.vstack((self.z, -(x_off @ self.z[self.coupled])))
+        rows, cols = local[f.rows[keep]], local[f.cols[keep]]
+        by_row = np.lexsort((cols, rows))
+        self.order = keep[by_row]
+        self.pattern = a = sp.csr_matrix(
+            (np.empty(by_row.size), cols[by_row],
+             np.append(0, np.cumsum(np.bincount(rows, minlength=s.size)))),
+            shape=(s.size, self.z.shape[0]))
+        a.indices.flags.writeable = a.indptr.flags.writeable = False
+        x_c = x_bar[np.concatenate((s, off))]
+        self.rhs = np.empty((f.span_dim, s.size))
+        for j, b_j in enumerate(f.basis):
+            self.rhs[j] = self.holding(b_j) @ x_c
+
+    def holding(self, values):
+        """The pattern holding ``values``, given on the span's pattern."""
+        # mode="clip" writes straight into the data; "raise" buffers
+        np.take(values, self.order, out=self.pattern.data, mode="clip")
+        return self.pattern
 
     def subtract_from(self, x_bar, y):
         """x_bar - Z y."""
@@ -275,35 +339,40 @@ def factor_mean(system):
 def solve_sample_smw(mean, factors, m):
     """Sample solution through the low-rank update of the mean solve.
 
-    Forms the k_s x k_s capacitance matrix C = I + sum_j y_j P_j
-    (= I + V_m[:c, :k_s]^T Z[:c]) from the family's cached blocks
-    (``MeanFactorization.woodbury``) and the sample's span
-    coefficients y = Y[m] as one matrix-vector product, in Fortran order,
-    with the identity added on a strided view of its diagonal.  Three
-    LAPACK calls follow on C in place: the LU (``getrf``), its 1-norm
-    condition estimate (``gecon``, reported as ``capacitance_cond``) and
-    the back-substitution (``getrs``) of w = sum_j y_j W_j^T x_bar[:c];
-    then x = x_bar - Z C^{-1} w from Z[S] and X.  A sample costs
-    O(r k_s^2 + k_s^3 + N k_s) after the one-time block build.  When
-    k_s = 0 the update vanishes and x = x_bar with condition 1.  No
-    N x N inverse and no V_m is ever formed.  An exactly singular C has
-    condition infinity; a condition above CAPACITANCE_COND_LIMIT raises
-    IllConditionedUpdateError, and a non-finite C or x raises
-    SingularSystemError, each naming the sample; C's entries are scanned
-    only when its 1-norm is not finite.
+    Forms the k_s x k_s capacitance matrix from the family's cached state
+    (``MeanFactorization.woodbury``) and the sample's span coefficients
+    y = Y[m], with the identity added on a strided view of its diagonal:
+    at k_s = |S|, C_S = I + A_m[S, :c] Z[:c] as one sparse product, in
+    row-major order, after y @ B is swapped into the cached pattern;
+    below, C = I + sum_j y_j P_j (= I + V_m[:c, :k_s]^T Z[:c]) as one
+    matrix-vector product, in Fortran order.  Three LAPACK calls follow
+    in place, on C_S^T or C: the LU (``getrf``), the 1-norm condition
+    estimate of C_S or C (``gecon``, reported as ``capacitance_cond``)
+    and the back-substitution (``getrs``) of the right side w = y @ rhs;
+    then x = x_bar - Z C^{-1} w from Z[S] and X.  When k_s = 0 the update
+    vanishes and x = x_bar with condition 1.  No N x N inverse and no V_m
+    is ever formed.  An exactly singular capacitance matrix has condition
+    infinity; a condition above CAPACITANCE_COND_LIMIT raises
+    IllConditionedUpdateError, and non-finite capacitance entries or x
+    raise SingularSystemError, each naming the sample; the entries are
+    scanned only when the 1-norm is not finite.
     """
     if not 0 <= m < factors.M:
         raise IndexError(f"sample index {m} outside 0..{factors.M - 1}")
     y_m = factors.Y[m]
     state = mean.woodbury(factors)
-    k_s = state.rhs.shape[1]
-    flat = y_m @ state.blocks
+    k_s = state.z.shape[1]
+    if state.pattern is None:
+        flat, norm, trans = y_m @ state.blocks, "1", 0
+    else:   # C_S^T in Fortran order; its infinity norm is C_S's 1-norm
+        a = state.holding(y_m @ factors.basis)
+        flat, norm, trans = (a @ state.z).ravel(), "I", 1
     w = y_m @ state.rhs
     flat[::k_s + 1] += 1.0
     if k_s:
         c = flat.reshape(k_s, k_s, order="F")
-        anorm = _LANGE("1", c)
-        # the 1-norm is nan or inf when an entry is; finite entries whose
+        anorm = _LANGE(norm, c)
+        # the norm is nan or inf when an entry is; finite entries whose
         # norm overflows go on to rcond 0 below
         if not math.isfinite(anorm) and not np.all(np.isfinite(flat)):
             raise SingularSystemError(
@@ -311,7 +380,7 @@ def solve_sample_smw(mean, factors, m):
             )
         # an exactly zero pivot leaves getrf's info > 0 and rcond = 0
         lu, piv, _ = _GETRF(c, overwrite_a=1)
-        rcond, info = _GECON(lu, anorm, norm="1")
+        rcond, info = _GECON(lu, anorm, norm=norm)
         if info != 0 or rcond == 0.0 or not np.isfinite(rcond):
             cond = math.inf
         else:
@@ -324,7 +393,7 @@ def solve_sample_smw(mean, factors, m):
                 f"singularity"
             )
         # a non-finite w (from x_bar) reaches x, which is checked below
-        y, _ = _GETRS(lu, piv, w, overwrite_b=1)
+        y, _ = _GETRS(lu, piv, w, trans=trans, overwrite_b=1)
     else:  # k_s = 0: no update, and LAPACK rejects an empty matrix
         cond, y = 1.0, w
     x = state.subtract_from(mean.x_bar, y)

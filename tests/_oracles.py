@@ -254,31 +254,51 @@ def smw_reference(mean, factors, m):
     matrix C, and C goes through ``lu_factor``, LAPACK's ``gecon`` 1-norm
     estimate and ``lu_solve``.  An exactly singular C has condition
     infinity; k_s = 0 gives x_bar with condition 1.
+
+    At k_s = |S|, for the nonzero rows S of U[:, :k_s], the solve runs in
+    the coordinate basis of S, as the package's does: Z = Abar^{-1}[:, S]
+    and C is C_S = I + A_m[S, :c] Z[:c], from A_m = sum_j Y[m, j] B_j
+    summed on the pattern first.  C_S^T is factored, as the package
+    factors its row-major C_S, so the estimate of ||C_S^{-1}||_1 is
+    gecon's infinity-norm one for C_S^T.
     """
     c, k_s, n = factors.col_dim, factors.k_s, factors.n_full
     u = factors.U[:, :k_s]
-    z = mean_solve(mean, u)
-    w = np.zeros((factors.span_dim, c, k_s))
-    for j, b_j in enumerate(factors.basis):
-        b = sp.coo_matrix((b_j, (factors.rows, factors.cols)), shape=(n, n))
-        w[j] = (b.T @ u)[:c]
-    blocks = z[:c].T @ w
-    rhs = w.transpose(0, 2, 1) @ mean.x_bar[:c]
+    s = np.flatnonzero(u.any(axis=1))
     y_m = factors.Y[m]
-    cap = np.tensordot(y_m, blocks, axes=1).T
-    w = y_m @ rhs
-    cap[np.diag_indices_from(cap)] += 1.0
+    coordinate = s.size == k_s
+    if coordinate:
+        z = mean_solve(mean, np.eye(n)[:, s])
+        a_m = sp.coo_matrix((y_m @ factors.basis,
+                             (factors.rows, factors.cols)),
+                            shape=(n, n)).tocsr()[s][:, :c]
+        cap = np.eye(k_s) + a_m @ z[:c]
+        w = a_m @ mean.x_bar[:c]
+    else:
+        z = mean_solve(mean, u)
+        w = np.zeros((factors.span_dim, c, k_s))
+        for j, b_j in enumerate(factors.basis):
+            b = sp.coo_matrix((b_j, (factors.rows, factors.cols)),
+                              shape=(n, n))
+            w[j] = (b.T @ u)[:c]
+        blocks = z[:c].T @ w
+        rhs = w.transpose(0, 2, 1) @ mean.x_bar[:c]
+        cap = np.tensordot(y_m, blocks, axes=1).T
+        w = y_m @ rhs
+        cap[np.diag_indices_from(cap)] += 1.0
     if not cap.size:
         return mean.x_bar - z @ w, 1.0
     anorm = np.linalg.norm(cap, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(cap, check_finite=False)
+        lu, piv = scipy.linalg.lu_factor(cap.T if coordinate else cap,
+                                         check_finite=False)
     gecon = get_lapack_funcs(("gecon",), (lu,))[0]
-    rcond, info = gecon(lu, anorm, norm="1")
+    rcond, info = gecon(lu, anorm, norm="I" if coordinate else "1")
     if info != 0 or rcond == 0.0 or not np.isfinite(rcond):
         return None, math.inf
-    y = scipy.linalg.lu_solve((lu, piv), w, check_finite=False)
+    y = scipy.linalg.lu_solve((lu, piv), w, trans=int(coordinate),
+                              check_finite=False)
     return mean.x_bar - z @ y, 1.0 / rcond
 
 

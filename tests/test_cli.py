@@ -89,9 +89,17 @@ def test_config_hash_tracks_field_changes():
         RunConfig(seed=4321),
         RunConfig(n=16),
         RunConfig(theta_list=(0.5,)),
-        RunConfig(output_dir="other"),
     ):
         assert changed.config_hash() != base.config_hash()
+
+
+def test_config_hash_ignores_the_output_directory():
+    # one experiment written to two directories is one experiment
+    a, b = RunConfig(output_dir="one"), RunConfig(output_dir="two")
+    assert a.canonical_string() != b.canonical_string()
+    assert a.config_hash() == b.config_hash() == RunConfig().config_hash()
+    assert RunConfig(output_dir="one", seed=4321).config_hash() != (
+        a.config_hash())
 
 
 def test_config_validation_rejects_bad_values():
@@ -333,12 +341,41 @@ def test_theta_sweep_records_a_non_finite_factor_as_a_failed_ratio(
     assert rc == 0
     _, (full, tenth) = _read_csv(tmp_path / "theta_sweep.csv")
     assert full["status"] == "ok"
-    assert tenth["status"].startswith(
-        "failed: inaccurate solve for column 0 of the shared factor: "
-        "residual nan")
+    assert tenth["status"] == (
+        "failed: column 0 of the shared factor holds non-finite entries")
     (rec,) = _ledger_records(tmp_path)
     assert rec["rows"][1]["col_dim"] == 0
     assert np.isnan(rec["rows"][1]["capacitance_cond_max"])
+
+
+def test_theta_sweep_solves_each_support_rank_once(tmp_path, monkeypatch):
+    # at n=4 the Gram support is |S| = 35: theta = 1.0, 0.7 and select
+    # all solve at k_s = 35, and 0.1 at k_s = 15, so 2 of the 4 rows run
+    # the M Woodbury solves; each row's CSV line and ledger row are those
+    # of a sweep of that row alone
+    calls = []
+    real_smw = cli.solve_sample_smw
+
+    def smw(mean, factors, m):
+        calls.append(factors.k_s)
+        return real_smw(mean, factors, m)
+
+    monkeypatch.setattr(cli, "solve_sample_smw", smw)
+    tokens = ["1.0", "0.7", "select", "0.1"]
+    flags = ["--n", "4", "--samples", "6"]
+    assert main(["theta-sweep", *flags, "--theta-list", ",".join(tokens),
+                 "--output-dir", str(tmp_path / "all")]) == 0
+    assert calls == [35] * 6 + [15] * 6
+    lines = (tmp_path / "all" / "theta_sweep.csv").read_text().splitlines()
+    (swept,) = _ledger_records(tmp_path / "all")
+    for i, tok in enumerate(tokens):
+        one = tmp_path / f"row{i}"
+        assert main(["theta-sweep", *flags, "--theta-list", tok,
+                     "--output-dir", str(one)]) == 0
+        header, row = (one / "theta_sweep.csv").read_text().splitlines()
+        assert [header, row] == [lines[0], lines[i + 1]], tok
+        (alone,) = _ledger_records(one)
+        assert alone["rows"] == [swept["rows"][i]], tok
 
 
 def test_theta_sweep_lets_a_programming_error_propagate(tmp_path, monkeypatch):

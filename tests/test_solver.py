@@ -94,11 +94,14 @@ def _full_row_smw(mean, factors, m):
     return mean.x_bar - z @ y
 
 
-def _cond_estimate(c):
-    """Oracle: LAPACK's 1-norm condition estimate of a square matrix."""
-    lu, _ = scipy.linalg.lu_factor(c)
+def _cond_estimate(c, transposed=False):
+    """Oracle: LAPACK's 1-norm condition estimate of a square matrix, from
+    the LU of its transpose (gecon's infinity-norm estimate for c^T) when
+    ``transposed``, as the package factors a row-major C_S."""
+    lu, _ = scipy.linalg.lu_factor(c.T if transposed else c)
     gecon = get_lapack_funcs(("gecon",), (lu,))[0]
-    rcond, _ = gecon(lu, np.linalg.norm(c, 1), norm="1")
+    rcond, _ = gecon(lu, np.linalg.norm(c, 1),
+                     norm="I" if transposed else "1")
     return 1.0 / rcond
 
 
@@ -143,15 +146,23 @@ def test_empty_column_support_returns_mean_solution():
 
 
 def _state_bytes(state):
-    return sum(a.nbytes for a in (state.z_s, state.x, state.blocks,
-                                  state.rhs))
+    """Z on its rows, X and the right sides, plus the blocks below |S|
+    or, at k_s = |S|, the CSR pattern of A_m[S, :c] and its entry order."""
+    held = [state.z, state.x, state.rhs]
+    if state.blocks is None:
+        p = state.pattern
+        held += [p.data, p.indices, p.indptr, state.order]
+    else:
+        held.append(state.blocks)
+    return sum(a.nbytes for a in held)
 
 
 def test_shared_solve_cached_per_family(problem20, gram20):
     # one Woodbury state per family: reused within it, rebuilt on a
-    # switch (k_s = 135, then a truncated k_s), and after f0 -> f1 -> f0
-    # the solutions are those of the first f0 pass, bit for bit; the mean
-    # holds the live state's Z[S], X, blocks and right sides only
+    # switch (k_s = |S| = 135 in the coordinate basis, then a truncated
+    # k_s in the basis of U), and after f0 -> f1 -> f0 the solutions are
+    # those of the first f0 pass, bit for bit; the mean holds the live
+    # state's arrays only
     system = problem20["system"]
     f0 = factorize(gram20, system.A_tildes, select_theta(gram20)[0])
     f1 = factorize(gram20, system.A_tildes, theta=0.05)
@@ -165,6 +176,7 @@ def test_shared_solve_cached_per_family(problem20, gram20):
         assert all(state is not s for s in states)
         assert mean.nbytes == _state_bytes(state)
         states.append(state)
+    assert states[0].blocks is None and states[1].pattern is None
     assert _state_bytes(states[1]) < _state_bytes(states[0])
     assert all(np.array_equal(a, b) for a, b in zip(passes[0], passes[2]))
     assert not np.array_equal(passes[0][0], passes[1][0])
@@ -186,9 +198,9 @@ def _assembled_z(state, n):
 @pytest.mark.parametrize("geometry", [None, POROUS_BELOW, SHALLOW_POROUS],
                          ids=["default", "porous-below", "shallow-porous"])
 def test_block_elimination_matches_the_mean_solve(problem20, geometry):
-    # Z[S] from the Schur complement and Z[T] = -X Z[S][I] reproduce an
-    # LU solve of Abar for all k_s right sides; S couples to T through the
-    # 2(2n - 1) = 30 interface columns I only
+    # at k_s = |S|, Z[S] from the Schur complement and Z[T] = -X Z[S][I]
+    # reproduce an LU solve of Abar for the k_s identity columns on S; S
+    # couples to T through the 2(2n - 1) = 30 interface columns I only
     system = (problem20["system"] if geometry is None
               else _family(*geometry))
     gram = build_gram(system.A_tildes, block_dim=system.n_flow)
@@ -198,7 +210,8 @@ def test_block_elimination_matches_the_mean_solve(problem20, geometry):
     assert np.array_equal(z.support, gram.support)
     assert z.z_s.shape == (gram.support.size, factors.k_s)
     assert z.x.shape == (mean.N - gram.support.size, 30)
-    ref = mean_solve(mean, factors.U[:, :factors.k_s])
+    assert factors.k_s == gram.support.size
+    ref = mean_solve(mean, np.eye(mean.N)[:, gram.support])
     assert (np.linalg.norm(_assembled_z(z, mean.N) - ref)
             <= 1e-12 * np.linalg.norm(ref))
 
@@ -247,20 +260,25 @@ def test_block_elimination_edge_cases(case):
 
 
 def test_non_finite_shared_factor_column_is_named():
-    # a NaN in U gives a NaN residual, which the per-column check rejects
+    # U on two of three rows (k_s = |S|: the coordinate basis, which does
+    # not solve with U) or on all three (k_s < |S|): either way a NaN in
+    # U is rejected, naming its column, before any solve
     mean = factor_mean(_toy_system(np.eye(3), np.ones(3)))
-    factors = _toy_factors(np.eye(3)[:, :2], [np.zeros((3, 2))])
-    factors.U[0, 1] = np.nan
-    with pytest.raises(SingularSystemError,
-                       match="inaccurate solve for column 1 of the shared "
-                             "factor: residual nan"):
-        mean.woodbury(factors)
+    for u in (np.eye(3)[:, :2],
+              np.linalg.qr(np.random.default_rng(2).normal(size=(3, 2)))[0]):
+        factors = _toy_factors(u, [np.zeros((3, 2))])
+        factors.U[0, 1] = np.nan
+        with pytest.raises(SingularSystemError,
+                           match="column 1 of the shared factor holds "
+                                 "non-finite entries"):
+            mean.woodbury(factors)
 
 
 def test_held_bytes_at_n8(problem20, gram20):
     # the factors hold U, the span values (shared with the Gram matrix)
-    # and Y; the mean holds Z[S], X, the r blocks and their right sides,
-    # and no N x k_s Z, no W_j = B_j^T U
+    # and Y; at k_s = |S| the mean holds Z[S], X, the r right sides and
+    # the CSR pattern of A_m[S, :c] with its entry order, and no N x k_s
+    # Z, no W_j = B_j^T U and no r x k_s^2 capacitance blocks
     system = problem20["system"]
     factors = factorize(gram20, system.A_tildes, select_theta(gram20)[0])
     assert factors.basis is gram20._span[0]
@@ -272,8 +290,15 @@ def test_held_bytes_at_n8(problem20, gram20):
     assert mean.nbytes == 0
     solve_sample_smw(mean, factors, 0)
     s, t, i = 135, n - 135, 30
-    assert mean.nbytes == 8 * (s * k_s + t * i + r * k_s**2 + r * k_s)
-    assert mean.nbytes == 1_703_160
+    state = mean.woodbury(factors)
+    assert state.blocks is None
+    assert (state.pattern.indices.dtype, state.order.dtype) == (np.int32,
+                                                                np.int64)
+    # doubles: Z[S], X, the right sides, the pattern's values and order;
+    # 4-byte indices and row pointers
+    assert mean.nbytes == (8 * (s * k_s + t * i + r * k_s + 2 * p)
+                           + 4 * (p + s + 1))
+    assert mean.nbytes == 268_924
 
 
 def test_matches_dense_woodbury_on_random_system():
@@ -374,10 +399,10 @@ def test_span_solve_matches_dense_solve_on_random_families(n, data):
 @given(st.integers(3, 10), st.data())
 def test_lapack_solve_matches_the_reference_on_random_span_families(n, data):
     # k_s = 0 (the all-zero family), k_s = 1 (k = 1) and k_s = |S|
-    # (k from |S| up to the block dimension); the flattened blocks and the
-    # direct LAPACK calls must give the reference's x and condition
-    # estimate, or reject the sample where the reference's estimate
-    # exceeds the limit
+    # (k from |S| up to the block dimension, in the coordinate basis of
+    # S); the flattened blocks or the sparse product and the direct
+    # LAPACK calls must give the reference's x and condition estimate, or
+    # reject the sample where the reference's estimate exceeds the limit
     kind = data.draw(st.sampled_from(["zero", "one", "support"]),
                      label="kind")
     M = data.draw(st.integers(1, 6), label="M")
@@ -410,22 +435,25 @@ def test_lapack_solve_matches_the_reference_on_random_span_families(n, data):
 def test_column_support_solve_matches_full_row_formula(problem20, gram20,
                                                        theta):
     # k = 152 and 459 both exceed the Gram support |S| = c = 135, so the
-    # last k - 135 columns of U are unit vectors with zero V_m columns,
-    # and the solve factors the k_s x k_s capacitance
-    # I + V_m[:c, :k_s]^T Z[:c] with k_s = 135, whose condition it reports
+    # last k - 135 columns of U are unit vectors with zero V_m columns;
+    # the solve matches the Woodbury solve over all N rows and k columns,
+    # and reports the condition of the k_s x k_s coordinate capacitance
+    # C_S = I + A_m[S, :c] Z'[:c], Z' = Abar^{-1}[:, S], with k_s = 135
     system = problem20["system"]
     factors = factorize(gram20, system.A_tildes, theta)
-    c, k_s = factors.col_dim, factors.k_s
-    assert k_s == c < factors.k
+    c, k_s, s = factors.col_dim, factors.k_s, gram20.support
+    assert k_s == c == s.size < factors.k
     mean = factor_mean(system)
-    z = mean_solve(mean, factors.U)
+    z = mean_solve(mean, np.eye(mean.N)[:, s])
     for m in range(factors.M):
         sol = solve_sample_smw(mean, factors, m)
         x = _full_row_smw(mean, factors, m)
         err = np.linalg.norm(sol.x - x) / np.linalg.norm(x)
         assert err <= 1e-12, f"sample {m}: {err:.3e}"
-        v = right_factor(factors, m)
-        cond = _cond_estimate(np.eye(k_s) + v[:c, :k_s].T @ z[:c, :k_s])
+        a_m = right_factor(dataclasses.replace(
+            factors, U=np.eye(mean.N)), m).T
+        cond = _cond_estimate(np.eye(k_s) + a_m[s, :c] @ z[:c],
+                              transposed=True)
         assert sol.capacitance_cond == pytest.approx(cond, rel=1e-12)
 
 
@@ -448,6 +476,28 @@ def test_columns_past_the_gram_support_leave_the_solve_unchanged(
         ref = solve_sample_smw(mean, at_s, m).x
         err = np.linalg.norm(x - ref) / np.linalg.norm(ref)
         assert err <= 1e-13, f"sample {m}: {err:.3e}"
+
+
+def test_full_rank_solve_does_not_depend_on_the_basis_of_the_support(
+        problem20, gram20):
+    # at k_s = |S|, U[S, :k_s] and U[S, :k_s] Q for an orthogonal Q span
+    # the same support, and the coordinate-basis solve reads neither, so x
+    # and the condition estimate are equal bit for bit
+    system = problem20["system"]
+    f0 = factorize(gram20, system.A_tildes, select_theta(gram20)[0])
+    s = gram20.support
+    assert f0.k_s == s.size
+    q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(s.size,
+                                                              s.size)))
+    u = f0.U.copy()
+    u[s, :f0.k_s] = f0.U[s, :f0.k_s] @ q
+    f1 = dataclasses.replace(f0, U=u)
+    mean = factor_mean(system)
+    first, second = ([solve_sample_smw(mean, f, m) for m in range(f.M)]
+                     for f in (f0, f1))
+    for a, b in zip(first, second):
+        assert np.array_equal(a.x, b.x), f"sample {a.sample_index}"
+        assert a.capacitance_cond == b.capacitance_cond
 
 
 def test_shallow_porous_layer_gram_support_exceeds_column_support():
@@ -523,8 +573,9 @@ def test_smw_deterministic(problem20, gram20):
 def test_capacitance_cond_does_not_move_with_eigenvector_signs(
         problem20, monkeypatch):
     # an eigensolver that flips every other eigenvector leaves U, the
-    # capacitance blocks and each sample's condition estimate bit for bit
-    # as they were
+    # right sides, the capacitance blocks (k_s < |S|; at k_s = |S| there
+    # are none) and each sample's condition estimate bit for bit as they
+    # were
     system = problem20["system"]
     grams = [build_gram(system.A_tildes, block_dim=system.n_flow)
              for _ in range(2)]
@@ -538,16 +589,17 @@ def test_capacitance_cond_does_not_move_with_eigenvector_signs(
     monkeypatch.setattr(scipy.linalg, "eigh", flipped)
     grams[1].eigenpairs()
     monkeypatch.undo()
-    f0, f1 = (factorize(g, system.A_tildes, select_theta(g)[0])
-              for g in grams)
-    assert np.array_equal(f0.U, f1.U)
     mean = factor_mean(system)
-    s0, s1 = mean.woodbury(f0), mean.woodbury(f1)
-    assert np.array_equal(s0.blocks, s1.blocks)
-    assert np.array_equal(s0.rhs, s1.rhs)
-    for m in range(f0.M):
-        assert (solve_sample_smw(mean, f0, m).capacitance_cond
-                == solve_sample_smw(mean, f1, m).capacitance_cond)
+    for theta in (select_theta(grams[0])[0], 0.1):
+        f0, f1 = (factorize(g, system.A_tildes, theta) for g in grams)
+        assert np.array_equal(f0.U, f1.U)
+        s0, s1 = mean.woodbury(f0), mean.woodbury(f1)
+        assert (s0.blocks is None) == (f0.k_s == grams[0].support.size)
+        assert np.array_equal(s0.blocks, s1.blocks)
+        assert np.array_equal(s0.rhs, s1.rhs)
+        for m in range(f0.M):
+            assert (solve_sample_smw(mean, f0, m).capacitance_cond
+                    == solve_sample_smw(mean, f1, m).capacitance_cond)
 
 
 def test_singular_capacitance_rejected():
@@ -598,34 +650,46 @@ def test_non_finite_right_factor_is_a_singular_system(bad):
         solve_sample_smw(mean, factors, 0)
 
 
-def _cached_blocks(rng):
-    """A mean and 3 x 3 factors (Abar = I) whose blocks are cached."""
+def _cached_state(basis, rng):
+    """A mean (Abar = I) and factors whose Woodbury state is cached: U = I
+    (k_s = |S| = 3, the coordinate basis, where Z' = I and C_S = I + A_0)
+    or two orthonormal columns on all three rows (k_s < |S|, blocks)."""
     mean = factor_mean(_toy_system(np.eye(3), np.ones(3)))
-    factors = _toy_factors(np.eye(3), [0.1 * rng.normal(size=(3, 3))])
+    u = (np.eye(3) if basis == "coordinate"
+         else np.linalg.qr(rng.normal(size=(3, 2)))[0])
+    factors = _toy_factors(u, [0.1 * rng.normal(size=(3, u.shape[1]))])
     mean.woodbury(factors)
     return mean, factors
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_one_non_finite_capacitance_entry_is_a_singular_system(bad):
-    # an off-diagonal entry: the 1-norm is nan or inf, and the scan that
-    # follows finds the entry
-    mean, factors = _cached_blocks(np.random.default_rng(5))
-    mean.woodbury(factors).blocks[0, 7] = bad
-    with pytest.raises(SingularSystemError,
-                       match="sample 0: non-finite capacitance matrix"):
-        solve_sample_smw(mean, factors, 0)
+    # an off-diagonal entry, of A_0 or of the one block: the 1-norm is nan
+    # or inf, and the scan that follows finds the entry
+    for basis in ("coordinate", "U"):
+        mean, factors = _cached_state(basis, np.random.default_rng(5))
+        if basis == "coordinate":
+            factors.basis[0, 7] = bad
+        else:
+            mean.woodbury(factors).blocks[0, 1] = bad
+        with pytest.raises(SingularSystemError,
+                           match="sample 0: non-finite capacitance matrix"):
+            solve_sample_smw(mean, factors, 0)
 
 
 def test_finite_capacitance_whose_norm_overflows_is_ill_conditioned():
     # every entry 1e308 is finite, but the 1-norm overflows to inf: the
     # condition estimate is infinite, not a non-finite matrix
-    mean, factors = _cached_blocks(np.random.default_rng(5))
-    mean.woodbury(factors).blocks[0] = 1e308
-    with pytest.raises(IllConditionedUpdateError,
-                       match="sample 0: capacitance matrix condition "
-                             "estimate inf exceeds"):
-        solve_sample_smw(mean, factors, 0)
+    for basis in ("coordinate", "U"):
+        mean, factors = _cached_state(basis, np.random.default_rng(5))
+        if basis == "coordinate":
+            factors.basis[0] = 1e308
+        else:
+            mean.woodbury(factors).blocks[0] = 1e308
+        with pytest.raises(IllConditionedUpdateError,
+                           match="sample 0: capacitance matrix condition "
+                                 "estimate inf exceeds"):
+            solve_sample_smw(mean, factors, 0)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
