@@ -99,8 +99,9 @@ class SplitSystem:
     N1: int = 0
     N2: int = 0
     N3: int = 0
-    # column order and pattern of the direct solve, for the A_bar and the
-    # perturbation pattern it last saw (see lowrank_solver)
+    # the direct solve's elimination of the DOFs no perturbation touches
+    # and its column order, for the A_bar, b and perturbation pattern it
+    # last saw (see lowrank_solver)
     _direct: object = field(default=None, init=False, repr=False,
                             compare=False)
 

@@ -733,6 +733,8 @@ def test_direct_solve_with_zero_perturbation(problem20):
                         N1=system.N1, N2=system.N2, N3=system.N3)
     mean = factor_mean(system)
     sol = solve_sample_direct(probe, 0)
+    # S is empty: x = Abar^{-1} b, all from the LU of Abar[T, T] = Abar
+    assert probe._direct.s.size == 0
     assert np.allclose(sol.x, mean.x_bar, rtol=1e-12, atol=1e-14)
 
 
@@ -744,17 +746,24 @@ def test_direct_solve_residual(problem20):
     assert resid <= 1e-9 * np.linalg.norm(system.b)
 
 
+def _assert_direct_matches_oracle(system, m, rtol=1e-12):
+    x = solve_sample_direct(system, m).x
+    ref = direct_oracle(system, m)
+    err = np.linalg.norm(x - ref) / np.linalg.norm(ref)
+    assert err <= rtol, f"sample {m}: {err:.3e}"
+
+
 @pytest.mark.parametrize("geometry", [None, POROUS_BELOW, SHALLOW_POROUS],
                          ids=["problem20", "porous_below", "shallow_porous"])
-def test_direct_solve_is_a_fresh_colamd_splu_bit_for_bit(problem20,
+def test_direct_solve_matches_a_fresh_colamd_splu_to_1e12(problem20,
                                                           geometry):
-    # one pattern for the whole family: the column order is taken once,
-    # and every sample's solution is the fresh splu's to the last bit
+    # one pattern for the whole family: the rest of Abar is eliminated and
+    # the column order taken once, and every sample's solution is the
+    # fresh splu's of the full matrix to roundoff
     system = (problem20["system"] if geometry is None
               else _family(*geometry))
     for m in range(len(system.A_tildes)):
-        x = solve_sample_direct(system, m).x
-        assert np.array_equal(x, direct_oracle(system, m)), f"sample {m}"
+        _assert_direct_matches_oracle(system, m)
 
 
 def test_direct_solve_follows_a_family_of_mixed_patterns(problem20):
@@ -773,10 +782,7 @@ def test_direct_solve_follows_a_family_of_mixed_patterns(problem20):
     mixed = SplitSystem(A_bar=system.A_bar, b=system.b, A_tildes=tildes,
                         N1=system.N1, N2=system.N2, N3=system.N3)
     for m in range(len(tildes)):
-        x = solve_sample_direct(mixed, m).x
-        ref = direct_oracle(mixed, m)
-        err = np.linalg.norm(x - ref) / np.linalg.norm(ref)
-        assert err <= 1e-13, f"sample {m}: {err:.3e}"
+        _assert_direct_matches_oracle(mixed, m, rtol=1e-13)
 
 
 def test_direct_solve_follows_a_new_mean_matrix(problem20):
@@ -784,8 +790,7 @@ def test_direct_solve_follows_a_new_mean_matrix(problem20):
     solve_sample_direct(system, 0)
     doubled = dataclasses.replace(system, A_bar=2 * system.A_bar)
     for m in (0, 1):
-        x = solve_sample_direct(doubled, m).x
-        assert np.array_equal(x, direct_oracle(doubled, m)), f"sample {m}"
+        _assert_direct_matches_oracle(doubled, m)
     # a mean matrix assigned in place, without its last stored entry (a
     # divergence entry of the last pressure row), on a system that
     # already holds a column order
@@ -796,8 +801,24 @@ def test_direct_solve_follows_a_new_mean_matrix(problem20):
     cut.eliminate_zeros()
     assert cut.nnz == system.A_bar.nnz - 1
     probe.A_bar = cut
-    x = solve_sample_direct(probe, 0).x
-    assert np.array_equal(x, direct_oracle(probe, 0))
+    _assert_direct_matches_oracle(probe, 0)
+
+
+def test_direct_solve_follows_values_edited_in_place(problem20):
+    # the same Abar and b objects, edited in place between two solves:
+    # the state kept from the first solve must not answer the second
+    system = dataclasses.replace(problem20["system"])
+    system.A_bar = system.A_bar.copy()
+    system.b = system.b.copy()
+    before = solve_sample_direct(system, 0).x
+    system.A_bar.data *= 2.0
+    _assert_direct_matches_oracle(system, 0)
+    system.b[system.b != 0] *= 3.0
+    _assert_direct_matches_oracle(system, 0)
+    system.A_bar.data /= 2.0
+    system.b[system.b != 0] /= 3.0
+    assert np.allclose(solve_sample_direct(system, 0).x, before,
+                       rtol=1e-12, atol=1e-14)
 
 
 def test_direct_solve_rejects_a_perturbation_of_another_shape():
@@ -808,6 +829,47 @@ def test_direct_solve_rejects_a_perturbation_of_another_shape():
     solve_sample_direct(system, 0)
     with pytest.raises(ValueError, match="shape"):
         solve_sample_direct(system, 1)
+
+
+def test_direct_solve_with_a_perturbation_in_every_column():
+    # the perturbation's support is every DOF: nothing is eliminated
+    a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    tilde = sp.csr_matrix(([0.5, 0.25, -0.5], ([0, 2, 1], [0, 1, 2])),
+                          shape=(3, 3))
+    system = _toy_system(a, [1.0, 2.0, 3.0], tildes=[tilde])
+    x = solve_sample_direct(system, 0).x
+    assert system._direct.t.size == 0
+    assert x == pytest.approx(np.linalg.solve(a + tilde.toarray(),
+                                              system.b), rel=1e-14)
+
+
+def test_direct_solve_names_a_singular_rest_block():
+    # Abar is nonsingular, but with S = {0} the rest Abar[T, T] is the
+    # zero 1 x 1 block
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    tilde = sp.csr_matrix(([0.5], ([0], [0])), shape=(2, 2))
+    system = _toy_system(a, [1.0, 1.0], tildes=[tilde])
+    with pytest.raises(SingularSystemError,
+                       match=r"factorization of Abar\[T, T\] failed"):
+        solve_sample_direct(system, 0)
+
+
+def test_direct_solve_checks_each_residual():
+    # Wilkinson's matrix (1 on the diagonal, -1 below it, 1 in the last
+    # column) doubles its last column at every step of an LU with partial
+    # pivoting: at 64 DOFs the growth 2^63 leaves the solution far from
+    # solving the system, and the sample is named.  Its upper triangle is
+    # stored as 1e-300, so the pattern is dense and COLAMD keeps the
+    # order that grows
+    k = 64
+    w = np.eye(k) - np.tril(np.ones((k, k)), -1)
+    w[:, -1] = 1.0
+    w[np.triu_indices(k, 1)] += 1e-300
+    system = _toy_system(np.eye(k), np.arange(1.0, k + 1),
+                         tildes=[sp.csr_matrix(w - np.eye(k))])
+    with pytest.raises(SingularSystemError,
+                       match="sample 0: direct solve residual"):
+        solve_sample_direct(system, 0)
 
 
 def test_singular_sample_is_diagnosed():
