@@ -434,8 +434,8 @@ def cmd_theta_sweep(cfg):
                 "col_dim": factors.col_dim,
                 "span_dim": factors.span_dim,
                 # U, the span values and Y plus the solver's cached
-                # Z[S], X and right sides, with the CSR pattern of
-                # A_m[S, :c] at k_s = |S| or the blocks below it
+                # Z[S], X, right sides and CSR pattern of A_m[S, :c], with
+                # U[S, :k_s] below k_s = |S|
                 "factor_bytes": factors.nbytes + state_bytes,
                 "capacitance_cond_min": min(conds),
                 "capacitance_cond_median": float(np.median(conds)),

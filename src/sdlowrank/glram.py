@@ -31,10 +31,10 @@ family) and coefficients Y with A_m = sum_j Y[m, j] B_j are found in
 O(M r p) for p entries in the union sparsity pattern, and G = sum_j C_j
 C_j^T is an r-term sum whatever M, with C = R B for the thin QR Y = Q R.
 The Gram matrix keeps B, Y and C; nothing after it reads the family.
-The factors hold U and Y and share the Gram matrix's B, from which the
-Woodbury solver forms its r k_s x k_s blocks once per family, one sparse
-B_j at a time; no W_j = B_j^T U and no N x k V_m is held.  ``rmsre``
-sums the residuals of C_1..C_r, not of M matrices.
+The factors hold U and Y and share the Gram matrix's B, whose values
+the Woodbury solver sums into one sparse A_m per sample; no
+W_j = B_j^T U and no N x k V_m is held.  ``rmsre`` sums the residuals of
+C_1..C_r, not of M matrices.
 """
 
 import bisect
@@ -205,9 +205,10 @@ class GlramFactors:
         is cached.  Only the leading ``col_dim`` rows of V_m can be
         nonzero, and only they are formed."""
         for y in self.Y:
+            a_t = sp.csr_matrix((y @ self.basis, (self.cols, self.rows)),
+                                shape=(self.col_dim, self.n_full))
             v = np.zeros((self.n_full, self.k))
-            v[:self.col_dim] = self.transposed(y @ self.basis,
-                                               self.col_dim) @ self.U
+            v[:self.col_dim] = a_t @ self.U
             yield v
 
     @property
@@ -225,15 +226,6 @@ class GlramFactors:
     def storage_reduction(self):
         """Storage of (U, V_1..V_M) relative to the M full matrices."""
         return self.theta_effective * (1.0 + 1.0 / self.M)
-
-    def transposed(self, values, n_rows):
-        """A^T as an n_rows x N CSR matrix, for the matrix A that holds
-        ``values`` on the family's pattern; n_rows >= col_dim.
-
-        ``basis[j]`` gives B_j^T, ``Y[m] @ basis`` gives A_m^T.
-        """
-        return sp.csr_matrix((values, (self.cols, self.rows)),
-                             shape=(n_rows, self.n_full))
 
 
 def build_gram(A_tildes, block_dim=None):

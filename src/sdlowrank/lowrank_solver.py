@@ -27,14 +27,14 @@ coupled problem.
 At full support rank, k_s = |S|, U[S, :k_s] is orthogonal, so
 A_m = U U^T A_m and the update does not depend on the basis of S (Hager
 1989): it runs in the coordinate basis, Z = Abar^{-1}[:, S], with the
-capacitance matrix C_S = I + A_m[S, :c] Z[:c] (C = U[S]^T C_S U[S]), one
-sparse product per sample on a shared CSR pattern of A_m[S, :c], in
-O(p k_s + k_s^3 + N k_s) for the p entries of the family's pattern.
-Below |S|, V_m = sum_j Y[m, j] B_j^T U (see ``GlramFactors``) and C is an
-r-term sum of blocks P_j = U^T B_j Z[:c], built once per family in
-O(r c k_s^2) and stored flattened, one row per j, so a sample's sum is
-one matrix-vector product, in O(r k_s^2 + k_s^3 + N k_s).  Either way a
-sample is then three LAPACK calls (LU, condition estimate,
+capacitance matrix C_S = I + A_m[S, :c] Z[:c] (C = U[S]^T C_S U[S]).
+Below |S|, V_m^T = U^T A_m reads only the rows S of A_m, so
+C = I + U[S, :k_s]^T (A_m[S, :c] Z[:c]) with Z = Abar^{-1} U[:, :k_s].
+Either way a sample sums its span coefficients into one CSR pattern of
+A_m[S, :c] that the family shares and makes one sparse product with
+Z[:c], and below |S| one dense product with U[S, :k_s]^T, in
+O(p k_s + |S| k_s^2 + k_s^3 + N k_s) for the p entries of the family's
+pattern.  It then makes three LAPACK calls (LU, condition estimate,
 back-substitution) on its capacitance matrix in place, not a fresh
 N-dimensional sparse solve, and never forms V_m.
 
@@ -128,20 +128,14 @@ class MeanFactorization:
         of the Schur complement raises SingularSystemError naming the
         block.  One loop assembles Z a few columns at a time and checks
         each: a residual ||Abar Z_j - B_j|| above 1e-8 (||B_j|| + 1), or
-        not finite, raises SingularSystemError naming the column.  At
-        k_s = |S| the state then keeps a CSR pattern of A_m[S, :c]; below,
-        the loop keeps Z[:c] for the r blocks P (r x k_s^2) and their
-        right sides w: P[j] is W_j^T Z[:c] flattened in Fortran order and
-        w[j] = W_j^T x_bar[:c], for W_j = B_j^T U[:, :k_s], so y @ P
-        reshapes without a copy to sum_j y_j W_j^T Z[:c], which LAPACK
-        factors in place.  Each W_j is formed from the sparse B_j and
-        used in one BLAS product with Z[:c], so one W_j is held at a
-        time, in O(r c k_s^2).
+        not finite, raises SingularSystemError naming the column.  The
+        state then keeps a CSR pattern of A_m[S, :c], the r right sides
+        and, below |S|, U[S, :k_s], which projects both on the left.
         """
         if self._woodbury is not None and self._woodbury.factors is factors:
             return self._woodbury
         self._woodbury = None
-        c, k_s = factors.col_dim, factors.k_s
+        k_s = factors.k_s
         u = factors.U[:, :k_s]
         bad = np.flatnonzero(~np.isfinite(u).all(axis=0))
         if bad.size:
@@ -154,17 +148,16 @@ class MeanFactorization:
         z_s = np.zeros((s.size, k_s))
         if s.size:
             lu = _splu(schur, "the Schur complement on the support of U")
-            # the inverse is the transpose of the inverse of schur^T,
-            # row-major as the sparse products of the samples read it
-            z_s = lu.solve(b_s, trans="T").T if full else lu.solve(b_s)
-        z_c, resid = None if full else np.empty((c, k_s)), np.empty(k_s)
+            # row-major, as the sparse products of the samples read it; at
+            # |S| the inverse is the transpose of the inverse of schur^T
+            z_s = (lu.solve(b_s, trans="T").T if full
+                   else np.ascontiguousarray(lu.solve(b_s)))
+        resid = np.empty(k_s)
         for j in range(0, k_s, _CHECK_COLUMNS):
             cols = slice(j, j + _CHECK_COLUMNS)
             z = np.empty((self.N, z_s[:, cols].shape[1]))
             z[s] = z_s[:, cols]
             z[t] = -(x @ z_s[coupled, cols])
-            if not full:
-                z_c[:, cols] = z[:c]
             r = self.A_bar @ z
             r[s] -= b_s[:, cols]
             resid[cols] = np.linalg.norm(r, axis=0)
@@ -176,21 +169,9 @@ class MeanFactorization:
                 f"inaccurate solve for column {j} of the shared "
                 f"factor: residual {resid[j]:.3e}"
             )
-        state = _Woodbury(factors, s, t, coupled, z_s, x)
-        if full:
-            state.build_pattern(self.x_bar)
-        else:
-            # scipy copies a strided dense operand per sparse product; at
-            # k > k_s this copies U[:, :k_s] once instead
-            u = np.ascontiguousarray(u)
-            r = factors.span_dim
-            state.blocks = np.empty((r, k_s * k_s))
-            state.rhs = np.empty((r, k_s))
-            for j in range(r):
-                w_j = factors.transposed(factors.basis[j], c) @ u
-                # row-major Z[:c]^T W_j is column-major W_j^T Z[:c]
-                np.matmul(z_c.T, w_j, out=state.blocks[j].reshape(k_s, k_s))
-                state.rhs[j] = w_j.T @ self.x_bar[:c]
+        state = _Woodbury(factors, s, t, coupled, z_s, x,
+                          None if full else b_s)
+        state.build_pattern(self.x_bar)
         self._woodbury = state
         return state
 
@@ -206,7 +187,8 @@ class _Woodbury:
     Z = Abar^{-1} U[:, :k_s] (Abar^{-1}[:, S] at k_s = |S|) is held on
     the nonzero rows S of U: since U[T] = 0 on the other rows T,
     Z[T] = -X Z[S][I]; it is never stored.  A sample's right side is
-    y @ rhs, for rhs[j] = W_j^T x_bar[:c], B_j[S, :c] x_bar[:c] at |S|.
+    y @ rhs, for rhs[j] = B_j[S, :c] x_bar[:c] (U[S, :k_s]^T times it below
+    |S|).
     """
 
     factors: object          # the GlramFactors it was built from
@@ -215,9 +197,9 @@ class _Woodbury:
     coupled: np.ndarray      # I: positions in S of Abar[T, S]'s columns
     z: np.ndarray            # Z[S], then Z at the pattern's columns off S
     x: np.ndarray            # X = Abar[T, T]^{-1} Abar[T, I], |T| x |I|
+    u_s: np.ndarray = None       # U[S, :k_s], below |S|
     rhs: np.ndarray = None       # r x k_s
-    blocks: np.ndarray = None    # P, r x k_s^2, below |S|
-    pattern: object = None       # A_m[S, :c] in CSR, at |S|
+    pattern: object = None       # A_m[S, :c] in CSR
     order: np.ndarray = None     # span pattern index of each stored entry
 
     @property
@@ -227,8 +209,8 @@ class _Woodbury:
     @property
     def nbytes(self):
         p = self.pattern
-        held = [self.z, self.x, self.rhs, self.blocks, self.order]
-        held += [] if p is None else [p.data, p.indices, p.indptr]
+        held = [self.z, self.x, self.u_s, self.rhs, self.order, p.data,
+                p.indices, p.indptr]
         return sum(a.nbytes for a in held if a is not None)
 
     def build_pattern(self, x_bar):
@@ -255,6 +237,8 @@ class _Woodbury:
         self.rhs = np.empty((f.span_dim, s.size))
         for j, b_j in enumerate(f.basis):
             self.rhs[j] = self.holding(b_j) @ x_c
+        if self.u_s is not None:
+            self.rhs = self.rhs @ self.u_s
 
     def holding(self, values):
         """The pattern holding ``values``, given on the span's pattern."""
@@ -360,37 +344,37 @@ def solve_sample_smw(mean, factors, m):
 
     Forms the k_s x k_s capacitance matrix from the family's cached state
     (``MeanFactorization.woodbury``) and the sample's span coefficients
-    y = Y[m], with the identity added on a strided view of its diagonal:
-    at k_s = |S|, C_S = I + A_m[S, :c] Z[:c] as one sparse product, in
-    row-major order, after y @ B is swapped into the cached pattern;
-    below, C = I + sum_j y_j P_j (= I + V_m[:c, :k_s]^T Z[:c]) as one
-    matrix-vector product, in Fortran order.  Three LAPACK calls follow
-    in place, on C_S^T or C: the LU (``getrf``), the 1-norm condition
-    estimate of C_S or C (``gecon``, reported as ``capacitance_cond``)
-    and the back-substitution (``getrs``) of the right side w = y @ rhs;
-    then x = x_bar - Z C^{-1} w from Z[S] and X.  When k_s = 0 the update
-    vanishes and x = x_bar with condition 1.  No N x N inverse and no V_m
-    is ever formed.  An exactly singular capacitance matrix has condition
-    infinity; a condition above CAPACITANCE_COND_LIMIT raises
+    y = Y[m]: y @ B is swapped into the cached pattern of A_m[S, :c], and
+    C = I + A_m[S, :c] Z[:c] at k_s = |S| (C_S), or
+    C = I + U[S, :k_s]^T (A_m[S, :c] Z[:c]) below, in row-major order,
+    with the identity added on a strided view of its diagonal.  Three
+    LAPACK calls follow in place, on C^T: the LU (``getrf``), the
+    infinity-norm condition estimate of C^T, which is the 1-norm one of C
+    (``gecon``, reported as ``capacitance_cond``), and the
+    back-substitution (``getrs``) of C y = w for the right side
+    w = y @ rhs; then x = x_bar - Z y from Z[S] and X.  When k_s = 0 the
+    update vanishes and x = x_bar with condition 1.  No N x N inverse and
+    no V_m is ever formed.  An exactly singular capacitance matrix has
+    condition infinity; a condition above CAPACITANCE_COND_LIMIT raises
     IllConditionedUpdateError, and non-finite capacitance entries or x
     raise SingularSystemError, each naming the sample; the entries are
-    scanned only when the 1-norm is not finite.
+    scanned only when the norm is not finite.
     """
     if not 0 <= m < factors.M:
         raise IndexError(f"sample index {m} outside 0..{factors.M - 1}")
     y_m = factors.Y[m]
     state = mean.woodbury(factors)
     k_s = state.z.shape[1]
-    if state.pattern is None:
-        flat, norm, trans = y_m @ state.blocks, "1", 0
-    else:   # C_S^T in Fortran order; its infinity norm is C_S's 1-norm
-        a = state.holding(y_m @ factors.basis)
-        flat, norm, trans = (a @ state.z).ravel(), "I", 1
+    c = state.holding(y_m @ factors.basis) @ state.z
+    if state.u_s is not None:
+        c = state.u_s.T @ c
+    flat = c.ravel()
     w = y_m @ state.rhs
     flat[::k_s + 1] += 1.0
     if k_s:
+        # C^T in Fortran order; its infinity norm is C's 1-norm
         c = flat.reshape(k_s, k_s, order="F")
-        anorm = _LANGE(norm, c)
+        anorm = _LANGE("I", c)
         # the norm is nan or inf when an entry is; finite entries whose
         # norm overflows go on to rcond 0 below
         if not math.isfinite(anorm) and not np.all(np.isfinite(flat)):
@@ -399,7 +383,7 @@ def solve_sample_smw(mean, factors, m):
             )
         # an exactly zero pivot leaves getrf's info > 0 and rcond = 0
         lu, piv, _ = _GETRF(c, overwrite_a=1)
-        rcond, info = _GECON(lu, anorm, norm=norm)
+        rcond, info = _GECON(lu, anorm, norm="I")
         if info != 0 or rcond == 0.0 or not np.isfinite(rcond):
             cond = math.inf
         else:
@@ -412,7 +396,7 @@ def solve_sample_smw(mean, factors, m):
                 f"singularity"
             )
         # a non-finite w (from x_bar) reaches x, which is checked below
-        y, _ = _GETRS(lu, piv, w, trans=trans, overwrite_b=1)
+        y, _ = _GETRS(lu, piv, w, trans=1, overwrite_b=1)
     else:  # k_s = 0: no update, and LAPACK rejects an empty matrix
         cond, y = 1.0, w
     x = state.subtract_from(mean.x_bar, y)

@@ -54,11 +54,13 @@ def test_cut_inputs_stay_cut():
     for name, expected in PARAMETERS.items():
         params = tuple(inspect.signature(getattr(sdlowrank, name)).parameters)
         assert params == expected, name
-    # the retained spectrum is gram.eigenvalues[:k]; the blocks
-    # W_j = B_j^T U are formed one at a time by the solver, not held
+    # the retained spectrum is gram.eigenvalues[:k]; no W_j = B_j^T U is
+    # formed or held: the solver sums each A_m on the span's pattern, and
+    # only the V generator transposes it
     fields = {f.name for f in dataclasses.fields(sdlowrank.GlramFactors)}
     assert "eigenvalues" not in fields
     assert "W" not in fields
+    assert not hasattr(sdlowrank.GlramFactors, "transposed")
     assert not hasattr(sdlowrank.MeanFactorization, "solve")
     # a rule is its reference points and weights; the element maps live
     # with the assembler's geometry tables (and the tests' oracles)

@@ -146,23 +146,22 @@ def test_empty_column_support_returns_mean_solution():
 
 
 def _state_bytes(state):
-    """Z on its rows, X and the right sides, plus the blocks below |S|
-    or, at k_s = |S|, the CSR pattern of A_m[S, :c] and its entry order."""
-    held = [state.z, state.x, state.rhs]
-    if state.blocks is None:
-        p = state.pattern
-        held += [p.data, p.indices, p.indptr, state.order]
-    else:
-        held.append(state.blocks)
+    """Z on its rows, X, the right sides, the CSR pattern of A_m[S, :c]
+    and its entry order, plus U[S, :k_s] below |S|."""
+    p = state.pattern
+    held = [state.z, state.x, state.rhs, p.data, p.indices, p.indptr,
+            state.order]
+    if state.u_s is not None:
+        held.append(state.u_s)
     return sum(a.nbytes for a in held)
 
 
 def test_shared_solve_cached_per_family(problem20, gram20):
     # one Woodbury state per family: reused within it, rebuilt on a
     # switch (k_s = |S| = 135 in the coordinate basis, then a truncated
-    # k_s in the basis of U), and after f0 -> f1 -> f0 the solutions are
-    # those of the first f0 pass, bit for bit; the mean holds the live
-    # state's arrays only
+    # k_s in the basis of U, on the same support and pattern), and after
+    # f0 -> f1 -> f0 the solutions are those of the first f0 pass, bit for
+    # bit; the mean holds the live state's arrays only
     system = problem20["system"]
     f0 = factorize(gram20, system.A_tildes, select_theta(gram20)[0])
     f1 = factorize(gram20, system.A_tildes, theta=0.05)
@@ -176,7 +175,10 @@ def test_shared_solve_cached_per_family(problem20, gram20):
         assert all(state is not s for s in states)
         assert mean.nbytes == _state_bytes(state)
         states.append(state)
-    assert states[0].blocks is None and states[1].pattern is None
+    assert states[0].u_s is None
+    assert states[1].u_s.shape == (135, f1.k_s)
+    assert np.array_equal(states[0].pattern.indices,
+                          states[1].pattern.indices)
     assert _state_bytes(states[1]) < _state_bytes(states[0])
     assert all(np.array_equal(a, b) for a, b in zip(passes[0], passes[2]))
     assert not np.array_equal(passes[0][0], passes[1][0])
@@ -278,7 +280,7 @@ def test_held_bytes_at_n8(problem20, gram20):
     # the factors hold U, the span values (shared with the Gram matrix)
     # and Y; at k_s = |S| the mean holds Z[S], X, the r right sides and
     # the CSR pattern of A_m[S, :c] with its entry order, and no N x k_s
-    # Z, no W_j = B_j^T U and no r x k_s^2 capacitance blocks
+    # Z, no W_j = B_j^T U, no U[S, :k_s] and no capacitance blocks
     system = problem20["system"]
     factors = factorize(gram20, system.A_tildes, select_theta(gram20)[0])
     assert factors.basis is gram20._span[0]
@@ -291,7 +293,7 @@ def test_held_bytes_at_n8(problem20, gram20):
     solve_sample_smw(mean, factors, 0)
     s, t, i = 135, n - 135, 30
     state = mean.woodbury(factors)
-    assert state.blocks is None
+    assert state.u_s is None
     assert (state.pattern.indices.dtype, state.order.dtype) == (np.int32,
                                                                 np.int64)
     # doubles: Z[S], X, the right sides, the pattern's values and order;
@@ -398,12 +400,13 @@ def test_span_solve_matches_dense_solve_on_random_families(n, data):
 @settings(deadline=None, max_examples=100)
 @given(st.integers(3, 10), st.data())
 def test_lapack_solve_matches_the_reference_on_random_span_families(n, data):
-    # k_s = 0 (the all-zero family), k_s = 1 (k = 1) and k_s = |S|
-    # (k from |S| up to the block dimension, in the coordinate basis of
-    # S); the flattened blocks or the sparse product and the direct
-    # LAPACK calls must give the reference's x and condition estimate, or
-    # reject the sample where the reference's estimate exceeds the limit
-    kind = data.draw(st.sampled_from(["zero", "one", "support"]),
+    # k_s = 0 (the all-zero family), a truncated k_s (k from 1 to
+    # |S| - 1, in the basis of U; k = 1 when |S| = 1) and k_s = |S| (k
+    # from |S| up to the block dimension, in the coordinate basis of S);
+    # the sparse product and the direct LAPACK calls must give the
+    # reference's r-block sum x and condition estimate, or reject the
+    # sample where the reference's estimate exceeds the limit
+    kind = data.draw(st.sampled_from(["zero", "truncated", "support"]),
                      label="kind")
     M = data.draw(st.integers(1, 6), label="M")
     r = 0 if kind == "zero" else data.draw(st.integers(1, min(4, M)),
@@ -415,7 +418,8 @@ def test_lapack_solve_matches_the_reference_on_random_span_families(n, data):
     gram = build_gram(tildes)
     s = gram.support.size
     k = (data.draw(st.integers(max(s, 1), gram.block_dim), label="k")
-         if kind == "support" else 1)
+         if kind == "support" else
+         data.draw(st.integers(1, max(s - 1, 1)), label="k"))
     factors = factorize(gram, tildes, k / n)
     assert factors.k_s == min(k, s)
     mean = factor_mean(_toy_system(a, b, n1=n, n2=0))
@@ -572,10 +576,9 @@ def test_smw_deterministic(problem20, gram20):
 
 def test_capacitance_cond_does_not_move_with_eigenvector_signs(
         problem20, monkeypatch):
-    # an eigensolver that flips every other eigenvector leaves U, the
-    # right sides, the capacitance blocks (k_s < |S|; at k_s = |S| there
-    # are none) and each sample's condition estimate bit for bit as they
-    # were
+    # an eigensolver that flips every other eigenvector leaves U, Z[S],
+    # U[S, :k_s] (k_s < |S|; at k_s = |S| there is none), the right sides
+    # and each sample's condition estimate bit for bit as they were
     system = problem20["system"]
     grams = [build_gram(system.A_tildes, block_dim=system.n_flow)
              for _ in range(2)]
@@ -594,8 +597,9 @@ def test_capacitance_cond_does_not_move_with_eigenvector_signs(
         f0, f1 = (factorize(g, system.A_tildes, theta) for g in grams)
         assert np.array_equal(f0.U, f1.U)
         s0, s1 = mean.woodbury(f0), mean.woodbury(f1)
-        assert (s0.blocks is None) == (f0.k_s == grams[0].support.size)
-        assert np.array_equal(s0.blocks, s1.blocks)
+        assert (s0.u_s is None) == (f0.k_s == grams[0].support.size)
+        assert np.array_equal(s0.u_s, s1.u_s)
+        assert np.array_equal(s0.z, s1.z)
         assert np.array_equal(s0.rhs, s1.rhs)
         for m in range(f0.M):
             assert (solve_sample_smw(mean, f0, m).capacitance_cond
@@ -650,42 +654,49 @@ def test_non_finite_right_factor_is_a_singular_system(bad):
         solve_sample_smw(mean, factors, 0)
 
 
-def _cached_state(basis, rng):
-    """A mean (Abar = I) and factors whose Woodbury state is cached: U = I
-    (k_s = |S| = 3, the coordinate basis, where Z' = I and C_S = I + A_0)
-    or two orthonormal columns on all three rows (k_s < |S|, blocks)."""
+# two orthonormal columns on three rows: k_s = 2 < |S| = 3
+_TRUNCATED_U = np.array([[1.0, 0.0], [0.0, 0.5**0.5], [0.0, 0.5**0.5]])
+
+
+def _cached_state(u):
+    """A mean (Abar = I, so Z = U) and factors on ``u`` whose Woodbury
+    state is cached: U = I is the coordinate basis (k_s = |S| = 3, where
+    C_S = I + A_0), ``_TRUNCATED_U`` the basis of U (C = I + U^T A_0 U).
+    A_0 sits on the 3 x 3 pattern, entry (i, j) at basis[0, 3 i + j]."""
     mean = factor_mean(_toy_system(np.eye(3), np.ones(3)))
-    u = (np.eye(3) if basis == "coordinate"
-         else np.linalg.qr(rng.normal(size=(3, 2)))[0])
+    rng = np.random.default_rng(5)
     factors = _toy_factors(u, [0.1 * rng.normal(size=(3, u.shape[1]))])
     mean.woodbury(factors)
     return mean, factors
 
 
+# an infinite A_0 times a zero of U is nan: numpy warns in the product
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_one_non_finite_capacitance_entry_is_a_singular_system(bad):
-    # an off-diagonal entry, of A_0 or of the one block: the 1-norm is nan
-    # or inf, and the scan that follows finds the entry
-    for basis in ("coordinate", "U"):
-        mean, factors = _cached_state(basis, np.random.default_rng(5))
-        if basis == "coordinate":
-            factors.basis[0, 7] = bad
-        else:
-            mean.woodbury(factors).blocks[0, 1] = bad
+    # A_0[2, 1], poisoned once the state is cached, reaches the
+    # capacitance matrix in either basis: its norm is nan or inf, and the
+    # scan that follows finds the entry
+    for u in (np.eye(3), _TRUNCATED_U):
+        mean, factors = _cached_state(u)
+        factors.basis[0, 7] = bad
         with pytest.raises(SingularSystemError,
                            match="sample 0: non-finite capacitance matrix"):
             solve_sample_smw(mean, factors, 0)
 
 
 def test_finite_capacitance_whose_norm_overflows_is_ill_conditioned():
-    # every entry 1e308 is finite, but the 1-norm overflows to inf: the
-    # condition estimate is infinite, not a non-finite matrix
-    for basis in ("coordinate", "U"):
-        mean, factors = _cached_state(basis, np.random.default_rng(5))
-        if basis == "coordinate":
-            factors.basis[0] = 1e308
-        else:
-            mean.woodbury(factors).blocks[0] = 1e308
+    # every entry of C - I is h = 1e308, finite, but a column sums to
+    # 2h or more, so the norm overflows to inf: the condition estimate is
+    # infinite, not a non-finite matrix.  Coordinate basis: A_0 = h.
+    # Basis of U: A_0 = h p p^T for p = (1, a, a), a = 1/sqrt(2), so
+    # U^T p = (1, 1) and U^T A_0 U = h, with every partial sum at most h
+    h = 1e308
+    p = np.array([1.0, 0.5**0.5, 0.5**0.5])
+    for u, a_0 in ((np.eye(3), np.full(9, h)),
+                   (_TRUNCATED_U, h * np.outer(p, p).ravel())):
+        mean, factors = _cached_state(u)
+        factors.basis[0] = a_0
         with pytest.raises(IllConditionedUpdateError,
                            match="sample 0: capacitance matrix condition "
                                  "estimate inf exceeds"):
