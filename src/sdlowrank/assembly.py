@@ -45,7 +45,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .glram import _pattern_runs
-from .mesh import TAG_GAMMA_F_BOTTOM, TAG_GAMMA_F_WALL, TAG_GAMMA_P
+from .mesh import (TAG_GAMMA_F_BOTTOM, TAG_GAMMA_F_WALL, TAG_GAMMA_I,
+                   TAG_GAMMA_P)
 from .quadrature import edge_rule_3pt, triangle_rule_7pt
 from .randfield import realize_conductivity
 
@@ -99,9 +100,9 @@ class SplitSystem:
     N1: int = 0
     N2: int = 0
     N3: int = 0
-    # the direct solve's elimination of the DOFs no perturbation touches
-    # and its column order, for the A_bar, b and perturbation pattern it
-    # last saw (see lowrank_solver)
+    # the elimination of the DOFs no perturbation touches, for the A_bar,
+    # b and perturbation pattern last seen; factor_mean, the Woodbury
+    # state and the direct solve all read it (see lowrank_solver)
     _direct: object = field(default=None, init=False, repr=False,
                             compare=False)
 
@@ -413,14 +414,20 @@ class PerturbationAssembler:
         grads = np.einsum("tqid,tqjd->tqij", sp_p.grad, sp_p.grad)
         weights = sp_p.scale[:, :, None] * self.p1val        # (nt, nq, 3)
         p_coefs = np.einsum("tqc,tqij->tijc", weights, grads)
-        # interface slip block I9; the field is linear along each edge
+        # interface slip block I9, in the rows of the free-flow P2 nodes
+        # on each edge: the midpoint tagged as interface, 3 + j, and the
+        # vertices but j (the others' basis functions vanish on the edge);
+        # the field is linear along each edge
+        mid = np.argmax(mesh.vel_tags[ed.vel_dofs[:, 3:]] == TAG_GAMMA_I, 1)
+        on_edge = np.array([[1, 2, 3], [0, 2, 4], [0, 1, 5]])[mid]
         ends = np.stack([1.0 - ed.s, ed.s], axis=-1)       # (nq, 2)
         i9_coefs = np.einsum("eq,eqi,eqj,qv->eijv", ed.wl * self.delta,
-                             ed.bval, ed.dax, ends)
+                             np.take_along_axis(ed.bval, on_edge[:, None], 2),
+                             ed.dax, ends)
         # (rows, cols, the vertex each coefficient weights, coefficients)
         blocks = ((sp_p.tri6, sp_p.tri6, mesh.tri3_darcy, p_coefs),
-                  (ed.vel_dofs + mesh.sl_u1.start, ed.head_dofs, ed.vpair,
-                   i9_coefs))
+                  (np.take_along_axis(ed.vel_dofs, on_edge, 1)
+                   + mesh.sl_u1.start, ed.head_dofs, ed.vpair, i9_coefs))
         spread = [(*_spread(r, c, k),
                    np.broadcast_to(v[:, None, None], k.shape).ravel())
                   for r, c, v, k in blocks]

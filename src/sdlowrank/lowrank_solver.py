@@ -1,56 +1,37 @@
-"""Per-sample solvers: one sparse factorization plus low-rank updates.
+"""Per-sample solvers: one block elimination of the mean, low-rank updates.
 
-The mean matrix is factorized once.  Each sample's matrix differs from it
-by a low-rank perturbation U V_m^T, so the sample solution follows from
-the Woodbury identity
+Every perturbation A_m of a Monte Carlo family stores entries only in the
+rows and columns S of one pattern, and S couples to the other rows T only
+through the few columns I of Abar[T, S] that hold entries (the interface:
+|I| = 2(2n-1) of |S| = 527 at n=16).  So Abar is eliminated onto S once
+per (Abar, b, pattern), and the system keeps it: one LU of Abar[T, T]
+gives X = Abar[T, T]^{-1} Abar[T, I] and y_T = Abar[T, T]^{-1} b[T], and
+the Schur complement Sigma = Abar[S, S] - Abar[S, T] X is sparse plus one
+dense block (the algebraic Steklov-Poincare substructuring of the coupled
+problem).  ``factor_mean`` solves for x_bar through the LU of Sigma, the
+Woodbury state solves Sigma Z[S] = U[S, :k_s] and holds only Z[S]
+(Z[T] = -X Z[S][I]), and the direct reference solve of (Abar + A_m) x = b
+factors Sigma + A_m[S, S] per sample and forms x[T] = y_T - X x[S][I].
 
-    x_m = x_bar - Z (I + V_m^T Z)^{-1} (V_m^T x_bar),   Z = Abar^{-1} U.
+A low-rank sample follows from the Woodbury identity
 
-x_bar is computed once.  Z and what forms the capacitance matrices below
-are one Woodbury state per factor family, built in one pass and cached
-for the family asked for last (``MeanFactorization.woodbury``).  Only the
-leading c = ``GlramFactors.col_dim`` rows and k_s = ``GlramFactors.k_s``
-columns of V_m can be nonzero, so U and V_m are cut to their first k_s
-columns and the row products run over c rows; the capacitance matrix is
-k_s x k_s.
+    x_m = x_bar - Z (I + V_m^T Z)^{-1} (V_m^T x_bar),   Z = Abar^{-1} U,
 
-Z is held on the support.  U[:, :k_s] is zero off its nonzero rows S,
-and S couples to the other rows T only through the few columns I of
-Abar[T, S] that hold entries (the interface: |I| = 2(2n-1) of |S| = 527
-at n=16).  With X = Abar[T, T]^{-1} Abar[T, I], block elimination gives
-Z[S] from the Schur complement Abar[S, S] - Abar[S, T] X, which is
-sparse plus one dense block on the rows of Abar[S, T] that hold entries,
-and Z[T] = -X Z[S][I].  Only Z[S] (|S| x k_s) and X (|T| x |I|) are held;
-this is the algebraic form of the Steklov-Poincare substructuring of the
-coupled problem.
-
-At full support rank, k_s = |S|, U[S, :k_s] is orthogonal, so
-A_m = U U^T A_m and the update does not depend on the basis of S (Hager
-1989): it runs in the coordinate basis, Z = Abar^{-1}[:, S], with the
-capacitance matrix C_S = I + A_m[S, :c] Z[:c] (C = U[S]^T C_S U[S]).
-Below |S|, V_m^T = U^T A_m reads only the rows S of A_m, so
-C = I + U[S, :k_s]^T (A_m[S, :c] Z[:c]) with Z = Abar^{-1} U[:, :k_s].
-Either way a sample sums its span coefficients into one CSR pattern of
-A_m[S, :c] that the family shares and makes one sparse product with
-Z[:c], and below |S| one dense product with U[S, :k_s]^T, in
-O(p k_s + |S| k_s^2 + k_s^3 + N k_s) for the p entries of the family's
-pattern.  It then makes three LAPACK calls (LU, condition estimate,
-back-substitution) on its capacitance matrix in place, not a fresh
-N-dimensional sparse solve, and never forms V_m.
-
-A direct sparse solve of (Abar + A_m) x = b is kept as the reference
-baseline.  A_m stores entries only in the rows and columns S of its
-pattern, which every sample of a Monte Carlo family shares, so the block
-elimination above, taken on that S, removes the rest T of Abar once per
-pattern: one LU of Abar[T, T], the Schur complement Sigma of Abar on S
-and SuperLU's COLAMD column order of Sigma + A_m[S, S].  Each sample is
-then a numeric LU of that |S| x |S| matrix (135 of 504 DOFs at n=8, 527
-of 1,836 at n=16) and one product with X, and its residual on the full
-matrix is checked against 1e-10 ((||Abar||_F + ||A_m||_F) ||x|| + ||b||).
+with one state per factor family, cached for the family asked for last
+(``MeanFactorization.woodbury``).  Only the leading c =
+``GlramFactors.col_dim`` rows and k_s = ``GlramFactors.k_s`` columns of
+V_m can be nonzero.  At k_s = |S|, U[S, :k_s] is orthogonal, so the
+update does not depend on the basis of S (Hager 1989) and runs in the
+coordinate basis, Z = Abar^{-1}[:, S], C_S = I + A_m[S, :c] Z[:c]; below
+|S|, C = I + U[S, :k_s]^T (A_m[S, :c] Z[:c]).  A sample sums its span
+coefficients into one CSR pattern of A_m[S, :c] that the family shares,
+makes one sparse product with Z[:c] (and below |S| one dense product)
+and three LAPACK calls on its k_s x k_s capacitance matrix in place.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,16 +76,17 @@ class SampleSolution:
 class MeanFactorization:
     """The mean matrix, its solution and the cached Woodbury state.
 
-    Holds Abar, the deterministic solution x_bar = Abar^{-1} b and the
-    Woodbury state (``woodbury``) of the factor family asked for last:
-    the block Z = Abar^{-1} U[:, :k_s] (Abar^{-1}[:, S] at k_s = |S|) on
-    its support and what forms every sample's capacitance matrix for that
-    family.  The LU of Abar that gave x_bar is not kept.
+    Holds Abar, x_bar = Abar^{-1} b, the system's elimination of Abar that
+    gave x_bar (``factor_mean``) and the Woodbury state (``woodbury``) of
+    the factor family asked for last: Z = Abar^{-1} U[:, :k_s]
+    (Abar^{-1}[:, S] at k_s = |S|) on its support and what forms every
+    sample's capacitance matrix for that family.
     """
 
     def __init__(self, A_bar, x_bar):
         self.A_bar = A_bar
         self.x_bar = x_bar
+        self._elimination = None
         self._woodbury = None
 
     @property
@@ -113,7 +95,8 @@ class MeanFactorization:
 
     @property
     def nbytes(self):
-        """Bytes of the cached Woodbury state (0 before a solve)."""
+        """Bytes of the cached Woodbury state (0 before a solve), not of
+        the elimination it reads, which the system holds for both paths."""
         held = self._woodbury
         return 0 if held is None else held.nbytes
 
@@ -122,15 +105,16 @@ class MeanFactorization:
         until another family is asked for (the old state goes first).
 
         A non-finite column of U[:, :k_s] raises SingularSystemError
-        naming it.  Block elimination on the nonzero rows S of U[:, :k_s]
-        gives Z = Abar^{-1} B for B = U[:, :k_s], or B = I[:, S] at
-        k_s = |S| (see the module docstring); a failed LU of Abar[T, T] or
-        of the Schur complement raises SingularSystemError naming the
-        block.  One loop assembles Z a few columns at a time and checks
-        each: a residual ||Abar Z_j - B_j|| above 1e-8 (||B_j|| + 1), or
-        not finite, raises SingularSystemError naming the column.  The
-        state then keeps a CSR pattern of A_m[S, :c], the r right sides
-        and, below |S|, U[S, :k_s], which projects both on the left.
+        naming it.  The elimination that gave x_bar serves when the
+        nonzero rows S of U[:, :k_s] are its S; else (hand-built factors)
+        Abar is eliminated on U's own S, and a failed LU of Abar[T, T] or
+        of Sigma raises SingularSystemError naming the block.  Sigma's LU
+        gives Z[S] for Z = Abar^{-1} B, B = U[:, :k_s], or B = I[:, S] at
+        k_s = |S|.  One loop assembles Z a few columns at a time and checks
+        each: a residual ||Abar Z_j - B_j|| above 1e-8 (||B_j|| + 1), or not
+        finite, raises SingularSystemError naming the column.  The state
+        keeps a CSR pattern of A_m[S, :c], the r right sides and, below
+        |S|, U[S, :k_s], which projects both on the left.
         """
         if self._woodbury is not None and self._woodbury.factors is factors:
             return self._woodbury
@@ -141,24 +125,24 @@ class MeanFactorization:
         if bad.size:
             raise SingularSystemError(f"column {bad[0]} of the shared "
                                       f"factor holds non-finite entries")
-        s, t, coupled, x, schur, _ = _eliminate(sp.csr_matrix(self.A_bar),
-                                                u.any(axis=1))
+        on_s = u.any(axis=1)
+        elim = self._elimination
+        if elim is None or not np.array_equal(elim.on_s, on_s):
+            elim = _Elimination(self.A_bar, on_s)
+        s = elim.s
         full = k_s == s.size
         b_s = np.eye(k_s) if full else u[s]
         z_s = np.zeros((s.size, k_s))
         if s.size:
-            lu = _splu(schur, "the Schur complement on the support of U")
+            lu = elim.schur_lu
             # row-major, as the sparse products of the samples read it; at
-            # |S| the inverse is the transpose of the inverse of schur^T
+            # |S| the inverse is the transpose of the inverse of Sigma^T
             z_s = (lu.solve(b_s, trans="T").T if full
                    else np.ascontiguousarray(lu.solve(b_s)))
         resid = np.empty(k_s)
         for j in range(0, k_s, _CHECK_COLUMNS):
             cols = slice(j, j + _CHECK_COLUMNS)
-            z = np.empty((self.N, z_s[:, cols].shape[1]))
-            z[s] = z_s[:, cols]
-            z[t] = -(x @ z_s[coupled, cols])
-            r = self.A_bar @ z
+            r = self.A_bar @ elim.expand(z_s[:, cols], 0.0)
             r[s] -= b_s[:, cols]
             resid[cols] = np.linalg.norm(r, axis=0)
         tol = 1e-8 * (np.linalg.norm(b_s, axis=0) + 1.0)
@@ -169,7 +153,7 @@ class MeanFactorization:
                 f"inaccurate solve for column {j} of the shared "
                 f"factor: residual {resid[j]:.3e}"
             )
-        state = _Woodbury(factors, s, t, coupled, z_s, x,
+        state = _Woodbury(factors, s, elim.t, elim.coupled, z_s, elim.x,
                           None if full else b_s)
         state.build_pattern(self.x_bar)
         self._woodbury = state
@@ -185,10 +169,9 @@ class _Woodbury:
     """The Woodbury state of one factor family.
 
     Z = Abar^{-1} U[:, :k_s] (Abar^{-1}[:, S] at k_s = |S|) is held on
-    the nonzero rows S of U: since U[T] = 0 on the other rows T,
-    Z[T] = -X Z[S][I]; it is never stored.  A sample's right side is
-    y @ rhs, for rhs[j] = B_j[S, :c] x_bar[:c] (U[S, :k_s]^T times it below
-    |S|).
+    the nonzero rows S of U; Z[T] = -X Z[S][I] is never stored, and T, I
+    and X are the elimination's.  A sample's right side is y @ rhs, for
+    rhs[j] = B_j[S, :c] x_bar[:c] (U[S, :k_s]^T times it below |S|).
     """
 
     factors: object          # the GlramFactors it was built from
@@ -209,8 +192,8 @@ class _Woodbury:
     @property
     def nbytes(self):
         p = self.pattern
-        held = [self.z, self.x, self.u_s, self.rhs, self.order, p.data,
-                p.indices, p.indptr]
+        held = [self.z, self.u_s, self.rhs, self.order, p.data, p.indices,
+                p.indptr]
         return sum(a.nbytes for a in held if a is not None)
 
     def build_pattern(self, x_bar):
@@ -265,30 +248,24 @@ def _splu(a, block):
             f"factorization of {block} failed ({exc})") from exc
 
 
-def _eliminate(a, on_s, b=None):
+def _eliminate(a, on_s):
     """Block elimination of the CSR matrix ``a`` onto the rows and columns
     S where ``on_s`` holds, T the rest.
 
-    Returns (S, T, I, X, Schur, y): I are the columns of a[T, S] that
-    hold entries (positions in S), X = a[T, T]^{-1} a[T, I] and the Schur
-    complement a[S, S] - a[S, T] X, sparse plus a dense block on the rows
-    of a[S, T] that hold entries (None when S is empty).  Given ``b``, y
-    is y_T = a[T, T]^{-1} b[T] and the condensed right side
-    b[S] - a[S, T] y_T; else None.  a[T, T] is factored only when a solve
-    needs it; a failed LU raises SingularSystemError naming it.
+    Returns (S, T, I, X, Schur, LU, a[S, T]): I are the columns of
+    a[T, S] that hold entries (positions in S), X = a[T, T]^{-1} a[T, I],
+    the Schur complement a[S, S] - a[S, T] X, sparse plus a dense block
+    on the rows of a[S, T] that hold entries (None when S is empty), and
+    the LU of a[T, T] (None when T is empty); a failed LU raises
+    SingularSystemError naming a[T, T].
     """
     s, t = np.flatnonzero(on_s), np.flatnonzero(~on_s)
     a_s, a_t = a[s], a[t]
     a_ts, a_st = a_t[:, s], a_s[:, t]
     coupled = np.unique(a_ts.indices)
-    x, y, lu = np.zeros((t.size, coupled.size)), None, None
-    if coupled.size or (b is not None and t.size):
-        lu = _splu(a_t[:, t], "Abar[T, T]")
-    if coupled.size:
-        x = lu.solve(a_ts[:, coupled].toarray())
-    if b is not None:
-        y_t = lu.solve(b[t]) if t.size else np.zeros(0)
-        y = y_t, b[s] - a_st @ y_t
+    lu = _splu(a_t[:, t], "Abar[T, T]") if t.size else None
+    x = (lu.solve(a_ts[:, coupled].toarray()) if coupled.size
+         else np.zeros((t.size, 0)))
     schur = None
     if s.size:
         rows = np.flatnonzero(np.diff(a_st.indptr))
@@ -297,7 +274,119 @@ def _eliminate(a, on_s, b=None):
             (dense.ravel(), (np.repeat(rows, coupled.size),
                              np.tile(coupled, rows.size))),
             shape=(s.size, s.size))
-    return s, t, coupled, x, schur, y
+    return s, t, coupled, x, schur, lu, a_st
+
+
+class _Elimination:
+    """Abar eliminated onto S, for every solver of one family.
+
+    Holds what ``_eliminate`` gives but the LU of Abar[T, T], the LU of
+    Sigma and, given b, y_T, the condensed right side b[S] - Abar[S, T] y_T,
+    x_bar = Abar^{-1} b after one step of iterative refinement, and the
+    direct path's column order, taken on its first sample.  ``serves``
+    compares a call's Abar, its stored entries, b and pattern with the
+    copies kept.
+    """
+
+    def __init__(self, a_bar, on_s, b=None, pattern=None):
+        self.a_bar, self.on_s, self.pattern = a_bar, on_s, pattern
+        self.a = sp.csr_matrix(a_bar, copy=True)
+        self.a_norm = spla.norm(self.a)
+        (self.s, self.t, self.coupled, self.x, self.schur, lu_t,
+         a_st) = _eliminate(self.a, on_s)
+        self._order = None
+        self.b = None if b is None else np.array(b)
+        if b is None:
+            return
+
+        def mean_solve(r):
+            """y_T, the condensed right side and Abar^{-1} r."""
+            y_t = lu_t.solve(r[self.t]) if self.t.size else np.zeros(0)
+            r_s = r[self.s] - a_st @ y_t
+            return y_t, r_s, self.expand(
+                self.schur_lu.solve(r_s) if self.s.size else r_s, y_t)
+
+        self.y_t, self.rhs, x_bar = mean_solve(self.b)
+        # one step of iterative refinement through the same factors
+        self.x_bar = x_bar + mean_solve(self.b - self.a @ x_bar)[2]
+
+    def serves(self, a_bar, pattern, b):
+        a = a_bar.tocsr()
+        return (a_bar is self.a_bar and pattern == self.pattern
+                and all(np.array_equal(getattr(a, f), getattr(self.a, f))
+                        for f in ("data", "indices", "indptr"))
+                and np.array_equal(b, self.b))
+
+    @cached_property
+    def schur_lu(self):
+        """The sparse LU of Sigma (S not empty), taken once."""
+        return _splu(self.schur, "the Schur complement on S")
+
+    def expand(self, x_s, y_t):
+        """The x with x[S] = x_s and x[T] = y_T - X x_s[I]."""
+        x = np.empty(self.on_s.shape + x_s.shape[1:])
+        x[self.s] = x_s
+        x[self.t] = y_t - self.x @ x_s[self.coupled]
+        return x
+
+    def _take_order(self, t):
+        """The order perm_c (COLAMD plus SuperLU's postorder) of one
+        ``splu`` of Sigma + t[S, S], the union CSC pattern with columns so
+        permuted, Sigma's values in it (base) and t's entries' slots."""
+        n, k = self.on_s.size, self.s.size
+        t_rows = np.repeat(np.arange(n), np.diff(t.indptr))
+        local = np.full(n, -1)
+        local[self.s] = np.arange(k)
+        sigma = self.schur.tocoo()
+        rows = np.concatenate((sigma.row, local[t_rows]))
+        cols = np.concatenate((sigma.col, local[t.indices])).astype(np.int64)
+        # column-major keys order the union pattern as CSC
+        keys, slot = np.unique(cols * k + rows, return_inverse=True)
+        cols, rows = np.divmod(keys, k)
+        data = np.bincount(slot, np.concatenate((sigma.data, t.data)),
+                           keys.size)
+        union = sp.csc_matrix(
+            (data, rows, np.searchsorted(keys, np.arange(k + 1) * k)),
+            shape=(k, k))
+        perm_c = spla.splu(union).perm_c.astype(np.int64)
+        # column perm_c[j] of the permuted matrix is column j of the sum
+        keys, where = np.unique(perm_c[cols] * k + rows, return_inverse=True)
+        slot = where[slot]
+        base = np.bincount(slot[:sigma.nnz], sigma.data, keys.size)
+        return (perm_c, base, slot[sigma.nnz:], (keys % k).astype(np.intc),
+                np.searchsorted(keys, np.arange(k + 1) * k).astype(np.intc))
+
+    def solve(self, t):
+        """x with (Abar + t) x = b, from a numeric LU of Sigma + t[S, S]."""
+        k = self.s.size
+        x_s = np.zeros(0)
+        if k:
+            if self._order is None:
+                self._order = self._take_order(t)
+            perm_c, base, slot, indices, indptr = self._order
+            data = np.bincount(slot, t.data, base.size)
+            data += base
+            lu = spla.splu(sp.csc_matrix((data, indices, indptr),
+                                         shape=(k, k)), permc_spec="NATURAL")
+            x_s = lu.solve(self.rhs)[perm_c]
+        return self.expand(x_s, self.y_t)
+
+
+def _elimination(system, t):
+    """``system._direct``, rebuilt (the old one goes first) unless it is
+    the elimination of ``system.A_bar``, its stored entries and b onto the
+    support of the pattern (shape, indptr, indices) of the CSR ``t``."""
+    if t.shape != system.A_bar.shape:
+        raise ValueError(f"perturbation shape {t.shape} does not match "
+                         f"the mean matrix shape {system.A_bar.shape}")
+    pattern = t.shape, t.indptr.tobytes(), t.indices.tobytes()
+    if system._direct is None or not system._direct.serves(
+            system.A_bar, pattern, system.b):
+        system._direct = None
+        on_s = np.diff(t.indptr) > 0
+        on_s[t.indices] = True
+        system._direct = _Elimination(system.A_bar, on_s, system.b, pattern)
+    return system._direct
 
 
 def _diagnose_singularity(a):
@@ -312,31 +401,40 @@ def _diagnose_singularity(a):
 
 
 def factor_mean(system):
-    """Factorize the constrained mean matrix and solve for x_bar.
+    """Solve the constrained mean system for x_bar.
 
-    Raises SingularSystemError naming the suspect DOF if the
-    factorization fails.
+    x_bar comes from the system's elimination onto the support S of the
+    first perturbation's pattern, which the direct path and the returned
+    mean's Woodbury states read too (S is empty for an empty family, so
+    Abar[T, T] is Abar): x_bar[S] = Sigma^{-1} b~[S] for the condensed
+    right side b~ and x_bar[T] = y_T - X x_bar[S][I], refined once.
+
+    Raises SingularSystemError naming the suspect DOF if a factorization
+    fails, or if ||Abar x_bar - b|| exceeds
+    1e-10 (||Abar||_F ||x_bar|| + ||b||).
     """
-    a_csc = sp.csc_matrix(system.A_bar)
+    t = (system.A_tildes[0].tocsr() if system.A_tildes
+         else sp.csr_matrix(system.A_bar.shape))
     try:
-        lu = spla.splu(a_csc)
-    except RuntimeError as exc:
+        elim = _elimination(system, t)
+    except SingularSystemError as exc:
         dof, why = _diagnose_singularity(system.A_bar)
         raise SingularSystemError(
             f"mean matrix factorization failed ({exc}); suspect DOF {dof} "
             f"({why})"
         ) from exc
-    x_bar = lu.solve(system.b)
-    a_norm = spla.norm(system.A_bar)
+    x_bar = elim.x_bar.copy()
     resid = np.linalg.norm(system.A_bar @ x_bar - system.b)
-    bound = 1e-10 * (a_norm * np.linalg.norm(x_bar)
+    bound = 1e-10 * (elim.a_norm * np.linalg.norm(x_bar)
                      + np.linalg.norm(system.b))
     if not np.isfinite(resid) or resid > bound:
         raise SingularSystemError(
             f"mean solve residual {resid:.3e} exceeds {bound:.3e}; "
             f"the constrained mean matrix is numerically singular"
         )
-    return MeanFactorization(system.A_bar, x_bar)
+    mean = MeanFactorization(system.A_bar, x_bar)
+    mean._elimination = elim
+    return mean
 
 
 def solve_sample_smw(mean, factors, m):
@@ -405,116 +503,29 @@ def solve_sample_smw(mean, factors, m):
     return SampleSolution(x=x, sample_index=m, capacitance_cond=cond)
 
 
-class _Condensed:
-    """The direct solve's state for one Abar, b and perturbation pattern.
-
-    Holds what ``_eliminate`` gives on the support S of the pattern (T,
-    I, X, y_T and the condensed right side) and the union CSC pattern of
-    its Schur complement Sigma and A_m[S, S], with the columns permuted by
-    the order ``perm_c`` (COLAMD plus SuperLU's postorder) of one ``splu``
-    of the first sample's condensed matrix, Sigma's values summed into it
-    (``base``) and ``slot``, where each stored entry of A_m lands.
-    ``serves`` compares a call's inputs with the copies kept here.
-    """
-
-    def __init__(self, a_bar, a, t, b):
-        if t.shape != a.shape:
-            raise ValueError(f"perturbation shape {t.shape} does not match "
-                             f"the mean matrix shape {a.shape}")
-        n = a.shape[0]
-        self.a_bar, self.a, self.b = a_bar, a.copy(), np.array(b)
-        self.pattern = self._pattern(t)
-        self.a_norm = spla.norm(a)
-        t_rows = np.repeat(np.arange(n), np.diff(t.indptr))
-        on_s = np.zeros(n, dtype=bool)
-        on_s[t_rows] = on_s[t.indices] = True
-        self.s, self.t, self.coupled, self.x, schur, (self.y_t, self.rhs) = (
-            _eliminate(a, on_s, self.b))
-        k = self.s.size
-        if not k:
-            return
-        local = np.full(n, -1)
-        local[self.s] = np.arange(k)
-        sigma = schur.tocoo()
-        rows = np.concatenate((sigma.row, local[t_rows]))
-        cols = np.concatenate((sigma.col, local[t.indices])).astype(np.int64)
-        # column-major keys order the union pattern as CSC
-        keys, slot = np.unique(cols * k + rows, return_inverse=True)
-        cols, rows = np.divmod(keys, k)
-        data = np.bincount(slot, np.concatenate((sigma.data, t.data)),
-                           keys.size)
-        union = sp.csc_matrix(
-            (data, rows, np.searchsorted(keys, np.arange(k + 1) * k)),
-            shape=(k, k))
-        self.perm_c = spla.splu(union).perm_c.astype(np.int64)
-        # column perm_c[j] of the permuted matrix is column j of the sum
-        keys, where = np.unique(self.perm_c[cols] * k + rows,
-                                return_inverse=True)
-        slot = where[slot]
-        self.base = np.bincount(slot[:sigma.nnz], sigma.data, keys.size)
-        self.slot = slot[sigma.nnz:]
-        self.indices = (keys % k).astype(np.intc)
-        self.indptr = np.searchsorted(keys, np.arange(k + 1) * k).astype(
-            np.intc)
-
-    @staticmethod
-    def _pattern(t):
-        return t.shape, t.indptr.tobytes(), t.indices.tobytes()
-
-    def serves(self, a_bar, a, t, b):
-        return (a_bar is self.a_bar and self._pattern(t) == self.pattern
-                and all(np.array_equal(getattr(a, f), getattr(self.a, f))
-                        for f in ("data", "indices", "indptr"))
-                and np.array_equal(b, self.b))
-
-    def solve(self, t):
-        """x with (Abar + t) x = b: the numeric LU of the condensed matrix
-        in the stored column order gives x[S], then
-        x[T] = y_T - X x[S][I]."""
-        k = self.s.size
-        x_s = np.zeros(0)
-        if k:
-            data = np.bincount(self.slot, t.data, self.base.size)
-            data += self.base
-            lu = spla.splu(sp.csc_matrix((data, self.indices, self.indptr),
-                                         shape=(k, k)), permc_spec="NATURAL")
-            x_s = lu.solve(self.rhs)[self.perm_c]
-        x = np.empty(self.b.size)
-        x[self.s] = x_s
-        x[self.t] = self.y_t - self.x @ x_s[self.coupled]
-        return x
-
-
 def solve_sample_direct(system, m):
     """Reference path: sparse direct solve of (Abar + A_m) x = b.
 
-    A_m stores entries only in the rows and columns S of its pattern, so
-    the rest T is eliminated once per (``A_bar``, b, perturbation
-    pattern) and kept on ``system`` (see ``_Condensed``): one LU of
-    Abar[T, T], the Schur complement of Abar on S and SuperLU's COLAMD
-    column order of the condensed matrix.  Each sample then sums its
-    values into that |S| x |S| pattern, runs SuperLU's numeric LU in the
-    stored order, solves for x[S] and forms x[T] = y_T - X x[S][I].  The
-    state is rebuilt when ``system.A_bar`` is another object, when its
-    stored entries or b differ from the copies kept, or when A_m's shape,
-    ``indptr`` or ``indices`` differ from the stored ones.  A failed LU of
-    Abar[T, T] raises SingularSystemError naming that block, a failed
-    factorization of the sample's matrix names the sample and the DOF
-    suspected on Abar + A_m, and a non-finite x, or a residual
-    ||(Abar + A_m) x - b|| above 1e-10 ((||Abar||_F + ||A_m||_F) ||x||
-    + ||b||), the bound ``factor_mean`` applies, names the sample.
+    Reads the system's elimination onto the support S of A_m's pattern,
+    which ``factor_mean`` reads too (see ``_elimination``).  The first
+    sample takes SuperLU's COLAMD column order of Sigma + A_m[S, S]; each
+    sample sums its values into that |S| x |S| pattern, runs the numeric
+    LU in the stored order, solves for x[S] and forms
+    x[T] = y_T - X x[S][I].  A failed LU of Abar[T, T] or of Sigma raises
+    SingularSystemError naming that block, a failed factorization of the
+    sample's matrix names the sample and the DOF suspected on Abar + A_m,
+    and a non-finite x, or a residual ||(Abar + A_m) x - b|| above 1e-10
+    ((||Abar||_F + ||A_m||_F) ||x|| + ||b||), the bound ``factor_mean``
+    applies, names the sample.
     """
     if not 0 <= m < len(system.A_tildes):
         raise IndexError(
             f"sample index {m} outside 0..{len(system.A_tildes) - 1}"
         )
-    a, t = system.A_bar.tocsr(), system.A_tildes[m].tocsr()
+    t = system.A_tildes[m].tocsr()
     try:
-        if system._direct is None or not system._direct.serves(
-                system.A_bar, a, t, system.b):
-            system._direct = None   # the old state goes first
-            system._direct = _Condensed(system.A_bar, a, t, system.b)
-        x = system._direct.solve(t)
+        elim = _elimination(system, t)
+        x = elim.solve(t)
     except RuntimeError as exc:
         dof, why = _diagnose_singularity(system.A_bar + system.A_tildes[m])
         raise SingularSystemError(
@@ -523,8 +534,8 @@ def solve_sample_direct(system, m):
         ) from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"sample {m}: non-finite solution entries")
-    resid = np.linalg.norm(a @ x + t @ x - system.b)
-    bound = 1e-10 * ((system._direct.a_norm + np.linalg.norm(t.data))
+    resid = np.linalg.norm(elim.a @ x + t @ x - system.b)
+    bound = 1e-10 * ((elim.a_norm + np.linalg.norm(t.data))
                      * np.linalg.norm(x) + np.linalg.norm(system.b))
     if not resid <= bound:
         raise SingularSystemError(

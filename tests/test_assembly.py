@@ -19,6 +19,7 @@ from sdlowrank import (
     assemble_mean,
     bj_delta,
     build_mesh,
+    dirichlet_constraints,
     p1_pressure_mass,
     p2_mass,
     p2_stiffness,
@@ -357,6 +358,28 @@ def test_perturbation_stores_no_entry_zero_for_every_field(geometry, n,
     for field in fields:
         live |= asm.assemble(field).data != 0.0
     assert live.all(), f"{np.count_nonzero(~live)} of {live.size} zero"
+
+
+@pytest.mark.parametrize("n", [8, 16, 40, 48])
+def test_constrained_pattern_support_is_the_free_heads_and_interface(n,
+                                                                     params):
+    # the rows and columns the constrained perturbations touch are the
+    # (2n - 1) n free head DOFs and the 2n - 1 free u1 DOFs on the
+    # interface.  I9 sits in the rows of the free-flow nodes on each
+    # interface edge only: at n = 40 the basis functions of the nodes one
+    # element row off it, which vanish on the edge, left roundoff entries
+    mesh = build_mesh(n=n)
+    a_bar, b = assemble_mean(mesh, params, 1.0)
+    field = 1.0 + np.random.default_rng(4).random(
+        mesh.darcy_vertices.shape[0])
+    system = apply_dirichlet(
+        SplitSystem(A_bar=a_bar, b=b,
+                    A_tildes=[PerturbationAssembler(mesh, params)
+                              .assemble(field)],
+                    N1=mesh.N1, N2=mesh.N2, N3=mesh.N3),
+        dirichlet_constraints(mesh))
+    t = system.A_tildes[0].tocoo()
+    assert np.union1d(t.row, t.col).size == (2 * n - 1) * (n + 1)
 
 
 def test_perturbations_share_a_read_only_pattern(mesh8, params):

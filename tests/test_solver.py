@@ -36,6 +36,7 @@ from sdlowrank import (
     solve_sample_direct,
     solve_sample_smw,
 )
+from sdlowrank import lowrank_solver
 from sdlowrank.lowrank_solver import CAPACITANCE_COND_LIMIT
 
 
@@ -146,11 +147,10 @@ def test_empty_column_support_returns_mean_solution():
 
 
 def _state_bytes(state):
-    """Z on its rows, X, the right sides, the CSR pattern of A_m[S, :c]
-    and its entry order, plus U[S, :k_s] below |S|."""
+    """Z on its rows, the right sides, the CSR pattern of A_m[S, :c] and
+    its entry order, plus U[S, :k_s] below |S|; X is the elimination's."""
     p = state.pattern
-    held = [state.z, state.x, state.rhs, p.data, p.indices, p.indptr,
-            state.order]
+    held = [state.z, state.rhs, p.data, p.indices, p.indptr, state.order]
     if state.u_s is not None:
         held.append(state.u_s)
     return sum(a.nbytes for a in held)
@@ -218,6 +218,57 @@ def test_block_elimination_matches_the_mean_solve(problem20, geometry):
             <= 1e-12 * np.linalg.norm(ref))
 
 
+def test_one_elimination_serves_every_solver_of_a_family(problem20, gram20,
+                                                        monkeypatch):
+    # the direct loop eliminates Abar onto the family's support once;
+    # factor_mean and the Woodbury states at k_s = |S| and below read that
+    # elimination: no second one, and no LU of the whole N x N Abar
+    system = dataclasses.replace(problem20["system"])
+    f0 = factorize(gram20, system.A_tildes, select_theta(gram20)[0])
+    f1 = factorize(gram20, system.A_tildes, theta=0.05)
+    assert f1.k_s < f0.k_s == 135
+    calls = {"eliminate": 0, "full splu": 0}
+    eliminate, splu = lowrank_solver._eliminate, lowrank_solver.spla.splu
+
+    def counted_eliminate(*args):
+        calls["eliminate"] += 1
+        return eliminate(*args)
+
+    def counted_splu(a, *args, **kwargs):
+        calls["full splu"] += a.shape == system.A_bar.shape
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(lowrank_solver, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(lowrank_solver.spla, "splu", counted_splu)
+    for m in range(len(system.A_tildes)):
+        solve_sample_direct(system, m)
+    mean = factor_mean(system)
+    states = [mean.woodbury(f) for f in (f0, f1)]
+    assert calls == {"eliminate": 1, "full splu": 0}
+    assert mean._elimination is system._direct
+    assert all(state.x is system._direct.x for state in states)
+
+
+@pytest.mark.parametrize("geometry", [None, POROUS_BELOW, SHALLOW_POROUS],
+                         ids=["default", "porous-below", "shallow-porous"])
+def test_mean_solution_comes_from_the_shared_elimination(problem20,
+                                                         geometry):
+    # x_bar, from the elimination onto the family's support and one step
+    # of refinement, is a fresh LU solve of Abar to 1e-13; the direct
+    # solutions are the same bits whether factor_mean took the
+    # elimination first or the direct loop did
+    system = (problem20["system"] if geometry is None
+              else _family(*geometry))
+    first, second = (dataclasses.replace(system) for _ in range(2))
+    mean = factor_mean(first)
+    ref = mean_solve(mean, system.b)
+    assert np.linalg.norm(mean.x_bar - ref) <= 1e-13 * np.linalg.norm(ref)
+    for m in range(len(system.A_tildes)):
+        assert np.array_equal(solve_sample_direct(first, m).x,
+                              solve_sample_direct(second, m).x)
+    assert first._direct is mean._elimination
+
+
 def test_singular_rest_block_is_named():
     # U = e1, so S = {0} and T = {1, 2}; Abar[T, T] = diag(0, 1) is
     # singular, while Abar itself (determinant -1) is not
@@ -278,9 +329,10 @@ def test_non_finite_shared_factor_column_is_named():
 
 def test_held_bytes_at_n8(problem20, gram20):
     # the factors hold U, the span values (shared with the Gram matrix)
-    # and Y; at k_s = |S| the mean holds Z[S], X, the r right sides and
-    # the CSR pattern of A_m[S, :c] with its entry order, and no N x k_s
-    # Z, no W_j = B_j^T U, no U[S, :k_s] and no capacitance blocks
+    # and Y; at k_s = |S| the mean holds Z[S], the r right sides and the
+    # CSR pattern of A_m[S, :c] with its entry order, and no N x k_s Z,
+    # no W_j = B_j^T U, no U[S, :k_s], no capacitance blocks and no copy
+    # of X, which the system's elimination holds for both solvers
     system = problem20["system"]
     factors = factorize(gram20, system.A_tildes, select_theta(gram20)[0])
     assert factors.basis is gram20._span[0]
@@ -296,11 +348,12 @@ def test_held_bytes_at_n8(problem20, gram20):
     assert state.u_s is None
     assert (state.pattern.indices.dtype, state.order.dtype) == (np.int32,
                                                                 np.int64)
-    # doubles: Z[S], X, the right sides, the pattern's values and order;
+    assert state.x is system._direct.x
+    assert state.x.shape == (t, i)
+    # doubles: Z[S], the right sides, the pattern's values and order;
     # 4-byte indices and row pointers
-    assert mean.nbytes == (8 * (s * k_s + t * i + r * k_s + 2 * p)
-                           + 4 * (p + s + 1))
-    assert mean.nbytes == 268_924
+    assert mean.nbytes == 8 * (s * k_s + r * k_s + 2 * p) + 4 * (p + s + 1)
+    assert mean.nbytes == 180_364
 
 
 def test_matches_dense_woodbury_on_random_system():
@@ -744,9 +797,12 @@ def test_direct_solve_with_zero_perturbation(problem20):
                         N1=system.N1, N2=system.N2, N3=system.N3)
     mean = factor_mean(system)
     sol = solve_sample_direct(probe, 0)
-    # S is empty: x = Abar^{-1} b, all from the LU of Abar[T, T] = Abar
+    # S is empty: x = Abar^{-1} b, all from the LU of Abar[T, T] = Abar,
+    # the oracle's; x_bar comes from the elimination onto the family's S
     assert probe._direct.s.size == 0
-    assert np.allclose(sol.x, mean.x_bar, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(sol.x, mean_solve(mean, system.b))
+    assert (np.linalg.norm(sol.x - mean.x_bar)
+            <= 1e-13 * np.linalg.norm(sol.x))
 
 
 def test_direct_solve_residual(problem20):
