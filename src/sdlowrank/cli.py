@@ -401,7 +401,7 @@ def cmd_theta_sweep(cfg):
         try:
             factors = stages.run(
                 "factorize", lambda: factorize(gram, system.A_tildes, theta))
-            # rows of equal k_s read the same U[:, :k_s], so their
+            # rows of equal k_s read the same U[S, :k_s], so their
             # solutions agree to the bit: each k_s is solved once
             if factors.k_s not in solved:
                 solved[factors.k_s] = stages.run("smw_loop", lambda: [
@@ -433,9 +433,8 @@ def cmd_theta_sweep(cfg):
                 "status": "ok",
                 "col_dim": factors.col_dim,
                 "span_dim": factors.span_dim,
-                # U, the span values and Y plus the solver's cached
-                # Z[S], X, right sides and CSR pattern of A_m[S, :c], with
-                # U[S, :k_s] below k_s = |S|
+                # U[S, :k_s], the span values and Y plus the solver's
+                # cached Z[S], right sides and CSR pattern of A_m[S, :c]
                 "factor_bytes": factors.nbytes + state_bytes,
                 "capacitance_cond_min": min(conds),
                 "capacitance_cond_median": float(np.median(conds)),

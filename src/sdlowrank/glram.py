@@ -20,10 +20,10 @@ the perturbations vanish outside their leading block, so every nonzero
 row of G lies in it.  Inside it, a row of G is zero exactly when every
 A_m has a zero row there, and each such row i carries the exact
 eigenpair (0, e_i).  G is therefore formed only as G[S, S] on the
-support S of nonzero rows, which the eigensolver sees as it is, and U is
-embedded back with zero rows.  Past |S| the columns of U are unit
-vectors on zero rows, whose right factors vanish, so the stored factors
-and the solver stop at k_s = min(k, |S|) columns.
+support S of nonzero rows, which the eigensolver sees as it is.  Past
+|S| the columns of U are unit vectors on zero rows, whose right factors
+vanish, so the factors hold only the |S| x k_s block U[S, :k_s],
+k_s = min(k, |S|), and no N x k array is formed.
 
 The family is read once, in ``build_gram``: an orthonormal basis
 B_1..B_r of its span (r = T, the number of KL modes, for the Monte Carlo
@@ -31,9 +31,9 @@ family) and coefficients Y with A_m = sum_j Y[m, j] B_j are found in
 O(M r p) for p entries in the union sparsity pattern, and G = sum_j C_j
 C_j^T is an r-term sum whatever M, with C = R B for the thin QR Y = Q R.
 The Gram matrix keeps B, Y and C; nothing after it reads the family.
-The factors hold U and Y and share the Gram matrix's B, whose values
-the Woodbury solver sums into one sparse A_m per sample; no
-W_j = B_j^T U and no N x k V_m is held.  ``rmsre`` sums the residuals of
+The factors hold U[S, :k_s] and Y and share the Gram matrix's B, whose
+values the Woodbury solver sums into one sparse A_m per sample; no
+W_j = B_j^T U and no V_m is held.  ``rmsre`` sums the residuals of
 C_1..C_r, not of M matrices.
 """
 
@@ -110,12 +110,12 @@ class GramMatrix:
         eigenvectors of G[S, S] in the order of w[:|S|], each signed so
         that its largest-magnitude entry (the first of equal ones) is
         positive, so the factors do not depend on the eigensolver's
-        choice of signs.  No
-        block_dim x block_dim eigenvector matrix is formed; ``factorize``
-        embeds the leading ones.  Results are cached.  Raises
-        EigensolverError if G[S, S] holds a NaN or an infinity, if the
-        solver fails, if residuals ||G_SS v - lambda v|| exceed
-        1e-8 * lambda_max, or if G_SS is indefinite beyond roundoff.
+        choice of signs.  No block_dim x block_dim eigenvector matrix is
+        formed; ``factorize`` takes the leading ones.  Results are
+        cached.  Raises EigensolverError if G[S, S] holds a NaN or an
+        infinity, if the solver fails, if residuals
+        ||G_SS v - lambda v|| exceed 1e-8 * lambda_max, or if G_SS is
+        indefinite beyond roundoff.
         """
         if self._evals is None:
             g = self.block
@@ -147,12 +147,15 @@ class GramMatrix:
             # eigh returns ascending pairs; the zero rows add zeros last
             self._evals = np.concatenate([np.clip(w[::-1], 0.0, None),
                                           np.zeros(self.block_dim - w.size)])
-            v = v[:, ::-1]
+            # row-major and, once signed, read-only: at k_s = |S| every
+            # factorization's U is this array, uncopied
+            v = np.ascontiguousarray(v[:, ::-1])
             if w.size:
                 # fix each eigenvector's sign: its largest-magnitude entry,
                 # the first of equal ones, is positive
                 peak = v[np.argmax(np.abs(v), axis=0), np.arange(w.size)]
                 v[:, peak < 0] *= -1.0
+            v.flags.writeable = False
             self._evecs = v
         return self._evals, self._evecs
 
@@ -168,27 +171,32 @@ class GlramFactors:
 
     The family spans r matrices B_1..B_r, orthonormal in the Frobenius
     inner product, with A_m = sum_j Y[m, j] B_j, so the right factors are
-    V_m = A_m^T U = sum_j Y[m, j] B_j^T U.  The factors hold U, the
-    M x r coefficients Y and, shared with the Gram matrix that
-    ``factorize`` read them from, the values of the B_j on the family's
-    sparsity pattern (``basis``, r x p, at ``rows`` and ``cols``).  No
-    B_j^T U and no V_m is stored.  Every B_j is zero in the columns from
-    ``col_dim`` on, and so are the rows of V_m.  Only the first
-    k_s = min(k, |S|) columns of U enter the solver: the others are unit
-    vectors on zero rows of the Gram matrix, where every B_j vanishes.
+    V_m = A_m^T U = sum_j Y[m, j] B_j^T U.  The factors hold U[S, :k_s]
+    (``U``, S in ``support``), the M x r coefficients Y and, shared with
+    the Gram matrix that ``factorize`` read them from, the values of the
+    B_j on the family's sparsity pattern (``basis``, r x p, at ``rows``
+    and ``cols``).  No B_j^T U and no V_m is stored.  Every B_j is zero
+    in the columns from ``col_dim`` on, and so are the rows of V_m.  The
+    N x k U is zero off S in its first k_s = min(k, |S|) columns, and the
+    others are unit vectors on zero rows of the Gram matrix, where every
+    B_j vanishes, so nothing reads them and they are not held.
     """
 
-    U: np.ndarray            # (N, k), orthonormal columns
+    U: np.ndarray            # (|S|, k_s) U[S, :k_s], C-contiguous
+    support: np.ndarray      # S, ascending: the rows U is held on
     basis: np.ndarray        # (r, p), B_j on the pattern (the Gram's array)
     rows: np.ndarray         # (p,) row of each pattern entry
     cols: np.ndarray         # (p,) column of each pattern entry
     col_dim: int             # every column index of the pattern is below it
     Y: np.ndarray            # (M, r), A_m = sum_j Y[m, j] B_j
     k: int
-    k_s: int                 # min(k, |S|), the columns of U the solver reads
     rmsre: float             # closed-form reconstruction error
     energy_ratio: float      # e(theta) of the retained spectrum
     n_full: int
+
+    @property
+    def k_s(self):
+        return self.U.shape[1]
 
     @property
     def M(self):
@@ -201,20 +209,18 @@ class GlramFactors:
 
     @property
     def V(self):
-        """Yield the M right factors V_m = A_m^T U (N x k) in order; nothing
-        is cached.  Only the leading ``col_dim`` rows of V_m can be
-        nonzero, and only they are formed."""
+        """Yield each V_m = A_m^T U in order, nothing cached, as its only
+        block that can be nonzero: V_m[:col_dim, :k_s] =
+        A_m[S, :col_dim]^T U[S, :k_s], col_dim x k_s."""
         for y in self.Y:
             a_t = sp.csr_matrix((y @ self.basis, (self.cols, self.rows)),
                                 shape=(self.col_dim, self.n_full))
-            v = np.zeros((self.n_full, self.k))
-            v[:self.col_dim] = a_t @ self.U
-            yield v
+            yield a_t[:, self.support] @ self.U
 
     @property
     def nbytes(self):
-        """Bytes of U, the span values and Y (the pattern's indices are
-        the family's sparsity pattern, not counted here)."""
+        """Bytes of U[S, :k_s], the span values and Y (S and the
+        pattern's indices are not counted here)."""
         return self.U.nbytes + self.basis.nbytes + self.Y.nbytes
 
     @property
@@ -401,11 +407,12 @@ def factorize(gram, A_tildes, theta):
     """Compute shared factors at compression ratio theta.
 
     k is the smallest integer with k/N >= theta, capped at the Gram block
-    dimension; U holds the top-k eigenvectors embedded into full
-    dimension: the first k_s = min(k, |S|) columns are eigenvectors of
-    the support block G[S, S] on the rows S, and the k - k_s others are
-    unit vectors on the zero rows of G, last row first.  Their V_m
-    columns are exactly zero, so the solver reads the first k_s only.
+    dimension; U holds the top-k eigenvectors of G: the first
+    k_s = min(k, |S|) columns are eigenvectors of the support block
+    G[S, S] on the rows S, and the k - k_s others are unit vectors on
+    the zero rows of G, last row first, with exactly zero V_m columns.
+    The factors hold only U[S, :k_s], at k_s = |S| the Gram matrix's
+    eigenvector array itself.
 
     The family is not read: B_1..B_r (on the pattern) and Y are the
     arrays of the span that ``build_gram`` kept, shared, not copied, and
@@ -426,27 +433,19 @@ def factorize(gram, A_tildes, theta):
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     k = _k_from_theta(theta, gram)
     _, v = gram.eigenpairs()
-    s = gram.support
-    k_s = min(k, s.size)
-    zero_rows = np.setdiff1d(np.arange(gram.block_dim), s, assume_unique=True)
-    n = gram.n_full
-    u_full = np.zeros((n, k))
-    u_full[s, :k_s] = v[:, :k_s]
-    u_full[zero_rows[::-1][:k - k_s], np.arange(k_s, k)] = 1.0
-
     basis, rows, cols, col_dim, y, _ = gram._span
     return GlramFactors(
-        U=u_full,
+        U=np.ascontiguousarray(v[:, :k]),   # k_s = min(k, |S|) columns
+        support=gram.support,
         basis=basis,
         rows=rows,
         cols=cols,
         col_dim=col_dim,
         Y=y,
         k=k,
-        k_s=k_s,
         rmsre=rmsre_closed_form(gram, k),
         energy_ratio=energy_ratio(gram, theta),
-        n_full=n,
+        n_full=gram.n_full,
     )
 
 
@@ -456,8 +455,8 @@ def rmsre(gram, factors):
     sqrt( (1/M) * sum_m ||A_m - U U^T A_m||_F^2 ) over r matrices, not M:
     the family is Q C with orthonormal Q (Y = Q R, C = R B, as
     ``build_gram`` kept them), so C_1..C_r carry its sum of squares.
-    Each residual C_i - U (U^T C_i) is formed densely on the rows S
-    where U[:, :k_s] is nonzero and with those k_s columns only.  Off S
+    Each residual C_i - U (U^T C_i) is formed densely on the rows S of
+    the factors' support with the k_s columns of U[S, :k_s] only.  Off S
     the residual is the entry itself: past k_s the columns of U are unit
     vectors on zero Gram rows, where every C_i is zero.  At k_s = |S|
     U[S, :k_s] is orthogonal and nothing is left on S.  Raises ValueError
@@ -466,17 +465,14 @@ def rmsre(gram, factors):
     if gram._span is None or not np.array_equal(factors.Y, gram._span[4]):
         raise ValueError("factors were not made from this Gram matrix")
     _, rows, cols, col_dim, _, c = gram._span
-    u = factors.U
-    k_s = factors.k_s
-    s = np.flatnonzero(u[:, :k_s].any(axis=1))
-    local = np.full(u.shape[0], -1)
+    s, u_s = factors.support, factors.U
+    local = np.full(factors.n_full, -1)
     local[s] = np.arange(s.size)
     on_s = local[rows] >= 0
     off = c[:, ~on_s]
     total = float(np.vdot(off, off))
-    if s.size == k_s:
+    if s.size == factors.k_s:
         return math.sqrt(total / gram.M)
-    u_s = u[s, :k_s]
     rows_s, cols_s = local[rows[on_s]], cols[on_s]
     for c_i in c:
         x = np.zeros((s.size, col_dim))

@@ -79,8 +79,8 @@ class MeanFactorization:
     Holds Abar, x_bar = Abar^{-1} b, the system's elimination of Abar that
     gave x_bar (``factor_mean``) and the Woodbury state (``woodbury``) of
     the factor family asked for last: Z = Abar^{-1} U[:, :k_s]
-    (Abar^{-1}[:, S] at k_s = |S|) on its support and what forms every
-    sample's capacitance matrix for that family.
+    (Abar^{-1}[:, S] at k_s = |S|) on the factors' support S and what
+    forms every sample's capacitance matrix for that family.
     """
 
     def __init__(self, A_bar, x_bar):
@@ -96,7 +96,8 @@ class MeanFactorization:
     @property
     def nbytes(self):
         """Bytes of the cached Woodbury state (0 before a solve), not of
-        the elimination it reads, which the system holds for both paths."""
+        the elimination it reads, which the system holds for both paths,
+        nor of the factors' U[S, :k_s]."""
         held = self._woodbury
         return 0 if held is None else held.nbytes
 
@@ -104,34 +105,33 @@ class MeanFactorization:
         """The Woodbury state of ``factors``, built in one pass and cached
         until another family is asked for (the old state goes first).
 
-        A non-finite column of U[:, :k_s] raises SingularSystemError
-        naming it.  The elimination that gave x_bar serves when the
-        nonzero rows S of U[:, :k_s] are its S; else (hand-built factors)
-        Abar is eliminated on U's own S, and a failed LU of Abar[T, T] or
-        of Sigma raises SingularSystemError naming the block.  Sigma's LU
+        A non-finite column of the factors' U[S, :k_s] raises
+        SingularSystemError naming it.  The elimination that gave x_bar
+        serves when the factors' S is its S; else (hand-built factors)
+        Abar is eliminated on that S, and a failed LU of Abar[T, T] or of
+        Sigma raises SingularSystemError naming the block.  Sigma's LU
         gives Z[S] for Z = Abar^{-1} B, B = U[:, :k_s], or B = I[:, S] at
         k_s = |S|.  One loop assembles Z a few columns at a time and checks
         each: a residual ||Abar Z_j - B_j|| above 1e-8 (||B_j|| + 1), or not
         finite, raises SingularSystemError naming the column.  The state
         keeps a CSR pattern of A_m[S, :c], the r right sides and, below
-        |S|, U[S, :k_s], which projects both on the left.
+        |S|, the factors' U[S, :k_s], which projects both on the left.
         """
         if self._woodbury is not None and self._woodbury.factors is factors:
             return self._woodbury
         self._woodbury = None
-        k_s = factors.k_s
-        u = factors.U[:, :k_s]
-        bad = np.flatnonzero(~np.isfinite(u).all(axis=0))
+        u_s, k_s = factors.U, factors.k_s
+        bad = np.flatnonzero(~np.isfinite(u_s).all(axis=0))
         if bad.size:
             raise SingularSystemError(f"column {bad[0]} of the shared "
                                       f"factor holds non-finite entries")
-        on_s = u.any(axis=1)
         elim = self._elimination
-        if elim is None or not np.array_equal(elim.on_s, on_s):
-            elim = _Elimination(self.A_bar, on_s)
+        if elim is None or not np.array_equal(elim.s, factors.support):
+            elim = _Elimination(self.A_bar,
+                                np.isin(np.arange(self.N), factors.support))
         s = elim.s
         full = k_s == s.size
-        b_s = np.eye(k_s) if full else u[s]
+        b_s = np.eye(k_s) if full else u_s
         z_s = np.zeros((s.size, k_s))
         if s.size:
             lu = elim.schur_lu
@@ -169,7 +169,7 @@ class _Woodbury:
     """The Woodbury state of one factor family.
 
     Z = Abar^{-1} U[:, :k_s] (Abar^{-1}[:, S] at k_s = |S|) is held on
-    the nonzero rows S of U; Z[T] = -X Z[S][I] is never stored, and T, I
+    the factors' support S; Z[T] = -X Z[S][I] is never stored, and T, I
     and X are the elimination's.  A sample's right side is y @ rhs, for
     rhs[j] = B_j[S, :c] x_bar[:c] (U[S, :k_s]^T times it below |S|).
     """
@@ -180,7 +180,7 @@ class _Woodbury:
     coupled: np.ndarray      # I: positions in S of Abar[T, S]'s columns
     z: np.ndarray            # Z[S], then Z at the pattern's columns off S
     x: np.ndarray            # X = Abar[T, T]^{-1} Abar[T, I], |T| x |I|
-    u_s: np.ndarray = None       # U[S, :k_s], below |S|
+    u_s: np.ndarray = None       # the factors' U[S, :k_s], below |S|
     rhs: np.ndarray = None       # r x k_s
     pattern: object = None       # A_m[S, :c] in CSR
     order: np.ndarray = None     # span pattern index of each stored entry
@@ -191,10 +191,10 @@ class _Woodbury:
 
     @property
     def nbytes(self):
+        """Bytes of the arrays the state owns; U[S, :k_s] is the factors'."""
         p = self.pattern
-        held = [self.z, self.u_s, self.rhs, self.order, p.data, p.indices,
-                p.indptr]
-        return sum(a.nbytes for a in held if a is not None)
+        held = [self.z, self.rhs, self.order, p.data, p.indices, p.indptr]
+        return sum(a.nbytes for a in held)
 
     def build_pattern(self, x_bar):
         """The CSR pattern of A_m[S, :c], with read-only indices, and the

@@ -18,8 +18,12 @@ that ``lowrank_solver.solve_sample_direct`` ran before it kept its
 column order across a family's samples.  ``mean_solve`` is the solve
 through the mean's LU that ``lowrank_solver.MeanFactorization`` offered
 while it kept that LU.  ``read_solutions`` reads back the CSV that
-``lowrank_solver.save_solutions`` writes.  ``right_factor`` forms one
-V_m = A_m^T U, which ``glram.GlramFactors.V`` only yields in order.
+``lowrank_solver.save_solutions`` writes.  ``dense_u`` is the N x k
+shared factor that ``glram.factorize`` wrote before the factors held it
+on its support only, and ``right_factor`` forms one N x k
+V_m = A_m^T U from it, of which ``glram.GlramFactors.V`` yields the
+nonzero block in order.  ``hand_factors`` builds factors on a given
+dense U, as no package constructor does.
 ``map_triangle`` and ``map_segment`` place a reference ``QuadRule`` on
 one physical element; the package maps its rules only through the
 assembler's geometry tables.
@@ -35,7 +39,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
-from sdlowrank import SampleSolution
+from sdlowrank import GlramFactors, SampleSolution
 from sdlowrank.assembly import (PerturbationAssembler, _csr, _nodal_field,
                                 _spread)
 
@@ -211,15 +215,17 @@ def _row_col_support(a, width):
     return nrow, int(np.max(a.indices[nz] % width)) + 1
 
 
-def rmsre_per_sample(factors, A_tildes):
+def rmsre_per_sample(gram, factors, A_tildes):
     """Direct root-mean-square reconstruction error, one sample at a time.
 
     sqrt( (1/M) * sum_m ||A_m - U V_m^T||_F^2 ), evaluated on the dense
-    nonzero block of each matrix with the N x k V_m of ``factors.V``.
+    nonzero block of each matrix with the N x k U of ``dense_u`` and the
+    blocks V_m[:col_dim, :k_s] that ``factors.V`` yields: V_m is zero
+    past them.
     """
     if len(A_tildes) != factors.M:
         raise ValueError("factors do not cover the given matrix family")
-    u = factors.U
+    u = dense_u(factors, gram)[:, :factors.k_s]
     # U vanishes below its last nonzero row
     u_rows = int(np.flatnonzero(u.any(axis=1)).max(initial=-1)) + 1
     total = 0.0
@@ -229,25 +235,68 @@ def rmsre_per_sample(factors, A_tildes):
         nrow = max(nrow, u_rows)
         ncol = max(ncol, 1)
         diff = np.asarray(a[:nrow, :ncol].todense())
-        diff -= u[:nrow] @ v[:ncol].T
+        v = v[:ncol]
+        diff[:, :v.shape[0]] -= u[:nrow] @ v.T
         # rows below the block are zero in A_m and in U V_m^T alike
         total += float(np.sum(diff * diff))
     return math.sqrt(total / len(A_tildes))
 
 
-def right_factor(factors, m):
-    """V_m = A_m^T U (N x k) over all N rows, with A_m = sum_j Y[m, j] B_j
-    rebuilt from the span values the factors hold."""
-    a_t = sp.csr_matrix(
-        (factors.Y[m] @ factors.basis, (factors.cols, factors.rows)),
+def dense_u(factors, gram=None):
+    """The N x k U of ``factors``: the U[S, :k_s] they hold on the rows S,
+    zero elsewhere, and past k_s unit vectors on the zero rows of the
+    Gram matrix below its block dimension, last row first, as
+    ``factorize`` once wrote it.  Those need ``gram`` when k > k_s."""
+    n, k, k_s = factors.n_full, factors.k, factors.k_s
+    u = np.zeros((n, k))
+    u[factors.support, :k_s] = factors.U
+    if k > k_s:
+        zero_rows = np.setdiff1d(np.arange(gram.block_dim), factors.support)
+        u[zero_rows[::-1][:k - k_s], np.arange(k_s, k)] = 1.0
+    return u
+
+
+def perturbation(factors, m):
+    """A_m = sum_j Y[m, j] B_j (N x N CSR) from the span values the
+    factors hold."""
+    return sp.csr_matrix(
+        (factors.Y[m] @ factors.basis, (factors.rows, factors.cols)),
         shape=(factors.n_full, factors.n_full))
-    return a_t @ factors.U
+
+
+def right_factor(factors, m, gram=None):
+    """V_m = A_m^T U (N x k) over all N rows and k columns, for the U of
+    ``dense_u`` (which reads ``gram`` when k > k_s)."""
+    return perturbation(factors, m).T @ dense_u(factors, gram)
+
+
+def hand_factors(u, v_list, col_dim=None):
+    """Factors on a dense N x k ``u`` of full column rank, held on its
+    nonzero rows S as ``factorize`` holds U[S, :k_s] (here k_s = k).
+    Sample m is basis element m (Y = I_M), and B_m, stored on S and the
+    first col_dim columns (all when None), is pinv(U)^T V_m[:col_dim]^T
+    there, so that B_m^T U = V_m[:col_dim]; the error fields read a
+    lossless factorization."""
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    n, k = u.shape
+    col_dim = n if col_dim is None else col_dim
+    on_u = np.flatnonzero(u.any(axis=1))
+    left = np.linalg.pinv(u)[:, on_u].T
+    basis = np.array([(left @ np.asarray(v, dtype=float)[:col_dim].T).ravel()
+                      for v in v_list])
+    rows, cols = np.divmod(np.arange(on_u.size * col_dim), max(col_dim, 1))
+    return GlramFactors(
+        U=np.ascontiguousarray(u[on_u]), support=on_u,
+        basis=basis.reshape(len(v_list), -1), rows=on_u[rows], cols=cols,
+        col_dim=col_dim, Y=np.eye(len(v_list)), k=k, rmsre=0.0,
+        energy_ratio=1.0, n_full=n,
+    )
 
 
 def smw_reference(mean, factors, m):
     """Woodbury solve of sample m through scipy's LU wrappers.
 
-    Returns (x, condition estimate).  Z = Abar^{-1} U[:, :k_s] is solved
+    Returns (x, condition estimate, C).  Z = Abar^{-1} U[:, :k_s] is solved
     afresh through ``mean_solve``, each W_j = B_j^T U[:, :k_s] is formed
     from the span values of ``factors`` as a COO matrix B_j, the r blocks
     (W_j^T Z[:c])^T are summed by ``tensordot`` into the capacitance
@@ -255,7 +304,7 @@ def smw_reference(mean, factors, m):
     estimate and ``lu_solve``.  An exactly singular C has condition
     infinity; k_s = 0 gives x_bar with condition 1.
 
-    At k_s = |S|, for the nonzero rows S of U[:, :k_s], the solve runs in
+    At k_s = |S|, for the support S the factors hold U on, the solve runs in
     the coordinate basis of S, as the package's does: Z = Abar^{-1}[:, S]
     and C is C_S = I + A_m[S, :c] Z[:c], from A_m = sum_j Y[m, j] B_j
     summed on the pattern first.  C_S^T is factored, as the package
@@ -263,8 +312,7 @@ def smw_reference(mean, factors, m):
     gecon's infinity-norm one for C_S^T.
     """
     c, k_s, n = factors.col_dim, factors.k_s, factors.n_full
-    u = factors.U[:, :k_s]
-    s = np.flatnonzero(u.any(axis=1))
+    s = factors.support
     y_m = factors.Y[m]
     coordinate = s.size == k_s
     if coordinate:
@@ -274,7 +322,8 @@ def smw_reference(mean, factors, m):
                             shape=(n, n)).tocsr()[s][:, :c]
         cap = np.eye(k_s) + a_m @ z[:c]
         w = a_m @ mean.x_bar[:c]
-    else:
+    else:   # k = k_s below |S|: U has no unit columns
+        u = dense_u(factors)
         z = mean_solve(mean, u)
         w = np.zeros((factors.span_dim, c, k_s))
         for j, b_j in enumerate(factors.basis):
@@ -287,7 +336,7 @@ def smw_reference(mean, factors, m):
         w = y_m @ rhs
         cap[np.diag_indices_from(cap)] += 1.0
     if not cap.size:
-        return mean.x_bar - z @ w, 1.0
+        return mean.x_bar - z @ w, 1.0, cap
     anorm = np.linalg.norm(cap, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -296,10 +345,10 @@ def smw_reference(mean, factors, m):
     gecon = get_lapack_funcs(("gecon",), (lu,))[0]
     rcond, info = gecon(lu, anorm, norm="I" if coordinate else "1")
     if info != 0 or rcond == 0.0 or not np.isfinite(rcond):
-        return None, math.inf
+        return None, math.inf, cap
     y = scipy.linalg.lu_solve((lu, piv), w, trans=int(coordinate),
                               check_finite=False)
-    return mean.x_bar - z @ y, 1.0 / rcond
+    return mean.x_bar - z @ y, 1.0 / rcond, cap
 
 
 def mean_solve(mean, rhs):

@@ -325,14 +325,15 @@ def test_theta_sweep_records_a_failed_ratio_and_keeps_sweeping(
 
 def test_theta_sweep_records_a_non_finite_factor_as_a_failed_ratio(
         tmp_path, monkeypatch):
-    # the NaN goes into U, which the factors own: the span values and Y
-    # are the Gram matrix's, shared by every ratio of the sweep
+    # the NaN goes into U[S, :k_s], which below |S| the factors own: the
+    # span values and Y are the Gram matrix's, shared by every ratio of
+    # the sweep
     real_factorize = cli.factorize
 
     def factorize(gram, tildes, theta):
         factors = real_factorize(gram, tildes, theta)
         if theta == 0.1:
-            factors.U[gram.support[0], 0] = np.nan
+            factors.U[0, 0] = np.nan
         return factors
 
     monkeypatch.setattr(cli, "factorize", factorize)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from _oracles import right_factor, rmsre_per_sample
+from _oracles import dense_u, right_factor, rmsre_per_sample
 from sdlowrank import (
     CovarianceKernel,
     EigensolverError,
@@ -304,8 +304,9 @@ def test_indefinite_gram_with_zero_rows_rejected(block, dim):
 
 
 def test_all_zero_gram_block():
-    # no support: the spectrum is all zeros and U is unit vectors, in the
-    # order the full-block eigensolve used to give
+    # no support: the spectrum is all zeros, the factors hold no U, and
+    # U is unit vectors, in the order the full-block eigensolve used to
+    # give
     zero = sp.csr_matrix((5, 5))
     gram = build_gram([zero], block_dim=3)
     assert gram.block.shape == (0, 0)
@@ -315,8 +316,9 @@ def test_all_zero_gram_block():
     factors = factorize(gram, [zero], 1.0)
     assert factors.k == 3
     assert np.array_equal(gram.eigenvalues[:3], np.zeros(3))
-    assert np.array_equal(factors.U, np.eye(5)[:, [2, 1, 0]])
-    assert not right_factor(factors, 0).any()
+    assert factors.U.shape == (0, 0) and factors.k_s == 0
+    assert np.array_equal(dense_u(factors, gram), np.eye(5)[:, [2, 1, 0]])
+    assert not right_factor(factors, 0, gram).any()
     assert (factors.rmsre, factors.energy_ratio, factors.col_dim) == \
         (0.0, 1.0, 0)
     assert factors.span_dim == 0
@@ -404,7 +406,7 @@ def test_support_eigensolve_matches_the_dense_block(case):
             min(_select_k(dense, target), gram.block_dim)
 
     factors = factorize(gram, family, 1.0)
-    u, v = factors.U, right_factor(factors, 0)
+    u, v = dense_u(factors, gram), right_factor(factors, 0, gram)
     assert factors.k == gram.block_dim
     assert np.abs(u.T @ u - np.eye(factors.k)).max() <= 1e-12
     assert not u[zero_rows, :rank].any()
@@ -439,9 +441,9 @@ def test_support_eigenvectors_have_a_positive_largest_entry(case):
 @given(_psd_blocks_with_zero_rows(), st.integers(0, 2**32 - 1))
 def test_shared_factor_captures_the_top_gram_energy(case, seed):
     # for every k, U^T H with H = [A_1 ... A_M] captures the top-k Gram
-    # spectrum, no orthonormal N x k factor captures more, and W stops at
-    # the k_s = min(k, |S|) columns of U that are not unit vectors on
-    # zero rows
+    # spectrum, no orthonormal N x k factor captures more, and the
+    # factors and V stop at the k_s = min(k, |S|) columns of U that are
+    # not unit vectors on zero rows
     gram, family, _, _ = case
     rng = np.random.default_rng(seed)
     h = sp.hstack(family, format="csr")
@@ -449,7 +451,7 @@ def test_shared_factor_captures_the_top_gram_energy(case, seed):
     for k in range(1, gram.block_dim + 1):
         factors = factorize(gram, family, k / n)
         assert factors.k == k
-        captured = float(np.sum(np.square(h.T @ factors.U)))
+        captured = float(np.sum(np.square(h.T @ dense_u(factors, gram))))
         assert captured == pytest.approx(float(np.sum(w[:k])), rel=1e-10)
         for _ in range(5):
             q, _ = np.linalg.qr(rng.normal(size=(n, k)))
@@ -457,8 +459,10 @@ def test_shared_factor_captures_the_top_gram_energy(case, seed):
             assert other <= captured * (1.0 + 1e-10)
         k_s = factors.k_s
         assert k_s == min(k, gram.support.size)
-        for v in factors.V:
-            assert not v[:, k_s:].any()
+        assert factors.U.shape == (gram.support.size, k_s)
+        for m, v in enumerate(factors.V):
+            assert v.shape == (factors.col_dim, k_s)
+            assert not right_factor(factors, m, gram)[:, k_s:].any()
 
 
 # ---------------------------------------------------------------------------
@@ -471,23 +475,63 @@ def test_full_rank_factorization_is_lossless():
     gram = build_gram(fam)
     factors = factorize(gram, fam, theta=1.0)
     assert factors.k == 6  # ceil(1.0 * 10) capped at the block dimension
-    assert factors.U.shape == (10, 6)
-    assert np.abs(factors.U[6:]).max() == 0.0
-    assert np.allclose(factors.U.T @ factors.U, np.eye(6), atol=1e-12)
+    assert factors.U.shape == (gram.support.size, 6)
+    u = dense_u(factors, gram)
+    assert u.shape == (10, 6)
+    assert np.abs(u[6:]).max() == 0.0
+    assert np.allclose(u.T @ u, np.eye(6), atol=1e-12)
     scale = math.sqrt(gram.trace)
     assert rmsre(gram, factors) <= 1e-9 * scale
 
 
+def test_full_ratio_factors_hold_u_on_its_support_at_n8(mesh8, params,
+                                                       kl8):
+    # coarse_fullrank's shape: n=8, M=300, theta = 1, so k = 459 is far
+    # past k_s = |S| = c = 135.  factorize forms no N x k array (the
+    # eigensolve is done first, as the rank and the selection do it): the
+    # factors hold the Gram matrix's 135 x 135 eigenvector array, not the
+    # 504 x 459 U of 1,850,688 bytes, and V yields each V_m[:c, :k_s],
+    # outside which the oracle's N x k V_m is zero
+    system = assemble_family(mesh8, params, kl8,
+                             draw_samples(kl8, M=300, seed=1234).coefficients)
+    gram = build_gram(system.A_tildes, block_dim=system.n_flow)
+    gram.eigenpairs()
+    tracemalloc.start()
+    try:
+        factors = factorize(gram, system.A_tildes, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, k, k_s, c = factors.n_full, factors.k, factors.k_s, factors.col_dim
+    assert (n, k, k_s, c, gram.support.size) == (504, 459, 135, 135, 135)
+    assert peak < n * k * 8 / 4
+    assert factors.U.base is gram.eigenpairs()[1]
+    r, p = factors.basis.shape
+    assert (r, p) == (10, 1161)
+    # 1,967,568 bytes while U was held as N x k
+    assert factors.nbytes == 8 * (k_s * k_s + r * p + 300 * r) == 262_680
+    for m, v in enumerate(factors.V):
+        expect = right_factor(factors, m, gram)
+        assert v.shape == (c, k_s)
+        assert np.array_equal(v, expect[:c, :k_s]), f"V_{m}"
+        assert not expect[c:].any() and not expect[:, k_s:].any()
+
+
 def test_right_factors_are_projections(problem20, gram20):
+    # V yields the nonzero block V_m[:c, :k_s] of each A_m^T U
     tildes = problem20["system"].A_tildes
     factors = factorize(gram20, tildes, theta=0.1)
+    c, k_s = factors.col_dim, factors.k_s
     vs = list(factors.V)
     assert len(vs) == factors.M == len(tildes)
     for m, (a, v) in enumerate(zip(tildes, vs)):
-        expect = a.toarray().T @ factors.U
-        assert v.shape == expect.shape == (gram20.n_full, factors.k)
-        assert np.allclose(v, expect, atol=1e-12)
-        assert np.allclose(right_factor(factors, m), expect, atol=1e-12)
+        expect = a.toarray().T @ dense_u(factors, gram20)
+        assert expect.shape == (gram20.n_full, factors.k)
+        assert v.shape == (c, k_s)
+        assert np.allclose(v, expect[:c, :k_s], atol=1e-12)
+        assert not expect[c:].any() and not expect[:, k_s:].any()
+        assert np.allclose(right_factor(factors, m, gram20), expect,
+                           atol=1e-12)
     # V is a generator: it holds no V_m, so it has no index and no length
     with pytest.raises(TypeError):
         factors.V[0]
@@ -560,7 +604,8 @@ def test_error_formula_matches_direct_evaluation(problem20, gram20):
 def _assert_rmsre_matches_the_per_sample_oracle(gram, factors, tildes):
     # where the per-sample error is roundoff, only the floor is checked
     floor = 2.0 * math.sqrt(np.finfo(float).eps * gram.trace / gram.M)
-    direct, oracle = rmsre(gram, factors), rmsre_per_sample(factors, tildes)
+    direct = rmsre(gram, factors)
+    oracle = rmsre_per_sample(gram, factors, tildes)
     if oracle > floor:
         assert direct == pytest.approx(oracle, rel=1e-10)
     else:
@@ -572,7 +617,8 @@ def test_rmsre_matches_the_per_sample_oracle(problem20, gram20, theta):
     tildes = problem20["system"].A_tildes
     factors = factorize(gram20, tildes, theta)
     if theta == 1.0:
-        # k = 459 past k_s = |S| = 135: U has unit-vector columns
+        # k = 459 past k_s = |S| = 135: U has unit-vector columns, which
+        # the factors do not hold
         assert (factors.k, factors.k_s) == (459, 135)
     _assert_rmsre_matches_the_per_sample_oracle(gram20, factors, tildes)
 
@@ -697,9 +743,9 @@ def test_factorize_col_dim_is_the_stored_column_support(problem20, gram20):
     for theta in (0.1, 1.0):
         factors = factorize(gram20, tildes, theta)
         assert factors.col_dim == support
-        for v in factors.V:
-            assert v.shape == (gram20.n_full, factors.k)
-            assert not np.any(v[support:])
+        for m, v in enumerate(factors.V):
+            assert v.shape == (support, factors.k_s)
+            assert not np.any(right_factor(factors, m, gram20)[support:])
     # a stored zero widens the support, and an empty family has none
     a = sp.csr_matrix(([1.0, 0.0], ([0, 1], [0, 3])), shape=(5, 5))
     empty = sp.csr_matrix((5, 5))

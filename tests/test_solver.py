@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import get_lapack_funcs
 
-from _oracles import (direct_oracle, mean_solve, read_solutions,
-                      right_factor, smw_reference)
+from _oracles import (dense_u, direct_oracle, hand_factors, mean_solve,
+                      perturbation, read_solutions, right_factor,
+                      smw_reference)
 from sdlowrank import (
     CovarianceKernel,
     Geometry,
-    GlramFactors,
     IllConditionedUpdateError,
     PhysicalParams,
     SampleSolution,
@@ -65,31 +65,12 @@ def _family(darcy_rect, stokes_rect, params=PhysicalParams()):
     return assemble_family(mesh, params, kl, samples.coefficients)
 
 
-def _toy_factors(u, v_list, col_dim=None):
-    """Hand-built factors: sample m is basis element m (Y = I_M), and
-    B_m, stored on the nonzero rows of U and the first col_dim columns
-    (all when None), is pinv(U)^T V_m[:col_dim]^T there, so that
-    B_m^T U = V_m[:col_dim] for U of full column rank."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    n, k = u.shape
-    col_dim = n if col_dim is None else col_dim
-    on_u = np.flatnonzero(u.any(axis=1))
-    left = np.linalg.pinv(u)[:, on_u].T
-    basis = np.array([(left @ np.asarray(v, dtype=float)[:col_dim].T).ravel()
-                      for v in v_list])
-    rows, cols = np.divmod(np.arange(on_u.size * col_dim), max(col_dim, 1))
-    return GlramFactors(
-        U=u, basis=basis.reshape(len(v_list), -1), rows=on_u[rows],
-        cols=cols, col_dim=col_dim, Y=np.eye(len(v_list)), k=k, k_s=k,
-        rmsre=0.0, energy_ratio=1.0, n_full=n,
-    )
-
-
-def _full_row_smw(mean, factors, m):
+def _full_row_smw(mean, factors, m, gram):
     """Oracle: the k x k Woodbury solve over all N rows and k columns
-    of V_m, with its own Z = Abar^{-1} U from a fresh LU of Abar."""
-    v = right_factor(factors, m)
-    z = mean_solve(mean, factors.U)
+    of V_m, with its own Z = Abar^{-1} U from a fresh LU of Abar, for the
+    N x k U of ``dense_u``."""
+    v = right_factor(factors, m, gram)
+    z = mean_solve(mean, dense_u(factors, gram))
     c = np.eye(factors.k) + v.T @ z
     y = scipy.linalg.solve(c, v.T @ mean.x_bar)
     return mean.x_bar - z @ y
@@ -116,7 +97,7 @@ def test_rank_one_update_hand_case():
     b = np.array([6.0, -1.5, 2.0])
     system = _toy_system(np.eye(3), b)
     mean = factor_mean(system)
-    factors = _toy_factors(np.array([[1.0], [0.0], [0.0]]),
+    factors = hand_factors(np.array([[1.0], [0.0], [0.0]]),
                            [np.array([[2.0], [0.0], [0.0]])])
     sol = solve_sample_smw(mean, factors, 0)
     assert sol.x == pytest.approx([2.0, -1.5, 2.0], rel=1e-14)
@@ -128,7 +109,7 @@ def test_zero_right_factor_returns_mean_solution():
     b = np.array([1.0, 2.0, 3.0])
     system = _toy_system(np.diag([2.0, 4.0, 5.0]), b)
     mean = factor_mean(system)
-    factors = _toy_factors(np.array([[1.0], [1.0], [0.0]]),
+    factors = hand_factors(np.array([[1.0], [1.0], [0.0]]),
                            [np.zeros((3, 1))])
     sol = solve_sample_smw(mean, factors, 0)
     assert np.array_equal(sol.x, mean.x_bar)
@@ -140,7 +121,7 @@ def test_empty_column_support_returns_mean_solution():
     system = _toy_system(np.diag([2.0, 4.0, 5.0]), np.array([1.0, 2.0, 3.0]))
     mean = factor_mean(system)
     u = np.eye(3)[:, :2]
-    factors = _toy_factors(u, [np.zeros((3, 2))], col_dim=0)
+    factors = hand_factors(u, [np.zeros((3, 2))], col_dim=0)
     sol = solve_sample_smw(mean, factors, 0)
     assert np.array_equal(sol.x, mean.x_bar)
     assert sol.capacitance_cond == 1.0
@@ -148,11 +129,10 @@ def test_empty_column_support_returns_mean_solution():
 
 def _state_bytes(state):
     """Z on its rows, the right sides, the CSR pattern of A_m[S, :c] and
-    its entry order, plus U[S, :k_s] below |S|; X is the elimination's."""
+    its entry order; X is the elimination's and U[S, :k_s] the
+    factors'."""
     p = state.pattern
     held = [state.z, state.rhs, p.data, p.indices, p.indptr, state.order]
-    if state.u_s is not None:
-        held.append(state.u_s)
     return sum(a.nbytes for a in held)
 
 
@@ -161,7 +141,8 @@ def test_shared_solve_cached_per_family(problem20, gram20):
     # switch (k_s = |S| = 135 in the coordinate basis, then a truncated
     # k_s in the basis of U, on the same support and pattern), and after
     # f0 -> f1 -> f0 the solutions are those of the first f0 pass, bit for
-    # bit; the mean holds the live state's arrays only
+    # bit; the mean holds the live state's arrays only, and below |S| the
+    # state reads the factors' U[S, :k_s] without a copy
     system = problem20["system"]
     f0 = factorize(gram20, system.A_tildes, select_theta(gram20)[0])
     f1 = factorize(gram20, system.A_tildes, theta=0.05)
@@ -176,7 +157,8 @@ def test_shared_solve_cached_per_family(problem20, gram20):
         assert mean.nbytes == _state_bytes(state)
         states.append(state)
     assert states[0].u_s is None
-    assert states[1].u_s.shape == (135, f1.k_s)
+    assert states[1].u_s is f1.U
+    assert f1.U.shape == (135, f1.k_s)
     assert np.array_equal(states[0].pattern.indices,
                           states[1].pattern.indices)
     assert _state_bytes(states[1]) < _state_bytes(states[0])
@@ -274,7 +256,7 @@ def test_singular_rest_block_is_named():
     # singular, while Abar itself (determinant -1) is not
     a = np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     mean = factor_mean(_toy_system(a, np.ones(3)))
-    factors = _toy_factors(np.array([[1.0], [0.0], [0.0]]),
+    factors = hand_factors(np.array([[1.0], [0.0], [0.0]]),
                            [np.zeros((3, 1))])
     with pytest.raises(SingularSystemError,
                        match=r"factorization of Abar\[T, T\] failed"):
@@ -299,7 +281,7 @@ def test_block_elimination_edge_cases(case):
     b = np.arange(1.0, 5.0)
     mean = factor_mean(_toy_system(a, b, n1=4, n2=0))
     v = 0.3 * np.ones((4, u.shape[1]))
-    factors = _toy_factors(u, [v])
+    factors = hand_factors(u, [v])
     z = mean.woodbury(factors)
     expect = {"k_s=0": (0, 4, 0), "T empty": (4, 0, 0),
               "I empty": (2, 2, 0)}[case]
@@ -319,7 +301,7 @@ def test_non_finite_shared_factor_column_is_named():
     mean = factor_mean(_toy_system(np.eye(3), np.ones(3)))
     for u in (np.eye(3)[:, :2],
               np.linalg.qr(np.random.default_rng(2).normal(size=(3, 2)))[0]):
-        factors = _toy_factors(u, [np.zeros((3, 2))])
+        factors = hand_factors(u, [np.zeros((3, 2))])
         factors.U[0, 1] = np.nan
         with pytest.raises(SingularSystemError,
                            match="column 1 of the shared factor holds "
@@ -328,8 +310,9 @@ def test_non_finite_shared_factor_column_is_named():
 
 
 def test_held_bytes_at_n8(problem20, gram20):
-    # the factors hold U, the span values (shared with the Gram matrix)
-    # and Y; at k_s = |S| the mean holds Z[S], the r right sides and the
+    # the factors hold U[S, :k_s] (no N x k U), the span values (shared
+    # with the Gram matrix) and Y; at k_s = |S| the mean holds Z[S], the
+    # r right sides and the
     # CSR pattern of A_m[S, :c] with its entry order, and no N x k_s Z,
     # no W_j = B_j^T U, no U[S, :k_s], no capacitance blocks and no copy
     # of X, which the system's elimination holds for both solvers
@@ -339,7 +322,8 @@ def test_held_bytes_at_n8(problem20, gram20):
     r, p = factors.basis.shape
     n, k_s = factors.n_full, factors.k_s
     assert (n, k_s, r, p, factors.M) == (504, 135, 10, 1161, 20)
-    assert factors.nbytes == 8 * (n * k_s + r * p + 20 * r) == 638_800
+    assert factors.U.shape == (135, k_s)
+    assert factors.nbytes == 8 * (135 * k_s + r * p + 20 * r) == 240_280
     mean = factor_mean(system)
     assert mean.nbytes == 0
     solve_sample_smw(mean, factors, 0)
@@ -356,6 +340,32 @@ def test_held_bytes_at_n8(problem20, gram20):
     assert mean.nbytes == 180_364
 
 
+def test_truncated_state_holds_no_copy_of_u_at_n16():
+    # fine_select's family (n=16, M=60) at theta = 0.1: k_s = 184 below
+    # |S| = 527.  The state reads the factors' U[S, :k_s] itself, so the
+    # mean holds Z[S], the right sides and the pattern only, 775,744
+    # bytes (the 527 x 184 U[S, :k_s]) less than when it kept a copy
+    mesh = build_mesh(n=16)
+    kl = build_kl(CovarianceKernel(correlation_length_sq=0.2), mesh,
+                  epsilon=0.01)
+    system = assemble_family(mesh, PhysicalParams(), kl,
+                             draw_samples(kl, M=60, seed=1234).coefficients)
+    gram = build_gram(system.A_tildes, block_dim=system.n_flow)
+    factors = factorize(gram, system.A_tildes, 0.1)
+    s, k_s = gram.support.size, factors.k_s
+    r, p = factors.basis.shape
+    assert (s, k_s, factors.col_dim, r, p) == (527, 184, 527, 9, 5129)
+    assert factors.U.nbytes == 8 * s * k_s == 775_744
+    mean = factor_mean(system)
+    solve_sample_smw(mean, factors, 0)
+    state = mean.woodbury(factors)
+    assert state.u_s is factors.U
+    assert mean.nbytes == _state_bytes(state)
+    # 1,669,428 bytes with the copy
+    assert mean.nbytes == (8 * (s * k_s + r * k_s + 2 * p)
+                           + 4 * (p + s + 1)) == 893_684
+
+
 def test_matches_dense_woodbury_on_random_system():
     rng = np.random.default_rng(8)
     n, k = 8, 2
@@ -365,7 +375,7 @@ def test_matches_dense_woodbury_on_random_system():
     v_list = [rng.normal(size=(n, k)) * 0.3 for _ in range(3)]
     system = _toy_system(a, b, n1=3, n2=2, n3=1)
     mean = factor_mean(system)
-    factors = _toy_factors(u, v_list)
+    factors = hand_factors(u, v_list)
     for m, v in enumerate(v_list):
         expect = np.linalg.solve(a + u @ v.T, b)
         sol = solve_sample_smw(mean, factors, m)
@@ -392,7 +402,7 @@ def test_smw_matches_dense_solve_on_random_column_support(n, data):
         v[col_dim:] = 0.0
     mean = factor_mean(_toy_system(a, b, n1=n, n2=0))
     for rows in (col_dim, None):
-        factors = _toy_factors(u, v_list, col_dim=rows)
+        factors = hand_factors(u, v_list, col_dim=rows)
         for m, v in enumerate(v_list):
             expect = np.linalg.solve(a + u @ v.T, b)
             x = solve_sample_smw(mean, factors, m).x
@@ -441,8 +451,8 @@ def test_span_solve_matches_dense_solve_on_random_families(n, data):
     assert factors.span_dim == np.linalg.matrix_rank(flat)
     mean = factor_mean(_toy_system(a, b, n1=n, n2=0))
     for m, t in enumerate(tildes):
-        expect_v = t.toarray().T @ factors.U
-        assert (np.linalg.norm(right_factor(factors, m) - expect_v)
+        expect_v = t.toarray().T @ dense_u(factors, gram)
+        assert (np.linalg.norm(right_factor(factors, m, gram) - expect_v)
                 <= 1e-13 * spla_norm(t)), f"V_{m}"
         expect = np.linalg.solve(a + t.toarray(), b)
         x = solve_sample_smw(mean, factors, m).x
@@ -458,7 +468,11 @@ def test_lapack_solve_matches_the_reference_on_random_span_families(n, data):
     # from |S| up to the block dimension, in the coordinate basis of S);
     # the sparse product and the direct LAPACK calls must give the
     # reference's r-block sum x and condition estimate, or reject the
-    # sample where the reference's estimate exceeds the limit
+    # sample where the reference's estimate exceeds the limit.  Each path
+    # forms C = I + E with its own roundoff in E, which moves y by
+    # ||E|| ||C^{-1}|| times as much: the 1e-14 grows by that factor
+    # where it exceeds 1, i.e. where C nearly cancels its identity (one
+    # drawn sample has the 1 x 1 C = 0.007 and a factor of 141)
     kind = data.draw(st.sampled_from(["zero", "truncated", "support"]),
                      label="kind")
     M = data.draw(st.integers(1, 6), label="M")
@@ -477,14 +491,16 @@ def test_lapack_solve_matches_the_reference_on_random_span_families(n, data):
     assert factors.k_s == min(k, s)
     mean = factor_mean(_toy_system(a, b, n1=n, n2=0))
     for m in range(M):
-        x, cond = smw_reference(mean, factors, m)
+        x, cond, cap = smw_reference(mean, factors, m)
         if cond > CAPACITANCE_COND_LIMIT:
             with pytest.raises(IllConditionedUpdateError):
                 solve_sample_smw(mean, factors, m)
             continue
         sol = solve_sample_smw(mean, factors, m)
         err = np.linalg.norm(sol.x - x) / np.linalg.norm(x)
-        assert err <= 1e-14, f"sample {m}: {err:.3e}"
+        amp = (np.linalg.norm(cap - np.eye(len(cap)), 2)
+               * np.linalg.norm(np.linalg.inv(cap), 2) if cap.size else 0.0)
+        assert err <= 1e-14 * max(amp, 1.0), f"sample {m}: {err:.3e}"
         assert sol.capacitance_cond == pytest.approx(cond, rel=1e-12)
 
 
@@ -504,11 +520,10 @@ def test_column_support_solve_matches_full_row_formula(problem20, gram20,
     z = mean_solve(mean, np.eye(mean.N)[:, s])
     for m in range(factors.M):
         sol = solve_sample_smw(mean, factors, m)
-        x = _full_row_smw(mean, factors, m)
+        x = _full_row_smw(mean, factors, m, gram20)
         err = np.linalg.norm(sol.x - x) / np.linalg.norm(x)
         assert err <= 1e-12, f"sample {m}: {err:.3e}"
-        a_m = right_factor(dataclasses.replace(
-            factors, U=np.eye(mean.N)), m).T
+        a_m = perturbation(factors, m).toarray()
         cond = _cond_estimate(np.eye(k_s) + a_m[s, :c] @ z[:c],
                               transposed=True)
         assert sol.capacitance_cond == pytest.approx(cond, rel=1e-12)
@@ -517,14 +532,19 @@ def test_column_support_solve_matches_full_row_formula(problem20, gram20,
 @pytest.mark.parametrize("theta", [0.3, 1.0])
 def test_columns_past_the_gram_support_leave_the_solve_unchanged(
         problem20, gram20, theta):
-    # U stays N x k, but W, Z and the capacitance matrix stop at the
-    # k_s = |S| columns that are not unit vectors on zero Gram rows, so
-    # the solutions are those of the factorization at k = |S|
+    # U is N x k, but the factors hold U[S, :k_s], the Gram matrix's
+    # eigenvector array itself (read-only, so no writer can change the
+    # Gram matrix's cache), and Z and the capacitance matrix stop at
+    # the k_s = |S| columns that are not unit vectors on zero Gram rows,
+    # so the solutions are those of the factorization at k = |S|
     system = problem20["system"]
     s = gram20.support.size
     factors = factorize(gram20, system.A_tildes, theta)
     at_s = factorize(gram20, system.A_tildes, s / gram20.n_full)
-    assert factors.U.shape == (gram20.n_full, factors.k)
+    assert factors.U.shape == (s, s)
+    assert factors.U.base is gram20.eigenpairs()[1]
+    assert not factors.U.flags.writeable
+    assert np.array_equal(factors.U, at_s.U)
     assert at_s.k == s < factors.k
     assert factors.k_s == s <= factors.col_dim
     mean = factor_mean(system)
@@ -546,9 +566,7 @@ def test_full_rank_solve_does_not_depend_on_the_basis_of_the_support(
     assert f0.k_s == s.size
     q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(s.size,
                                                               s.size)))
-    u = f0.U.copy()
-    u[s, :f0.k_s] = f0.U[s, :f0.k_s] @ q
-    f1 = dataclasses.replace(f0, U=u)
+    f1 = dataclasses.replace(f0, U=f0.U @ q)
     mean = factor_mean(system)
     first, second = ([solve_sample_smw(mean, f, m) for m in range(f.M)]
                      for f in (f0, f1))
@@ -663,7 +681,7 @@ def test_singular_capacitance_rejected():
     # U = e1, V = -e1 drives the sample matrix to diag(0, 1, 1)
     system = _toy_system(np.eye(3), np.ones(3))
     mean = factor_mean(system)
-    factors = _toy_factors(np.array([[1.0], [0.0], [0.0]]),
+    factors = hand_factors(np.array([[1.0], [0.0], [0.0]]),
                            [np.array([[-1.0], [0.0], [0.0]])])
     with pytest.raises(IllConditionedUpdateError, match="sample 0"):
         solve_sample_smw(mean, factors, 0)
@@ -677,7 +695,7 @@ def test_singular_column_support_capacitance_rejected():
     mean = factor_mean(system)
     v = np.zeros((3, 2))
     v[0, 0] = -1.0
-    factors = _toy_factors(np.eye(3)[:, :2], [v], col_dim=1)
+    factors = hand_factors(np.eye(3)[:, :2], [v], col_dim=1)
     with pytest.raises(IllConditionedUpdateError, match="sample 0"):
         solve_sample_smw(mean, factors, 0)
 
@@ -688,7 +706,7 @@ def test_exactly_singular_capacitance_rejected_without_a_warning():
     system = _toy_system(np.eye(3), np.ones(3))
     mean = factor_mean(system)
     v = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
-    factors = _toy_factors(np.eye(3)[:, :2], [v])
+    factors = hand_factors(np.eye(3)[:, :2], [v])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IllConditionedUpdateError,
@@ -701,7 +719,7 @@ def test_exactly_singular_capacitance_rejected_without_a_warning():
 def test_non_finite_right_factor_is_a_singular_system(bad):
     system = _toy_system(np.eye(3), np.ones(3))
     mean = factor_mean(system)
-    factors = _toy_factors(np.array([[1.0], [0.0], [0.0]]),
+    factors = hand_factors(np.array([[1.0], [0.0], [0.0]]),
                            [np.array([[bad], [0.0], [0.0]])])
     with pytest.raises(SingularSystemError, match="sample 0: non-finite"):
         solve_sample_smw(mean, factors, 0)
@@ -718,7 +736,7 @@ def _cached_state(u):
     A_0 sits on the 3 x 3 pattern, entry (i, j) at basis[0, 3 i + j]."""
     mean = factor_mean(_toy_system(np.eye(3), np.ones(3)))
     rng = np.random.default_rng(5)
-    factors = _toy_factors(u, [0.1 * rng.normal(size=(3, u.shape[1]))])
+    factors = hand_factors(u, [0.1 * rng.normal(size=(3, u.shape[1]))])
     mean.woodbury(factors)
     return mean, factors
 
@@ -760,7 +778,7 @@ def test_finite_capacitance_whose_norm_overflows_is_ill_conditioned():
 def test_non_finite_mean_solution_is_a_singular_system():
     mean = factor_mean(_toy_system(np.eye(3), np.ones(3)))
     mean.x_bar = np.array([np.inf, 1.0, 1.0])
-    factors = _toy_factors(np.array([[1.0], [0.0], [0.0]]),
+    factors = hand_factors(np.array([[1.0], [0.0], [0.0]]),
                            [np.array([[2.0], [0.0], [0.0]])])
     with pytest.raises(SingularSystemError, match="sample 0: non-finite"):
         solve_sample_smw(mean, factors, 0)
