@@ -215,17 +215,18 @@ def _row_col_support(a, width):
     return nrow, int(np.max(a.indices[nz] % width)) + 1
 
 
-def rmsre_per_sample(gram, factors, A_tildes):
+def rmsre_per_sample(factors, A_tildes):
     """Direct root-mean-square reconstruction error, one sample at a time.
 
     sqrt( (1/M) * sum_m ||A_m - U V_m^T||_F^2 ), evaluated on the dense
-    nonzero block of each matrix with the N x k U of ``dense_u`` and the
-    blocks V_m[:col_dim, :k_s] that ``factors.V`` yields: V_m is zero
-    past them.
+    nonzero block of each matrix with U[:, :k_s] (the factors' U[S, :k_s]
+    embedded in N x k_s zeros) and the blocks V_m[:col_dim, :k_s] that
+    ``factors.V`` yields: U V_m^T has no other nonzero entries.
     """
     if len(A_tildes) != factors.M:
         raise ValueError("factors do not cover the given matrix family")
-    u = dense_u(factors, gram)[:, :factors.k_s]
+    u = np.zeros((factors.n_full, factors.k_s))
+    u[factors.support] = factors.U
     # U vanishes below its last nonzero row
     u_rows = int(np.flatnonzero(u.any(axis=1)).max(initial=-1)) + 1
     total = 0.0
@@ -296,7 +297,7 @@ def hand_factors(u, v_list, col_dim=None):
 def smw_reference(mean, factors, m):
     """Woodbury solve of sample m through scipy's LU wrappers.
 
-    Returns (x, condition estimate, C).  Z = Abar^{-1} U[:, :k_s] is solved
+    Returns (x, condition estimate).  Z = Abar^{-1} U[:, :k_s] is solved
     afresh through ``mean_solve``, each W_j = B_j^T U[:, :k_s] is formed
     from the span values of ``factors`` as a COO matrix B_j, the r blocks
     (W_j^T Z[:c])^T are summed by ``tensordot`` into the capacitance
@@ -336,7 +337,7 @@ def smw_reference(mean, factors, m):
         w = y_m @ rhs
         cap[np.diag_indices_from(cap)] += 1.0
     if not cap.size:
-        return mean.x_bar - z @ w, 1.0, cap
+        return mean.x_bar - z @ w, 1.0
     anorm = np.linalg.norm(cap, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -345,10 +346,10 @@ def smw_reference(mean, factors, m):
     gecon = get_lapack_funcs(("gecon",), (lu,))[0]
     rcond, info = gecon(lu, anorm, norm="I" if coordinate else "1")
     if info != 0 or rcond == 0.0 or not np.isfinite(rcond):
-        return None, math.inf, cap
+        return None, math.inf
     y = scipy.linalg.lu_solve((lu, piv), w, trans=int(coordinate),
                               check_finite=False)
-    return mean.x_bar - z @ y, 1.0 / rcond, cap
+    return mean.x_bar - z @ y, 1.0 / rcond
 
 
 def mean_solve(mean, rhs):

@@ -604,8 +604,7 @@ def test_error_formula_matches_direct_evaluation(problem20, gram20):
 def _assert_rmsre_matches_the_per_sample_oracle(gram, factors, tildes):
     # where the per-sample error is roundoff, only the floor is checked
     floor = 2.0 * math.sqrt(np.finfo(float).eps * gram.trace / gram.M)
-    direct = rmsre(gram, factors)
-    oracle = rmsre_per_sample(gram, factors, tildes)
+    direct, oracle = rmsre(gram, factors), rmsre_per_sample(factors, tildes)
     if oracle > floor:
         assert direct == pytest.approx(oracle, rel=1e-10)
     else:
