@@ -242,9 +242,9 @@ def build_gram(A_tildes, block_dim=None):
     coefficients Y give A_m = sum_j Y[m, j] B_j to roundoff, in O(M r p).
     With the thin QR Y = Q R, G = sum_j C_j C_j^T for C = R B: one sparse
     product of r matrices.  B and Y are kept for ``factorize``, C for
-    ``rmsre``.  Since G_ii = sum_j ||C_j[i, :]||^2, the support S is the
-    set of rows where some C_j has a nonzero entry, and only the rows S of
-    the C_j enter the product.
+    ``rmsre``, read-only like S and the pattern.  Since G_ii = sum_j
+    ||C_j[i, :]||^2, the support S is the set of rows where some C_j has a
+    nonzero entry, and only the rows S of the C_j enter the product.
     All matrices must share the same dimension.  ``block_dim`` bounds the
     nonzero rows; when omitted it is detected from the nonzeros of C.
     The block is explicitly symmetrized to remove accumulation roundoff.
@@ -267,6 +267,9 @@ def build_gram(A_tildes, block_dim=None):
     # explicitly stored zeros are not support
     nonzero = (c != 0.0).any(axis=0)
     support = np.unique(rows[nonzero])
+    # read-only: a solver's state, cached per family, is built from them
+    for a in (basis, rows, cols, y, c, support):
+        a.flags.writeable = False
     max_row = int(support.max(initial=-1)) + 1
     max_col = int(cols[nonzero].max(initial=-1)) + 1
     if block_dim is None:
@@ -411,8 +414,8 @@ def factorize(gram, A_tildes, theta):
     k_s = min(k, |S|) columns are eigenvectors of the support block
     G[S, S] on the rows S, and the k - k_s others are unit vectors on
     the zero rows of G, last row first, with exactly zero V_m columns.
-    The factors hold only U[S, :k_s], at k_s = |S| the Gram matrix's
-    eigenvector array itself.
+    The factors hold only U[S, :k_s], read-only, at k_s = |S| the Gram
+    matrix's eigenvector array itself.
 
     The family is not read: B_1..B_r (on the pattern) and Y are the
     arrays of the span that ``build_gram`` kept, shared, not copied, and
@@ -434,8 +437,10 @@ def factorize(gram, A_tildes, theta):
     k = _k_from_theta(theta, gram)
     _, v = gram.eigenpairs()
     basis, rows, cols, col_dim, y, _ = gram._span
+    u = np.ascontiguousarray(v[:, :k])   # k_s = min(k, |S|) columns
+    u.flags.writeable = False
     return GlramFactors(
-        U=np.ascontiguousarray(v[:, :k]),   # k_s = min(k, |S|) columns
+        U=u,
         support=gram.support,
         basis=basis,
         rows=rows,

@@ -8,10 +8,11 @@ per (Abar, b, pattern), and the system keeps it: one LU of Abar[T, T]
 gives X = Abar[T, T]^{-1} Abar[T, I] and y_T = Abar[T, T]^{-1} b[T], and
 the Schur complement Sigma = Abar[S, S] - Abar[S, T] X is sparse plus one
 dense block (the algebraic Steklov-Poincare substructuring of the coupled
-problem).  ``factor_mean`` solves for x_bar through the LU of Sigma, the
-Woodbury state solves Sigma Z[S] = U[S, :k_s] and holds only Z[S]
-(Z[T] = -X Z[S][I]), and the direct reference solve of (Abar + A_m) x = b
-factors Sigma + A_m[S, S] per sample and forms x[T] = y_T - X x[S][I].
+problem).  Its ``expand`` forms every x from x[S], x[T] = y_T - X x[S][I]:
+x_bar through the LU of Sigma (``factor_mean``), Z y from the Z[S] that
+the Woodbury state solves from Sigma Z[S] = U[S, :k_s] and holds with
+the elimination (y_T = 0), and the direct reference solve of
+(Abar + A_m) x = b, which factors Sigma + A_m[S, S] per sample.
 
 A low-rank sample follows from the Woodbury identity
 
@@ -84,10 +85,8 @@ class MeanFactorization:
     """
 
     def __init__(self, A_bar, x_bar):
-        self.A_bar = A_bar
-        self.x_bar = x_bar
-        self._elimination = None
-        self._woodbury = None
+        self.A_bar, self.x_bar = A_bar, x_bar
+        self._elimination = self._woodbury = None
 
     @property
     def N(self):
@@ -98,8 +97,7 @@ class MeanFactorization:
         """Bytes of the cached Woodbury state (0 before a solve), not of
         the elimination it reads, which the system holds for both paths,
         nor of the factors' U[S, :k_s]."""
-        held = self._woodbury
-        return 0 if held is None else held.nbytes
+        return 0 if self._woodbury is None else self._woodbury.nbytes
 
     def woodbury(self, factors):
         """The Woodbury state of ``factors``, built in one pass and cached
@@ -115,7 +113,8 @@ class MeanFactorization:
         each: a residual ||Abar Z_j - B_j|| above 1e-8 (||B_j|| + 1), or not
         finite, raises SingularSystemError naming the column.  The state
         keeps a CSR pattern of A_m[S, :c], the r right sides and, below
-        |S|, the factors' U[S, :k_s], which projects both on the left.
+        |S|, the factors' U[S, :k_s], which projects both on the left,
+        and reads S, T, I and X from the elimination it keeps.
         """
         if self._woodbury is not None and self._woodbury.factors is factors:
             return self._woodbury
@@ -153,61 +152,40 @@ class MeanFactorization:
                 f"inaccurate solve for column {j} of the shared "
                 f"factor: residual {resid[j]:.3e}"
             )
-        state = _Woodbury(factors, s, elim.t, elim.coupled, z_s, elim.x,
-                          None if full else b_s)
-        state.build_pattern(self.x_bar)
-        self._woodbury = state
-        return state
+        self._woodbury = _Woodbury(factors, elim, z_s, self.x_bar)
+        return self._woodbury
 
 
 # columns of Z assembled at a time by the residual check
 _CHECK_COLUMNS = 64
 
 
-@dataclass(eq=False)
 class _Woodbury:
-    """The Woodbury state of one factor family.
+    """The Woodbury state of one factor family, complete once built.
 
-    Z = Abar^{-1} U[:, :k_s] (Abar^{-1}[:, S] at k_s = |S|) is held on
-    the factors' support S; Z[T] = -X Z[S][I] is never stored, and T, I
-    and X are the elimination's.  A sample's right side is y @ rhs, for
-    rhs[j] = B_j[S, :c] x_bar[:c] (U[S, :k_s]^T times it below |S|).
+    ``elim`` is the elimination it was solved through, which holds S, T,
+    I and X.  Z = Abar^{-1} U[:, :k_s] (Abar^{-1}[:, S] at k_s = |S|) is
+    held on S: ``z`` is Z[S], then Z[j] = -X[j] Z[S][I] for each column
+    j of the pattern off S (the elimination's ``expand``); no other row
+    of Z[T] is stored.  ``pattern`` is the CSR pattern of A_m[S, :c],
+    with read-only indices, and ``order`` the span pattern index of each
+    stored entry.  A sample's right side is y @ rhs, for
+    rhs[j] = B_j[S, :c] x_bar[:c] (U[S, :k_s]^T times it below |S|,
+    where ``u_s`` is the factors' U[S, :k_s]; None at |S|).
     """
 
-    factors: object          # the GlramFactors it was built from
-    support: np.ndarray      # S, ascending
-    rest: np.ndarray         # T, ascending
-    coupled: np.ndarray      # I: positions in S of Abar[T, S]'s columns
-    z: np.ndarray            # Z[S], then Z at the pattern's columns off S
-    x: np.ndarray            # X = Abar[T, T]^{-1} Abar[T, I], |T| x |I|
-    u_s: np.ndarray = None       # the factors' U[S, :k_s], below |S|
-    rhs: np.ndarray = None       # r x k_s
-    pattern: object = None       # A_m[S, :c] in CSR
-    order: np.ndarray = None     # span pattern index of each stored entry
-
-    @property
-    def z_s(self):
-        return self.z[:self.support.size]
-
-    @property
-    def nbytes(self):
-        """Bytes of the arrays the state owns; U[S, :k_s] is the factors'."""
-        p = self.pattern
-        held = [self.z, self.rhs, self.order, p.data, p.indices, p.indptr]
-        return sum(a.nbytes for a in held)
-
-    def build_pattern(self, x_bar):
-        """The CSR pattern of A_m[S, :c], with read-only indices, and the
-        right sides; a column j off S appends Z[j] = -X[j] Z[S][I] to z."""
-        f, s = self.factors, self.support
+    def __init__(self, factors, elim, z_s, x_bar):
+        f, s = factors, elim.s
+        self.factors, self.elim = factors, elim
+        self.u_s = None if f.k_s == s.size else f.U
         local = np.full(x_bar.size, -1)
         local[s] = np.arange(s.size)
         keep = np.flatnonzero(local[f.rows] >= 0)
         off = np.setdiff1d(f.cols[keep], s)
+        self.z = z_s
         if off.size:
             local[off] = s.size + np.arange(off.size)
-            x_off = self.x[np.searchsorted(self.rest, off)]
-            self.z = np.vstack((self.z, -(x_off @ self.z[self.coupled])))
+            self.z = np.vstack((z_s, elim.expand(z_s, 0.0)[off]))
         rows, cols = local[f.rows[keep]], local[f.cols[keep]]
         by_row = np.lexsort((cols, rows))
         self.order = keep[by_row]
@@ -223,19 +201,19 @@ class _Woodbury:
         if self.u_s is not None:
             self.rhs = self.rhs @ self.u_s
 
+    @property
+    def nbytes(self):
+        """Bytes of the arrays the state owns; U[S, :k_s] is the factors'
+        and S, T, I and X the elimination's."""
+        p = self.pattern
+        held = [self.z, self.rhs, self.order, p.data, p.indices, p.indptr]
+        return sum(a.nbytes for a in held)
+
     def holding(self, values):
         """The pattern holding ``values``, given on the span's pattern."""
         # mode="clip" writes straight into the data; "raise" buffers
         np.take(values, self.order, out=self.pattern.data, mode="clip")
         return self.pattern
-
-    def subtract_from(self, x_bar, y):
-        """x_bar - Z y."""
-        zy = self.z_s @ y
-        x = x_bar.copy()
-        x[self.support] -= zy
-        x[self.rest] += self.x @ zy[self.coupled]
-        return x
 
 
 def _splu(a, block):
@@ -248,52 +226,41 @@ def _splu(a, block):
             f"factorization of {block} failed ({exc})") from exc
 
 
-def _eliminate(a, on_s):
-    """Block elimination of the CSR matrix ``a`` onto the rows and columns
-    S where ``on_s`` holds, T the rest.
-
-    Returns (S, T, I, X, Schur, LU, a[S, T]): I are the columns of
-    a[T, S] that hold entries (positions in S), X = a[T, T]^{-1} a[T, I],
-    the Schur complement a[S, S] - a[S, T] X, sparse plus a dense block
-    on the rows of a[S, T] that hold entries (None when S is empty), and
-    the LU of a[T, T] (None when T is empty); a failed LU raises
-    SingularSystemError naming a[T, T].
-    """
-    s, t = np.flatnonzero(on_s), np.flatnonzero(~on_s)
-    a_s, a_t = a[s], a[t]
-    a_ts, a_st = a_t[:, s], a_s[:, t]
-    coupled = np.unique(a_ts.indices)
-    lu = _splu(a_t[:, t], "Abar[T, T]") if t.size else None
-    x = (lu.solve(a_ts[:, coupled].toarray()) if coupled.size
-         else np.zeros((t.size, 0)))
-    schur = None
-    if s.size:
-        rows = np.flatnonzero(np.diff(a_st.indptr))
-        dense = a_st[rows] @ x
-        schur = a_s[:, s] - sp.csr_matrix(
-            (dense.ravel(), (np.repeat(rows, coupled.size),
-                             np.tile(coupled, rows.size))),
-            shape=(s.size, s.size))
-    return s, t, coupled, x, schur, lu, a_st
-
-
 class _Elimination:
     """Abar eliminated onto S, for every solver of one family.
 
-    Holds what ``_eliminate`` gives but the LU of Abar[T, T], the LU of
-    Sigma and, given b, y_T, the condensed right side b[S] - Abar[S, T] y_T,
-    x_bar = Abar^{-1} b after one step of iterative refinement, and the
-    direct path's column order, taken on its first sample.  ``serves``
-    compares a call's Abar, its stored entries, b and pattern with the
-    copies kept.
+    S holds the rows and columns where ``on_s`` does, T the rest, and I
+    the columns of Abar[T, S] that hold entries (positions in S).  One LU
+    of Abar[T, T] gives X = Abar[T, T]^{-1} Abar[T, I], and the Schur
+    complement Sigma = Abar[S, S] - Abar[S, T] X is sparse plus a dense
+    block on the rows of Abar[S, T] that hold entries (None when S is
+    empty); a failed LU raises SingularSystemError naming Abar[T, T].
+    Given b, it holds y_T = Abar[T, T]^{-1} b[T], the condensed right
+    side b[S] - Abar[S, T] y_T, x_bar = Abar^{-1} b after one step of
+    iterative refinement, and the direct path's column order, taken on
+    its first sample.  ``serves`` compares a call's Abar, its stored
+    entries, b and pattern with the copies kept.
     """
 
     def __init__(self, a_bar, on_s, b=None, pattern=None):
         self.a_bar, self.on_s, self.pattern = a_bar, on_s, pattern
-        self.a = sp.csr_matrix(a_bar, copy=True)
-        self.a_norm = spla.norm(self.a)
-        (self.s, self.t, self.coupled, self.x, self.schur, lu_t,
-         a_st) = _eliminate(self.a, on_s)
+        self.a = a = sp.csr_matrix(a_bar, copy=True)
+        self.a_norm = spla.norm(a)
+        self.s, self.t = s, t = np.flatnonzero(on_s), np.flatnonzero(~on_s)
+        a_s, a_t = a[s], a[t]
+        a_ts, a_st = a_t[:, s], a_s[:, t]
+        self.coupled = coupled = np.unique(a_ts.indices)
+        lu_t = _splu(a_t[:, t], "Abar[T, T]") if t.size else None
+        self.x = (lu_t.solve(a_ts[:, coupled].toarray()) if coupled.size
+                  else np.zeros((t.size, 0)))
+        self.schur = None
+        if s.size:
+            rows = np.flatnonzero(np.diff(a_st.indptr))
+            dense = a_st[rows] @ self.x
+            self.schur = a_s[:, s] - sp.csr_matrix(
+                (dense.ravel(), (np.repeat(rows, coupled.size),
+                                 np.tile(coupled, rows.size))),
+                shape=(s.size, s.size))
         self._order = None
         self.b = None if b is None else np.array(b)
         if b is None:
@@ -450,9 +417,10 @@ def solve_sample_smw(mean, factors, m):
     infinity-norm condition estimate of C^T, which is the 1-norm one of C
     (``gecon``, reported as ``capacitance_cond``), and the
     back-substitution (``getrs``) of C y = w for the right side
-    w = y @ rhs; then x = x_bar - Z y from Z[S] and X.  When k_s = 0 the
-    update vanishes and x = x_bar with condition 1.  No N x N inverse and
-    no V_m is ever formed.  An exactly singular capacitance matrix has
+    w = y @ rhs; then x = x_bar - Z y, where Z y is the elimination's
+    ``expand`` of Z[S] y with y_T = 0.  When k_s = 0 the update vanishes
+    and x = x_bar with condition 1.  No N x N inverse and no V_m is ever
+    formed.  An exactly singular capacitance matrix has
     condition infinity; a condition above CAPACITANCE_COND_LIMIT raises
     IllConditionedUpdateError, and non-finite capacitance entries or x
     raise SingularSystemError, each naming the sample; the entries are
@@ -497,7 +465,8 @@ def solve_sample_smw(mean, factors, m):
         y, _ = _GETRS(lu, piv, w, trans=1, overwrite_b=1)
     else:  # k_s = 0: no update, and LAPACK rejects an empty matrix
         cond, y = 1.0, w
-    x = state.subtract_from(mean.x_bar, y)
+    elim = state.elim
+    x = mean.x_bar - elim.expand(state.z[:elim.s.size] @ y, 0.0)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"sample {m}: non-finite solution entries")
     return SampleSolution(x=x, sample_index=m, capacitance_cond=cond)

@@ -1,6 +1,7 @@
 """Config handling, subcommand pipelines, and exit codes of the CLI."""
 
 import csv
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 import scipy
 
 from _oracles import read_solutions
-from sdlowrank import cli
+from sdlowrank import cli, lowrank_solver
 from sdlowrank.cli import (
     ConfigError,
     RunConfig,
@@ -325,15 +326,17 @@ def test_theta_sweep_records_a_failed_ratio_and_keeps_sweeping(
 
 def test_theta_sweep_records_a_non_finite_factor_as_a_failed_ratio(
         tmp_path, monkeypatch):
-    # the NaN goes into U[S, :k_s], which below |S| the factors own: the
-    # span values and Y are the Gram matrix's, shared by every ratio of
-    # the sweep
+    # the NaN goes into a copy of U[S, :k_s], which factorize makes
+    # read-only: the span values and Y are the Gram matrix's, shared by
+    # every ratio of the sweep
     real_factorize = cli.factorize
 
     def factorize(gram, tildes, theta):
         factors = real_factorize(gram, tildes, theta)
         if theta == 0.1:
-            factors.U[0, 0] = np.nan
+            u = factors.U.copy()
+            u[0, 0] = np.nan
+            factors = dataclasses.replace(factors, U=u)
         return factors
 
     monkeypatch.setattr(cli, "factorize", factorize)
@@ -377,6 +380,45 @@ def test_theta_sweep_solves_each_support_rank_once(tmp_path, monkeypatch):
         assert [header, row] == [lines[0], lines[i + 1]], tok
         (alone,) = _ledger_records(one)
         assert alone["rows"] == [swept["rows"][i]], tok
+
+
+def test_theta_sweep_builds_one_elimination(tmp_path, monkeypatch):
+    # factor_mean, the direct loop and the Woodbury states at k_s = 35
+    # (1.0 and select) and at k_s = 15 (0.1) all read one elimination of
+    # Abar onto the family's support
+    built, read = [], []
+    init = lowrank_solver._Elimination.__init__
+    real_mean = cli.factor_mean
+    real_direct, real_smw = cli.solve_sample_direct, cli.solve_sample_smw
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def factor_mean(system):
+        mean = real_mean(system)
+        read.append(("factor_mean", mean._elimination))
+        return mean
+
+    def direct(system, m):
+        sol = real_direct(system, m)
+        read.append(("direct", system._direct))
+        return sol
+
+    def smw(mean, factors, m):
+        sol = real_smw(mean, factors, m)
+        read.append((factors.k_s, mean.woodbury(factors).elim))
+        return sol
+
+    monkeypatch.setattr(lowrank_solver._Elimination, "__init__", counted_init)
+    monkeypatch.setattr(cli, "factor_mean", factor_mean)
+    monkeypatch.setattr(cli, "solve_sample_direct", direct)
+    monkeypatch.setattr(cli, "solve_sample_smw", smw)
+    assert main(["theta-sweep", "--output-dir", str(tmp_path), "--n", "4",
+                 "--samples", "6", "--theta-list", "1.0,select,0.1"]) == 0
+    assert len(built) == 1
+    assert {who for who, _ in read} == {"factor_mean", "direct", 35, 15}
+    assert all(elim is built[0] for _, elim in read)
 
 
 def test_theta_sweep_lets_a_programming_error_propagate(tmp_path, monkeypatch):

@@ -167,11 +167,13 @@ def test_shared_solve_cached_per_family(problem20, gram20):
 
 
 def _assembled_z(state, n):
-    """Z = Abar^{-1} U[:, :k_s] from the state's Z[S] and X, with
-    Z[T] = -X Z[S][I]."""
-    z = np.empty((n, state.z_s.shape[1]))
-    z[state.support] = state.z_s
-    z[state.rest] = -(state.x @ state.z_s[state.coupled])
+    """Z = Abar^{-1} U[:, :k_s] from the state's Z[S] and its
+    elimination's S, T, I and X, with Z[T] = -X Z[S][I]."""
+    elim = state.elim
+    z_s = state.z[:elim.s.size]
+    z = np.empty((n, z_s.shape[1]))
+    z[elim.s] = z_s
+    z[elim.t] = -(elim.x @ z_s[elim.coupled])
     return z
 
 
@@ -191,9 +193,9 @@ def test_block_elimination_matches_the_mean_solve(problem20, geometry):
     factors = factorize(gram, system.A_tildes, select_theta(gram)[0])
     mean = factor_mean(system)
     z = mean.woodbury(factors)
-    assert np.array_equal(z.support, gram.support)
-    assert z.z_s.shape == (gram.support.size, factors.k_s)
-    assert z.x.shape == (mean.N - gram.support.size, 30)
+    assert np.array_equal(z.elim.s, gram.support)
+    assert z.z[:z.elim.s.size].shape == (gram.support.size, factors.k_s)
+    assert z.elim.x.shape == (mean.N - gram.support.size, 30)
     assert factors.k_s == gram.support.size
     ref = mean_solve(mean, np.eye(mean.N)[:, gram.support])
     assert (np.linalg.norm(_assembled_z(z, mean.N) - ref)
@@ -209,26 +211,27 @@ def test_one_elimination_serves_every_solver_of_a_family(problem20, gram20,
     f0 = factorize(gram20, system.A_tildes, select_theta(gram20)[0])
     f1 = factorize(gram20, system.A_tildes, theta=0.05)
     assert f1.k_s < f0.k_s == 135
-    calls = {"eliminate": 0, "full splu": 0}
-    eliminate, splu = lowrank_solver._eliminate, lowrank_solver.spla.splu
+    calls = {"eliminations": 0, "full splu": 0}
+    init = lowrank_solver._Elimination.__init__
+    splu = lowrank_solver.spla.splu
 
-    def counted_eliminate(*args):
-        calls["eliminate"] += 1
-        return eliminate(*args)
+    def counted_init(self, *args, **kwargs):
+        calls["eliminations"] += 1
+        init(self, *args, **kwargs)
 
     def counted_splu(a, *args, **kwargs):
         calls["full splu"] += a.shape == system.A_bar.shape
         return splu(a, *args, **kwargs)
 
-    monkeypatch.setattr(lowrank_solver, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(lowrank_solver._Elimination, "__init__", counted_init)
     monkeypatch.setattr(lowrank_solver.spla, "splu", counted_splu)
     for m in range(len(system.A_tildes)):
         solve_sample_direct(system, m)
     mean = factor_mean(system)
     states = [mean.woodbury(f) for f in (f0, f1)]
-    assert calls == {"eliminate": 1, "full splu": 0}
+    assert calls == {"eliminations": 1, "full splu": 0}
     assert mean._elimination is system._direct
-    assert all(state.x is system._direct.x for state in states)
+    assert all(state.elim is system._direct for state in states)
 
 
 @pytest.mark.parametrize("geometry", [None, POROUS_BELOW, SHALLOW_POROUS],
@@ -285,7 +288,7 @@ def test_block_elimination_edge_cases(case):
     z = mean.woodbury(factors)
     expect = {"k_s=0": (0, 4, 0), "T empty": (4, 0, 0),
               "I empty": (2, 2, 0)}[case]
-    assert (z.support.size, z.rest.size, z.coupled.size) == expect
+    assert (z.elim.s.size, z.elim.t.size, z.elim.coupled.size) == expect
     ref = mean_solve(mean, u)
     assert _assembled_z(z, 4).shape == u.shape
     assert np.allclose(_assembled_z(z, 4), ref, rtol=0.0, atol=1e-14)
@@ -332,12 +335,32 @@ def test_held_bytes_at_n8(problem20, gram20):
     assert state.u_s is None
     assert (state.pattern.indices.dtype, state.order.dtype) == (np.int32,
                                                                 np.int64)
-    assert state.x is system._direct.x
-    assert state.x.shape == (t, i)
+    assert state.elim is system._direct
+    assert state.elim.x.shape == (t, i)
     # doubles: Z[S], the right sides, the pattern's values and order;
     # 4-byte indices and row pointers
     assert mean.nbytes == 8 * (s * k_s + r * k_s + 2 * p) + 4 * (p + s + 1)
     assert mean.nbytes == 180_364
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.1])
+def test_arrays_a_cached_state_is_built_from_are_read_only(problem20,
+                                                           gram20, theta):
+    # the Woodbury state is cached on the factors object, so nothing it
+    # was built from may change under it: U[S, :k_s] (a copy below |S|),
+    # S and the span's B, rows, cols, Y and C all refuse a write, and the
+    # next sample is the one a fresh state gives
+    system = problem20["system"]
+    factors = factorize(gram20, system.A_tildes, theta)
+    assert (factors.k_s == gram20.support.size) == (theta == 1.0)
+    mean = factor_mean(system)
+    solve_sample_smw(mean, factors, 0)
+    for a in (factors.U, factors.support, factors.basis, factors.rows,
+              factors.cols, factors.Y, gram20._span[5]):   # C = R B
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] += 1
+    assert np.array_equal(solve_sample_smw(mean, factors, 1).x,
+                          solve_sample_smw(factor_mean(system), factors, 1).x)
 
 
 def test_truncated_state_holds_no_copy_of_u_at_n16():
