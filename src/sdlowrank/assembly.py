@@ -101,8 +101,8 @@ class SplitSystem:
     N2: int = 0
     N3: int = 0
     # the elimination of the DOFs no perturbation touches, for the A_bar,
-    # b and perturbation pattern last seen; factor_mean, the Woodbury
-    # state and the direct solve all read it (see lowrank_solver)
+    # b and perturbation pattern last seen: the mean that factor_mean
+    # returns and the direct solve reads (see lowrank_solver)
     _direct: object = field(default=None, init=False, repr=False,
                             compare=False)
 

@@ -530,6 +530,9 @@ def cmd_convergence(cfg):
             f"M_ref={cfg.M_ref} must exceed the largest entry of "
             f"m_list={m_list}"
         )
+    if len(set(m_list)) < 2:
+        raise ConfigError(f"m_list={m_list} must hold two distinct sample "
+                          f"counts for the slope fit")
     stages = _Stages()
     mesh, kl = _build_field(cfg, stages)
     weights = build_xnorm_weights(mesh)

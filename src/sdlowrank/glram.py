@@ -516,7 +516,9 @@ def select_theta(gram, energy_target=1.0 - 1e-9):
     """Smallest k whose cumulative energy reaches the target.
 
     Returns (theta, k) with theta = k/N.  The minimality property holds
-    by construction: e((k-1)/N) < energy_target <= e(k/N).
+    by construction: e((k-1)/N) < energy_target <= e(k/N).  Where
+    roundoff leaves the cumulative energy a few ulps below a target of 1,
+    k is capped at the count of nonzero (clipped) eigenvalues.
     """
     if not 0.0 < energy_target <= 1.0:
         raise ValueError(
@@ -528,7 +530,7 @@ def select_theta(gram, energy_target=1.0 - 1e-9):
         return 1.0 / gram.n_full, 1
     cum = np.cumsum(w) / total
     k = int(np.searchsorted(cum, energy_target, side="left")) + 1
-    k = min(k, gram.block_dim)
+    k = min(k, gram.block_dim, np.count_nonzero(w))
     return k / gram.n_full, k
 
 

@@ -4,15 +4,16 @@ Every perturbation A_m of a Monte Carlo family stores entries only in the
 rows and columns S of one pattern, and S couples to the other rows T only
 through the few columns I of Abar[T, S] that hold entries (the interface:
 |I| = 2(2n-1) of |S| = 527 at n=16).  So Abar is eliminated onto S once
-per (Abar, b, pattern), and the system keeps it: one LU of Abar[T, T]
-gives X = Abar[T, T]^{-1} Abar[T, I] and y_T = Abar[T, T]^{-1} b[T], and
-the Schur complement Sigma = Abar[S, S] - Abar[S, T] X is sparse plus one
-dense block (the algebraic Steklov-Poincare substructuring of the coupled
-problem).  Its ``expand`` forms every x from x[S], x[T] = y_T - X x[S][I]:
-x_bar through the LU of Sigma (``factor_mean``), Z y from the Z[S] that
-the Woodbury state solves from Sigma Z[S] = U[S, :k_s] and holds with
-the elimination (y_T = 0), and the direct reference solve of
-(Abar + A_m) x = b, which factors Sigma + A_m[S, S] per sample.
+per (Abar, b, pattern) into the one mean object of the family, a
+``MeanFactorization`` that the system keeps and ``factor_mean`` returns:
+one LU of Abar[T, T] gives X = Abar[T, T]^{-1} Abar[T, I] and
+y_T = Abar[T, T]^{-1} b[T], and the Schur complement
+Sigma = Abar[S, S] - Abar[S, T] X is sparse plus one dense block (the
+algebraic Steklov-Poincare substructuring of the coupled problem).  Its
+``expand`` forms every x from x[S], x[T] = y_T - X x[S][I]: x_bar through
+the LU of Sigma, Z y from the Z[S] that the Woodbury state it caches
+solves from Sigma Z[S] = U[S, :k_s] (y_T = 0), and the direct reference
+solve of (Abar + A_m) x = b, which factors Sigma + A_m[S, S] per sample.
 
 A low-rank sample follows from the Woodbury identity
 
@@ -74,88 +75,6 @@ class SampleSolution:
     capacitance_cond: float = float("nan")
 
 
-class MeanFactorization:
-    """The mean matrix, its solution and the cached Woodbury state.
-
-    Holds Abar, x_bar = Abar^{-1} b, the system's elimination of Abar that
-    gave x_bar (``factor_mean``) and the Woodbury state (``woodbury``) of
-    the factor family asked for last: Z = Abar^{-1} U[:, :k_s]
-    (Abar^{-1}[:, S] at k_s = |S|) on the factors' support S and what
-    forms every sample's capacitance matrix for that family.
-    """
-
-    def __init__(self, A_bar, x_bar):
-        self.A_bar, self.x_bar = A_bar, x_bar
-        self._elimination = self._woodbury = None
-
-    @property
-    def N(self):
-        return self.x_bar.shape[0]
-
-    @property
-    def nbytes(self):
-        """Bytes of the cached Woodbury state (0 before a solve), not of
-        the elimination it reads, which the system holds for both paths,
-        nor of the factors' U[S, :k_s]."""
-        return 0 if self._woodbury is None else self._woodbury.nbytes
-
-    def woodbury(self, factors):
-        """The Woodbury state of ``factors``, built in one pass and cached
-        until another family is asked for (the old state goes first).
-
-        A non-finite column of the factors' U[S, :k_s] raises
-        SingularSystemError naming it.  The elimination that gave x_bar
-        serves when the factors' S is its S; else (hand-built factors)
-        Abar is eliminated on that S, and a failed LU of Abar[T, T] or of
-        Sigma raises SingularSystemError naming the block.  Sigma's LU
-        gives Z[S] for Z = Abar^{-1} B, B = U[:, :k_s], or B = I[:, S] at
-        k_s = |S|.  One loop assembles Z a few columns at a time and checks
-        each: a residual ||Abar Z_j - B_j|| above 1e-8 (||B_j|| + 1), or not
-        finite, raises SingularSystemError naming the column.  The state
-        keeps a CSR pattern of A_m[S, :c], the r right sides and, below
-        |S|, the factors' U[S, :k_s], which projects both on the left,
-        and reads S, T, I and X from the elimination it keeps.
-        """
-        if self._woodbury is not None and self._woodbury.factors is factors:
-            return self._woodbury
-        self._woodbury = None
-        u_s, k_s = factors.U, factors.k_s
-        bad = np.flatnonzero(~np.isfinite(u_s).all(axis=0))
-        if bad.size:
-            raise SingularSystemError(f"column {bad[0]} of the shared "
-                                      f"factor holds non-finite entries")
-        elim = self._elimination
-        if elim is None or not np.array_equal(elim.s, factors.support):
-            elim = _Elimination(self.A_bar,
-                                np.isin(np.arange(self.N), factors.support))
-        s = elim.s
-        full = k_s == s.size
-        b_s = np.eye(k_s) if full else u_s
-        z_s = np.zeros((s.size, k_s))
-        if s.size:
-            lu = elim.schur_lu
-            # row-major, as the sparse products of the samples read it; at
-            # |S| the inverse is the transpose of the inverse of Sigma^T
-            z_s = (lu.solve(b_s, trans="T").T if full
-                   else np.ascontiguousarray(lu.solve(b_s)))
-        resid = np.empty(k_s)
-        for j in range(0, k_s, _CHECK_COLUMNS):
-            cols = slice(j, j + _CHECK_COLUMNS)
-            r = self.A_bar @ elim.expand(z_s[:, cols], 0.0)
-            r[s] -= b_s[:, cols]
-            resid[cols] = np.linalg.norm(r, axis=0)
-        tol = 1e-8 * (np.linalg.norm(b_s, axis=0) + 1.0)
-        bad = np.flatnonzero(~(resid <= tol))   # a NaN is bad
-        if bad.size:
-            j = bad[np.argmax(np.nan_to_num(resid[bad], nan=np.inf))]
-            raise SingularSystemError(
-                f"inaccurate solve for column {j} of the shared "
-                f"factor: residual {resid[j]:.3e}"
-            )
-        self._woodbury = _Woodbury(factors, elim, z_s, self.x_bar)
-        return self._woodbury
-
-
 # columns of Z assembled at a time by the residual check
 _CHECK_COLUMNS = 64
 
@@ -164,14 +83,16 @@ class _Woodbury:
     """The Woodbury state of one factor family, complete once built.
 
     ``elim`` is the elimination it was solved through, which holds S, T,
-    I and X.  Z = Abar^{-1} U[:, :k_s] (Abar^{-1}[:, S] at k_s = |S|) is
-    held on S: ``z`` is Z[S], then Z[j] = -X[j] Z[S][I] for each column
-    j of the pattern off S (the elimination's ``expand``); no other row
-    of Z[T] is stored.  ``pattern`` is the CSR pattern of A_m[S, :c],
-    with read-only indices, and ``order`` the span pattern index of each
-    stored entry.  A sample's right side is y @ rhs, for
-    rhs[j] = B_j[S, :c] x_bar[:c] (U[S, :k_s]^T times it below |S|,
-    where ``u_s`` is the factors' U[S, :k_s]; None at |S|).
+    I and X, or None when that is the mean holding the state, so that the
+    two hold no reference cycle.  Z = Abar^{-1} U[:, :k_s]
+    (Abar^{-1}[:, S] at k_s = |S|) is held on S: ``z`` is Z[S], then
+    Z[j] = -X[j] Z[S][I] for each column j of the pattern off S (the
+    elimination's ``expand``); no other row of Z[T] is stored.
+    ``pattern`` is the CSR pattern of A_m[S, :c], with read-only indices,
+    and ``order`` the span pattern index of each stored entry.  A sample's
+    right side is y @ rhs, for rhs[j] = B_j[S, :c] x_bar[:c]
+    (U[S, :k_s]^T times it below |S|, where ``u_s`` is the factors'
+    U[S, :k_s]; None at |S|).
     """
 
     def __init__(self, factors, elim, z_s, x_bar):
@@ -226,8 +147,8 @@ def _splu(a, block):
             f"factorization of {block} failed ({exc})") from exc
 
 
-class _Elimination:
-    """Abar eliminated onto S, for every solver of one family.
+class MeanFactorization:
+    """Abar eliminated onto S: the mean solve of every solver of a family.
 
     S holds the rows and columns where ``on_s`` does, T the rest, and I
     the columns of Abar[T, S] that hold entries (positions in S).  One LU
@@ -236,15 +157,16 @@ class _Elimination:
     block on the rows of Abar[S, T] that hold entries (None when S is
     empty); a failed LU raises SingularSystemError naming Abar[T, T].
     Given b, it holds y_T = Abar[T, T]^{-1} b[T], the condensed right
-    side b[S] - Abar[S, T] y_T, x_bar = Abar^{-1} b after one step of
-    iterative refinement, and the direct path's column order, taken on
-    its first sample.  ``serves`` compares a call's Abar, its stored
-    entries, b and pattern with the copies kept.
+    side b[S] - Abar[S, T] y_T, the read-only x_bar = Abar^{-1} b after
+    one step of iterative refinement, the direct path's column order,
+    taken on its first sample, and the Woodbury state (``woodbury``) of
+    the factor family asked for last.  ``serves`` compares a call's Abar,
+    its stored entries, b and pattern with the copies kept.
     """
 
-    def __init__(self, a_bar, on_s, b=None, pattern=None):
-        self.a_bar, self.on_s, self.pattern = a_bar, on_s, pattern
-        self.a = a = sp.csr_matrix(a_bar, copy=True)
+    def __init__(self, A_bar, on_s, b=None, pattern=None):
+        self.A_bar, self.on_s, self.pattern = A_bar, on_s, pattern
+        self.a = a = sp.csr_matrix(A_bar, copy=True)
         self.a_norm = spla.norm(a)
         self.s, self.t = s, t = np.flatnonzero(on_s), np.flatnonzero(~on_s)
         a_s, a_t = a[s], a[t]
@@ -261,7 +183,7 @@ class _Elimination:
                 (dense.ravel(), (np.repeat(rows, coupled.size),
                                  np.tile(coupled, rows.size))),
                 shape=(s.size, s.size))
-        self._order = None
+        self._order = self._woodbury = None
         self.b = None if b is None else np.array(b)
         if b is None:
             return
@@ -276,10 +198,78 @@ class _Elimination:
         self.y_t, self.rhs, x_bar = mean_solve(self.b)
         # one step of iterative refinement through the same factors
         self.x_bar = x_bar + mean_solve(self.b - self.a @ x_bar)[2]
+        self.x_bar.flags.writeable = False
 
-    def serves(self, a_bar, pattern, b):
-        a = a_bar.tocsr()
-        return (a_bar is self.a_bar and pattern == self.pattern
+    @property
+    def N(self):
+        return self.on_s.size
+
+    @property
+    def nbytes(self):
+        """Bytes of the cached Woodbury state, 0 before a solve."""
+        return 0 if self._woodbury is None else self._woodbury.nbytes
+
+    def woodbury(self, factors):
+        """The Woodbury state of ``factors``, built in one pass and cached
+        until another family is asked for (the old state goes first).
+
+        A non-finite column of the factors' U[S, :k_s] raises
+        SingularSystemError naming it.  This elimination serves when the
+        factors' S is its S; else (hand-built factors) Abar is eliminated
+        on that S without b, and a failed LU of Abar[T, T] or of Sigma
+        raises SingularSystemError naming the block.  Sigma's LU
+        gives Z[S] for Z = Abar^{-1} B, B = U[:, :k_s], or B = I[:, S] at
+        k_s = |S|.  One loop assembles Z a few columns at a time and checks
+        each: a residual ||Abar Z_j - B_j|| above 1e-8 (||B_j|| + 1), or not
+        finite, raises SingularSystemError naming the column.  The state
+        keeps a CSR pattern of A_m[S, :c], the r right sides and, below
+        |S|, the factors' U[S, :k_s], which projects both on the left,
+        and reads S, T, I and X from the elimination it was solved
+        through.
+        """
+        if self._woodbury is not None and self._woodbury.factors is factors:
+            return self._woodbury
+        self._woodbury = None
+        u_s, k_s = factors.U, factors.k_s
+        bad = np.flatnonzero(~np.isfinite(u_s).all(axis=0))
+        if bad.size:
+            raise SingularSystemError(f"column {bad[0]} of the shared "
+                                      f"factor holds non-finite entries")
+        elim = self
+        if not np.array_equal(self.s, factors.support):
+            elim = MeanFactorization(
+                self.A_bar, np.isin(np.arange(self.N), factors.support))
+        s = elim.s
+        full = k_s == s.size
+        b_s = np.eye(k_s) if full else u_s
+        z_s = np.zeros((s.size, k_s))
+        if s.size:
+            lu = elim.schur_lu
+            # row-major, as the sparse products of the samples read it; at
+            # |S| the inverse is the transpose of the inverse of Sigma^T
+            z_s = (lu.solve(b_s, trans="T").T if full
+                   else np.ascontiguousarray(lu.solve(b_s)))
+        resid = np.empty(k_s)
+        for j in range(0, k_s, _CHECK_COLUMNS):
+            cols = slice(j, j + _CHECK_COLUMNS)
+            r = self.A_bar @ elim.expand(z_s[:, cols], 0.0)
+            r[s] -= b_s[:, cols]
+            resid[cols] = np.linalg.norm(r, axis=0)
+        tol = 1e-8 * (np.linalg.norm(b_s, axis=0) + 1.0)
+        bad = np.flatnonzero(~(resid <= tol))   # a NaN is bad
+        if bad.size:
+            j = bad[np.argmax(np.nan_to_num(resid[bad], nan=np.inf))]
+            raise SingularSystemError(
+                f"inaccurate solve for column {j} of the shared "
+                f"factor: residual {resid[j]:.3e}"
+            )
+        self._woodbury = state = _Woodbury(factors, elim, z_s, self.x_bar)
+        state.elim = None if elim is self else elim
+        return state
+
+    def serves(self, A_bar, pattern, b):
+        a = A_bar.tocsr()
+        return (A_bar is self.A_bar and pattern == self.pattern
                 and all(np.array_equal(getattr(a, f), getattr(self.a, f))
                         for f in ("data", "indices", "indptr"))
                 and np.array_equal(b, self.b))
@@ -323,7 +313,7 @@ class _Elimination:
         return (perm_c, base, slot[sigma.nnz:], (keys % k).astype(np.intc),
                 np.searchsorted(keys, np.arange(k + 1) * k).astype(np.intc))
 
-    def solve(self, t):
+    def solve_perturbed(self, t):
         """x with (Abar + t) x = b, from a numeric LU of Sigma + t[S, S]."""
         k = self.s.size
         x_s = np.zeros(0)
@@ -339,7 +329,7 @@ class _Elimination:
         return self.expand(x_s, self.y_t)
 
 
-def _elimination(system, t):
+def _system_mean(system, t):
     """``system._direct``, rebuilt (the old one goes first) unless it is
     the elimination of ``system.A_bar``, its stored entries and b onto the
     support of the pattern (shape, indptr, indices) of the CSR ``t``."""
@@ -352,7 +342,8 @@ def _elimination(system, t):
         system._direct = None
         on_s = np.diff(t.indptr) > 0
         on_s[t.indices] = True
-        system._direct = _Elimination(system.A_bar, on_s, system.b, pattern)
+        system._direct = MeanFactorization(system.A_bar, on_s, system.b,
+                                           pattern)
     return system._direct
 
 
@@ -368,13 +359,13 @@ def _diagnose_singularity(a):
 
 
 def factor_mean(system):
-    """Solve the constrained mean system for x_bar.
+    """The system's elimination onto the support S of the first
+    perturbation's pattern (``system._direct``), which gave x_bar.
 
-    x_bar comes from the system's elimination onto the support S of the
-    first perturbation's pattern, which the direct path and the returned
-    mean's Woodbury states read too (S is empty for an empty family, so
-    Abar[T, T] is Abar): x_bar[S] = Sigma^{-1} b~[S] for the condensed
-    right side b~ and x_bar[T] = y_T - X x_bar[S][I], refined once.
+    S is empty for an empty family, so Abar[T, T] is Abar: x_bar[S] =
+    Sigma^{-1} b~[S] for the condensed right side b~ and x_bar[T] =
+    y_T - X x_bar[S][I], refined once.  A direct sample on another
+    pattern replaces ``system._direct`` and leaves the mean as it was.
 
     Raises SingularSystemError naming the suspect DOF if a factorization
     fails, or if ||Abar x_bar - b|| exceeds
@@ -383,24 +374,21 @@ def factor_mean(system):
     t = (system.A_tildes[0].tocsr() if system.A_tildes
          else sp.csr_matrix(system.A_bar.shape))
     try:
-        elim = _elimination(system, t)
+        mean = _system_mean(system, t)
     except SingularSystemError as exc:
         dof, why = _diagnose_singularity(system.A_bar)
         raise SingularSystemError(
             f"mean matrix factorization failed ({exc}); suspect DOF {dof} "
             f"({why})"
         ) from exc
-    x_bar = elim.x_bar.copy()
-    resid = np.linalg.norm(system.A_bar @ x_bar - system.b)
-    bound = 1e-10 * (elim.a_norm * np.linalg.norm(x_bar)
+    resid = np.linalg.norm(system.A_bar @ mean.x_bar - system.b)
+    bound = 1e-10 * (mean.a_norm * np.linalg.norm(mean.x_bar)
                      + np.linalg.norm(system.b))
     if not np.isfinite(resid) or resid > bound:
         raise SingularSystemError(
             f"mean solve residual {resid:.3e} exceeds {bound:.3e}; "
             f"the constrained mean matrix is numerically singular"
         )
-    mean = MeanFactorization(system.A_bar, x_bar)
-    mean._elimination = elim
     return mean
 
 
@@ -465,7 +453,7 @@ def solve_sample_smw(mean, factors, m):
         y, _ = _GETRS(lu, piv, w, trans=1, overwrite_b=1)
     else:  # k_s = 0: no update, and LAPACK rejects an empty matrix
         cond, y = 1.0, w
-    elim = state.elim
+    elim = state.elim or mean
     x = mean.x_bar - elim.expand(state.z[:elim.s.size] @ y, 0.0)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"sample {m}: non-finite solution entries")
@@ -476,7 +464,7 @@ def solve_sample_direct(system, m):
     """Reference path: sparse direct solve of (Abar + A_m) x = b.
 
     Reads the system's elimination onto the support S of A_m's pattern,
-    which ``factor_mean`` reads too (see ``_elimination``).  The first
+    which ``factor_mean`` returns (see ``_system_mean``).  The first
     sample takes SuperLU's COLAMD column order of Sigma + A_m[S, S]; each
     sample sums its values into that |S| x |S| pattern, runs the numeric
     LU in the stored order, solves for x[S] and forms
@@ -493,8 +481,8 @@ def solve_sample_direct(system, m):
         )
     t = system.A_tildes[m].tocsr()
     try:
-        elim = _elimination(system, t)
-        x = elim.solve(t)
+        elim = _system_mean(system, t)
+        x = elim.solve_perturbed(t)
     except RuntimeError as exc:
         dof, why = _diagnose_singularity(system.A_bar + system.A_tildes[m])
         raise SingularSystemError(
@@ -517,12 +505,9 @@ def solve_sample_direct(system, m):
 def save_solutions(path, solutions):
     """Write sample solutions as CSV rows (index, coefficients...)."""
     with open(path, "w", encoding="utf-8") as f:
-        first = True
-        for sol in solutions:
-            if first:
-                n = sol.x.shape[0]
-                cols = ",".join(f"x{j}" for j in range(n))
-                f.write(f"sample,{cols}\n")
-                first = False
+        for i, sol in enumerate(solutions):
+            if i == 0:
+                f.write("sample," + ",".join(
+                    f"x{j}" for j in range(sol.x.shape[0])) + "\n")
             coeffs = ",".join(f"{v:.17e}" for v in sol.x)
             f.write(f"{sol.sample_index},{coeffs}\n")

@@ -149,8 +149,8 @@ def loglog_slope(ms, errors):
     """Least-squares slope of log(error) against log(M)."""
     ms = np.asarray(ms, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    if ms.shape != errors.shape or ms.size < 2:
-        raise ValueError("need at least two (M, error) pairs")
+    if ms.shape != errors.shape or np.unique(ms).size < 2:
+        raise ValueError("need (M, error) pairs at two distinct M at least")
     if np.any(ms <= 0.0) or np.any(errors <= 0.0):
         raise ValueError("slope fit requires positive values")
     return float(np.polyfit(np.log(ms), np.log(errors), 1)[0])

@@ -29,8 +29,10 @@ PARAMETERS = {
     # benchmark too
     "build_gram": ("A_tildes", "block_dim"),
     "factorize": ("gram", "A_tildes", "theta"),
-    # the mean's LU and right side are dropped once x_bar is solved
-    "MeanFactorization": ("A_bar", "x_bar"),
+    # the mean is the system's elimination of Abar onto the perturbation
+    # support S (and b, and the pattern that gave S), which both solver
+    # paths read: factor_mean returns it, so no second mean object is made
+    "MeanFactorization": ("A_bar", "on_s", "b", "pattern"),
 }
 
 
@@ -61,6 +63,8 @@ def test_cut_inputs_stay_cut():
     assert "eigenvalues" not in fields
     assert "W" not in fields
     assert not hasattr(sdlowrank.GlramFactors, "transposed")
+    # no solve of Abar alone: x_bar is solved once, and the direct path
+    # solves Abar + A_m (solve_perturbed)
     assert not hasattr(sdlowrank.MeanFactorization, "solve")
     # a rule is its reference points and weights; the element maps live
     # with the assembler's geometry tables (and the tests' oracles)

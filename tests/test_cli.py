@@ -385,9 +385,10 @@ def test_theta_sweep_solves_each_support_rank_once(tmp_path, monkeypatch):
 def test_theta_sweep_builds_one_elimination(tmp_path, monkeypatch):
     # factor_mean, the direct loop and the Woodbury states at k_s = 35
     # (1.0 and select) and at k_s = 15 (0.1) all read one elimination of
-    # Abar onto the family's support
+    # Abar onto the family's support: the mean factor_mean returns, whose
+    # states keep no other
     built, read = [], []
-    init = lowrank_solver._Elimination.__init__
+    init = lowrank_solver.MeanFactorization.__init__
     real_mean = cli.factor_mean
     real_direct, real_smw = cli.solve_sample_direct, cli.solve_sample_smw
 
@@ -397,7 +398,7 @@ def test_theta_sweep_builds_one_elimination(tmp_path, monkeypatch):
 
     def factor_mean(system):
         mean = real_mean(system)
-        read.append(("factor_mean", mean._elimination))
+        read.append(("factor_mean", mean))
         return mean
 
     def direct(system, m):
@@ -407,10 +408,11 @@ def test_theta_sweep_builds_one_elimination(tmp_path, monkeypatch):
 
     def smw(mean, factors, m):
         sol = real_smw(mean, factors, m)
-        read.append((factors.k_s, mean.woodbury(factors).elim))
+        read.append((factors.k_s, mean.woodbury(factors).elim or mean))
         return sol
 
-    monkeypatch.setattr(lowrank_solver._Elimination, "__init__", counted_init)
+    monkeypatch.setattr(lowrank_solver.MeanFactorization, "__init__",
+                        counted_init)
     monkeypatch.setattr(cli, "factor_mean", factor_mean)
     monkeypatch.setattr(cli, "solve_sample_direct", direct)
     monkeypatch.setattr(cli, "solve_sample_smw", smw)
@@ -494,6 +496,22 @@ def test_convergence_requires_larger_reference(tmp_path, capsys):
     ])
     assert rc == 1
     assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("m_list", ["3,3", "5"])
+def test_convergence_rejects_a_single_sample_count(tmp_path, capsys,
+                                                   monkeypatch, m_list):
+    # the slope needs two distinct M; the run stops before any solve
+    def direct(system, m):
+        raise AssertionError("solved before the m_list check")
+
+    monkeypatch.setattr(cli, "solve_sample_direct", direct)
+    rc = main(["convergence", "--output-dir", str(tmp_path), "--n", "4",
+               "--ref-samples", "8", "--m-list", m_list])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "m_list" in err
     assert not (tmp_path / "convergence.csv").exists()
 
 

@@ -796,6 +796,21 @@ def test_select_theta_exact_rank_at_target_one():
     assert theta == pytest.approx(0.25)
 
 
+def test_select_theta_stops_at_the_rank_at_target_one():
+    # n=4, M=5: the cumulative energy ends a few ulps below 1, where an
+    # uncapped search ran off the end to block_dim = 135
+    mesh = build_mesh(n=4)
+    kl = build_kl(CovarianceKernel(correlation_length_sq=0.2), mesh,
+                  epsilon=0.01)
+    system = assemble_family(mesh, PhysicalParams(), kl,
+                             draw_samples(kl, M=5, seed=1234).coefficients)
+    gram = build_gram(system.A_tildes, block_dim=system.n_flow)
+    assert gram.block_dim == 135
+    theta, k = select_theta(gram, energy_target=1.0)
+    assert k == numerical_rank(gram) == 35
+    assert theta == k / gram.n_full
+
+
 def test_select_theta_minimality(gram20):
     target = 1.0 - 1e-9
     theta, k = select_theta(gram20, energy_target=target)

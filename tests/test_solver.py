@@ -2,6 +2,7 @@
 
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -166,12 +167,12 @@ def test_shared_solve_cached_per_family(problem20, gram20):
     assert not np.array_equal(passes[0][0], passes[1][0])
 
 
-def _assembled_z(state, n):
-    """Z = Abar^{-1} U[:, :k_s] from the state's Z[S] and its
-    elimination's S, T, I and X, with Z[T] = -X Z[S][I]."""
-    elim = state.elim
+def _assembled_z(mean, state):
+    """Z = Abar^{-1} U[:, :k_s] from the state's Z[S] and the S, T, I and
+    X of the elimination it was solved through, with Z[T] = -X Z[S][I]."""
+    elim = state.elim or mean
     z_s = state.z[:elim.s.size]
-    z = np.empty((n, z_s.shape[1]))
+    z = np.empty((mean.N, z_s.shape[1]))
     z[elim.s] = z_s
     z[elim.t] = -(elim.x @ z_s[elim.coupled])
     return z
@@ -193,26 +194,28 @@ def test_block_elimination_matches_the_mean_solve(problem20, geometry):
     factors = factorize(gram, system.A_tildes, select_theta(gram)[0])
     mean = factor_mean(system)
     z = mean.woodbury(factors)
-    assert np.array_equal(z.elim.s, gram.support)
-    assert z.z[:z.elim.s.size].shape == (gram.support.size, factors.k_s)
-    assert z.elim.x.shape == (mean.N - gram.support.size, 30)
+    assert z.elim is None   # solved through the mean's own elimination
+    assert np.array_equal(mean.s, gram.support)
+    assert z.z[:mean.s.size].shape == (gram.support.size, factors.k_s)
+    assert mean.x.shape == (mean.N - gram.support.size, 30)
     assert factors.k_s == gram.support.size
     ref = mean_solve(mean, np.eye(mean.N)[:, gram.support])
-    assert (np.linalg.norm(_assembled_z(z, mean.N) - ref)
+    assert (np.linalg.norm(_assembled_z(mean, z) - ref)
             <= 1e-12 * np.linalg.norm(ref))
 
 
 def test_one_elimination_serves_every_solver_of_a_family(problem20, gram20,
                                                         monkeypatch):
     # the direct loop eliminates Abar onto the family's support once;
-    # factor_mean and the Woodbury states at k_s = |S| and below read that
-    # elimination: no second one, and no LU of the whole N x N Abar
+    # factor_mean returns that elimination, and the Woodbury states at
+    # k_s = |S| and below are solved through it and keep no other: no
+    # second one, and no LU of the whole N x N Abar
     system = dataclasses.replace(problem20["system"])
     f0 = factorize(gram20, system.A_tildes, select_theta(gram20)[0])
     f1 = factorize(gram20, system.A_tildes, theta=0.05)
     assert f1.k_s < f0.k_s == 135
     calls = {"eliminations": 0, "full splu": 0}
-    init = lowrank_solver._Elimination.__init__
+    init = lowrank_solver.MeanFactorization.__init__
     splu = lowrank_solver.spla.splu
 
     def counted_init(self, *args, **kwargs):
@@ -223,15 +226,16 @@ def test_one_elimination_serves_every_solver_of_a_family(problem20, gram20,
         calls["full splu"] += a.shape == system.A_bar.shape
         return splu(a, *args, **kwargs)
 
-    monkeypatch.setattr(lowrank_solver._Elimination, "__init__", counted_init)
+    monkeypatch.setattr(lowrank_solver.MeanFactorization, "__init__",
+                        counted_init)
     monkeypatch.setattr(lowrank_solver.spla, "splu", counted_splu)
     for m in range(len(system.A_tildes)):
         solve_sample_direct(system, m)
     mean = factor_mean(system)
     states = [mean.woodbury(f) for f in (f0, f1)]
     assert calls == {"eliminations": 1, "full splu": 0}
-    assert mean._elimination is system._direct
-    assert all(state.elim is system._direct for state in states)
+    assert mean is system._direct
+    assert all(state.elim is None for state in states)
 
 
 @pytest.mark.parametrize("geometry", [None, POROUS_BELOW, SHALLOW_POROUS],
@@ -251,7 +255,40 @@ def test_mean_solution_comes_from_the_shared_elimination(problem20,
     for m in range(len(system.A_tildes)):
         assert np.array_equal(solve_sample_direct(first, m).x,
                               solve_sample_direct(second, m).x)
-    assert first._direct is mean._elimination
+    assert first._direct is mean
+
+
+def test_factor_mean_returns_the_systems_elimination(problem20):
+    # one mean object per family: no copy of x_bar, which is read-only, so
+    # nothing can write into the inputs of a cached Woodbury state
+    system = dataclasses.replace(problem20["system"])
+    mean = factor_mean(system)
+    assert factor_mean(system) is mean is system._direct
+    with pytest.raises(ValueError, match="read-only"):
+        mean.x_bar[0] = 1.0
+
+
+def test_mean_outlives_the_elimination_the_system_replaces(problem20,
+                                                           gram20):
+    # a direct sample on another pattern (here an empty one) replaces
+    # system._direct; the mean returned before keeps its Woodbury state
+    # and solves bit for bit as before.  The state keeps no reference
+    # back to the mean, so dropping the mean frees both at once
+    base = problem20["system"]
+    system = dataclasses.replace(
+        base, A_tildes=[*base.A_tildes, sp.csr_matrix(base.A_bar.shape)])
+    factors = factorize(gram20, base.A_tildes, 0.05)
+    mean = factor_mean(system)
+    before = [solve_sample_smw(mean, factors, m).x for m in range(3)]
+    state = mean.woodbury(factors)
+    solve_sample_direct(system, 20)
+    assert system._direct is not mean and system._direct.s.size == 0
+    assert mean.woodbury(factors) is state
+    assert all(np.array_equal(solve_sample_smw(mean, factors, m).x, x)
+               for m, x in enumerate(before))
+    gone = weakref.ref(mean)
+    del mean, state
+    assert gone() is None
 
 
 def test_singular_rest_block_is_named():
@@ -286,12 +323,13 @@ def test_block_elimination_edge_cases(case):
     v = 0.3 * np.ones((4, u.shape[1]))
     factors = hand_factors(u, [v])
     z = mean.woodbury(factors)
+    elim = z.elim or mean
     expect = {"k_s=0": (0, 4, 0), "T empty": (4, 0, 0),
               "I empty": (2, 2, 0)}[case]
-    assert (z.elim.s.size, z.elim.t.size, z.elim.coupled.size) == expect
+    assert (elim.s.size, elim.t.size, elim.coupled.size) == expect
     ref = mean_solve(mean, u)
-    assert _assembled_z(z, 4).shape == u.shape
-    assert np.allclose(_assembled_z(z, 4), ref, rtol=0.0, atol=1e-14)
+    assert _assembled_z(mean, z).shape == u.shape
+    assert np.allclose(_assembled_z(mean, z), ref, rtol=0.0, atol=1e-14)
     x = solve_sample_smw(mean, factors, 0).x
     dense = np.linalg.solve(a + u @ v.T, b)
     assert np.allclose(x, dense, rtol=1e-13, atol=0.0)
@@ -318,8 +356,10 @@ def test_held_bytes_at_n8(problem20, gram20):
     # r right sides and the
     # CSR pattern of A_m[S, :c] with its entry order, and no N x k_s Z,
     # no W_j = B_j^T U, no U[S, :k_s], no capacitance blocks and no copy
-    # of X, which the system's elimination holds for both solvers
-    system = problem20["system"]
+    # of X, which the mean, the system's elimination, holds for both
+    # solvers.  A fresh system: the shared one may hold an earlier
+    # test's state
+    system = dataclasses.replace(problem20["system"])
     factors = factorize(gram20, system.A_tildes, select_theta(gram20)[0])
     assert factors.basis is gram20._span[0]
     r, p = factors.basis.shape
@@ -335,8 +375,8 @@ def test_held_bytes_at_n8(problem20, gram20):
     assert state.u_s is None
     assert (state.pattern.indices.dtype, state.order.dtype) == (np.int32,
                                                                 np.int64)
-    assert state.elim is system._direct
-    assert state.elim.x.shape == (t, i)
+    assert mean is system._direct and state.elim is None
+    assert mean.x.shape == (t, i)
     # doubles: Z[S], the right sides, the pattern's values and order;
     # 4-byte indices and row pointers
     assert mean.nbytes == 8 * (s * k_s + r * k_s + 2 * p) + 4 * (p + s + 1)
@@ -359,8 +399,9 @@ def test_arrays_a_cached_state_is_built_from_are_read_only(problem20,
               factors.cols, factors.Y, gram20._span[5]):   # C = R B
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] += 1
+    fresh = factor_mean(dataclasses.replace(system))
     assert np.array_equal(solve_sample_smw(mean, factors, 1).x,
-                          solve_sample_smw(factor_mean(system), factors, 1).x)
+                          solve_sample_smw(fresh, factors, 1).x)
 
 
 def test_truncated_state_holds_no_copy_of_u_at_n16():

@@ -159,6 +159,9 @@ def test_loglog_slope_validation():
         loglog_slope([10.0, 20.0], [1.0, -1.0])
     with pytest.raises(ValueError):
         loglog_slope([10.0, 20.0], [1.0, 1.0, 1.0])
+    # one distinct M leaves the slope undetermined
+    with pytest.raises(ValueError, match="two distinct M"):
+        loglog_slope([10.0, 10.0], [1.0, 0.5])
 
 
 def test_write_moments(tmp_path, mesh8):
