@@ -375,8 +375,8 @@ _SWEEP_COLS = ("theta_requested", "theta_effective", "k", "rmsre_formula",
                "err_stokes", "err_sample_mean", "storage_reduction", "status")
 # ledger-only columns of each sweep row; the CSV keeps _SWEEP_COLS
 _SWEEP_LEDGER_COLS = ("col_dim", "span_dim", "factor_bytes",
-                      "capacitance_cond_min", "capacitance_cond_median",
-                      "capacitance_cond_max")
+                      "capacitance_dim", "capacitance_cond_min",
+                      "capacitance_cond_median", "capacitance_cond_max")
 
 
 def cmd_theta_sweep(cfg):
@@ -392,7 +392,7 @@ def cmd_theta_sweep(cfg):
     mean_factor = stages.run("factor_mean", lambda: factor_mean(system))
 
     rows = []
-    solved = {}   # k_s -> (solutions, bytes of the Woodbury state)
+    solved = {}   # k_s -> (solutions, state bytes, capacitance order)
     for tok in cfg.theta_list:
         label, theta = f"{tok}", tok
         if tok == _SELECT:
@@ -404,10 +404,12 @@ def cmd_theta_sweep(cfg):
             # rows of equal k_s read the same U[S, :k_s], so their
             # solutions agree to the bit: each k_s is solved once
             if factors.k_s not in solved:
-                solved[factors.k_s] = stages.run("smw_loop", lambda: [
+                sols = stages.run("smw_loop", lambda: [
                     solve_sample_smw(mean_factor, factors, m)
-                    for m in range(cfg.M)]), mean_factor.nbytes
-            sols, state_bytes = solved[factors.k_s]
+                    for m in range(cfg.M)])
+                state = mean_factor.woodbury(factors)
+                solved[factors.k_s] = sols, state.nbytes, state.dim
+            sols, state_bytes, dim = solved[factors.k_s]
             moments = estimate_moments(sols, theta=factors.theta_effective,
                                        mesh=mesh)
             total, darcy, stokes = xnorm_components(
@@ -434,8 +436,9 @@ def cmd_theta_sweep(cfg):
                 "col_dim": factors.col_dim,
                 "span_dim": factors.span_dim,
                 # U[S, :k_s], the span values and Y plus the solver's
-                # cached Z[S], right sides and CSR pattern of A_m[S, :c]
+                # cached state (its W and Abar^{-1}[K, R] at k_s = |S|)
                 "factor_bytes": factors.nbytes + state_bytes,
+                "capacitance_dim": dim,   # the order getrf factors
                 "capacitance_cond_min": min(conds),
                 "capacitance_cond_median": float(np.median(conds)),
                 "capacitance_cond_max": max(conds),
@@ -444,7 +447,7 @@ def cmd_theta_sweep(cfg):
             row = dict.fromkeys(_SWEEP_COLS + _SWEEP_LEDGER_COLS,
                                 float("nan"))
             row.update(theta_requested=label, k=0, col_dim=0, span_dim=0,
-                       status=f"failed: {exc}")
+                       capacitance_dim=0, status=f"failed: {exc}")
             rows.append(row)
 
     path = _out(cfg, "theta_sweep.csv")

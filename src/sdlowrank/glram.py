@@ -131,7 +131,16 @@ class GramMatrix:
                     f"symmetric eigensolver failed on {where}: {exc}"
                 ) from exc
             lam_max = float(w.max(initial=0.0))
-            resid = np.linalg.norm(g @ v - v * w[None, :], axis=0)
+            # 64 columns of eigh's column-major output at a time: the
+            # residuals and the sign of each largest-magnitude entry
+            resid, sign = np.empty(w.size), np.empty(w.size)
+            for j in range(0, w.size, 64):
+                at = slice(j, j + 64)
+                part = v[:, at]
+                resid[at] = np.linalg.norm(g @ part - part * w[at], axis=0)
+                peak = part[np.argmax(np.abs(part), axis=0),
+                            np.arange(part.shape[1])]
+                sign[at] = np.where(peak < 0, -1.0, 1.0)
             tol = 1e-8 * max(lam_max, 1.0)
             if np.any(resid > tol):
                 worst = float(resid.max())
@@ -147,14 +156,10 @@ class GramMatrix:
             # eigh returns ascending pairs; the zero rows add zeros last
             self._evals = np.concatenate([np.clip(w[::-1], 0.0, None),
                                           np.zeros(self.block_dim - w.size)])
-            # row-major and, once signed, read-only: at k_s = |S| every
-            # factorization's U is this array, uncopied
+            # row-major, signed in place and read-only: at k_s = |S|
+            # every factorization's U is this array, uncopied
             v = np.ascontiguousarray(v[:, ::-1])
-            if w.size:
-                # fix each eigenvector's sign: its largest-magnitude entry,
-                # the first of equal ones, is positive
-                peak = v[np.argmax(np.abs(v), axis=0), np.arange(w.size)]
-                v[:, peak < 0] *= -1.0
+            v *= sign[::-1]
             v.flags.writeable = False
             self._evecs = v
         return self._evals, self._evecs

@@ -11,9 +11,9 @@ y_T = Abar[T, T]^{-1} b[T], and the Schur complement
 Sigma = Abar[S, S] - Abar[S, T] X is sparse plus one dense block (the
 algebraic Steklov-Poincare substructuring of the coupled problem).  Its
 ``expand`` forms every x from x[S], x[T] = y_T - X x[S][I]: x_bar through
-the LU of Sigma, Z y from the Z[S] that the Woodbury state it caches
-solves from Sigma Z[S] = U[S, :k_s] (y_T = 0), and the direct reference
-solve of (Abar + A_m) x = b, which factors Sigma + A_m[S, S] per sample.
+the LU of Sigma, the update of the Woodbury state it caches from columns
+solved through the same LU (y_T = 0), and the direct reference solve of
+(Abar + A_m) x = b, which factors Sigma + A_m[S, S] per sample.
 
 A low-rank sample follows from the Woodbury identity
 
@@ -23,12 +23,14 @@ with one state per factor family, cached for the family asked for last
 (``MeanFactorization.woodbury``).  Only the leading c =
 ``GlramFactors.col_dim`` rows and k_s = ``GlramFactors.k_s`` columns of
 V_m can be nonzero.  At k_s = |S|, U[S, :k_s] is orthogonal, so the
-update does not depend on the basis of S (Hager 1989) and runs in the
-coordinate basis, Z = Abar^{-1}[:, S], C_S = I + A_m[S, :c] Z[:c]; below
+update A_m[R, J] (rows R, columns J of the pattern in S) does not depend
+on the basis of S and has rank at most |J|: the identity is taken on
+that side (Hager 1989), C_J = I + Abar^{-1}[J, R] A_m[R, J] of order
+|J| = n(2n-1), the free porous heads, on the default geometry.  Below
 |S|, C = I + U[S, :k_s]^T (A_m[S, :c] Z[:c]).  A sample sums its span
-coefficients into one CSR pattern of A_m[S, :c] that the family shares,
-makes one sparse product with Z[:c] (and below |S| one dense product)
-and three LAPACK calls on its k_s x k_s capacitance matrix in place.
+coefficients into one CSR pattern that the family shares, makes one
+sparse product (and below |S| one dense product) and three LAPACK calls
+on its capacitance matrix in place.
 """
 
 import math
@@ -75,7 +77,7 @@ class SampleSolution:
     capacitance_cond: float = float("nan")
 
 
-# columns of Z assembled at a time by the residual check
+# columns of Z solved or assembled at a time by the residual check
 _CHECK_COLUMNS = 64
 
 
@@ -84,50 +86,87 @@ class _Woodbury:
 
     ``elim`` is the elimination it was solved through, which holds S, T,
     I and X, or None when that is the mean holding the state, so that the
-    two hold no reference cycle.  Z = Abar^{-1} U[:, :k_s]
-    (Abar^{-1}[:, S] at k_s = |S|) is held on S: ``z`` is Z[S], then
-    Z[j] = -X[j] Z[S][I] for each column j of the pattern off S (the
-    elimination's ``expand``); no other row of Z[T] is stored.
-    ``pattern`` is the CSR pattern of A_m[S, :c], with read-only indices,
-    and ``order`` the span pattern index of each stored entry.  A sample's
-    right side is y @ rhs, for rhs[j] = B_j[S, :c] x_bar[:c]
-    (U[S, :k_s]^T times it below |S|, where ``u_s`` is the factors'
-    U[S, :k_s]; None at |S|).
+    two hold no reference cycle.  R and J are the rows and columns of the
+    span's pattern on S's rows, and K = S minus J.  At k_s = |S| (``u_s``
+    None) ``w`` is the row-major W = Abar^{-1}[J, R]^T, ``z`` is
+    Abar^{-1}[K, R], ``pattern`` is A_m[R, J] and ``pattern_t`` its
+    transpose on the same arrays; ``j``, ``k`` and ``x_j`` hold J, K and
+    x_bar[J].  Below, ``u_s`` is the factors' U[S, :k_s], ``z`` is Z[S]
+    for Z = Abar^{-1} U[:, :k_s], then Z[j] = -X[j] Z[S][I] for each
+    pattern column j off S, ``pattern`` is A_m[S, :c] and
+    rhs[j] = U[S, :k_s]^T B_j[S, :c] x_bar[:c].  ``order`` maps each
+    stored entry to the span's pattern; the indices are read-only.  A
+    column of Z (Abar^{-1}[:, R] at |S|) whose residual
+    ||Abar Z_j - B_j|| exceeds 1e-8 (||B_j|| + 1), or is not finite,
+    raises SingularSystemError naming it.
     """
 
-    def __init__(self, factors, elim, z_s, x_bar):
+    def __init__(self, factors, elim, x_bar):
         f, s = factors, elim.s
         self.factors, self.elim = factors, elim
         self.u_s = None if f.k_s == s.size else f.U
         local = np.full(x_bar.size, -1)
         local[s] = np.arange(s.size)
         keep = np.flatnonzero(local[f.rows] >= 0)
-        off = np.setdiff1d(f.cols[keep], s)
-        self.z = z_s
-        if off.size:
-            local[off] = s.size + np.arange(off.size)
-            self.z = np.vstack((z_s, elim.expand(z_s, 0.0)[off]))
-        rows, cols = local[f.rows[keep]], local[f.cols[keep]]
+        if self.u_s is None:
+            r, rows = np.unique(f.rows[keep], return_inverse=True)
+            self.j, cols = np.unique(f.cols[keep], return_inverse=True)
+            self.k, self.x_j = np.setdiff1d(s, self.j), x_bar[self.j]
+            self.w = np.empty((r.size, self.j.size))
+            self.z = np.empty((self.k.size, r.size))
+            shape = self.w.shape
+        else:
+            z_s = np.ascontiguousarray(elim.schur_lu.solve(f.U))
+            off = np.setdiff1d(f.cols[keep], s)
+            self.z = z_s
+            if off.size:
+                local[off] = s.size + np.arange(off.size)
+                self.z = np.vstack((z_s, elim.expand(z_s, 0.0)[off]))
+            rows, cols = local[f.rows[keep]], local[f.cols[keep]]
+            shape = (s.size, self.z.shape[0])
+        n, self.dim = shape if self.u_s is None else (f.k_s, f.k_s)
+        for j in range(0, n, _CHECK_COLUMNS):
+            at = slice(j, j + _CHECK_COLUMNS)
+            if self.u_s is None:   # unit columns on R
+                b = (local[r[at]] == np.arange(s.size)[:, None]) * 1.0
+                z = elim.expand(elim.schur_lu.solve(b), 0.0)
+                self.w[at], self.z[:, at] = z[self.j].T, z[self.k]
+            else:
+                b, z = f.U[:, at], elim.expand(z_s[:, at], 0.0)
+            res = elim.A_bar @ z
+            res[s] -= b
+            resid = np.linalg.norm(res, axis=0)
+            tol = 1e-8 * (np.linalg.norm(b, axis=0) + 1.0)
+            bad = np.flatnonzero(~(resid <= tol))   # a NaN is bad
+            if bad.size:
+                i = bad[np.argmax(np.nan_to_num(resid[bad], nan=np.inf))]
+                raise SingularSystemError(
+                    f"inaccurate solve for column {j + i} of the shared "
+                    f"factor: residual {resid[i]:.3e}")
         by_row = np.lexsort((cols, rows))
         self.order = keep[by_row]
         self.pattern = a = sp.csr_matrix(
             (np.empty(by_row.size), cols[by_row],
-             np.append(0, np.cumsum(np.bincount(rows, minlength=s.size)))),
-            shape=(s.size, self.z.shape[0]))
+             np.append(0, np.cumsum(np.bincount(rows, minlength=shape[0])))),
+            shape=shape)
         a.indices.flags.writeable = a.indptr.flags.writeable = False
+        if self.u_s is None:
+            self.pattern_t = a.T
+            return
         x_c = x_bar[np.concatenate((s, off))]
         self.rhs = np.empty((f.span_dim, s.size))
         for j, b_j in enumerate(f.basis):
             self.rhs[j] = self.holding(b_j) @ x_c
-        if self.u_s is not None:
-            self.rhs = self.rhs @ self.u_s
+        self.rhs = self.rhs @ self.u_s
 
     @property
     def nbytes(self):
         """Bytes of the arrays the state owns; U[S, :k_s] is the factors'
         and S, T, I and X the elimination's."""
         p = self.pattern
-        held = [self.z, self.rhs, self.order, p.data, p.indices, p.indptr]
+        held = [self.z, self.order, p.data, p.indices, p.indptr]
+        held += ([self.w, self.j, self.k, self.x_j] if self.u_s is None
+                 else [self.rhs])
         return sum(a.nbytes for a in held)
 
     def holding(self, values):
@@ -217,21 +256,13 @@ class MeanFactorization:
         SingularSystemError naming it.  This elimination serves when the
         factors' S is its S; else (hand-built factors) Abar is eliminated
         on that S without b, and a failed LU of Abar[T, T] or of Sigma
-        raises SingularSystemError naming the block.  Sigma's LU
-        gives Z[S] for Z = Abar^{-1} B, B = U[:, :k_s], or B = I[:, S] at
-        k_s = |S|.  One loop assembles Z a few columns at a time and checks
-        each: a residual ||Abar Z_j - B_j|| above 1e-8 (||B_j|| + 1), or not
-        finite, raises SingularSystemError naming the column.  The state
-        keeps a CSR pattern of A_m[S, :c], the r right sides and, below
-        |S|, the factors' U[S, :k_s], which projects both on the left,
-        and reads S, T, I and X from the elimination it was solved
-        through.
+        raises SingularSystemError naming the block.  The state
+        (``_Woodbury``) is solved through that elimination's LU of Sigma.
         """
         if self._woodbury is not None and self._woodbury.factors is factors:
             return self._woodbury
         self._woodbury = None
-        u_s, k_s = factors.U, factors.k_s
-        bad = np.flatnonzero(~np.isfinite(u_s).all(axis=0))
+        bad = np.flatnonzero(~np.isfinite(factors.U).all(axis=0))
         if bad.size:
             raise SingularSystemError(f"column {bad[0]} of the shared "
                                       f"factor holds non-finite entries")
@@ -239,31 +270,7 @@ class MeanFactorization:
         if not np.array_equal(self.s, factors.support):
             elim = MeanFactorization(
                 self.A_bar, np.isin(np.arange(self.N), factors.support))
-        s = elim.s
-        full = k_s == s.size
-        b_s = np.eye(k_s) if full else u_s
-        z_s = np.zeros((s.size, k_s))
-        if s.size:
-            lu = elim.schur_lu
-            # row-major, as the sparse products of the samples read it; at
-            # |S| the inverse is the transpose of the inverse of Sigma^T
-            z_s = (lu.solve(b_s, trans="T").T if full
-                   else np.ascontiguousarray(lu.solve(b_s)))
-        resid = np.empty(k_s)
-        for j in range(0, k_s, _CHECK_COLUMNS):
-            cols = slice(j, j + _CHECK_COLUMNS)
-            r = self.A_bar @ elim.expand(z_s[:, cols], 0.0)
-            r[s] -= b_s[:, cols]
-            resid[cols] = np.linalg.norm(r, axis=0)
-        tol = 1e-8 * (np.linalg.norm(b_s, axis=0) + 1.0)
-        bad = np.flatnonzero(~(resid <= tol))   # a NaN is bad
-        if bad.size:
-            j = bad[np.argmax(np.nan_to_num(resid[bad], nan=np.inf))]
-            raise SingularSystemError(
-                f"inaccurate solve for column {j} of the shared "
-                f"factor: residual {resid[j]:.3e}"
-            )
-        self._woodbury = state = _Woodbury(factors, elim, z_s, self.x_bar)
+        self._woodbury = state = _Woodbury(factors, elim, self.x_bar)
         state.elim = None if elim is self else elim
         return state
 
@@ -395,20 +402,21 @@ def factor_mean(system):
 def solve_sample_smw(mean, factors, m):
     """Sample solution through the low-rank update of the mean solve.
 
-    Forms the k_s x k_s capacitance matrix from the family's cached state
-    (``MeanFactorization.woodbury``) and the sample's span coefficients
-    y = Y[m]: y @ B is swapped into the cached pattern of A_m[S, :c], and
-    C = I + A_m[S, :c] Z[:c] at k_s = |S| (C_S), or
-    C = I + U[S, :k_s]^T (A_m[S, :c] Z[:c]) below, in row-major order,
-    with the identity added on a strided view of its diagonal.  Three
-    LAPACK calls follow in place, on C^T: the LU (``getrf``), the
-    infinity-norm condition estimate of C^T, which is the 1-norm one of C
-    (``gecon``, reported as ``capacitance_cond``), and the
-    back-substitution (``getrs``) of C y = w for the right side
-    w = y @ rhs; then x = x_bar - Z y, where Z y is the elimination's
-    ``expand`` of Z[S] y with y_T = 0.  When k_s = 0 the update vanishes
-    and x = x_bar with condition 1.  No N x N inverse and no V_m is ever
-    formed.  An exactly singular capacitance matrix has
+    Forms the capacitance matrix from the family's cached state
+    (``MeanFactorization.woodbury``): y @ B, for the sample's span
+    coefficients y = Y[m], is swapped into the cached CSR pattern.  At
+    k_s = |S| one sparse product gives C^T = I + A_m[R, J]^T W, which is
+    C_J = I + Abar^{-1}[J, R] A_m[R, J] in Fortran order, and w = x_bar[J];
+    below, C = I + U[S, :k_s]^T (A_m[S, :c] Z[:c]) is row-major, LAPACK
+    takes C^T and w = y @ rhs.  The identity goes on a strided view of
+    the diagonal; then, in place, the LU (``getrf``), the 1-norm
+    condition estimate of C (``gecon``, reported as
+    ``capacitance_cond``) and the solve (``getrs``) of C y = w.  At |S|,
+    x[J] = y and x[K] = x_bar[K] - Abar^{-1}[K, R] (A_m[R, J] y); below,
+    x[S] = x_bar[S] - Z[S] y; the elimination's ``expand`` gives x[T].
+    An empty capacitance matrix (k_s = 0, or no pattern entry on S)
+    leaves x = x_bar with condition 1.  No N x N inverse and no V_m is
+    ever formed.  An exactly singular capacitance matrix has
     condition infinity; a condition above CAPACITANCE_COND_LIMIT raises
     IllConditionedUpdateError, and non-finite capacitance entries or x
     raise SingularSystemError, each naming the sample; the entries are
@@ -418,17 +426,18 @@ def solve_sample_smw(mean, factors, m):
         raise IndexError(f"sample index {m} outside 0..{factors.M - 1}")
     y_m = factors.Y[m]
     state = mean.woodbury(factors)
-    k_s = state.z.shape[1]
-    c = state.holding(y_m @ factors.basis) @ state.z
-    if state.u_s is not None:
-        c = state.u_s.T @ c
+    a = state.holding(y_m @ factors.basis)
+    if state.u_s is None:   # C^T = I + A_m[R, J]^T W, so C in Fortran order
+        c, w, norm = state.pattern_t @ state.w, np.array(state.x_j), "1"
+    else:   # C = I + U[S, :k_s]^T (A_m[S, :c] Z[:c]) row-major, so C^T
+        c, w, norm = state.u_s.T @ (a @ state.z), y_m @ state.rhs, "I"
+    k = c.shape[0]
     flat = c.ravel()
-    w = y_m @ state.rhs
-    flat[::k_s + 1] += 1.0
-    if k_s:
-        # C^T in Fortran order; its infinity norm is C's 1-norm
-        c = flat.reshape(k_s, k_s, order="F")
-        anorm = _LANGE("I", c)
+    flat[::k + 1] += 1.0
+    if k:
+        # Fortran order; below |S| the infinity norm of C^T is C's 1-norm
+        c = flat.reshape(k, k, order="F")
+        anorm = _LANGE(norm, c)
         # the norm is nan or inf when an entry is; finite entries whose
         # norm overflows go on to rcond 0 below
         if not math.isfinite(anorm) and not np.all(np.isfinite(flat)):
@@ -437,7 +446,7 @@ def solve_sample_smw(mean, factors, m):
             )
         # an exactly zero pivot leaves getrf's info > 0 and rcond = 0
         lu, piv, _ = _GETRF(c, overwrite_a=1)
-        rcond, info = _GECON(lu, anorm, norm="I")
+        rcond, info = _GECON(lu, anorm, norm=norm)
         if info != 0 or rcond == 0.0 or not np.isfinite(rcond):
             cond = math.inf
         else:
@@ -450,11 +459,17 @@ def solve_sample_smw(mean, factors, m):
                 f"singularity"
             )
         # a non-finite w (from x_bar) reaches x, which is checked below
-        y, _ = _GETRS(lu, piv, w, trans=1, overwrite_b=1)
-    else:  # k_s = 0: no update, and LAPACK rejects an empty matrix
+        y, _ = _GETRS(lu, piv, w, trans=int(norm == "I"), overwrite_b=1)
+    else:  # no update, and LAPACK rejects an empty matrix
         cond, y = 1.0, w
     elim = state.elim or mean
-    x = mean.x_bar - elim.expand(state.z[:elim.s.size] @ y, 0.0)
+    if state.u_s is None:   # x[J] = y, as x_J = x_bar_J - (C_J - I) y
+        d = np.empty(mean.N)   # Abar^{-1}[:, R] A_m[R, J] y on S
+        d[state.j], d[state.k] = state.x_j - y, state.z @ (a @ y)
+        x = mean.x_bar - elim.expand(d[elim.s], 0.0)
+        x[state.j] = y
+    else:
+        x = mean.x_bar - elim.expand(state.z[:elim.s.size] @ y, 0.0)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"sample {m}: non-finite solution entries")
     return SampleSolution(x=x, sample_index=m, capacitance_cond=cond)

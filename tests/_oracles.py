@@ -11,9 +11,9 @@ taken from its endpoints: the general-frame form the package assembled
 before it dropped the three that a flat interface zeroes.
 ``rmsre_per_sample`` is the per-matrix reconstruction error that
 ``glram.rmsre`` evaluated before it summed over the family's span, and
-``smw_reference`` the per-sample Woodbury solve that
-``lowrank_solver.solve_sample_smw`` ran before it called LAPACK directly
-on flattened capacitance blocks, and ``direct_oracle`` the direct solve
+``smw_reference`` the per-sample Woodbury solve of
+``lowrank_solver.solve_sample_smw`` through scipy's LU wrappers, with
+its own solves of Abar, and ``direct_oracle`` the direct solve
 that ``lowrank_solver.solve_sample_direct`` ran before it kept its
 column order across a family's samples.  ``mean_solve`` is the solve
 through the mean's LU that ``lowrank_solver.MeanFactorization`` offered
@@ -297,32 +297,31 @@ def hand_factors(u, v_list, col_dim=None):
 def smw_reference(mean, factors, m):
     """Woodbury solve of sample m through scipy's LU wrappers.
 
-    Returns (x, condition estimate).  Z = Abar^{-1} U[:, :k_s] is solved
-    afresh through ``mean_solve``, each W_j = B_j^T U[:, :k_s] is formed
-    from the span values of ``factors`` as a COO matrix B_j, the r blocks
+    Returns (x, condition estimate).  Below |S|, for the support S the
+    factors hold U on, Z = Abar^{-1} U[:, :k_s] is solved afresh through
+    ``mean_solve``, each W_j = B_j^T U[:, :k_s] is formed from the span
+    values of ``factors`` as a COO matrix B_j, and the r blocks
     (W_j^T Z[:c])^T are summed by ``tensordot`` into the capacitance
-    matrix C, and C goes through ``lu_factor``, LAPACK's ``gecon`` 1-norm
-    estimate and ``lu_solve``.  An exactly singular C has condition
-    infinity; k_s = 0 gives x_bar with condition 1.
-
-    At k_s = |S|, for the support S the factors hold U on, the solve runs in
-    the coordinate basis of S, as the package's does: Z = Abar^{-1}[:, S]
-    and C is C_S = I + A_m[S, :c] Z[:c], from A_m = sum_j Y[m, j] B_j
-    summed on the pattern first.  C_S^T is factored, as the package
-    factors its row-major C_S, so the estimate of ||C_S^{-1}||_1 is
-    gecon's infinity-norm one for C_S^T.
+    matrix C.  At k_s = |S| the update is A_m[R, J] on the rows R and
+    columns J of the pattern in S's rows, as the package takes it, and
+    C = I + Abar^{-1}[J, R] A_m[R, J], from A_m = sum_j Y[m, j] B_j
+    summed on the pattern first, with the right side x_bar[J].  C goes
+    through ``lu_factor``, LAPACK's ``gecon`` 1-norm estimate and
+    ``lu_solve``.  An exactly singular C has condition infinity; an
+    empty C gives x_bar with condition 1.
     """
     c, k_s, n = factors.col_dim, factors.k_s, factors.n_full
     s = factors.support
     y_m = factors.Y[m]
-    coordinate = s.size == k_s
-    if coordinate:
-        z = mean_solve(mean, np.eye(n)[:, s])
-        a_m = sp.coo_matrix((y_m @ factors.basis,
-                             (factors.rows, factors.cols)),
-                            shape=(n, n)).tocsr()[s][:, :c]
-        cap = np.eye(k_s) + a_m @ z[:c]
-        w = a_m @ mean.x_bar[:c]
+    if s.size == k_s:
+        keep = np.isin(factors.rows, s)
+        rows, cols = factors.rows[keep], factors.cols[keep]
+        r, j = np.unique(rows), np.unique(cols)
+        a_m = sp.coo_matrix(((y_m @ factors.basis)[keep], (rows, cols)),
+                            shape=(n, n)).tocsr()[r][:, j].toarray()
+        z = mean_solve(mean, np.eye(n)[:, r])
+        cap = np.eye(j.size) + z[j] @ a_m
+        z, w = z @ a_m, mean.x_bar[j]
     else:   # k = k_s below |S|: U has no unit columns
         u = dense_u(factors)
         z = mean_solve(mean, u)
@@ -341,14 +340,12 @@ def smw_reference(mean, factors, m):
     anorm = np.linalg.norm(cap, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(cap.T if coordinate else cap,
-                                         check_finite=False)
+        lu, piv = scipy.linalg.lu_factor(cap, check_finite=False)
     gecon = get_lapack_funcs(("gecon",), (lu,))[0]
-    rcond, info = gecon(lu, anorm, norm="I" if coordinate else "1")
+    rcond, info = gecon(lu, anorm, norm="1")
     if info != 0 or rcond == 0.0 or not np.isfinite(rcond):
         return None, math.inf
-    y = scipy.linalg.lu_solve((lu, piv), w, trans=int(coordinate),
-                              check_finite=False)
+    y = scipy.linalg.lu_solve((lu, piv), w, check_finite=False)
     return mean.x_bar - z @ y, 1.0 / rcond
 
 

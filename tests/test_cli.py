@@ -280,10 +280,14 @@ def test_theta_sweep_small_run(tmp_path, capsys):
     assert len(rec["rows"]) == 3
     assert rec["rank"] >= k_sel
     # every ledger row carries the CSV cells plus the column support of
-    # the factors and the spread of the capacitance condition estimates
+    # the factors, the order of the capacitance matrix (the n(2n - 1) =
+    # 120 free porous heads at k_s = |S| = 135, else k_s) and the spread
+    # of its condition estimates
     for row, rec_row in zip(rows, rec["rows"]):
         assert rec_row["theta_requested"] == row["theta_requested"]
         assert rec_row["k"] == int(row["k"])
+        k = rec_row["k"]
+        assert rec_row["capacitance_dim"] == (120 if k >= 135 else k)
         # the perturbations live on the head columns, so c <= N1 = 153
         assert 1 <= rec_row["col_dim"] <= 153
         lo, mid, hi = (rec_row[f"capacitance_cond_{s}"]
@@ -348,7 +352,7 @@ def test_theta_sweep_records_a_non_finite_factor_as_a_failed_ratio(
     assert tenth["status"] == (
         "failed: column 0 of the shared factor holds non-finite entries")
     (rec,) = _ledger_records(tmp_path)
-    assert rec["rows"][1]["col_dim"] == 0
+    assert rec["rows"][1]["col_dim"] == rec["rows"][1]["capacitance_dim"] == 0
     assert np.isnan(rec["rows"][1]["capacitance_cond_max"])
 
 
@@ -601,8 +605,8 @@ _SWEEP_ROW_KEYS = {
     "theta_requested", "theta_effective", "k", "rmsre_formula",
     "rmsre_direct", "energy_ratio", "err_total", "err_darcy", "err_stokes",
     "err_sample_mean", "storage_reduction", "status", "col_dim",
-    "span_dim", "factor_bytes", "capacitance_cond_min", "capacitance_cond_median",
-    "capacitance_cond_max",
+    "span_dim", "factor_bytes", "capacitance_dim", "capacitance_cond_min",
+    "capacitance_cond_median", "capacitance_cond_max",
 }
 
 

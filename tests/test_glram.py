@@ -136,6 +136,28 @@ def test_build_gram_allocates_less_than_one_dense_block():
     assert peak < gram.block_dim ** 2 * 8
 
 
+def test_eigenpairs_peak_stays_near_the_eigensolver_at_n16():
+    # |S| = 527: the eigenvectors held are 2.24 MB and eigh alone needs
+    # 4.61 MB (its copy of G[S, S] and its output); the residuals and
+    # signs are taken 64 columns at a time on eigh's output and the signs
+    # set in place on the row-major copy, so nothing |S| x |S| is added
+    mesh = build_mesh(n=16)
+    kl = build_kl(CovarianceKernel(correlation_length_sq=0.2), mesh,
+                  epsilon=0.01)
+    system = assemble_family(mesh, PhysicalParams(), kl,
+                             draw_samples(kl, M=3, seed=1234).coefficients)
+    gram = build_gram(system.A_tildes, block_dim=system.n_flow)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, v = gram.eigenpairs()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert v.shape == (527, 527) and v.flags.c_contiguous
+    assert peak < 4.8e6
+
+
 def test_build_gram_holds_one_copy_of_the_family(raw200):
     raw, constraints = raw200
     system = apply_dirichlet(raw, constraints)
