@@ -1,36 +1,36 @@
 """Per-sample solvers: one block elimination of the mean, low-rank updates.
 
-Every perturbation A_m of a Monte Carlo family stores entries only in the
-rows and columns S of one pattern, and S couples to the other rows T only
-through the few columns I of Abar[T, S] that hold entries (the interface:
-|I| = 2(2n-1) of |S| = 527 at n=16).  So Abar is eliminated onto S once
-per (Abar, b, pattern) into the one mean object of the family, a
-``MeanFactorization`` that the system keeps and ``factor_mean`` returns:
-one LU of Abar[T, T] gives X = Abar[T, T]^{-1} Abar[T, I] and
-y_T = Abar[T, T]^{-1} b[T], and the Schur complement
-Sigma = Abar[S, S] - Abar[S, T] X is sparse plus one dense block (the
-algebraic Steklov-Poincare substructuring of the coupled problem).  Its
-``expand`` forms every x from x[S], x[T] = y_T - X x[S][I]: x_bar through
-the LU of Sigma, the update of the Woodbury state it caches from columns
-solved through the same LU (y_T = 0), and the direct reference solve of
-(Abar + A_m) x = b, which factors Sigma + A_m[S, S] per sample.
+Every perturbation A_m of a family stores entries only in the rows and
+columns S of its pattern (the union of the family's patterns when it has
+several), and S couples to the other rows T only through the few columns
+I of Abar[T, S] that hold entries (the interface: |I| = 2(2n-1) of
+|S| = 527 at n=16).  So Abar is eliminated onto S once per (Abar, b,
+patterns) into the one mean object of the family, a ``MeanFactorization``
+that the system keeps and ``factor_mean`` returns: one LU of Abar[T, T]
+gives X = Abar[T, T]^{-1} Abar[T, I] and y_T = Abar[T, T]^{-1} b[T], and
+the Schur complement Sigma = Abar[S, S] - Abar[S, T] X is sparse plus one
+dense block (the algebraic Steklov-Poincare substructuring of the coupled
+problem).  Its ``expand`` forms every x from x[S], x[T] = y_T - X x[S][I]:
+x_bar through the LU of Sigma, the update of the Woodbury state it caches
+from columns solved through the same LU (y_T = 0), and the direct
+reference solve of (Abar + A_m) x = b, which factors Sigma + A_m[S, S]
+per sample.
 
 A low-rank sample follows from the Woodbury identity
 
     x_m = x_bar - Z (I + V_m^T Z)^{-1} (V_m^T x_bar),   Z = Abar^{-1} U,
 
 with one state per factor family, cached for the family asked for last
-(``MeanFactorization.woodbury``).  Only the leading c =
-``GlramFactors.col_dim`` rows and k_s = ``GlramFactors.k_s`` columns of
-V_m can be nonzero.  At k_s = |S|, U[S, :k_s] is orthogonal, so the
-update A_m[R, J] (rows R, columns J of the pattern in S) does not depend
-on the basis of S and has rank at most |J|: the identity is taken on
-that side (Hager 1989), C_J = I + Abar^{-1}[J, R] A_m[R, J] of order
-|J| = n(2n-1), the free porous heads, on the default geometry.  Below
-|S|, C = I + U[S, :k_s]^T (A_m[S, :c] Z[:c]).  A sample sums its span
-coefficients into one CSR pattern that the family shares, makes one
-sparse product (and below |S| one dense product) and three LAPACK calls
-on its capacitance matrix in place.
+(``MeanFactorization.woodbury``).  U is held on its support, within S
+(S itself on an assembled family).  When k_s is the support's size, U
+there is square orthogonal, so the update A_m[R, J] (rows R, columns J
+of the pattern) does not depend on its basis and has rank at most |J|:
+the identity is taken on that side (Hager 1989), C_J = I +
+Abar^{-1}[J, R] A_m[R, J] of order |J| = n(2n-1), the free porous heads,
+on the default geometry.  Below, C = I + U[S, :k_s]^T (A_m[S, S] Z[S]).
+A sample sums its span coefficients into one CSR pattern that the family
+shares, makes one sparse product (and one dense product below) and
+three LAPACK calls on its capacitance matrix in place.
 """
 
 import math
@@ -41,6 +41,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
+
+from .glram import _pattern_runs
 
 __all__ = [
     "MeanFactorization",
@@ -84,46 +86,43 @@ _CHECK_COLUMNS = 64
 class _Woodbury:
     """The Woodbury state of one factor family, complete once built.
 
-    ``elim`` is the elimination it was solved through, which holds S, T,
-    I and X, or None when that is the mean holding the state, so that the
-    two hold no reference cycle.  R and J are the rows and columns of the
-    span's pattern on S's rows, and K = S minus J.  At k_s = |S| (``u_s``
-    None) ``w`` is the row-major W = Abar^{-1}[J, R]^T, ``z`` is
-    Abar^{-1}[K, R], ``pattern`` is A_m[R, J] and ``pattern_t`` its
-    transpose on the same arrays; ``j``, ``k`` and ``x_j`` hold J, K and
-    x_bar[J].  Below, ``u_s`` is the factors' U[S, :k_s], ``z`` is Z[S]
-    for Z = Abar^{-1} U[:, :k_s], then Z[j] = -X[j] Z[S][I] for each
-    pattern column j off S, ``pattern`` is A_m[S, :c] and
-    rhs[j] = U[S, :k_s]^T B_j[S, :c] x_bar[:c].  ``order`` maps each
-    stored entry to the span's pattern; the indices are read-only.  A
-    column of Z (Abar^{-1}[:, R] at |S|) whose residual
-    ||Abar Z_j - B_j|| exceeds 1e-8 (||B_j|| + 1), or is not finite,
-    raises SingularSystemError naming it.
+    It is solved through the elimination it is built from (S, T, I, X and
+    the LU of Sigma) and keeps no reference to it.  R and J are the rows
+    and columns of the span's pattern, all in S, and K = S minus J.  When
+    k_s is the support's size (``u_s`` None) ``w`` is the row-major
+    W = Abar^{-1}[J, R]^T, ``z`` is Abar^{-1}[K, R], ``pattern`` is
+    A_m[R, J] and ``pattern_t`` its transpose on the same arrays; ``j``,
+    ``k`` and ``x_j`` hold J, K and x_bar[J].  Below, ``u_s`` is
+    U[S, :k_s] (the factors' U, or a copy placing its rows on S), ``z``
+    is Z[S] for Z = Abar^{-1} U[:, :k_s], ``pattern`` is A_m[S, S] and
+    rhs[j] = U[S, :k_s]^T B_j[S, S] x_bar[S].  ``order`` maps each stored
+    entry to the span's pattern; the indices are read-only.  A column of
+    Z (Abar^{-1}[:, R], named by its DOF in R, or Z_j, by its column j)
+    whose residual ||Abar Z_j - B_j|| exceeds 1e-8 (||B_j|| + 1), or is
+    not finite, raises SingularSystemError naming it.
     """
 
-    def __init__(self, factors, elim, x_bar):
-        f, s = factors, elim.s
-        self.factors, self.elim = factors, elim
-        self.u_s = None if f.k_s == s.size else f.U
+    def __init__(self, factors, elim):
+        f, s, x_bar = factors, elim.s, elim.x_bar
+        self.factors = factors
         local = np.full(x_bar.size, -1)
         local[s] = np.arange(s.size)
-        keep = np.flatnonzero(local[f.rows] >= 0)
-        if self.u_s is None:
-            r, rows = np.unique(f.rows[keep], return_inverse=True)
-            self.j, cols = np.unique(f.cols[keep], return_inverse=True)
+        if f.k_s == f.support.size:
+            self.u_s = None
+            r, rows = np.unique(f.rows, return_inverse=True)
+            self.j, cols = np.unique(f.cols, return_inverse=True)
             self.k, self.x_j = np.setdiff1d(s, self.j), x_bar[self.j]
             self.w = np.empty((r.size, self.j.size))
             self.z = np.empty((self.k.size, r.size))
             shape = self.w.shape
         else:
-            z_s = np.ascontiguousarray(elim.schur_lu.solve(f.U))
-            off = np.setdiff1d(f.cols[keep], s)
-            self.z = z_s
-            if off.size:
-                local[off] = s.size + np.arange(off.size)
-                self.z = np.vstack((z_s, elim.expand(z_s, 0.0)[off]))
-            rows, cols = local[f.rows[keep]], local[f.cols[keep]]
-            shape = (s.size, self.z.shape[0])
+            self.u_s = f.U
+            if f.support.size < s.size:
+                self.u_s = np.zeros((s.size, f.k_s))
+                self.u_s[local[f.support]] = f.U
+            self.z = np.ascontiguousarray(elim.schur_lu.solve(self.u_s))
+            rows, cols = local[f.rows], local[f.cols]
+            shape = (s.size, s.size)
         n, self.dim = shape if self.u_s is None else (f.k_s, f.k_s)
         for j in range(0, n, _CHECK_COLUMNS):
             at = slice(j, j + _CHECK_COLUMNS)
@@ -132,7 +131,7 @@ class _Woodbury:
                 z = elim.expand(elim.schur_lu.solve(b), 0.0)
                 self.w[at], self.z[:, at] = z[self.j].T, z[self.k]
             else:
-                b, z = f.U[:, at], elim.expand(z_s[:, at], 0.0)
+                b, z = self.u_s[:, at], elim.expand(self.z[:, at], 0.0)
             res = elim.A_bar @ z
             res[s] -= b
             resid = np.linalg.norm(res, axis=0)
@@ -140,34 +139,35 @@ class _Woodbury:
             bad = np.flatnonzero(~(resid <= tol))   # a NaN is bad
             if bad.size:
                 i = bad[np.argmax(np.nan_to_num(resid[bad], nan=np.inf))]
-                raise SingularSystemError(
-                    f"inaccurate solve for column {j + i} of the shared "
-                    f"factor: residual {resid[i]:.3e}")
-        by_row = np.lexsort((cols, rows))
-        self.order = keep[by_row]
+                what = (f"the unit column on DOF {r[j + i]}"
+                        if self.u_s is None
+                        else f"column {j + i} of the shared factor")
+                raise SingularSystemError(f"inaccurate solve for {what}: "
+                                          f"residual {resid[i]:.3e}")
+        self.order = np.lexsort((cols, rows))
         self.pattern = a = sp.csr_matrix(
-            (np.empty(by_row.size), cols[by_row],
+            (np.empty(self.order.size), cols[self.order],
              np.append(0, np.cumsum(np.bincount(rows, minlength=shape[0])))),
             shape=shape)
         a.indices.flags.writeable = a.indptr.flags.writeable = False
         if self.u_s is None:
             self.pattern_t = a.T
             return
-        x_c = x_bar[np.concatenate((s, off))]
         self.rhs = np.empty((f.span_dim, s.size))
         for j, b_j in enumerate(f.basis):
-            self.rhs[j] = self.holding(b_j) @ x_c
+            self.rhs[j] = self.holding(b_j) @ x_bar[s]
         self.rhs = self.rhs @ self.u_s
 
     @property
     def nbytes(self):
-        """Bytes of the arrays the state owns; U[S, :k_s] is the factors'
-        and S, T, I and X the elimination's."""
+        """Bytes of the arrays the state owns, U[S, :k_s] among them only
+        when it placed the factors' rows on S; S, T, I and X are the
+        elimination's."""
         p = self.pattern
         held = [self.z, self.order, p.data, p.indices, p.indptr]
         held += ([self.w, self.j, self.k, self.x_j] if self.u_s is None
-                 else [self.rhs])
-        return sum(a.nbytes for a in held)
+                 else [self.rhs, self.u_s])
+        return sum(a.nbytes for a in held if a is not self.factors.U)
 
     def holding(self, values):
         """The pattern holding ``values``, given on the span's pattern."""
@@ -195,16 +195,18 @@ class MeanFactorization:
     complement Sigma = Abar[S, S] - Abar[S, T] X is sparse plus a dense
     block on the rows of Abar[S, T] that hold entries (None when S is
     empty); a failed LU raises SingularSystemError naming Abar[T, T].
-    Given b, it holds y_T = Abar[T, T]^{-1} b[T], the condensed right
-    side b[S] - Abar[S, T] y_T, the read-only x_bar = Abar^{-1} b after
-    one step of iterative refinement, the direct path's column order,
-    taken on its first sample, and the Woodbury state (``woodbury``) of
-    the factor family asked for last.  ``serves`` compares a call's Abar,
-    its stored entries, b and pattern with the copies kept.
+    It holds y_T = Abar[T, T]^{-1} b[T], the condensed right side
+    b[S] - Abar[S, T] y_T, the read-only x_bar = Abar^{-1} b after one
+    step of iterative refinement, the direct path's column order, taken
+    on its first sample, and the Woodbury state (``woodbury``) of the
+    factor family asked for last.  ``serves`` compares a call's Abar, its
+    stored entries, b and patterns with the copies kept.  Only
+    ``_system_mean`` builds one.
     """
 
-    def __init__(self, A_bar, on_s, b=None, pattern=None):
+    def __init__(self, A_bar, on_s, b, pattern):
         self.A_bar, self.on_s, self.pattern = A_bar, on_s, pattern
+        self.b = np.array(b)
         self.a = a = sp.csr_matrix(A_bar, copy=True)
         self.a_norm = spla.norm(a)
         self.s, self.t = s, t = np.flatnonzero(on_s), np.flatnonzero(~on_s)
@@ -223,9 +225,6 @@ class MeanFactorization:
                                  np.tile(coupled, rows.size))),
                 shape=(s.size, s.size))
         self._order = self._woodbury = None
-        self.b = None if b is None else np.array(b)
-        if b is None:
-            return
 
         def mean_solve(r):
             """y_T, the condensed right side and Abar^{-1} r."""
@@ -249,30 +248,27 @@ class MeanFactorization:
         return 0 if self._woodbury is None else self._woodbury.nbytes
 
     def woodbury(self, factors):
-        """The Woodbury state of ``factors``, built in one pass and cached
-        until another family is asked for (the old state goes first).
-
-        A non-finite column of the factors' U[S, :k_s] raises
-        SingularSystemError naming it.  This elimination serves when the
-        factors' S is its S; else (hand-built factors) Abar is eliminated
-        on that S without b, and a failed LU of Abar[T, T] or of Sigma
-        raises SingularSystemError naming the block.  The state
-        (``_Woodbury``) is solved through that elimination's LU of Sigma.
+        """The Woodbury state of ``factors``, built in one pass through
+        this elimination's LU of Sigma and cached until another family is
+        asked for (the old state goes first).  Factors from another
+        family, with a DOF of their support or span pattern outside S,
+        raise ValueError naming the first; a non-finite column of their
+        U[S, :k_s] raises SingularSystemError naming it.
         """
         if self._woodbury is not None and self._woodbury.factors is factors:
             return self._woodbury
         self._woodbury = None
+        off = np.setdiff1d(np.concatenate(
+            (factors.support, factors.rows, factors.cols)), self.s)
+        if off.size:
+            raise ValueError(f"DOF {off[0]} of the factors lies outside the "
+                             f"support S of the system's perturbations")
         bad = np.flatnonzero(~np.isfinite(factors.U).all(axis=0))
         if bad.size:
             raise SingularSystemError(f"column {bad[0]} of the shared "
                                       f"factor holds non-finite entries")
-        elim = self
-        if not np.array_equal(self.s, factors.support):
-            elim = MeanFactorization(
-                self.A_bar, np.isin(np.arange(self.N), factors.support))
-        self._woodbury = state = _Woodbury(factors, elim, self.x_bar)
-        state.elim = None if elim is self else elim
-        return state
+        self._woodbury = _Woodbury(factors, self)
+        return self._woodbury
 
     def serves(self, A_bar, pattern, b):
         a = A_bar.tocsr()
@@ -336,21 +332,24 @@ class MeanFactorization:
         return self.expand(x_s, self.y_t)
 
 
-def _system_mean(system, t):
+def _system_mean(system, patterns):
     """``system._direct``, rebuilt (the old one goes first) unless it is
     the elimination of ``system.A_bar``, its stored entries and b onto the
-    support of the pattern (shape, indptr, indices) of the CSR ``t``."""
-    if t.shape != system.A_bar.shape:
-        raise ValueError(f"perturbation shape {t.shape} does not match "
-                         f"the mean matrix shape {system.A_bar.shape}")
-    pattern = t.shape, t.indptr.tobytes(), t.indices.tobytes()
+    support S of the CSR ``patterns`` (each one's indptr and indices): the
+    rows and columns where one of them stores an entry."""
+    for t in patterns:
+        if t.shape != system.A_bar.shape:
+            raise ValueError(f"perturbation shape {t.shape} does not match "
+                             f"the mean matrix shape {system.A_bar.shape}")
+    key = tuple((t.indptr.tobytes(), t.indices.tobytes()) for t in patterns)
     if system._direct is None or not system._direct.serves(
-            system.A_bar, pattern, system.b):
+            system.A_bar, key, system.b):
         system._direct = None
-        on_s = np.diff(t.indptr) > 0
-        on_s[t.indices] = True
-        system._direct = MeanFactorization(system.A_bar, on_s, system.b,
-                                           pattern)
+        on_s = np.zeros(system.A_bar.shape[0], dtype=bool)
+        for t in patterns:
+            on_s |= np.diff(t.indptr) > 0
+            on_s[t.indices] = True
+        system._direct = MeanFactorization(system.A_bar, on_s, system.b, key)
     return system._direct
 
 
@@ -366,8 +365,10 @@ def _diagnose_singularity(a):
 
 
 def factor_mean(system):
-    """The system's elimination onto the support S of the first
-    perturbation's pattern (``system._direct``), which gave x_bar.
+    """The system's elimination (``system._direct``), which gave x_bar,
+    onto the support S of the whole family: the union of the patterns of
+    its runs (``glram._pattern_runs``).  An assembled family is one run,
+    whose direct samples read the same elimination.
 
     S is empty for an empty family, so Abar[T, T] is Abar: x_bar[S] =
     Sigma^{-1} b~[S] for the condensed right side b~ and x_bar[T] =
@@ -378,10 +379,10 @@ def factor_mean(system):
     fails, or if ||Abar x_bar - b|| exceeds
     1e-10 (||Abar||_F ||x_bar|| + ||b||).
     """
-    t = (system.A_tildes[0].tocsr() if system.A_tildes
-         else sp.csr_matrix(system.A_bar.shape))
+    csrs = [a.tocsr() for a in system.A_tildes]
     try:
-        mean = _system_mean(system, t)
+        mean = _system_mean(system,
+                            [csrs[start] for start, _ in _pattern_runs(csrs)])
     except SingularSystemError as exc:
         dof, why = _diagnose_singularity(system.A_bar)
         raise SingularSystemError(
@@ -404,23 +405,22 @@ def solve_sample_smw(mean, factors, m):
 
     Forms the capacitance matrix from the family's cached state
     (``MeanFactorization.woodbury``): y @ B, for the sample's span
-    coefficients y = Y[m], is swapped into the cached CSR pattern.  At
-    k_s = |S| one sparse product gives C^T = I + A_m[R, J]^T W, which is
-    C_J = I + Abar^{-1}[J, R] A_m[R, J] in Fortran order, and w = x_bar[J];
-    below, C = I + U[S, :k_s]^T (A_m[S, :c] Z[:c]) is row-major, LAPACK
-    takes C^T and w = y @ rhs.  The identity goes on a strided view of
-    the diagonal; then, in place, the LU (``getrf``), the 1-norm
-    condition estimate of C (``gecon``, reported as
-    ``capacitance_cond``) and the solve (``getrs``) of C y = w.  At |S|,
-    x[J] = y and x[K] = x_bar[K] - Abar^{-1}[K, R] (A_m[R, J] y); below,
-    x[S] = x_bar[S] - Z[S] y; the elimination's ``expand`` gives x[T].
-    An empty capacitance matrix (k_s = 0, or no pattern entry on S)
-    leaves x = x_bar with condition 1.  No N x N inverse and no V_m is
-    ever formed.  An exactly singular capacitance matrix has
-    condition infinity; a condition above CAPACITANCE_COND_LIMIT raises
-    IllConditionedUpdateError, and non-finite capacitance entries or x
-    raise SingularSystemError, each naming the sample; the entries are
-    scanned only when the norm is not finite.
+    coefficients y = Y[m], is swapped into the cached CSR pattern.  When
+    k_s is the support's size one sparse product gives
+    C^T = I + A_m[R, J]^T W, which is C_J in Fortran order, and
+    w = x_bar[J]; below, C = I + U[S, :k_s]^T (A_m[S, S] Z[S]) is
+    row-major, LAPACK takes C^T and w = y @ rhs.  The identity goes on a
+    strided view of the diagonal; then, in place, the LU (``getrf``), the
+    1-norm condition estimate of C (``gecon``, reported as
+    ``capacitance_cond``) and the solve (``getrs``) of C y = w.  Then
+    x[J] = y and x[K] = x_bar[K] - Abar^{-1}[K, R] (A_m[R, J] y), or
+    below x[S] = x_bar[S] - Z[S] y; the elimination's ``expand`` gives
+    x[T].  An empty capacitance matrix leaves x = x_bar with condition 1,
+    an exactly singular one has condition infinity; a condition above
+    CAPACITANCE_COND_LIMIT raises IllConditionedUpdateError, and
+    non-finite capacitance entries or x raise SingularSystemError, each
+    naming the sample; the entries are scanned only when the norm is not
+    finite.
     """
     if not 0 <= m < factors.M:
         raise IndexError(f"sample index {m} outside 0..{factors.M - 1}")
@@ -429,7 +429,7 @@ def solve_sample_smw(mean, factors, m):
     a = state.holding(y_m @ factors.basis)
     if state.u_s is None:   # C^T = I + A_m[R, J]^T W, so C in Fortran order
         c, w, norm = state.pattern_t @ state.w, np.array(state.x_j), "1"
-    else:   # C = I + U[S, :k_s]^T (A_m[S, :c] Z[:c]) row-major, so C^T
+    else:   # C = I + U[S, :k_s]^T (A_m[S, S] Z[S]) row-major, so C^T
         c, w, norm = state.u_s.T @ (a @ state.z), y_m @ state.rhs, "I"
     k = c.shape[0]
     flat = c.ravel()
@@ -462,14 +462,13 @@ def solve_sample_smw(mean, factors, m):
         y, _ = _GETRS(lu, piv, w, trans=int(norm == "I"), overwrite_b=1)
     else:  # no update, and LAPACK rejects an empty matrix
         cond, y = 1.0, w
-    elim = state.elim or mean
     if state.u_s is None:   # x[J] = y, as x_J = x_bar_J - (C_J - I) y
         d = np.empty(mean.N)   # Abar^{-1}[:, R] A_m[R, J] y on S
         d[state.j], d[state.k] = state.x_j - y, state.z @ (a @ y)
-        x = mean.x_bar - elim.expand(d[elim.s], 0.0)
+        x = mean.x_bar - mean.expand(d[mean.s], 0.0)
         x[state.j] = y
     else:
-        x = mean.x_bar - elim.expand(state.z[:elim.s.size] @ y, 0.0)
+        x = mean.x_bar - mean.expand(state.z @ y, 0.0)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"sample {m}: non-finite solution entries")
     return SampleSolution(x=x, sample_index=m, capacitance_cond=cond)
@@ -479,7 +478,7 @@ def solve_sample_direct(system, m):
     """Reference path: sparse direct solve of (Abar + A_m) x = b.
 
     Reads the system's elimination onto the support S of A_m's pattern,
-    which ``factor_mean`` returns (see ``_system_mean``).  The first
+    which ``factor_mean`` returns for a family on one pattern.  The first
     sample takes SuperLU's COLAMD column order of Sigma + A_m[S, S]; each
     sample sums its values into that |S| x |S| pattern, runs the numeric
     LU in the stored order, solves for x[S] and forms
@@ -496,7 +495,7 @@ def solve_sample_direct(system, m):
         )
     t = system.A_tildes[m].tocsr()
     try:
-        elim = _system_mean(system, t)
+        elim = _system_mean(system, [t])
         x = elim.solve_perturbed(t)
     except RuntimeError as exc:
         dof, why = _diagnose_singularity(system.A_bar + system.A_tildes[m])

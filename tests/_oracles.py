@@ -303,7 +303,7 @@ def smw_reference(mean, factors, m):
     values of ``factors`` as a COO matrix B_j, and the r blocks
     (W_j^T Z[:c])^T are summed by ``tensordot`` into the capacitance
     matrix C.  At k_s = |S| the update is A_m[R, J] on the rows R and
-    columns J of the pattern in S's rows, as the package takes it, and
+    columns J of the pattern, as the package takes it, and
     C = I + Abar^{-1}[J, R] A_m[R, J], from A_m = sum_j Y[m, j] B_j
     summed on the pattern first, with the right side x_bar[J].  C goes
     through ``lu_factor``, LAPACK's ``gecon`` 1-norm estimate and
@@ -311,13 +311,11 @@ def smw_reference(mean, factors, m):
     empty C gives x_bar with condition 1.
     """
     c, k_s, n = factors.col_dim, factors.k_s, factors.n_full
-    s = factors.support
+    rows, cols = factors.rows, factors.cols
     y_m = factors.Y[m]
-    if s.size == k_s:
-        keep = np.isin(factors.rows, s)
-        rows, cols = factors.rows[keep], factors.cols[keep]
+    if factors.support.size == k_s:
         r, j = np.unique(rows), np.unique(cols)
-        a_m = sp.coo_matrix(((y_m @ factors.basis)[keep], (rows, cols)),
+        a_m = sp.coo_matrix((y_m @ factors.basis, (rows, cols)),
                             shape=(n, n)).tocsr()[r][:, j].toarray()
         z = mean_solve(mean, np.eye(n)[:, r])
         cap = np.eye(j.size) + z[j] @ a_m
@@ -327,8 +325,7 @@ def smw_reference(mean, factors, m):
         z = mean_solve(mean, u)
         w = np.zeros((factors.span_dim, c, k_s))
         for j, b_j in enumerate(factors.basis):
-            b = sp.coo_matrix((b_j, (factors.rows, factors.cols)),
-                              shape=(n, n))
+            b = sp.coo_matrix((b_j, (rows, cols)), shape=(n, n))
             w[j] = (b.T @ u)[:c]
         blocks = z[:c].T @ w
         rhs = w.transpose(0, 2, 1) @ mean.x_bar[:c]

@@ -41,7 +41,11 @@ from sdlowrank import lowrank_solver
 from sdlowrank.lowrank_solver import CAPACITANCE_COND_LIMIT
 
 
-def _toy_system(a, b, n1=1, n2=1, n3=0, tildes=()):
+def _toy_system(a, b, n1=1, n2=1, n3=0, tildes=(), factors=None):
+    """A system on the family ``tildes``, or on the family of ``factors``:
+    A_m = sum_j Y[m, j] B_j on the pattern they hold."""
+    if factors is not None:
+        tildes = [perturbation(factors, m) for m in range(factors.M)]
     return SplitSystem(A_bar=sp.csr_matrix(a), b=np.asarray(b, dtype=float),
                        A_tildes=list(tildes), N1=n1, N2=n2, N3=n3)
 
@@ -91,15 +95,16 @@ def _cond_estimate(c):
 
 def test_rank_one_update_hand_case():
     # Abar = I, U = e1, V = 2*e1: the sample matrix is diag(3, 1, 1), so
-    # only the first solution entry changes, to b1/3.  k_s = |S| = 1, and
-    # the pattern holds row 0 in all three columns J, so the capacitance
-    # matrix is C_J = I + A_0[0, J] on J = {0, 1, 2} (two of them off S),
-    # diag(3, 1, 1), whose 1-norm condition is 3
+    # only the first solution entry changes, to b1/3.  k_s = 1 is the
+    # size of U's support {0}, and the pattern holds row 0 in all three
+    # columns J, the system's S, so the capacitance matrix is
+    # C_J = I + A_0[0, J] on J = {0, 1, 2}, diag(3, 1, 1), whose 1-norm
+    # condition is 3
     b = np.array([6.0, -1.5, 2.0])
-    system = _toy_system(np.eye(3), b)
-    mean = factor_mean(system)
     factors = hand_factors(np.array([[1.0], [0.0], [0.0]]),
                            [np.array([[2.0], [0.0], [0.0]])])
+    system = _toy_system(np.eye(3), b, factors=factors)
+    mean = factor_mean(system)
     sol = solve_sample_smw(mean, factors, 0)
     assert sol.x == pytest.approx([2.0, -1.5, 2.0], rel=1e-14)
     assert sol.sample_index == 0
@@ -109,19 +114,22 @@ def test_rank_one_update_hand_case():
 
 def test_zero_right_factor_returns_mean_solution():
     b = np.array([1.0, 2.0, 3.0])
-    system = _toy_system(np.diag([2.0, 4.0, 5.0]), b)
-    mean = factor_mean(system)
     factors = hand_factors(np.array([[1.0], [1.0], [0.0]]),
                            [np.zeros((3, 1))])
+    system = _toy_system(np.diag([2.0, 4.0, 5.0]), b, factors=factors)
+    mean = factor_mean(system)
     sol = solve_sample_smw(mean, factors, 0)
     assert np.array_equal(sol.x, mean.x_bar)
 
 
 def test_empty_column_support_returns_mean_solution():
-    # c = 0 < k = 2 = |S|: the pattern holds no entry, so J is empty,
-    # the capacitance matrix has order 0, with condition 1, and the
-    # update vanishes
-    system = _toy_system(np.diag([2.0, 4.0, 5.0]), np.array([1.0, 2.0, 3.0]))
+    # c = 0 < k = 2 = |S|: the system's family stores zeros on the
+    # diagonal of S = {0, 1}, where U lives, but the factors' pattern
+    # holds no entry, so J is empty, the capacitance matrix has order 0,
+    # with condition 1, and the update vanishes
+    zeros = sp.csr_matrix(([0.0, 0.0], ([0, 1], [0, 1])), shape=(3, 3))
+    system = _toy_system(np.diag([2.0, 4.0, 5.0]), np.array([1.0, 2.0, 3.0]),
+                         tildes=[zeros])
     mean = factor_mean(system)
     u = np.eye(3)[:, :2]
     factors = hand_factors(u, [np.zeros((3, 2))], col_dim=0)
@@ -134,13 +142,16 @@ def test_empty_column_support_returns_mean_solution():
 
 def _state_bytes(state):
     """At k_s = |S|, W, Abar^{-1}[K, R], J, K and x_bar[J], else Z on its
-    rows and the right sides; the CSR pattern and its entry order.  X is
-    the elimination's, U[S, :k_s] the factors', and the transposed
-    pattern shares the pattern's arrays."""
+    rows, the right sides and U[S, :k_s] when the factors' rows were
+    placed on S; the CSR pattern and its entry order.  X is the
+    elimination's, U[S, :k_s] on the factors' support S the factors',
+    and the transposed pattern shares the pattern's arrays."""
     p = state.pattern
     held = [state.z, p.data, p.indices, p.indptr, state.order]
     held += ([state.w, state.j, state.k, state.x_j] if state.u_s is None
              else [state.rhs])
+    if state.u_s is not None and state.u_s is not state.factors.U:
+        held.append(state.u_s)
     return sum(a.nbytes for a in held)
 
 
@@ -180,17 +191,16 @@ def test_shared_solve_cached_per_family(problem20, gram20):
 def _assembled_z(mean, state):
     """Z = Abar^{-1} U[:, :k_s] below |S|, or Abar^{-1}[:, R] at |S|, from
     the state's Z[S] (there, Abar^{-1}[K, R] and W^T = Abar^{-1}[J, R])
-    and the S, T, I and X of the elimination it was solved through, with
+    and the S, T, I and X of the mean it was solved through, with
     Z[T] = -X Z[S][I]."""
-    elim = state.elim or mean
-    z_s = state.z[:elim.s.size]
+    z_s = state.z
     if state.u_s is None:
         z = np.empty((mean.N, state.w.shape[0]))
         z[state.j], z[state.k] = state.w.T, state.z
-        z_s = z[elim.s]
+        z_s = z[mean.s]
     z = np.empty((mean.N, z_s.shape[1]))
-    z[elim.s] = z_s
-    z[elim.t] = -(elim.x @ z_s[elim.coupled])
+    z[mean.s] = z_s
+    z[mean.t] = -(mean.x @ z_s[mean.coupled])
     return z
 
 
@@ -212,7 +222,6 @@ def test_block_elimination_matches_the_mean_solve(problem20, geometry):
     factors = factorize(gram, system.A_tildes, select_theta(gram)[0])
     mean = factor_mean(system)
     z = mean.woodbury(factors)
-    assert z.elim is None   # solved through the mean's own elimination
     assert np.array_equal(mean.s, gram.support)
     s, j = gram.support.size, z.j.size
     assert (z.w.shape, z.z.shape) == ((s, j), (s - j, s))
@@ -254,7 +263,7 @@ def test_one_elimination_serves_every_solver_of_a_family(problem20, gram20,
     states = [mean.woodbury(f) for f in (f0, f1)]
     assert calls == {"eliminations": 1, "full splu": 0}
     assert mean is system._direct
-    assert all(state.elim is None for state in states)
+    assert all(state.factors is f for state, f in zip(states, (f0, f1)))
 
 
 @pytest.mark.parametrize("geometry", [None, POROUS_BELOW, SHALLOW_POROUS],
@@ -311,43 +320,43 @@ def test_mean_outlives_the_elimination_the_system_replaces(problem20,
 
 
 def test_singular_rest_block_is_named():
-    # U = e1, so S = {0} and T = {1, 2}; Abar[T, T] = diag(0, 1) is
-    # singular, while Abar itself (determinant -1) is not
+    # U = e1 on the first column, so S = {0} and T = {1, 2};
+    # Abar[T, T] = diag(0, 1) is singular, while Abar itself (determinant
+    # -1) is not: the one elimination, which factor_mean takes, names it
     a = np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    mean = factor_mean(_toy_system(a, np.ones(3)))
     factors = hand_factors(np.array([[1.0], [0.0], [0.0]]),
-                           [np.zeros((3, 1))])
+                           [np.zeros((3, 1))], col_dim=1)
     with pytest.raises(SingularSystemError,
                        match=r"factorization of Abar\[T, T\] failed"):
-        mean.woodbury(factors)
+        factor_mean(_toy_system(a, np.ones(3), factors=factors))
 
 
 def _edge_case(case):
-    """(Abar, U) with k_s = 0, with T empty, or with I empty."""
+    """(Abar, U, col_dim) with k_s = 0, with T empty, or with I empty."""
     rng = np.random.default_rng(3)
     a = rng.normal(size=(4, 4)) + 8.0 * np.eye(4)
     if case == "k_s=0":
-        return a, np.zeros((4, 0))
+        return a, np.zeros((4, 0)), None
     if case == "T empty":   # every row of U is nonzero
-        return a, np.linalg.qr(rng.normal(size=(4, 2)))[0]
+        return a, np.linalg.qr(rng.normal(size=(4, 2)))[0], None
     a[2:, :2] = 0.0         # Abar[T, S] holds no entry: I is empty
-    return a, np.eye(4)[:, :2]
+    return a, np.eye(4)[:, :2], 2
 
 
 @pytest.mark.parametrize("case", ["k_s=0", "T empty", "I empty"])
 def test_block_elimination_edge_cases(case):
-    a, u = _edge_case(case)
+    a, u, col_dim = _edge_case(case)
     b = np.arange(1.0, 5.0)
-    mean = factor_mean(_toy_system(a, b, n1=4, n2=0))
     v = 0.3 * np.ones((4, u.shape[1]))
-    factors = hand_factors(u, [v])
+    v[col_dim:] = 0.0
+    factors = hand_factors(u, [v], col_dim=col_dim)
+    mean = factor_mean(_toy_system(a, b, n1=4, n2=0, factors=factors))
     z = mean.woodbury(factors)
-    elim = z.elim or mean
-    # the capacitance order: |J| = 0 (no U, so no row of the pattern is
-    # on S), k_s = 2 below |S| = 4, and |J| = 4 past |S| = 2
+    # the capacitance order: |J| = 0 (no U, so no pattern and S empty),
+    # k_s = 2 below |S| = 4, and |J| = 2 at |S| = 2
     expect = {"k_s=0": (0, 4, 0, 0), "T empty": (4, 0, 0, 2),
-              "I empty": (2, 2, 0, 4)}[case]
-    assert (elim.s.size, elim.t.size, elim.coupled.size, z.dim) == expect
+              "I empty": (2, 2, 0, 2)}[case]
+    assert (mean.s.size, mean.t.size, mean.coupled.size, z.dim) == expect
     ref = mean_solve(mean, u)
     assert _assembled_z(mean, z).shape == u.shape
     assert np.allclose(_assembled_z(mean, z), ref, rtol=0.0, atol=1e-14)
@@ -363,10 +372,11 @@ def test_non_finite_shared_factor_column_is_named():
     # U on two of three rows (k_s = |S|: the coordinate basis, which does
     # not solve with U) or on all three (k_s < |S|): either way a NaN in
     # U is rejected, naming its column, before any solve
-    mean = factor_mean(_toy_system(np.eye(3), np.ones(3)))
     for u in (np.eye(3)[:, :2],
               np.linalg.qr(np.random.default_rng(2).normal(size=(3, 2)))[0]):
         factors = hand_factors(u, [np.zeros((3, 2))])
+        mean = factor_mean(_toy_system(np.eye(3), np.ones(3),
+                                       factors=factors))
         factors.U[0, 1] = np.nan
         with pytest.raises(SingularSystemError,
                            match="column 1 of the shared factor holds "
@@ -399,7 +409,7 @@ def test_held_bytes_at_n8(problem20, gram20):
     assert state.u_s is None and state.j.size == j
     assert (state.pattern.indices.dtype, state.order.dtype) == (np.int32,
                                                                 np.int64)
-    assert mean is system._direct and state.elim is None
+    assert mean is system._direct
     assert mean.x.shape == (t, i)
     # doubles or 8-byte indices: W and Abar^{-1}[K, R], x_bar[J], J, K,
     # the pattern's values and order; 4-byte indices and row pointers
@@ -461,9 +471,8 @@ def test_matches_dense_woodbury_on_random_system():
     b = rng.normal(size=n)
     u, _ = np.linalg.qr(rng.normal(size=(n, k)))
     v_list = [rng.normal(size=(n, k)) * 0.3 for _ in range(3)]
-    system = _toy_system(a, b, n1=3, n2=2, n3=1)
-    mean = factor_mean(system)
     factors = hand_factors(u, v_list)
+    mean = factor_mean(_toy_system(a, b, n1=3, n2=2, n3=1, factors=factors))
     for m, v in enumerate(v_list):
         expect = np.linalg.solve(a + u @ v.T, b)
         sol = solve_sample_smw(mean, factors, m)
@@ -477,7 +486,9 @@ def test_matches_dense_woodbury_on_random_system():
 def test_smw_matches_dense_solve_on_random_column_support(n, data):
     # V_m vanishes below a random col_dim < N; the solve over the first
     # col_dim rows and the one over all rows (col_dim=None) must both
-    # reproduce the dense solve of (Abar + U V_m^T) x = b
+    # reproduce the dense solve of (Abar + U V_m^T) x = b.  Both factor
+    # sets hold the one family of the system, whose pattern is the second
+    # set's: the first stores its first col_dim columns only
     k = data.draw(st.integers(1, n), label="k")
     col_dim = data.draw(st.integers(0, n - 1), label="col_dim")
     M = data.draw(st.integers(1, 3), label="M")
@@ -488,7 +499,8 @@ def test_smw_matches_dense_solve_on_random_column_support(n, data):
     v_list = [0.3 * rng.normal(size=(n, k)) for _ in range(M)]
     for v in v_list:
         v[col_dim:] = 0.0
-    mean = factor_mean(_toy_system(a, b, n1=n, n2=0))
+    mean = factor_mean(_toy_system(a, b, n1=n, n2=0,
+                                   factors=hand_factors(u, v_list)))
     for rows in (col_dim, None):
         factors = hand_factors(u, v_list, col_dim=rows)
         for m, v in enumerate(v_list):
@@ -537,7 +549,7 @@ def test_span_solve_matches_dense_solve_on_random_families(n, data):
     assert factors.k == k
     flat = np.array([t.toarray().ravel() for t in tildes])
     assert factors.span_dim == np.linalg.matrix_rank(flat)
-    mean = factor_mean(_toy_system(a, b, n1=n, n2=0))
+    mean = factor_mean(_toy_system(a, b, n1=n, n2=0, tildes=tildes))
     for m, t in enumerate(tildes):
         expect_v = t.toarray().T @ dense_u(factors, gram)
         assert (np.linalg.norm(right_factor(factors, m, gram) - expect_v)
@@ -552,11 +564,14 @@ def test_span_solve_matches_dense_solve_on_random_families(n, data):
 @given(st.integers(3, 10), st.data())
 def test_lapack_solve_matches_the_reference_on_random_span_families(n, data):
     # k_s = 0 (the all-zero family), a truncated k_s (k from 1 to
-    # |S| - 1, in the basis of U; k = 1 when |S| = 1) and k_s = |S| (k
-    # from |S| up to the block dimension, in the coordinate basis of S);
-    # the sparse product and the direct LAPACK calls must give the
-    # reference's r-block sum x and condition estimate, or reject the
-    # sample where the reference's estimate exceeds the limit
+    # |S| - 1 for the Gram support S, in the basis of U; k = 1 when
+    # |S| = 1) and k_s = |S| (k from |S| up to the block dimension, in
+    # the coordinate basis of S), all solved through the one elimination
+    # onto the union of the family's patterns, which holds S and may hold
+    # more columns (then U's rows are placed on it below |S|).  The sparse
+    # product and the direct LAPACK calls must give the reference's x and
+    # condition estimate, or reject the sample where the reference's
+    # estimate exceeds the limit
     kind = data.draw(st.sampled_from(["zero", "truncated", "support"]),
                      label="kind")
     M = data.draw(st.integers(1, 6), label="M")
@@ -573,7 +588,7 @@ def test_lapack_solve_matches_the_reference_on_random_span_families(n, data):
          data.draw(st.integers(1, max(s - 1, 1)), label="k"))
     factors = factorize(gram, tildes, k / n)
     assert factors.k_s == min(k, s)
-    mean = factor_mean(_toy_system(a, b, n1=n, n2=0))
+    mean = factor_mean(_toy_system(a, b, n1=n, n2=0, tildes=tildes))
     for m in range(M):
         x, cond = smw_reference(mean, factors, m)
         if cond > CAPACITANCE_COND_LIMIT:
@@ -673,36 +688,49 @@ def test_full_rank_capacitance_order_is_the_free_porous_heads(n):
         assert err <= 1e-12, f"sample {m}: {err:.3e}"
 
 
-def test_pattern_columns_off_the_support_join_the_capacitance():
-    # hand-built factors on the rows R = S = {1, 3} of a 6 x 6 system,
-    # full rank (k_s = |S| = 2), with V_m in every row, so the pattern
-    # stores A_m[S, :] and J holds all six columns, four of them off S:
-    # W's rows off S come from the elimination's expand, the
-    # capacitance matrix has order 6, x[J] is its solve, and x is the
-    # dense solve of (Abar + U V_m^T) x = b
+def test_factors_from_another_family_name_the_dof_outside_the_support():
+    # a 6 x 6 system whose family lives on the rows {1, 3} and the first
+    # four columns, so S = {0, 1, 2, 3}.  Factors of that family on U's
+    # support {1, 3} are solved through its one elimination: at k_s = 2,
+    # the support's size, on the pattern's four columns J; at k_s = 1 in
+    # the basis of U, its rows placed on S in a copy the state counts.
+    # Both match the dense solve of (Abar + U V_m^T) x = b.  Factors with
+    # a pattern column (4) or a support row (5) outside S come from
+    # another family: each is a ValueError naming the first such DOF
     rng = np.random.default_rng(11)
     a = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
     b = rng.normal(size=6)
     u = np.zeros((6, 2))
     u[[1, 3]] = np.linalg.qr(rng.normal(size=(2, 2)))[0]
     v_list = [0.3 * rng.normal(size=(6, 2)) for _ in range(3)]
-    mean = factor_mean(_toy_system(a, b, n1=6, n2=0))
-    factors = hand_factors(u, v_list)
-    state = mean.woodbury(factors)
-    assert state.elim is not None and np.array_equal(state.elim.s, [1, 3])
-    assert state.dim == 6 and state.k.size == 0
-    inverse = np.linalg.inv(a)
-    assert np.allclose(state.w, inverse[:, [1, 3]].T, rtol=0.0, atol=1e-14)
-    for m, v in enumerate(v_list):
-        x = solve_sample_smw(mean, factors, m).x
-        c = np.eye(6) + inverse[:, [1, 3]] @ (u @ v.T)[[1, 3]]
-        assert np.allclose(x, np.linalg.solve(c, mean.x_bar),
-                           rtol=1e-13, atol=0.0)
-        expect = np.linalg.solve(a + u @ v.T, b)
-        err = np.linalg.norm(x - expect) / np.linalg.norm(expect)
-        assert err <= 1e-12, f"sample {m}: {err:.3e}"
-        ref, _ = smw_reference(mean, factors, m)
-        assert np.allclose(x, ref, rtol=1e-13, atol=0.0)
+    for v in v_list:
+        v[4:] = 0.0
+    full = hand_factors(u, v_list, col_dim=4)
+    mean = factor_mean(_toy_system(a, b, n1=6, n2=0, factors=full))
+    assert np.array_equal(mean.s, [0, 1, 2, 3])
+    one = hand_factors(u[:, :1], [v[:, :1] for v in v_list], col_dim=4)
+    for factors in (full, one):
+        for m in range(factors.M):
+            x = solve_sample_smw(mean, factors, m).x
+            update = perturbation(factors, m).toarray()
+            expect = np.linalg.solve(a + update, b)
+            err = np.linalg.norm(x - expect) / np.linalg.norm(expect)
+            assert err <= 1e-12, f"k_s={factors.k_s}, sample {m}: {err:.3e}"
+            ref, _ = smw_reference(mean, factors, m)
+            assert np.allclose(x, ref, rtol=1e-13, atol=0.0)
+        state = mean.woodbury(factors)
+        if factors is full:
+            assert state.u_s is None and state.dim == 4
+    assert state.dim == 1 and state.u_s.shape == (4, 1)
+    assert np.array_equal(state.u_s[[1, 3]], one.U)
+    assert mean.nbytes == _state_bytes(state)
+    moved = u.copy()
+    moved[[3, 5]] = moved[[5, 3]]
+    for factors, dof in ((hand_factors(u, v_list), 4),
+                         (hand_factors(moved, v_list, col_dim=4), 5)):
+        with pytest.raises(ValueError,
+                           match=f"DOF {dof} of the factors lies outside"):
+            mean.woodbury(factors)
 
 
 def test_full_rank_solve_does_not_depend_on_the_basis_of_the_support(
@@ -829,23 +857,20 @@ def test_capacitance_cond_does_not_move_with_eigenvector_signs(
 
 def test_singular_capacitance_rejected():
     # U = e1, V = -e1 drives the sample matrix to diag(0, 1, 1)
-    system = _toy_system(np.eye(3), np.ones(3))
-    mean = factor_mean(system)
     factors = hand_factors(np.array([[1.0], [0.0], [0.0]]),
                            [np.array([[-1.0], [0.0], [0.0]])])
+    mean = factor_mean(_toy_system(np.eye(3), np.ones(3), factors=factors))
     with pytest.raises(IllConditionedUpdateError, match="sample 0"):
         solve_sample_smw(mean, factors, 0)
 
 
 def test_singular_column_support_capacitance_rejected():
-    # the same singular update at k = 2 > c = 1: W_0 keeps V_0's one
-    # leading row, and the 2 x 2 capacitance matrix I + W_0^T Z[:1] is
-    # diag(0, 1), singular
-    system = _toy_system(np.eye(3), np.ones(3))
-    mean = factor_mean(system)
+    # the same singular update at k = 2 = |S| > c = 1: the pattern holds
+    # V_0's one leading row, so J = {0} and C_J = 1 + A_0[0, 0] = 0
     v = np.zeros((3, 2))
     v[0, 0] = -1.0
     factors = hand_factors(np.eye(3)[:, :2], [v], col_dim=1)
+    mean = factor_mean(_toy_system(np.eye(3), np.ones(3), factors=factors))
     with pytest.raises(IllConditionedUpdateError, match="sample 0"):
         solve_sample_smw(mean, factors, 0)
 
@@ -853,10 +878,9 @@ def test_singular_column_support_capacitance_rejected():
 def test_exactly_singular_capacitance_rejected_without_a_warning():
     # Abar = I and U = [e1, e2], so C = I + V_0[:2]^T = [[1, 1], [1, 1]]:
     # LU meets an exactly zero pivot, the condition estimate is infinite
-    system = _toy_system(np.eye(3), np.ones(3))
-    mean = factor_mean(system)
     v = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
     factors = hand_factors(np.eye(3)[:, :2], [v])
+    mean = factor_mean(_toy_system(np.eye(3), np.ones(3), factors=factors))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IllConditionedUpdateError,
@@ -867,10 +891,9 @@ def test_exactly_singular_capacitance_rejected_without_a_warning():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_right_factor_is_a_singular_system(bad):
-    system = _toy_system(np.eye(3), np.ones(3))
-    mean = factor_mean(system)
     factors = hand_factors(np.array([[1.0], [0.0], [0.0]]),
                            [np.array([[bad], [0.0], [0.0]])])
+    mean = factor_mean(_toy_system(np.eye(3), np.ones(3), factors=factors))
     with pytest.raises(SingularSystemError, match="sample 0: non-finite"):
         solve_sample_smw(mean, factors, 0)
 
@@ -884,9 +907,9 @@ def _cached_state(u):
     state is cached: U = I is the coordinate basis (k_s = |S| = 3, where
     C_S = I + A_0), ``_TRUNCATED_U`` the basis of U (C = I + U^T A_0 U).
     A_0 sits on the 3 x 3 pattern, entry (i, j) at basis[0, 3 i + j]."""
-    mean = factor_mean(_toy_system(np.eye(3), np.ones(3)))
     rng = np.random.default_rng(5)
     factors = hand_factors(u, [0.1 * rng.normal(size=(3, u.shape[1]))])
+    mean = factor_mean(_toy_system(np.eye(3), np.ones(3), factors=factors))
     mean.woodbury(factors)
     return mean, factors
 
@@ -924,12 +947,44 @@ def test_finite_capacitance_whose_norm_overflows_is_ill_conditioned():
             solve_sample_smw(mean, factors, 0)
 
 
+class _LastColumnDoubled:
+    """An inaccurate solve with Sigma: the LU's, last column doubled."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs):
+        x = self.lu.solve(rhs)
+        x[:, -1] *= 2.0
+        return x
+
+
+@pytest.mark.parametrize("u, col_dim, what", [
+    (np.eye(4)[:, [0, 2, 3]], 1, "the unit column on DOF 3"),
+    (_TRUNCATED_U, None, "column 1 of the shared factor")],
+    ids=["at |S|", "below |S|"])
+def test_inaccurate_solve_in_the_woodbury_build_is_named(u, col_dim, what):
+    # Abar = I and a Sigma solve that doubles its last column, whose
+    # residual is then 1: at k_s = |S| = 3 (S = R = {0, 2, 3}) that is the
+    # unit column on DOF 3, R's last; below, k_s = 2 < |S| = 3, the last
+    # column of U.  No factors of an assembled family reach this check
+    n, k = u.shape
+    factors = hand_factors(u, [np.ones((n, k))], col_dim=col_dim)
+    mean = factor_mean(_toy_system(np.eye(n), np.ones(n), factors=factors))
+    assert (factors.k_s == mean.s.size) == (col_dim == 1)
+    mean.schur_lu = _LastColumnDoubled(mean.schur_lu)
+    with pytest.raises(SingularSystemError,
+                       match=f"inaccurate solve for {what}: residual "
+                             f"1.000e\\+00"):
+        mean.woodbury(factors)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_mean_solution_is_a_singular_system():
-    mean = factor_mean(_toy_system(np.eye(3), np.ones(3)))
-    mean.x_bar = np.array([np.inf, 1.0, 1.0])
     factors = hand_factors(np.array([[1.0], [0.0], [0.0]]),
                            [np.array([[2.0], [0.0], [0.0]])])
+    mean = factor_mean(_toy_system(np.eye(3), np.ones(3), factors=factors))
+    mean.x_bar = np.array([np.inf, 1.0, 1.0])
     with pytest.raises(SingularSystemError, match="sample 0: non-finite"):
         solve_sample_smw(mean, factors, 0)
 
