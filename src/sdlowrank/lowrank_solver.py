@@ -367,8 +367,8 @@ def _diagnose_singularity(a):
 def factor_mean(system):
     """The system's elimination (``system._direct``), which gave x_bar,
     onto the support S of the whole family: the union of the patterns of
-    its runs (``glram._pattern_runs``).  An assembled family is one run,
-    whose direct samples read the same elimination.
+    its runs (``glram._pattern_runs``).  Direct samples share it on a
+    one-pattern family; on several, each eliminates onto its own pattern.
 
     S is empty for an empty family, so Abar[T, T] is Abar: x_bar[S] =
     Sigma^{-1} b~[S] for the condensed right side b~ and x_bar[T] =

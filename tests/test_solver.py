@@ -348,7 +348,8 @@ def test_block_elimination_edge_cases(case):
     a, u, col_dim = _edge_case(case)
     b = np.arange(1.0, 5.0)
     v = 0.3 * np.ones((4, u.shape[1]))
-    v[col_dim:] = 0.0
+    if col_dim is not None:   # B_m^T U = V_m[:col_dim]: the rest is 0
+        v[col_dim:] = 0.0
     factors = hand_factors(u, [v], col_dim=col_dim)
     mean = factor_mean(_toy_system(a, b, n1=4, n2=0, factors=factors))
     z = mean.woodbury(factors)
@@ -366,6 +367,8 @@ def test_block_elimination_edge_cases(case):
     if case == "k_s=0":
         assert np.array_equal(sol.x, mean.x_bar)
         assert sol.capacitance_cond == 1.0
+    else:   # a nonzero update, so the dense solve checks it
+        assert np.linalg.norm(sol.x - mean.x_bar) > 1e-3
 
 
 def test_non_finite_shared_factor_column_is_named():
