@@ -14,7 +14,9 @@ problem).  Its ``expand`` forms every x from x[S], x[T] = y_T - X x[S][I]:
 x_bar through the LU of Sigma, the update of the Woodbury state it caches
 from columns solved through the same LU (y_T = 0), and the direct
 reference solve of (Abar + A_m) x = b, which factors Sigma + A_m[S, S]
-per sample.
+per sample: one dense LAPACK LU up to _DENSE_LU_MAX DOFs in S (135 at
+n=8), where SuperLU's fixed cost per factorization outweighs its
+sparsity, and SuperLU's numeric LU above (527 at n=16).
 
 A low-rank sample follows from the Woodbury identity
 
@@ -56,6 +58,11 @@ __all__ = [
 ]
 
 CAPACITANCE_COND_LIMIT = 1e12
+
+# largest |S| whose direct samples take one dense LU of Sigma + A_m[S, S]:
+# per sample (one BLAS thread) dense beat SuperLU at |S| = 135 and 209
+# (n=8, 10), tied at 299 (n=12) and lost at 405 (n=14, 2.0 against 1.2 ms)
+_DENSE_LU_MAX = 256
 
 # looked up once: every capacitance matrix is a float64 Fortran array
 _GETRF, _GECON, _GETRS, _LANGE = get_lapack_funcs(
@@ -197,11 +204,12 @@ class MeanFactorization:
     empty); a failed LU raises SingularSystemError naming Abar[T, T].
     It holds y_T = Abar[T, T]^{-1} b[T], the condensed right side
     b[S] - Abar[S, T] y_T, the read-only x_bar = Abar^{-1} b after one
-    step of iterative refinement, the direct path's column order, taken
-    on its first sample, and the Woodbury state (``woodbury``) of the
-    factor family asked for last.  ``serves`` compares a call's Abar, its
-    stored entries, b and patterns with the copies kept.  Only
-    ``_system_mean`` builds one.
+    step of iterative refinement, the direct path's per-pattern part,
+    taken on its first sample (``direct_lu`` says which: Sigma as a dense
+    array up to _DENSE_LU_MAX DOFs in S, SuperLU's column order above),
+    and the Woodbury state (``woodbury``) of the factor family asked for
+    last.  ``serves`` compares a call's Abar, its stored entries, b and
+    patterns with the copies kept.  Only ``_system_mean`` builds one.
     """
 
     def __init__(self, A_bar, on_s, b, pattern):
@@ -289,14 +297,29 @@ class MeanFactorization:
         x[self.t] = y_t - self.x @ x_s[self.coupled]
         return x
 
+    @property
+    def direct_lu(self):
+        """How a direct sample factors Sigma + A_m[S, S]: ``"dense"``, one
+        LAPACK LU, up to _DENSE_LU_MAX DOFs in S, else ``"sparse"``,
+        SuperLU's numeric LU."""
+        return "dense" if self.s.size <= _DENSE_LU_MAX else "sparse"
+
     def _take_order(self, t):
-        """The order perm_c (COLAMD plus SuperLU's postorder) of one
-        ``splu`` of Sigma + t[S, S], the union CSC pattern with columns so
-        permuted, Sigma's values in it (base) and t's entries' slots."""
+        """The direct path's part for t's pattern: Sigma's values (base)
+        and the slot of each of t's stored entries in Sigma + t[S, S].
+        Dense, the slots are flat positions of an |S| x |S| Fortran array
+        and the rest None; sparse, they are slots of the union CSC
+        pattern with its columns in the order perm_c (COLAMD plus
+        SuperLU's postorder) of one ``splu`` of the sum, whose row
+        indices and indptr follow."""
         n, k = self.on_s.size, self.s.size
         t_rows = np.repeat(np.arange(n), np.diff(t.indptr))
         local = np.full(n, -1)
         local[self.s] = np.arange(k)
+        if self.direct_lu == "dense":
+            base = self.schur.toarray(order="F").ravel(order="F")
+            return (None, base, local[t.indices] * k + local[t_rows],
+                    None, None)
         sigma = self.schur.tocoo()
         rows = np.concatenate((sigma.row, local[t_rows]))
         cols = np.concatenate((sigma.col, local[t.indices])).astype(np.int64)
@@ -317,7 +340,9 @@ class MeanFactorization:
                 np.searchsorted(keys, np.arange(k + 1) * k).astype(np.intc))
 
     def solve_perturbed(self, t):
-        """x with (Abar + t) x = b, from a numeric LU of Sigma + t[S, S]."""
+        """x with (Abar + t) x = b, from an LU of Sigma + t[S, S]: dense
+        in place (``getrf``, ``getrs``) or SuperLU's numeric LU in the
+        stored order.  A zero pivot raises RuntimeError."""
         k = self.s.size
         x_s = np.zeros(0)
         if k:
@@ -326,9 +351,17 @@ class MeanFactorization:
             perm_c, base, slot, indices, indptr = self._order
             data = np.bincount(slot, t.data, base.size)
             data += base
-            lu = spla.splu(sp.csc_matrix((data, indices, indptr),
-                                         shape=(k, k)), permc_spec="NATURAL")
-            x_s = lu.solve(self.rhs)[perm_c]
+            if perm_c is None:
+                lu, piv, info = _GETRF(data.reshape(k, k, order="F"),
+                                       overwrite_a=1)
+                if info > 0:
+                    raise RuntimeError("Factor is exactly singular")
+                x_s, _ = _GETRS(lu, piv, self.rhs)
+            else:
+                lu = spla.splu(sp.csc_matrix((data, indices, indptr),
+                                             shape=(k, k)),
+                               permc_spec="NATURAL")
+                x_s = lu.solve(self.rhs)[perm_c]
         return self.expand(x_s, self.y_t)
 
 
@@ -475,16 +508,20 @@ def solve_sample_smw(mean, factors, m):
 
 
 def solve_sample_direct(system, m):
-    """Reference path: sparse direct solve of (Abar + A_m) x = b.
+    """Reference path: direct solve of (Abar + A_m) x = b.
 
     Reads the system's elimination onto the support S of A_m's pattern,
-    which ``factor_mean`` returns for a family on one pattern.  The first
-    sample takes SuperLU's COLAMD column order of Sigma + A_m[S, S]; each
-    sample sums its values into that |S| x |S| pattern, runs the numeric
-    LU in the stored order, solves for x[S] and forms
-    x[T] = y_T - X x[S][I].  A failed LU of Abar[T, T] or of Sigma raises
-    SingularSystemError naming that block, a failed factorization of the
-    sample's matrix names the sample and the DOF suspected on Abar + A_m,
+    which ``factor_mean`` returns for a family on one pattern.  Up to
+    _DENSE_LU_MAX DOFs in S (``MeanFactorization.direct_lu``) each sample
+    adds its values to a dense copy of Sigma, taken on the first sample,
+    and runs LAPACK's LU (``getrf``) and solve (``getrs``) in place;
+    above, the first sample takes SuperLU's COLAMD column order of
+    Sigma + A_m[S, S], and each sample sums its values into that
+    |S| x |S| pattern and runs the numeric LU in the stored order.  Both
+    solve for x[S] and form x[T] = y_T - X x[S][I].  A failed LU of
+    Abar[T, T] or of Sigma raises SingularSystemError naming that block,
+    a failed factorization of the sample's matrix (a zero pivot of
+    either LU) names the sample and the DOF suspected on Abar + A_m,
     and a non-finite x, or a residual ||(Abar + A_m) x - b|| above 1e-10
     ((||Abar||_F + ||A_m||_F) ||x|| + ||b||), the bound ``factor_mean``
     applies, names the sample.

@@ -613,7 +613,7 @@ _SWEEP_ROW_KEYS = {
 @pytest.mark.parametrize("args, keys, stages", [
     (["kl-report"], {"T", "rho_T"}, {"mesh", "kl"}),
     (["theta-sweep", "--samples", "6", "--theta-list", "1.0,select"],
-     {"rows", "rank", "gram_support", "perturbation_bytes"},
+     {"rows", "rank", "gram_support", "perturbation_bytes", "direct_lu"},
      _LOWRANK_STAGES | {"direct_loop", "rmsre"}),
     (["select-theta", "--samples", "6"],
      {"selected_theta", "selected_k", "rank", "gram_support", "span_dim",
@@ -656,6 +656,8 @@ def test_ledger_record_schema(tmp_path, args, keys, stages):
             assert r["factor_bytes"] > 0
     if "rows" in rec:
         assert all(set(row) == _SWEEP_ROW_KEYS for row in rec["rows"])
+        # |S| = 35 at n=4: one dense LU per direct sample
+        assert rec["direct_lu"] == "dense"
     if "errors" in rec:
         assert all(set(e) == {"M", "err_mean", "err_variance"}
                    for e in rec["errors"])

@@ -1046,17 +1046,67 @@ def _assert_direct_matches_oracle(system, m, rtol=1e-12):
     assert err <= rtol, f"sample {m}: {err:.3e}"
 
 
+def _lu_branches(monkeypatch):
+    """Sets the cutoff of the dense direct LU so that a new elimination
+    takes each branch in turn: the dense LAPACK LU, then SuperLU's."""
+    for branch, cutoff in (("dense", 10**9), ("sparse", 0)):
+        monkeypatch.setattr(lowrank_solver, "_DENSE_LU_MAX", cutoff)
+        yield branch
+
+
+def _assert_took(system, branch):
+    # the per-pattern part says which LU ran: no column order when dense
+    assert system._direct.direct_lu == branch
+    assert (system._direct._order[0] is None) == (branch == "dense")
+
+
 @pytest.mark.parametrize("geometry", [None, POROUS_BELOW, SHALLOW_POROUS],
                          ids=["problem20", "porous_below", "shallow_porous"])
 def test_direct_solve_matches_a_fresh_colamd_splu_to_1e12(problem20,
-                                                          geometry):
+                                                          geometry,
+                                                          monkeypatch):
     # one pattern for the whole family: the rest of Abar is eliminated and
-    # the column order taken once, and every sample's solution is the
-    # fresh splu's of the full matrix to roundoff
-    system = (problem20["system"] if geometry is None
+    # the per-pattern part (Sigma held dense, or SuperLU's column order)
+    # taken once, and every sample's solution on either LU is the fresh
+    # splu's of the full matrix to roundoff
+    family = (problem20["system"] if geometry is None
               else _family(*geometry))
-    for m in range(len(system.A_tildes)):
-        _assert_direct_matches_oracle(system, m)
+    for branch in _lu_branches(monkeypatch):
+        system = dataclasses.replace(family)
+        for m in range(len(system.A_tildes)):
+            _assert_direct_matches_oracle(system, m)
+        _assert_took(system, branch)
+
+
+def test_direct_loop_at_n8_takes_no_superlu_of_the_condensed_matrix(
+        problem20, monkeypatch):
+    # at |S| = 135 every direct sample factors Sigma + A_m[S, S] with one
+    # dense LAPACK LU: past the elimination, which factors Sigma once for
+    # x_bar, splu sees no |S| x |S| matrix, where forced onto SuperLU the
+    # loop takes the column order and one numeric LU per sample; the two
+    # solutions agree to 1e-13
+    splu = lowrank_solver.spla.splu
+    solved, calls = {}, {}
+    for branch in _lu_branches(monkeypatch):
+        system = dataclasses.replace(problem20["system"])
+        k = factor_mean(system).s.size
+        calls[branch] = 0
+
+        def counted_splu(a, *args, **kwargs):
+            calls[branch] += a.shape == (k, k)
+            return splu(a, *args, **kwargs)
+
+        monkeypatch.setattr(lowrank_solver.spla, "splu", counted_splu)
+        solved[branch] = [solve_sample_direct(system, m).x
+                          for m in range(len(system.A_tildes))]
+        monkeypatch.setattr(lowrank_solver.spla, "splu", splu)
+        _assert_took(system, branch)
+    monkeypatch.undo()
+    assert k == 135 and lowrank_solver._DENSE_LU_MAX >= k
+    assert calls == {"dense": 0, "sparse": len(system.A_tildes) + 1}
+    for dense, sparse in zip(solved["dense"], solved["sparse"]):
+        assert (np.linalg.norm(dense - sparse)
+                <= 1e-13 * np.linalg.norm(sparse))
 
 
 def test_direct_solve_follows_a_family_of_mixed_patterns(problem20):
@@ -1097,21 +1147,25 @@ def test_direct_solve_follows_a_new_mean_matrix(problem20):
     _assert_direct_matches_oracle(probe, 0)
 
 
-def test_direct_solve_follows_values_edited_in_place(problem20):
+def test_direct_solve_follows_values_edited_in_place(problem20,
+                                                    monkeypatch):
     # the same Abar and b objects, edited in place between two solves:
-    # the state kept from the first solve must not answer the second
-    system = dataclasses.replace(problem20["system"])
-    system.A_bar = system.A_bar.copy()
-    system.b = system.b.copy()
-    before = solve_sample_direct(system, 0).x
-    system.A_bar.data *= 2.0
-    _assert_direct_matches_oracle(system, 0)
-    system.b[system.b != 0] *= 3.0
-    _assert_direct_matches_oracle(system, 0)
-    system.A_bar.data /= 2.0
-    system.b[system.b != 0] /= 3.0
-    assert np.allclose(solve_sample_direct(system, 0).x, before,
-                       rtol=1e-12, atol=1e-14)
+    # the state kept from the first solve must not answer the second,
+    # on either LU
+    for branch in _lu_branches(monkeypatch):
+        system = dataclasses.replace(problem20["system"])
+        system.A_bar = system.A_bar.copy()
+        system.b = system.b.copy()
+        before = solve_sample_direct(system, 0).x
+        system.A_bar.data *= 2.0
+        _assert_direct_matches_oracle(system, 0)
+        system.b[system.b != 0] *= 3.0
+        _assert_direct_matches_oracle(system, 0)
+        system.A_bar.data /= 2.0
+        system.b[system.b != 0] /= 3.0
+        assert np.allclose(solve_sample_direct(system, 0).x, before,
+                           rtol=1e-12, atol=1e-14)
+        _assert_took(system, branch)
 
 
 def test_direct_solve_rejects_a_perturbation_of_another_shape():
@@ -1147,39 +1201,45 @@ def test_direct_solve_names_a_singular_rest_block():
         solve_sample_direct(system, 0)
 
 
-def test_direct_solve_checks_each_residual():
+def test_direct_solve_checks_each_residual(monkeypatch):
     # Wilkinson's matrix (1 on the diagonal, -1 below it, 1 in the last
     # column) doubles its last column at every step of an LU with partial
     # pivoting: at 64 DOFs the growth 2^63 leaves the solution far from
     # solving the system, and the sample is named.  Its upper triangle is
-    # stored as 1e-300, so the pattern is dense and COLAMD keeps the
-    # order that grows
+    # stored as 1e-300, so the pattern is dense, COLAMD keeps the order
+    # that grows, and the dense LU runs in that order too
     k = 64
     w = np.eye(k) - np.tril(np.ones((k, k)), -1)
     w[:, -1] = 1.0
     w[np.triu_indices(k, 1)] += 1e-300
-    system = _toy_system(np.eye(k), np.arange(1.0, k + 1),
-                         tildes=[sp.csr_matrix(w - np.eye(k))])
-    with pytest.raises(SingularSystemError,
-                       match="sample 0: direct solve residual"):
-        solve_sample_direct(system, 0)
+    for branch in _lu_branches(monkeypatch):
+        system = _toy_system(np.eye(k), np.arange(1.0, k + 1),
+                             tildes=[sp.csr_matrix(w - np.eye(k))])
+        with pytest.raises(SingularSystemError,
+                           match="sample 0: direct solve residual"):
+            solve_sample_direct(system, 0)
+        _assert_took(system, branch)
 
 
-def test_singular_sample_is_diagnosed():
+def test_singular_sample_is_diagnosed(monkeypatch):
     # samples 0 and 2 cancel the first diagonal entry of Abar = I, which
-    # leaves row 0 empty; sample 0 fails while the column order is taken,
-    # sample 2 in the numeric LU on the order that sample 1 left
+    # leaves row 0 empty.  On SuperLU sample 0 fails while the column
+    # order is taken, sample 2 in the numeric LU on the order that sample
+    # 1 left; on the dense LU both fail at getrf's zero pivot
     singular = sp.csr_matrix(([-1.0], ([0], [0])), shape=(3, 3))
     benign = sp.csr_matrix(([0.5], ([0], [0])), shape=(3, 3))
-    system = _toy_system(np.eye(3), np.ones(3),
-                         tildes=[singular, benign, singular])
-    for m in (0, 2):
-        with pytest.raises(SingularSystemError,
-                           match=f"sample {m}: matrix factorization failed "
-                                 r".*suspect DOF 0 \(structurally empty row\)"):
-            solve_sample_direct(system, m)
-        assert solve_sample_direct(system, 1).x == pytest.approx(
-            [2 / 3, 1.0, 1.0], rel=1e-15)
+    for branch in _lu_branches(monkeypatch):
+        system = _toy_system(np.eye(3), np.ones(3),
+                             tildes=[singular, benign, singular])
+        for m in (0, 2):
+            with pytest.raises(SingularSystemError,
+                               match=f"sample {m}: matrix factorization "
+                                     r"failed .*suspect DOF 0 "
+                                     r"\(structurally empty row\)"):
+                solve_sample_direct(system, m)
+            assert solve_sample_direct(system, 1).x == pytest.approx(
+                [2 / 3, 1.0, 1.0], rel=1e-15)
+        _assert_took(system, branch)
 
 
 def test_structurally_singular_mean_is_diagnosed():
