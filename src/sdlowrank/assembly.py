@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .glram import _pattern_runs
+from .glram import _one_pattern
 from .mesh import (TAG_GAMMA_F_BOTTOM, TAG_GAMMA_F_WALL, TAG_GAMMA_I,
                    TAG_GAMMA_P)
 from .quadrature import edge_rule_3pt, triangle_rule_7pt
@@ -390,9 +390,9 @@ class PerturbationAssembler:
     sum_q scale*p1val[q, c]*grad(phi_i).grad(phi_j); an interface entry
     weights the two edge endpoints by the quadrature of (1 - s) and s.
     A sample then costs one sparse mat-vec, ``data = L @ k``, on the
-    fixed pattern.  Every returned matrix shares that pattern's
-    ``indices`` and ``indptr``, which are read-only: copy a matrix before
-    editing its structure in place.
+    fixed pattern.  Every returned matrix is a shallow copy holding that
+    pattern's very ``indices`` and ``indptr`` arrays, which are
+    read-only: copy a matrix before editing its structure in place.
 
     Each perturbation is stored only in the first N1 columns of the
     head rows (P) and the u1 rows (I9), never in the u2 rows.  The slip
@@ -443,17 +443,17 @@ class PerturbationAssembler:
         slot = slot.ravel()
         self._L = _csr([(slot, verts, coefs)],
                        (keys.size, mesh.darcy_vertices.shape[0]))
-        self._indices = (keys % n).astype(np.int32)
-        self._indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(
-            np.int32)
-        self._indices.setflags(write=False)
-        self._indptr.setflags(write=False)
+        self._pattern = sp.csr_matrix(
+            (np.empty(keys.size), (keys % n).astype(np.int32),
+             np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)),
+            shape=(n, n))
+        self._pattern.indices.flags.writeable = False
+        self._pattern.indptr.flags.writeable = False
 
     def assemble(self, k_tilde):
-        n = self.mesh.N
-        data = self._L @ _nodal_field(self.mesh, k_tilde)
-        return sp.csr_matrix((data, self._indices, self._indptr),
-                             shape=(n, n))
+        out = copy.copy(self._pattern)
+        out.data = self._L @ _nodal_field(self.mesh, k_tilde)
+        return out
 
 
 def assemble_family(mesh, params, kl, coefficients):
@@ -507,11 +507,13 @@ def apply_dirichlet(system, constraints):
     have no columns outside the head block and prescribed head values are
     required to be homogeneous.
 
-    Each run of perturbations on one canonical CSR pattern shares one
-    read-only constrained pattern (:func:`_constrain_run`): copy a
-    matrix before editing its structure in place.  Every output holds
-    the entries of D @ A @ D, D = diag(free), bit for bit, and aliases
-    no input.
+    The perturbations must share one CSR pattern (``glram._one_pattern``
+    raises ValueError naming the first that does not) and share one
+    read-only constrained pattern (:func:`_constrain_run`): copy a matrix
+    before editing its structure in place.  They hold the values of
+    D @ A @ D, D = diag(free), at every kept entry, stored zeros too;
+    ``A_bar`` holds the product's entries bit for bit.  No output
+    aliases an input.
     """
     n = system.N
     dofs = np.array([c[0] for c in constraints], dtype=np.int64)
@@ -537,11 +539,10 @@ def apply_dirichlet(system, constraints):
     free[dofs] = False
     pinned = np.zeros(n)
     pinned[dofs] = 1.0
-    a_bar = _constrain_run([system.A_bar.tocsr()], free)[0] + sp.diags(
-        pinned)
-    csrs = [t.tocsr() for t in system.A_tildes]
-    a_tildes = [m for start, stop in _pattern_runs(csrs)
-                for m in _constrain_run(csrs[start:stop], free)]
+    a_bar = _constrain_run(_one_pattern([system.A_bar], n), free)[0] \
+        + sp.diags(pinned)
+    csrs = _one_pattern(system.A_tildes, n)
+    a_tildes = _constrain_run(csrs, free) if csrs else []
     return replace(
         system,
         A_bar=a_bar,
@@ -552,18 +553,14 @@ def apply_dirichlet(system, constraints):
 
 
 def _constrain_run(mats, free):
-    """The entries of D @ A @ D, D = diag(free), bit for bit, for CSR
-    matrices A that share one pattern.
+    """The values of D @ A @ D, D = diag(free), at the kept entries of
+    CSR matrices A on one canonical pattern.
 
-    The constrained ``indices``/``indptr`` of a canonical pattern are
-    taken once, read-only, and each matrix's kept entries go straight
-    into its row of one len(mats) x nnz block.  A matrix on a
-    non-canonical pattern, or whose row holds an exact zero, which the
-    product drops, is first made canonical and zero-free on its own.
+    The constrained ``indices``/``indptr`` are taken once, read-only,
+    and each matrix's kept entries go straight into its row of one
+    len(mats) x nnz block, of which it is a shallow copy.
     """
     lead = mats[0]
-    if not lead.has_canonical_format:
-        return [_constrain_run([_canonical(t)], free)[0] for t in mats]
     keep = np.repeat(free, np.diff(lead.indptr)) & free[lead.indices]
     where = np.flatnonzero(keep)
     indices = lead.indices[where]
@@ -581,19 +578,8 @@ def _constrain_run(mats, free):
         # mode="clip" writes straight into the row; "raise" buffers
         np.take(t.data.astype(dtype, copy=False), where, out=row,
                 mode="clip")
-        if row.all():
-            out.append(copy.copy(shared))
-            out[-1].data = row
-        else:
-            out += _constrain_run([_canonical(t)], free)
-    return out
-
-
-def _canonical(mat):
-    """CSR copy of ``mat``: sorted, no duplicates, no stored zeros."""
-    out = sp.csr_matrix(mat, copy=True)
-    out.sum_duplicates()
-    out.eliminate_zeros()
+        out.append(copy.copy(shared))
+        out[-1].data = row
     return out
 
 

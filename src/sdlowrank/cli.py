@@ -388,9 +388,6 @@ def cmd_theta_sweep(cfg):
 
     gram = _gram(stages, system)
     direct = _direct(stages, system, range(cfg.M))
-    # read before factor_mean, which replaces the loop's elimination on a
-    # family of several patterns
-    direct_lu = system._direct.direct_lu
     ref_moments = estimate_moments(direct, theta=1.0, mesh=mesh)
     mean_factor = stages.run("factor_mean", lambda: factor_mean(system))
 
@@ -469,7 +466,7 @@ def cmd_theta_sweep(cfg):
         "gram_support": int(gram.support.size),
         "perturbation_bytes": _perturbation_bytes(system),
         "rejected_fields": rejected,
-        "direct_lu": direct_lu,
+        "direct_lu": mean_factor.direct_lu,
     })
     return 0
 

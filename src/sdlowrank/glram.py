@@ -1,10 +1,11 @@
 """Shared-factor low-rank approximation of a family of sparse matrices.
 
-Given perturbation matrices A_1..A_M with a common sparsity footprint
-(nonzero only in a leading principal block of rows and a leading set of
-columns), the family is compressed as A_m ~ U V_m^T with one shared
-orthonormal left factor U and small per-sample right factors.  U is the
-matrix of top-k eigenvectors of the Gram matrix
+Given perturbation matrices A_1..A_M on one CSR sparsity pattern, which
+``build_gram``, ``apply_dirichlet`` and ``factor_mean`` check with
+:func:`_one_pattern` (nonzero only in a leading principal block of rows
+and a leading set of columns), the family is compressed as A_m ~ U V_m^T
+with one shared orthonormal left factor U and small per-sample right
+factors.  U is the matrix of top-k eigenvectors of the Gram matrix
 
     G = sum_m A_m A_m^T,
 
@@ -28,7 +29,7 @@ k_s = min(k, |S|), and no N x k array is formed.
 The family is read once, in ``build_gram``: an orthonormal basis
 B_1..B_r of its span (r = T, the number of KL modes, for the Monte Carlo
 family) and coefficients Y with A_m = sum_j Y[m, j] B_j are found in
-O(M r p) for p entries in the union sparsity pattern, and G = sum_j C_j
+O(M r p) for the p entries of its pattern, and G = sum_j C_j
 C_j^T is an r-term sum whatever M, with C = R B for the thin QR Y = Q R.
 The Gram matrix keeps B, Y and C; nothing after it reads the family.
 The factors hold U[S, :k_s] and Y and share the Gram matrix's B, whose
@@ -242,7 +243,7 @@ class GlramFactors:
 def build_gram(A_tildes, block_dim=None):
     """Form G = sum_m A_m A_m^T on its support, the block G[S, S].
 
-    The family is read once, as the rows of an M x p matrix on its union
+    The family is read once, as the rows of an M x p matrix on its one
     sparsity pattern, whose orthonormal row basis B_1..B_r and
     coefficients Y give A_m = sum_j Y[m, j] B_j to roundoff, in O(M r p).
     With the thin QR Y = Q R, G = sum_j C_j C_j^T for C = R B: one sparse
@@ -250,11 +251,11 @@ def build_gram(A_tildes, block_dim=None):
     ``rmsre``, read-only like S and the pattern.  Since G_ii = sum_j
     ||C_j[i, :]||^2, the support S is the set of rows where some C_j has a
     nonzero entry, and only the rows S of the C_j enter the product.
-    All matrices must share the same dimension.  ``block_dim`` bounds the
-    nonzero rows; when omitted it is detected from the nonzeros of C.
-    The block is explicitly symmetrized to remove accumulation roundoff.
-    Raises NonFiniteFamilyError naming the first perturbation that holds
-    a NaN or an infinity.
+    ``block_dim`` bounds the nonzero rows; when omitted it is detected
+    from the nonzeros of C.  The block is explicitly symmetrized to
+    remove accumulation roundoff.  Raises ValueError naming the first
+    matrix off the first one's pattern or shape, and NonFiniteFamilyError
+    naming the first that holds a NaN or an infinity.
     """
     if len(A_tildes) < 1:
         raise ValueError("need at least one perturbation matrix")
@@ -313,52 +314,48 @@ def numerical_rank(gram):
 
 
 def _pattern_rows(A_tildes, n):
-    """The n x n family as an M x p matrix on its union sparsity pattern.
+    """The n x n family as an M x p matrix on its one sparsity pattern.
 
     Returns (h, rows, cols, col_dim): h[m, e] is entry (rows[e], cols[e])
-    of A_m (duplicates summed), and col_dim is one more than the largest
-    stored column index.  Each run of matrices on one pattern
-    (:func:`_pattern_runs`) shares one flat index array, and each value
-    array is written straight into its row of h, the one copy of the
-    family held; the Monte Carlo family is one run, on one read-only
-    pattern.  Costs O(nnz log nnz) over the distinct patterns.  Each A_m
-    must be n x n.
+    of A_m, the entries of the canonical pattern (:func:`_one_pattern`)
+    in row-major order, and col_dim is one more than the largest stored
+    column index.  Each value array is written straight into its row of
+    h, the one copy of the family held.
     """
-    for m, a in enumerate(A_tildes):
+    csrs = _one_pattern(A_tildes, n)
+    lead = csrs[0]
+    h = np.array([a.data for a in csrs], dtype=float)
+    rows = np.repeat(np.arange(n), np.diff(lead.indptr))
+    cols = lead.indices.astype(np.intp)
+    return h, rows, cols, int(cols.max(initial=-1)) + 1
+
+
+def _one_pattern(mats, n):
+    """The family ``mats`` as CSR matrices on one canonical pattern.
+
+    A family is one sparsity pattern: every matrix must be n x n and
+    share the first one's ``indptr`` and ``indices`` (an array two
+    matrices share is not read).  Canonical format is a property of the
+    pattern, so only the first matrix is tested for it; if it is not
+    canonical, every matrix is copied with sorted indices and summed
+    duplicates, its stored zeros kept.  Raises ValueError naming the
+    first matrix that is not n x n, or not on the first one's pattern.
+    """
+    csrs = [a.tocsr() for a in mats]
+    if csrs and not csrs[0].has_canonical_format:
+        csrs = [a.copy() for a in csrs]
+        for a in csrs:
+            a.sum_duplicates()   # sorts first; a zero stays stored
+    for m, a in enumerate(csrs):
         if a.shape != (n, n):
             raise ValueError(
-                f"matrix {m} has shape {a.shape}, expected ({n}, {n})"
-            )
-    csrs = [a.tocsr() for a in A_tildes]
-    runs = _pattern_runs(csrs)
-    col_dim = max((int(csrs[m].indices.max()) + 1 for m, _ in runs
-                   if csrs[m].nnz), default=0)
-    # entry (i, j) has the flat index i * col_dim + j
-    flats = [np.repeat(np.arange(n) * col_dim, np.diff(csrs[m].indptr))
-             + csrs[m].indices for m, _ in runs]
-    pattern = np.unique(np.concatenate(flats))
-    h = np.zeros((len(csrs), pattern.size))
-    for (start, stop), flat in zip(runs, flats):
-        at = np.searchsorted(pattern, flat)
-        unique = np.all(np.diff(flat) > 0)
-        for m in range(start, stop):
-            if unique:
-                h[m, at] = csrs[m].data
-            else:   # duplicates add up, in stored order
-                np.add.at(h[m], at, csrs[m].data)
-    rows, cols = np.divmod(pattern, max(col_dim, 1))
-    return h, rows, cols, col_dim
-
-
-def _pattern_runs(csrs):
-    """(start, stop) of each run of consecutive CSR matrices with equal
-    ``indptr`` and ``indices``; an array two matrices share is not read."""
-    def same(x, y):
-        return x is y or x.tobytes() == y.tobytes()
-    starts = [m for m, a in enumerate(csrs) if m == 0
-              or not (same(a.indptr, csrs[m - 1].indptr)
-                      and same(a.indices, csrs[m - 1].indices))]
-    return list(zip(starts, starts[1:] + [len(csrs)]))
+                f"matrix {m} has shape {a.shape}, expected ({n}, {n})")
+        ptr, ind = csrs[0].indptr, csrs[0].indices
+        if not ((a.indptr is ptr or np.array_equal(a.indptr, ptr))
+                and (a.indices is ind or np.array_equal(a.indices, ind))):
+            raise ValueError(f"matrix {m} is not on the sparsity pattern of "
+                             f"matrix 0: a family is one pattern")
+    return csrs
 
 
 def _span_basis(d):

@@ -1,11 +1,11 @@
 """Per-sample solvers: one block elimination of the mean, low-rank updates.
 
-Every perturbation A_m of a family stores entries only in the rows and
-columns S of its pattern (the union of the family's patterns when it has
-several), and S couples to the other rows T only through the few columns
+A family is one CSR pattern (``glram._one_pattern`` checks it), and
+every perturbation A_m stores entries only in the rows and columns S of
+that pattern; S couples to the other rows T only through the few columns
 I of Abar[T, S] that hold entries (the interface: |I| = 2(2n-1) of
 |S| = 527 at n=16).  So Abar is eliminated onto S once per (Abar, b,
-patterns) into the one mean object of the family, a ``MeanFactorization``
+pattern) into the one mean object of the family, a ``MeanFactorization``
 that the system keeps and ``factor_mean`` returns: one LU of Abar[T, T]
 gives X = Abar[T, T]^{-1} Abar[T, I] and y_T = Abar[T, T]^{-1} b[T], and
 the Schur complement Sigma = Abar[S, S] - Abar[S, T] X is sparse plus one
@@ -44,7 +44,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
-from .glram import _pattern_runs
+from .glram import _one_pattern
 
 __all__ = [
     "MeanFactorization",
@@ -102,11 +102,13 @@ class _Woodbury:
     ``k`` and ``x_j`` hold J, K and x_bar[J].  Below, ``u_s`` is
     U[S, :k_s] (the factors' U, or a copy placing its rows on S), ``z``
     is Z[S] for Z = Abar^{-1} U[:, :k_s], ``pattern`` is A_m[S, S] and
-    rhs[j] = U[S, :k_s]^T B_j[S, S] x_bar[S].  ``order`` maps each stored
-    entry to the span's pattern; the indices are read-only.  A column of
-    Z (Abar^{-1}[:, R], named by its DOF in R, or Z_j, by its column j)
-    whose residual ||Abar Z_j - B_j|| exceeds 1e-8 (||B_j|| + 1), or is
-    not finite, raises SingularSystemError naming it.
+    rhs[j] = U[S, :k_s]^T B_j[S, S] x_bar[S].  The span's pattern is
+    row-major, so ``pattern`` stores its entries in the span's order and
+    a sample's values go straight into it; its indices are read-only.
+    A column of Z (Abar^{-1}[:, R], named by its DOF in R, or Z_j, by
+    its column j) whose residual ||Abar Z_j - B_j|| exceeds
+    1e-8 (||B_j|| + 1), or is not finite, raises SingularSystemError
+    naming it.
     """
 
     def __init__(self, factors, elim):
@@ -151,9 +153,8 @@ class _Woodbury:
                         else f"column {j + i} of the shared factor")
                 raise SingularSystemError(f"inaccurate solve for {what}: "
                                           f"residual {resid[i]:.3e}")
-        self.order = np.lexsort((cols, rows))
         self.pattern = a = sp.csr_matrix(
-            (np.empty(self.order.size), cols[self.order],
+            (np.empty(cols.size), cols,
              np.append(0, np.cumsum(np.bincount(rows, minlength=shape[0])))),
             shape=shape)
         a.indices.flags.writeable = a.indptr.flags.writeable = False
@@ -162,7 +163,8 @@ class _Woodbury:
             return
         self.rhs = np.empty((f.span_dim, s.size))
         for j, b_j in enumerate(f.basis):
-            self.rhs[j] = self.holding(b_j) @ x_bar[s]
+            a.data[:] = b_j
+            self.rhs[j] = a @ x_bar[s]
         self.rhs = self.rhs @ self.u_s
 
     @property
@@ -171,16 +173,10 @@ class _Woodbury:
         when it placed the factors' rows on S; S, T, I and X are the
         elimination's."""
         p = self.pattern
-        held = [self.z, self.order, p.data, p.indices, p.indptr]
+        held = [self.z, p.data, p.indices, p.indptr]
         held += ([self.w, self.j, self.k, self.x_j] if self.u_s is None
                  else [self.rhs, self.u_s])
         return sum(a.nbytes for a in held if a is not self.factors.U)
-
-    def holding(self, values):
-        """The pattern holding ``values``, given on the span's pattern."""
-        # mode="clip" writes straight into the data; "raise" buffers
-        np.take(values, self.order, out=self.pattern.data, mode="clip")
-        return self.pattern
 
 
 def _splu(a, block):
@@ -204,12 +200,12 @@ class MeanFactorization:
     empty); a failed LU raises SingularSystemError naming Abar[T, T].
     It holds y_T = Abar[T, T]^{-1} b[T], the condensed right side
     b[S] - Abar[S, T] y_T, the read-only x_bar = Abar^{-1} b after one
-    step of iterative refinement, the direct path's per-pattern part,
-    taken on its first sample (``direct_lu`` says which: Sigma as a dense
-    array up to _DENSE_LU_MAX DOFs in S, SuperLU's column order above),
-    and the Woodbury state (``woodbury``) of the factor family asked for
-    last.  ``serves`` compares a call's Abar, its stored entries, b and
-    patterns with the copies kept.  Only ``_system_mean`` builds one.
+    step of iterative refinement, the direct path's part, taken on its
+    first sample (``direct_lu`` says which: Sigma as a dense array up to
+    _DENSE_LU_MAX DOFs in S, SuperLU's column order above), and the
+    Woodbury state (``woodbury``) of the factor family asked for last.
+    ``serves`` compares a call's Abar, its stored entries, b and pattern
+    with the copies kept.  Only ``_system_mean`` builds one.
     """
 
     def __init__(self, A_bar, on_s, b, pattern):
@@ -260,8 +256,10 @@ class MeanFactorization:
         this elimination's LU of Sigma and cached until another family is
         asked for (the old state goes first).  Factors from another
         family, with a DOF of their support or span pattern outside S,
-        raise ValueError naming the first; a non-finite column of their
-        U[S, :k_s] raises SingularSystemError naming it.
+        raise ValueError naming the first, and so do factors whose span
+        pattern is not in strictly row-major order, as ``build_gram``
+        gives it; a non-finite column of their U[S, :k_s] raises
+        SingularSystemError naming it.
         """
         if self._woodbury is not None and self._woodbury.factors is factors:
             return self._woodbury
@@ -271,6 +269,10 @@ class MeanFactorization:
         if off.size:
             raise ValueError(f"DOF {off[0]} of the factors lies outside the "
                              f"support S of the system's perturbations")
+        flat = factors.rows * factors.n_full + factors.cols
+        if np.any(np.diff(flat) <= 0):
+            raise ValueError("the span pattern of the factors is not in "
+                             "strictly row-major order")
         bad = np.flatnonzero(~np.isfinite(factors.U).all(axis=0))
         if bad.size:
             raise SingularSystemError(f"column {bad[0]} of the shared "
@@ -365,23 +367,20 @@ class MeanFactorization:
         return self.expand(x_s, self.y_t)
 
 
-def _system_mean(system, patterns):
+def _system_mean(system, t):
     """``system._direct``, rebuilt (the old one goes first) unless it is
     the elimination of ``system.A_bar``, its stored entries and b onto the
-    support S of the CSR ``patterns`` (each one's indptr and indices): the
-    rows and columns where one of them stores an entry."""
-    for t in patterns:
-        if t.shape != system.A_bar.shape:
-            raise ValueError(f"perturbation shape {t.shape} does not match "
-                             f"the mean matrix shape {system.A_bar.shape}")
-    key = tuple((t.indptr.tobytes(), t.indices.tobytes()) for t in patterns)
+    support S of the pattern of the CSR ``t`` (its indptr and indices):
+    the rows and columns where it stores an entry."""
+    if t.shape != system.A_bar.shape:
+        raise ValueError(f"perturbation shape {t.shape} does not match "
+                         f"the mean matrix shape {system.A_bar.shape}")
+    key = (t.indptr.tobytes(), t.indices.tobytes())
     if system._direct is None or not system._direct.serves(
             system.A_bar, key, system.b):
         system._direct = None
-        on_s = np.zeros(system.A_bar.shape[0], dtype=bool)
-        for t in patterns:
-            on_s |= np.diff(t.indptr) > 0
-            on_s[t.indices] = True
+        on_s = np.diff(t.indptr) > 0
+        on_s[t.indices] = True
         system._direct = MeanFactorization(system.A_bar, on_s, system.b, key)
     return system._direct
 
@@ -399,23 +398,23 @@ def _diagnose_singularity(a):
 
 def factor_mean(system):
     """The system's elimination (``system._direct``), which gave x_bar,
-    onto the support S of the whole family: the union of the patterns of
-    its runs (``glram._pattern_runs``).  Direct samples share it on a
-    one-pattern family; on several, each eliminates onto its own pattern.
+    onto the support S of the family's one pattern, which every direct
+    sample of the family shares.
 
     S is empty for an empty family, so Abar[T, T] is Abar: x_bar[S] =
     Sigma^{-1} b~[S] for the condensed right side b~ and x_bar[T] =
     y_T - X x_bar[S][I], refined once.  A direct sample on another
     pattern replaces ``system._direct`` and leaves the mean as it was.
 
-    Raises SingularSystemError naming the suspect DOF if a factorization
-    fails, or if ||Abar x_bar - b|| exceeds
-    1e-10 (||Abar||_F ||x_bar|| + ||b||).
+    Raises ValueError naming the first perturbation off the first one's
+    pattern (``glram._one_pattern``), and SingularSystemError naming the
+    suspect DOF if a factorization fails, or if ||Abar x_bar - b||
+    exceeds 1e-10 (||Abar||_F ||x_bar|| + ||b||).
     """
-    csrs = [a.tocsr() for a in system.A_tildes]
+    n = system.A_bar.shape[0]
+    csrs = _one_pattern(system.A_tildes, n) or [sp.csr_matrix((n, n))]
     try:
-        mean = _system_mean(system,
-                            [csrs[start] for start, _ in _pattern_runs(csrs)])
+        mean = _system_mean(system, csrs[0])
     except SingularSystemError as exc:
         dof, why = _diagnose_singularity(system.A_bar)
         raise SingularSystemError(
@@ -438,8 +437,8 @@ def solve_sample_smw(mean, factors, m):
 
     Forms the capacitance matrix from the family's cached state
     (``MeanFactorization.woodbury``): y @ B, for the sample's span
-    coefficients y = Y[m], is swapped into the cached CSR pattern.  When
-    k_s is the support's size one sparse product gives
+    coefficients y = Y[m], is written into the values of the cached CSR
+    pattern.  When k_s is the support's size one sparse product gives
     C^T = I + A_m[R, J]^T W, which is C_J in Fortran order, and
     w = x_bar[J]; below, C = I + U[S, :k_s]^T (A_m[S, S] Z[S]) is
     row-major, LAPACK takes C^T and w = y @ rhs.  The identity goes on a
@@ -459,7 +458,8 @@ def solve_sample_smw(mean, factors, m):
         raise IndexError(f"sample index {m} outside 0..{factors.M - 1}")
     y_m = factors.Y[m]
     state = mean.woodbury(factors)
-    a = state.holding(y_m @ factors.basis)
+    a = state.pattern   # A_m, its values y_m @ B written in place
+    np.matmul(y_m, factors.basis, out=a.data)
     if state.u_s is None:   # C^T = I + A_m[R, J]^T W, so C in Fortran order
         c, w, norm = state.pattern_t @ state.w, np.array(state.x_j), "1"
     else:   # C = I + U[S, :k_s]^T (A_m[S, S] Z[S]) row-major, so C^T
@@ -532,7 +532,7 @@ def solve_sample_direct(system, m):
         )
     t = system.A_tildes[m].tocsr()
     try:
-        elim = _system_mean(system, [t])
+        elim = _system_mean(system, t)
         x = elim.solve_perturbed(t)
     except RuntimeError as exc:
         dof, why = _diagnose_singularity(system.A_bar + system.A_tildes[m])

@@ -552,9 +552,11 @@ def test_apply_dirichlet_matches_masking_by_product(problem20):
 
 
 def test_apply_dirichlet_on_a_mixed_family(problem20):
-    # two patterns, a member with an exact zero at a kept entry and a
-    # zero perturbation; each run shares the pattern of its members with
-    # no zero, the others drop their zeros as the product does
+    # one pattern whose members mix raw samples, a member with an exact
+    # zero at a kept entry and a zero perturbation: the zeros stay
+    # stored, so every member is a shallow copy on one read-only
+    # constrained pattern and holds the product's values at its kept
+    # entries.  A member on a second pattern is a ValueError naming it
     raw, constraints = problem20["raw"], problem20["constraints"]
     free = np.ones(raw.N, dtype=bool)
     free[[c[0] for c in constraints]] = False
@@ -563,29 +565,31 @@ def test_apply_dirichlet_on_a_mixed_family(problem20):
     kept = np.flatnonzero(free[rows] & free[t0.indices])
     zeroed = t0.data.copy()
     zeroed[kept[3]] = 0.0
-    other = t1.copy()            # own, writable arrays
-    other.data[kept[5]] = 0.0
-    other.eliminate_zeros()      # the second pattern: one entry less
     family = [t0, t1,
               sp.csr_matrix((zeroed, t0.indices, t0.indptr), t0.shape),
-              other, 2.0 * other,
               sp.csr_matrix((0.0 * t2.data, t2.indices, t2.indptr),
                             t2.shape),
               t2]
     mixed = replace(raw, A_tildes=family)
     system = apply_dirichlet(mixed, constraints)
     got = system.A_tildes
-    for g, r in zip([system.A_bar] + got,
-                    _masked_by_product(mixed, constraints)):
-        _assert_bitwise(g, r)
-    assert [g.nnz for g in got] == [kept.size, kept.size, kept.size - 1,
-                                    kept.size - 1, kept.size - 1, 0,
-                                    kept.size]
-    _assert_shares_a_read_only_pattern(got[:2], family)
-    _assert_shares_a_read_only_pattern(got[3:5], family)
-    for g in (got[2], got[5], got[6]):
-        assert not np.shares_memory(g.indices, got[0].indices)
-        assert not np.shares_memory(g.indices, got[3].indices)
+    ref = _masked_by_product(mixed, constraints)
+    _assert_bitwise(system.A_bar, ref[0])
+    assert got[0].has_sorted_indices
+    assert np.array_equal(got[0].indices, t0.indices[kept])
+    for g, t, r in zip(got, family, ref[1:]):
+        assert np.array_equal(g.data, t.data[kept])
+        assert np.array_equal(g.toarray(), r.toarray())
+    assert [np.count_nonzero(g.data) for g in got] == [
+        kept.size, kept.size, kept.size - 1, 0, kept.size]
+    _assert_shares_a_read_only_pattern(got, family)
+    other = t1.copy()            # own, writable arrays
+    other.data[kept[5]] = 0.0
+    other.eliminate_zeros()      # the second pattern: one entry less
+    with pytest.raises(ValueError, match="matrix 2 is not on the sparsity "
+                                         "pattern of matrix 0"):
+        apply_dirichlet(replace(raw, A_tildes=[t0, t1, other, t2]),
+                        constraints)
 
 
 def test_apply_dirichlet_holds_one_copy_of_the_family(raw200):
@@ -623,9 +627,15 @@ def test_apply_dirichlet_unsorted_duplicate_input():
     system = apply_dirichlet(raw, constraints)
     ref = _masked_by_product(raw, constraints)
     got = [system.A_bar] + system.A_tildes
-    for g, r in zip(got, ref):
-        _assert_bitwise(g, r)
-    assert system.A_tildes[0].nnz == 1
+    _assert_bitwise(system.A_bar, ref[0])
+    # the cancelling pair sums to a zero that stays stored, as the
+    # explicit one at (5, 5) does; the product drops both
+    t_c = system.A_tildes[0]
+    assert t_c.has_sorted_indices
+    assert np.array_equal(t_c.indptr, [0, 2, 2, 2, 2, 2, 3, 3])
+    assert np.array_equal(t_c.indices, [0, 2, 5])
+    assert np.array_equal(t_c.data, [0.0, 1.0, 0.0])
+    assert np.array_equal(t_c.toarray(), ref[1].toarray())
     # the inputs are left as they were
     for m, before in zip((a, t), snapshot):
         assert np.array_equal(m.indptr, before.indptr)

@@ -192,21 +192,24 @@ def test_build_gram_validation():
 def _sparse_families(draw):
     """(n, dense arrays, sparse family) of random sparse n x n matrices.
 
-    Some members are all zero, and every member may store explicit zeros
-    anywhere its dense array vanishes, so also outside the true support.
+    Some members are all zero, and every member stores the one pattern
+    of the family, which may hold explicit zeros anywhere, so also
+    outside the true support.
     """
     n = draw(st.integers(1, 8))
     value = st.just(0.0) | st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
-    dense, family = [], []
+    dense = []
     for _ in range(draw(st.integers(1, 4))):
         d = draw(hnp.arrays(np.float64, (n, n), elements=value))
         if draw(st.booleans()):
             d[:] = 0.0
-        stored = (d != 0.0) | draw(hnp.arrays(np.bool_, (n, n)))
-        rows, cols = np.nonzero(stored)
-        a = sp.coo_matrix((d[rows, cols], (rows, cols)), shape=(n, n))
         dense.append(d)
-        family.append(a.asformat(draw(st.sampled_from(["csr", "csc", "coo"]))))
+    stored = (np.stack(dense) != 0.0).any(axis=0) | draw(
+        hnp.arrays(np.bool_, (n, n)))
+    rows, cols = np.nonzero(stored)
+    family = [sp.coo_matrix((d[rows, cols], (rows, cols)), shape=(n, n))
+              .asformat(draw(st.sampled_from(["csr", "csc", "coo"])))
+              for d in dense]
     return n, dense, family, None
 
 
@@ -253,24 +256,18 @@ def test_build_gram_matches_dense_sum_on_random_families(case):
 
 @st.composite
 def _csr_families(draw):
-    """(n, family) of n x n CSR matrices built from raw arrays, so rows may
-    hold unsorted and repeated column indices.  Each matrix takes one of
-    up to three patterns: all the first ("shared") or any ("mixed")."""
+    """(n, family) of n x n CSR matrices on one pattern built from raw
+    arrays, so rows may hold unsorted and repeated column indices.  Each
+    matrix holds its own copy of the pattern's arrays."""
     n = draw(st.integers(1, 6))
-    patterns = []
-    for _ in range(draw(st.integers(1, 3))):
-        counts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
-        indices = draw(st.lists(st.integers(0, n - 1), min_size=sum(counts),
-                                max_size=sum(counts)))
-        patterns.append((np.array(indices, dtype=np.int32),
-                         np.concatenate([[0], np.cumsum(counts)])
-                         .astype(np.int32)))
-    shared = draw(st.booleans())
+    counts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    indices = np.array(draw(st.lists(st.integers(0, n - 1),
+                                     min_size=sum(counts),
+                                     max_size=sum(counts))), dtype=np.int32)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
     value = st.just(0.0) | st.floats(-2.0, 2.0, allow_subnormal=False)
     family = []
     for _ in range(draw(st.integers(1, 6))):
-        j = 0 if shared else draw(st.integers(0, len(patterns) - 1))
-        indices, indptr = patterns[j]
         data = draw(hnp.arrays(np.float64, indices.size, elements=value))
         family.append(sp.csr_matrix((data, indices.copy(), indptr.copy()),
                                     shape=(n, n)))
@@ -280,7 +277,8 @@ def _csr_families(draw):
 @settings(deadline=None, max_examples=100)
 @given(_csr_families())
 def test_pattern_rows_matches_a_bincount_per_matrix(case):
-    # each matrix scattered on its own, duplicates summed in storage order
+    # each matrix scattered on its own, duplicates summed in storage
+    # order; the stored zeros stay in the pattern
     n, family = case
     col_dim = max((int(a.indices.max()) + 1 for a in family if a.nnz),
                   default=0)
@@ -294,6 +292,22 @@ def test_pattern_rows_matches_a_bincount_per_matrix(case):
     assert np.array_equal(h, np.array([d[pattern] for d in dense])
                           .reshape(len(family), pattern.size))
     assert np.array_equal(rows * max(col_dim, 1) + cols, pattern)
+
+
+def test_build_gram_names_the_first_matrix_off_the_pattern():
+    # a family is one pattern: a member storing one entry less, or the
+    # same entries unsorted behind a canonical first member, is off it.
+    # Behind an unsorted first member every member is sorted first
+    a = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
+    cut = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 3.0]]))
+    unsorted = sp.csr_matrix(([2.0, 1.0, 3.0], [1, 0, 1], [0, 2, 3]),
+                             shape=(2, 2))
+    for family, m in (([a, a, cut], 2), ([a, unsorted], 1)):
+        with pytest.raises(ValueError, match=f"matrix {m} is not on the "
+                                             f"sparsity pattern of matrix 0"):
+            build_gram(family)
+    assert np.array_equal(build_gram([unsorted, a]).block,
+                          build_gram([a, a]).block)
 
 
 def test_eigenpairs_cached_and_descending(gram20):
@@ -767,10 +781,12 @@ def test_factorize_col_dim_is_the_stored_column_support(problem20, gram20):
         for m, v in enumerate(factors.V):
             assert v.shape == (support, factors.k_s)
             assert not np.any(right_factor(factors, m, gram20)[support:])
-    # a stored zero widens the support, and an empty family has none
+    # a stored zero widens the support, also in a family whose other
+    # member is zero on the same pattern, and an empty family has none
     a = sp.csr_matrix(([1.0, 0.0], ([0, 1], [0, 3])), shape=(5, 5))
+    zero = sp.csr_matrix((0.0 * a.data, a.indices, a.indptr), a.shape)
     empty = sp.csr_matrix((5, 5))
-    assert factorize(build_gram([a, empty]), [a, empty], 1.0).col_dim == 4
+    assert factorize(build_gram([a, zero]), [a, zero], 1.0).col_dim == 4
     assert factorize(build_gram([empty]), [empty], 1.0).col_dim == 0
 
 

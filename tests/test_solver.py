@@ -143,11 +143,11 @@ def test_empty_column_support_returns_mean_solution():
 def _state_bytes(state):
     """At k_s = |S|, W, Abar^{-1}[K, R], J, K and x_bar[J], else Z on its
     rows, the right sides and U[S, :k_s] when the factors' rows were
-    placed on S; the CSR pattern and its entry order.  X is the
-    elimination's, U[S, :k_s] on the factors' support S the factors',
-    and the transposed pattern shares the pattern's arrays."""
+    placed on S; the CSR pattern.  X is the elimination's, U[S, :k_s]
+    on the factors' support S the factors', and the transposed pattern
+    shares the pattern's arrays."""
     p = state.pattern
-    held = [state.z, p.data, p.indices, p.indptr, state.order]
+    held = [state.z, p.data, p.indices, p.indptr]
     held += ([state.w, state.j, state.k, state.x_j] if state.u_s is None
              else [state.rhs])
     if state.u_s is not None and state.u_s is not state.factors.U:
@@ -266,6 +266,54 @@ def test_one_elimination_serves_every_solver_of_a_family(problem20, gram20,
     assert all(state.factors is f for state, f in zip(states, (f0, f1)))
 
 
+def test_a_family_with_zero_samples_is_one_pattern(mesh8, params, kl8,
+                                                   monkeypatch):
+    # n=8, M=6 with coefficient rows 1 and 3 zero: those samples are all
+    # zero, and their zeros stay stored, so the constrained family is one
+    # pattern and one elimination serves a direct loop, factor_mean and
+    # a second direct loop (11 when the zero samples dropped theirs)
+    coefficients = draw_samples(kl8, M=6, seed=1234).coefficients.copy()
+    coefficients[[1, 3]] = 0.0
+    system = assemble_family(mesh8, params, kl8, coefficients)
+    first = system.A_tildes[0]
+    assert all(t.indices is first.indices and t.indptr is first.indptr
+               for t in system.A_tildes)
+    assert not system.A_tildes[1].data.any() and first.data.all()
+    calls = {"eliminations": 0}
+    init = lowrank_solver.MeanFactorization.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls["eliminations"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(lowrank_solver.MeanFactorization, "__init__",
+                        counted_init)
+    direct = [solve_sample_direct(system, m).x for m in range(6)]
+    mean = factor_mean(system)
+    for m, x in enumerate(direct):
+        assert np.array_equal(solve_sample_direct(system, m).x, x)
+    assert calls == {"eliminations": 1}
+    assert mean is system._direct
+    gram = build_gram(system.A_tildes, block_dim=system.n_flow)
+    factors = factorize(gram, system.A_tildes, select_theta(gram)[0])
+    for m, x in enumerate(direct):
+        got = solve_sample_smw(mean, factors, m).x
+        assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_factor_mean_names_the_first_perturbation_off_the_pattern(
+        problem20):
+    system = problem20["system"]
+    cut = system.A_tildes[1].copy()
+    cut.data[0] = 0.0
+    cut.eliminate_zeros()
+    mixed = dataclasses.replace(
+        system, A_tildes=[system.A_tildes[0], system.A_tildes[2], cut, cut])
+    with pytest.raises(ValueError, match="matrix 2 is not on the sparsity "
+                                         "pattern of matrix 0"):
+        factor_mean(mixed)
+
+
 @pytest.mark.parametrize("geometry", [None, POROUS_BELOW, SHALLOW_POROUS],
                          ids=["default", "porous-below", "shallow-porous"])
 def test_mean_solution_comes_from_the_shared_elimination(problem20,
@@ -298,17 +346,18 @@ def test_factor_mean_returns_the_systems_elimination(problem20):
 
 def test_mean_outlives_the_elimination_the_system_replaces(problem20,
                                                            gram20):
-    # a direct sample on another pattern (here an empty one) replaces
+    # a direct sample on another pattern (here an empty one, appended to
+    # the family after factor_mean took its mean) replaces
     # system._direct; the mean returned before keeps its Woodbury state
     # and solves bit for bit as before.  The state keeps no reference
     # back to the mean, so dropping the mean frees both at once
     base = problem20["system"]
-    system = dataclasses.replace(
-        base, A_tildes=[*base.A_tildes, sp.csr_matrix(base.A_bar.shape)])
+    system = dataclasses.replace(base, A_tildes=list(base.A_tildes))
     factors = factorize(gram20, base.A_tildes, 0.05)
     mean = factor_mean(system)
     before = [solve_sample_smw(mean, factors, m).x for m in range(3)]
     state = mean.woodbury(factors)
+    system.A_tildes.append(sp.csr_matrix(base.A_bar.shape))
     solve_sample_direct(system, 20)
     assert system._direct is not mean and system._direct.s.size == 0
     assert mean.woodbury(factors) is state
@@ -387,11 +436,29 @@ def test_non_finite_shared_factor_column_is_named():
             mean.woodbury(factors)
 
 
+def test_woodbury_rejects_a_span_pattern_out_of_row_major_order():
+    # a sample's y @ B goes straight into the state's CSR values, so the
+    # span's entries must be in strictly row-major order, as build_gram
+    # and hand_factors store them; the same family reversed, or with one
+    # entry stored twice, is rejected
+    factors = hand_factors(np.eye(3)[:, :2], [np.ones((3, 2))])
+    mean = factor_mean(_toy_system(4.0 * np.eye(3), np.ones(3),
+                                   factors=factors))
+    twice = np.r_[0, np.arange(factors.rows.size)]
+    for order in (np.arange(factors.rows.size)[::-1], twice):
+        moved = dataclasses.replace(
+            factors, rows=factors.rows[order], cols=factors.cols[order],
+            basis=factors.basis[:, order])
+        with pytest.raises(ValueError, match="strictly row-major"):
+            mean.woodbury(moved)
+    mean.woodbury(factors)
+
+
 def test_held_bytes_at_n8(problem20, gram20):
     # the factors hold U[S, :k_s] (no N x k U), the span values (shared
     # with the Gram matrix) and Y; at k_s = |S| the mean holds W and
     # Abar^{-1}[K, R] (|S|^2 doubles together), J, K, x_bar[J] and the
-    # CSR pattern of A_m[R, J] with its entry order, and no N x k_s Z, no
+    # CSR pattern of A_m[R, J], and no N x k_s Z, no
     # right sides, no W_j = B_j^T U, no U[S, :k_s], no capacitance blocks
     # and no copy of X, which the mean, the system's elimination, holds
     # for both solvers.  A fresh system: the shared one may hold an
@@ -410,14 +477,13 @@ def test_held_bytes_at_n8(problem20, gram20):
     s, t, i, j = 135, n - 135, 30, 120
     state = mean.woodbury(factors)
     assert state.u_s is None and state.j.size == j
-    assert (state.pattern.indices.dtype, state.order.dtype) == (np.int32,
-                                                                np.int64)
+    assert state.pattern.indices.dtype == np.int32
     assert mean is system._direct
     assert mean.x.shape == (t, i)
-    # doubles or 8-byte indices: W and Abar^{-1}[K, R], x_bar[J], J, K,
-    # the pattern's values and order; 4-byte indices and row pointers
-    assert mean.nbytes == (8 * (s * s + 2 * j + (s - j) + 2 * p)
-                           + 4 * (p + s + 1)) == 171_604
+    # doubles or 8-byte indices: W and Abar^{-1}[K, R], x_bar[J], J, K
+    # and the pattern's values; 4-byte indices and row pointers
+    assert mean.nbytes == (8 * (s * s + 2 * j + (s - j) + p)
+                           + 4 * (p + s + 1)) == 162_316
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.1])
@@ -462,9 +528,9 @@ def test_truncated_state_holds_no_copy_of_u_at_n16():
     state = mean.woodbury(factors)
     assert state.u_s is factors.U
     assert mean.nbytes == _state_bytes(state)
-    # 1,669,428 bytes with the copy
-    assert mean.nbytes == (8 * (s * k_s + r * k_s + 2 * p)
-                           + 4 * (p + s + 1)) == 893_684
+    # 1,628,396 bytes with the copy
+    assert mean.nbytes == (8 * (s * k_s + r * k_s + p)
+                           + 4 * (p + s + 1)) == 852_652
 
 
 def test_matches_dense_woodbury_on_random_system():
@@ -515,20 +581,31 @@ def test_smw_matches_dense_solve_on_random_column_support(n, data):
 
 def _span_family(rng, n, M, r):
     """A_m = sum_t Y[m, t] B_t over r random sparse n x n B_t, with zeros
-    in Y so that the samples' sparsity patterns differ."""
+    in Y, each sample stored on the family's union pattern with zeros
+    where its own sum vanishes."""
     basis = [sp.random(n, n, density=rng.uniform(0.1, 0.6),
                        random_state=rng, data_rvs=rng.standard_normal)
              for _ in range(r)]
     y = rng.normal(size=(M, r)) * (rng.random((M, r)) < 0.7)
-    return [sum((y[m, t] * basis[t] for t in range(r) if y[m, t]),
-                sp.csr_matrix((n, n))).tocsr() for m in range(M)]
+    return _on_union_pattern([
+        sum((y[m, t] * basis[t] for t in range(r) if y[m, t]),
+            sp.csr_matrix((n, n))).tocsr() for m in range(M)])
+
+
+def _on_union_pattern(mats):
+    """The CSR matrices stored on the union of their patterns, one
+    family: zeros where a matrix has no entry."""
+    union = sum(abs(a) for a in mats).tocsr()
+    rows = np.repeat(np.arange(union.shape[0]), np.diff(union.indptr))
+    return [sp.csr_matrix((a.toarray()[rows, union.indices], union.indices,
+                           union.indptr), shape=union.shape) for a in mats]
 
 
 @settings(deadline=None, max_examples=100)
 @given(st.integers(3, 10), st.data())
 def test_span_solve_matches_dense_solve_on_random_families(n, data):
     # A_m = sum_t Y[m, t] B_t over r <= 4 random sparse B_t, with zeros in
-    # Y so the samples' sparsity patterns differ; r = 0 is the all-zero
+    # Y, on the family's union pattern; r = 0 is the all-zero
     # family, r = M a family of independent samples, and one sample may
     # sit off the span by 1e-8 relative
     M = data.draw(st.integers(1, 8), label="M")
@@ -542,6 +619,7 @@ def test_span_solve_matches_dense_solve_on_random_families(n, data):
                       data_rvs=rng.standard_normal)
         scale = 1e-8 * spla_norm(tildes[j]) / spla_norm(e)
         tildes[j] = (tildes[j] + scale * e).tocsr()
+        tildes = _on_union_pattern(tildes)
     a = rng.normal(size=(n, n)) + 2 * n * np.eye(n)
     b = rng.normal(size=n)
     gram = build_gram(tildes)
@@ -570,8 +648,7 @@ def test_lapack_solve_matches_the_reference_on_random_span_families(n, data):
     # |S| - 1 for the Gram support S, in the basis of U; k = 1 when
     # |S| = 1) and k_s = |S| (k from |S| up to the block dimension, in
     # the coordinate basis of S), all solved through the one elimination
-    # onto the union of the family's patterns, which holds S and may hold
-    # more columns (then U's rows are placed on it below |S|).  The sparse
+    # onto the family's pattern, which holds S and may hold more columns (then U's rows are placed on it below |S|).  The sparse
     # product and the direct LAPACK calls must give the reference's x and
     # condition estimate, or reject the sample where the reference's
     # estimate exceeds the limit
