@@ -90,7 +90,9 @@ class SplitSystem:
     :func:`apply_dirichlet` the constrained rows/columns of ``A_bar`` are
     identity and the same rows/columns of every perturbation are zero;
     the perturbations then share a read-only pattern, so copy one before
-    editing its structure in place.
+    editing its structure in place, and ``A_bar``'s arrays and ``b`` are
+    read-only, so the direct solve finds its elimination without reading
+    their values.
     """
 
     A_bar: sp.csr_matrix
@@ -513,7 +515,10 @@ def apply_dirichlet(system, constraints):
     before editing its structure in place.  They hold the values of
     D @ A @ D, D = diag(free), at every kept entry, stored zeros too;
     ``A_bar`` holds the product's entries bit for bit.  No output
-    aliases an input.
+    aliases an input, and ``A_bar``'s data, indices and indptr and ``b``
+    are read-only too (copy one before editing it in place): the direct
+    solve then finds the system's elimination without reading them
+    (``lowrank_solver._system_mean``).
     """
     n = system.N
     dofs = np.array([c[0] for c in constraints], dtype=np.int64)
@@ -541,6 +546,11 @@ def apply_dirichlet(system, constraints):
     pinned[dofs] = 1.0
     a_bar = _constrain_run(_one_pattern([system.A_bar], n), free)[0] \
         + sp.diags(pinned)
+    for a in (a_bar.data, a_bar.indices, a_bar.indptr, b):
+        # with every array it views, which only this matrix reaches
+        while isinstance(a, np.ndarray):
+            a.flags.writeable = False
+            a = a.base
     csrs = _one_pattern(system.A_tildes, n)
     a_tildes = _constrain_run(csrs, free) if csrs else []
     return replace(

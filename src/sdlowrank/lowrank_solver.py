@@ -204,13 +204,19 @@ class MeanFactorization:
     first sample (``direct_lu`` says which: Sigma as a dense array up to
     _DENSE_LU_MAX DOFs in S, SuperLU's column order above), and the
     Woodbury state (``woodbury``) of the factor family asked for last.
-    ``serves`` compares a call's Abar, its stored entries, b and pattern
-    with the copies kept.  Only ``_system_mean`` builds one.
+    ``pattern`` is the CSR (indptr, indices) that gave S, and ``serves``
+    checks a call's Abar, b and pattern.  Only ``_system_mean`` builds
+    one.
     """
 
     def __init__(self, A_bar, on_s, b, pattern):
-        self.A_bar, self.on_s, self.pattern = A_bar, on_s, pattern
+        self.A_bar, self.on_s = A_bar, on_s
+        self.pattern = tuple(p.tobytes() for p in pattern)
+        inputs = _inputs(A_bar, b, pattern)
+        # kept for the O(1) lookup only when no write reaches them
+        self.inputs = inputs if all(map(_frozen, inputs[1:])) else None
         self.b = np.array(b)
+        self.b_norm = np.linalg.norm(self.b)
         self.a = a = sp.csr_matrix(A_bar, copy=True)
         self.a_norm = spla.norm(a)
         self.s, self.t = s, t = np.flatnonzero(on_s), np.flatnonzero(~on_s)
@@ -280,11 +286,25 @@ class MeanFactorization:
         self._woodbury = _Woodbury(factors, self)
         return self._woodbury
 
-    def serves(self, A_bar, pattern, b):
-        a = A_bar.tocsr()
-        return (A_bar is self.A_bar and pattern == self.pattern
-                and all(np.array_equal(getattr(a, f), getattr(self.a, f))
-                        for f in ("data", "indices", "indptr"))
+    def serves(self, A_bar, b, pattern):
+        """Whether this is the elimination of ``A_bar``, ``b`` and the CSR
+        ``pattern`` (indptr, indices): in O(1) when they and Abar's arrays
+        are the objects it was built from and no write reaches them, then
+        or now (``_frozen``), else by comparing values with its copies."""
+        inputs = _inputs(A_bar, b, pattern)
+        if (self.inputs is not None
+                and all(x is y for x, y in zip(inputs, self.inputs))
+                and all(map(_frozen, inputs[1:]))):
+            return True
+        return self._same_values(inputs)
+
+    def _same_values(self, inputs):
+        A_bar, data, indices, indptr, b, *pattern = inputs
+        a = self.a
+        return (A_bar is self.A_bar
+                and tuple(p.tobytes() for p in pattern) == self.pattern
+                and all(np.array_equal(x, y) for x, y in zip(
+                    (data, indices, indptr), (a.data, a.indices, a.indptr)))
                 and np.array_equal(b, self.b))
 
     @cached_property
@@ -307,21 +327,22 @@ class MeanFactorization:
         return "dense" if self.s.size <= _DENSE_LU_MAX else "sparse"
 
     def _take_order(self, t):
-        """The direct path's part for t's pattern: Sigma's values (base)
-        and the slot of each of t's stored entries in Sigma + t[S, S].
-        Dense, the slots are flat positions of an |S| x |S| Fortran array
-        and the rest None; sparse, they are slots of the union CSC
-        pattern with its columns in the order perm_c (COLAMD plus
-        SuperLU's postorder) of one ``splu`` of the sum, whose row
-        indices and indptr follow."""
+        """The direct path's part for t's pattern: Sigma's values (base),
+        the slot of each of t's stored entries in Sigma + t[S, S], whether
+        a slot repeats (t stores an entry twice) and the matrix a sample's
+        values go into.  Dense, the slots are flat positions of an
+        |S| x |S| Fortran array and the rest None; sparse, they are slots
+        of the union pattern with its columns in the order perm_c (COLAMD
+        plus SuperLU's postorder) of one ``splu`` of the sum, held as one
+        CSC whose values each sample replaces."""
         n, k = self.on_s.size, self.s.size
         t_rows = np.repeat(np.arange(n), np.diff(t.indptr))
         local = np.full(n, -1)
         local[self.s] = np.arange(k)
         if self.direct_lu == "dense":
             base = self.schur.toarray(order="F").ravel(order="F")
-            return (None, base, local[t.indices] * k + local[t_rows],
-                    None, None)
+            slot = local[t.indices] * k + local[t_rows]
+            return None, base, slot, np.unique(slot).size < slot.size, None
         sigma = self.schur.tocoo()
         rows = np.concatenate((sigma.row, local[t_rows]))
         cols = np.concatenate((sigma.col, local[t.indices])).astype(np.int64)
@@ -338,21 +359,29 @@ class MeanFactorization:
         keys, where = np.unique(perm_c[cols] * k + rows, return_inverse=True)
         slot = where[slot]
         base = np.bincount(slot[:sigma.nnz], sigma.data, keys.size)
-        return (perm_c, base, slot[sigma.nnz:], (keys % k).astype(np.intc),
-                np.searchsorted(keys, np.arange(k + 1) * k).astype(np.intc))
+        slot = slot[sigma.nnz:]
+        csc = sp.csc_matrix(
+            (np.empty(keys.size), (keys % k).astype(np.intc),
+             np.searchsorted(keys, np.arange(k + 1) * k).astype(np.intc)),
+            shape=(k, k))
+        return perm_c, base, slot, np.unique(slot).size < slot.size, csc
 
     def solve_perturbed(self, t):
         """x with (Abar + t) x = b, from an LU of Sigma + t[S, S]: dense
         in place (``getrf``, ``getrs``) or SuperLU's numeric LU in the
-        stored order.  A zero pivot raises RuntimeError."""
+        stored order.  A copy of Sigma's values takes t's values at their
+        slots, a repeated slot summed.  A zero pivot raises RuntimeError."""
         k = self.s.size
         x_s = np.zeros(0)
         if k:
             if self._order is None:
                 self._order = self._take_order(t)
-            perm_c, base, slot, indices, indptr = self._order
-            data = np.bincount(slot, t.data, base.size)
-            data += base
+            perm_c, base, slot, repeats, csc = self._order
+            data = base.copy()
+            if repeats:
+                np.add.at(data, slot, t.data)
+            else:
+                data[slot] += t.data
             if perm_c is None:
                 lu, piv, info = _GETRF(data.reshape(k, k, order="F"),
                                        overwrite_a=1)
@@ -360,28 +389,44 @@ class MeanFactorization:
                     raise RuntimeError("Factor is exactly singular")
                 x_s, _ = _GETRS(lu, piv, self.rhs)
             else:
-                lu = spla.splu(sp.csc_matrix((data, indices, indptr),
-                                             shape=(k, k)),
-                               permc_spec="NATURAL")
+                csc.data = data
+                lu = spla.splu(csc, permc_spec="NATURAL")
                 x_s = lu.solve(self.rhs)[perm_c]
         return self.expand(x_s, self.y_t)
+
+
+def _inputs(A_bar, b, pattern):
+    """Abar, its CSR data, indices and indptr, b and the pattern."""
+    a = A_bar.tocsr()
+    return (A_bar, a.data, a.indices, a.indptr, b, *pattern)
+
+
+def _frozen(a):
+    """Whether ``a`` is an array that no write reaches: it and every
+    array it views are read-only."""
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        a = a.base
+    return a is None
 
 
 def _system_mean(system, t):
     """``system._direct``, rebuilt (the old one goes first) unless it is
     the elimination of ``system.A_bar``, its stored entries and b onto the
     support S of the pattern of the CSR ``t`` (its indptr and indices):
-    the rows and columns where it stores an entry."""
+    the rows and columns where it stores an entry.  On the read-only
+    output of ``apply_dirichlet`` the lookup reads no values
+    (``MeanFactorization.serves``)."""
     if t.shape != system.A_bar.shape:
         raise ValueError(f"perturbation shape {t.shape} does not match "
                          f"the mean matrix shape {system.A_bar.shape}")
-    key = (t.indptr.tobytes(), t.indices.tobytes())
+    pattern = (t.indptr, t.indices)
     if system._direct is None or not system._direct.serves(
-            system.A_bar, key, system.b):
+            system.A_bar, system.b, pattern):
         system._direct = None
         on_s = np.diff(t.indptr) > 0
         on_s[t.indices] = True
-        system._direct = MeanFactorization(system.A_bar, on_s, system.b, key)
+        system._direct = MeanFactorization(system.A_bar, on_s, system.b,
+                                           pattern)
     return system._direct
 
 
@@ -423,7 +468,7 @@ def factor_mean(system):
         ) from exc
     resid = np.linalg.norm(system.A_bar @ mean.x_bar - system.b)
     bound = 1e-10 * (mean.a_norm * np.linalg.norm(mean.x_bar)
-                     + np.linalg.norm(system.b))
+                     + mean.b_norm)
     if not np.isfinite(resid) or resid > bound:
         raise SingularSystemError(
             f"mean solve residual {resid:.3e} exceeds {bound:.3e}; "
@@ -516,8 +561,9 @@ def solve_sample_direct(system, m):
     adds its values to a dense copy of Sigma, taken on the first sample,
     and runs LAPACK's LU (``getrf``) and solve (``getrs``) in place;
     above, the first sample takes SuperLU's COLAMD column order of
-    Sigma + A_m[S, S], and each sample sums its values into that
-    |S| x |S| pattern and runs the numeric LU in the stored order.  Both
+    Sigma + A_m[S, S] and one CSC of that |S| x |S| pattern, and each
+    sample swaps its sum with Sigma into it and runs the numeric LU in
+    the stored order.  Both
     solve for x[S] and form x[T] = y_T - X x[S][I].  A failed LU of
     Abar[T, T] or of Sigma raises SingularSystemError naming that block,
     a failed factorization of the sample's matrix (a zero pivot of
@@ -544,7 +590,7 @@ def solve_sample_direct(system, m):
         raise SingularSystemError(f"sample {m}: non-finite solution entries")
     resid = np.linalg.norm(elim.a @ x + t @ x - system.b)
     bound = 1e-10 * ((elim.a_norm + np.linalg.norm(t.data))
-                     * np.linalg.norm(x) + np.linalg.norm(system.b))
+                     * np.linalg.norm(x) + elim.b_norm)
     if not resid <= bound:
         raise SingularSystemError(
             f"sample {m}: direct solve residual {resid:.3e} exceeds "

@@ -82,3 +82,15 @@ def test_import_leaves_scipy_spatial_out():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_leaves_the_cli_out():
+    # RunConfig, ConfigError and main import the CLI module on first use,
+    # so a bare import of the package does not compile it
+    probe = ("import sys, sdlowrank; print('sdlowrank.cli' in sys.modules); "
+             "main = sdlowrank.main; import sdlowrank.cli; "
+             "print(main is sdlowrank.cli.main)")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

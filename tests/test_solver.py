@@ -1245,6 +1245,82 @@ def test_direct_solve_follows_values_edited_in_place(problem20,
         _assert_took(system, branch)
 
 
+def test_direct_loop_on_an_assembled_family_reads_no_values(problem20,
+                                                           monkeypatch):
+    # apply_dirichlet's Abar arrays and b are read-only and its family
+    # shares one read-only pattern: the first sample builds the
+    # elimination, and every later lookup, factor_mean's too, finds it
+    # by identity without comparing a value
+    mean_cls = lowrank_solver.MeanFactorization
+    init, same_values = mean_cls.__init__, mean_cls._same_values
+    built, compared = [], []
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counted_same_values(self, inputs):
+        compared.append(inputs)
+        return same_values(self, inputs)
+
+    monkeypatch.setattr(mean_cls, "__init__", counted_init)
+    monkeypatch.setattr(mean_cls, "_same_values", counted_same_values)
+    system = dataclasses.replace(problem20["system"])
+    for m in range(len(system.A_tildes)):
+        solve_sample_direct(system, m)
+    assert factor_mean(system) is system._direct
+    assert (len(built), len(compared)) == (1, 0)
+
+
+def test_an_assembled_system_is_read_only_and_new_inputs_rebuild(problem20):
+    # no write reaches the arrays the O(1) lookup trusts; a new Abar or b
+    # given to a system that holds an elimination is a new elimination,
+    # and an equal b that is another object is compared by value
+    system = dataclasses.replace(problem20["system"])
+    a = system.A_bar
+    for arr in (a.data, a.indices, a.indptr, system.b):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    solve_sample_direct(system, 0)
+    held = system._direct
+    for change in ({"A_bar": 2 * a}, {"b": 3 * system.b}):
+        changed = dataclasses.replace(system, **change)
+        changed._direct = held
+        _assert_direct_matches_oracle(changed, 0)
+        assert changed._direct is not held
+    equal = dataclasses.replace(system, b=system.b.copy())
+    equal._direct = held
+    _assert_direct_matches_oracle(equal, 1)
+    assert equal._direct is held
+    # a read-only b made writeable again and edited in place
+    b = system.b.copy()
+    b.flags.writeable = False
+    own = dataclasses.replace(system, b=b)
+    solve_sample_direct(own, 0)
+    held = own._direct
+    b.flags.writeable = True
+    b[b != 0] *= 3.0
+    _assert_direct_matches_oracle(own, 0)
+    assert own._direct is not held
+
+
+def test_direct_solve_sums_an_entry_stored_twice(monkeypatch):
+    # a hand-built perturbation storing entry (0, 1) twice is not
+    # canonical, so two of its slots in Sigma + A_m[S, S] coincide: the
+    # fill sums both values, on either LU
+    a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    tilde = sp.csr_matrix(([0.5, 0.25, -0.75, 0.3], [0, 1, 1, 0],
+                           [0, 3, 4, 4]), shape=(3, 3))
+    assert not tilde.has_canonical_format
+    ref = np.linalg.solve(a + tilde.toarray(), [1.0, 2.0, 3.0])
+    for branch in _lu_branches(monkeypatch):
+        system = _toy_system(a, [1.0, 2.0, 3.0], tildes=[tilde])
+        x = solve_sample_direct(system, 0).x
+        _assert_took(system, branch)
+        assert system._direct._order[3]   # a slot repeats
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 def test_direct_solve_rejects_a_perturbation_of_another_shape():
     # the second perturbation stores its entries where the first does
     system = _toy_system(np.eye(3), np.ones(3), tildes=[
